@@ -357,6 +357,11 @@ def reconfigure(from_config: MachineConfig, to_config: MachineConfig) -> Plan:
     parked = [rid for rid, role in roles_from.items()
               if role != "idle" and rid not in targets]
     parking = default_parking(to_config, len(parked))
+    if len(parking) < len(parked):
+        raise PlanError(
+            f"{to_config.morphology} config has {len(parking)} parking "
+            f"spot(s) for {len(parked)} parked robots; no spot for "
+            f"{', '.join(parked[len(parking):])}")
 
     setpoints = {}
     for rid, pos in targets.items():

@@ -233,11 +233,11 @@ def _extrusion_delta(state: InterpreterState, params: dict[str, float]) -> float
     return e
 
 
-def _feed_update(state: InterpreterState, params: dict[str, float]) -> InterpreterState:
-    if "F" in params:
-        f = params["F"] * _scale(state) / 60.0  # mm/min -> mm/s
+def _feed_update(state: InterpreterState, cmd: GcodeCommand) -> InterpreterState:
+    if "F" in cmd.params:
+        f = cmd.params["F"] * _scale(state) / 60.0  # mm/min -> mm/s
         if f <= 0:
-            raise GcodeError("feed must be positive")
+            raise GcodeError("feed must be positive", cmd.line_no)
         state = replace(state, feed=f)
     return state
 
@@ -317,7 +317,7 @@ def flatten_arc(cmd: GcodeCommand, state: InterpreterState,
     a0 = math.atan2(sy - cy, sx - cx)
     direction = -1.0 if clockwise else 1.0
     e_total = _extrusion_delta(state, cmd.params)
-    feed_state = _feed_update(state, cmd.params)
+    feed_state = _feed_update(state, cmd)
     feed = feed_state.feed
     kind = "print" if e_total > 0 else "travel"
 
@@ -378,7 +378,7 @@ def interpret(commands: list[GcodeCommand],
         if cmd.code in (0, 1):
             target = _resolve_target(state, cmd.params)
             delta_e = _extrusion_delta(state, cmd.params)
-            state = _feed_update(state, cmd.params)
+            state = _feed_update(state, cmd)
             moved = target != state.position
             if moved or delta_e != 0.0:
                 kind = "print" if delta_e > 0 else "travel"
@@ -392,7 +392,7 @@ def interpret(commands: list[GcodeCommand],
         elif cmd.code in (2, 3):
             arc_segments = flatten_arc(cmd, state, chord_tol)
             delta_e = _extrusion_delta(state, cmd.params)
-            state = _feed_update(state, cmd.params)
+            state = _feed_update(state, cmd)
             segments.extend(arc_segments)
             state = replace(state, position=arc_segments[-1].end,
                             extrusion_total=state.extrusion_total + delta_e)

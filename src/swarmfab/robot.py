@@ -15,12 +15,6 @@ ACTUATOR_ROLES = frozenset({
     "extruder_spool_1", "extruder_spool_2", "extruder_spool_3", "leadscrew",
 })
 
-ROLES = frozenset({
-    "bridge_left", "bridge_right", "carriage", "table",
-    "extruder_spool_1", "extruder_spool_2", "extruder_spool_3",
-    "leadscrew", "idle",
-}) | ACTUATOR_ROLES
-
 
 @dataclass(frozen=True)
 class RobotParams:
@@ -50,7 +44,6 @@ class RobotState:
     wheel_speeds: tuple[float, float] = (0.0, 0.0)  # left, right mm/s
     accumulated_rotation: float = 0.0  # rad, actuator roles only
     role: str = "idle"
-    attachment: str | None = None
     params: RobotParams = field(default_factory=RobotParams)
 
 

@@ -35,7 +35,6 @@ class TraceSample:
 @dataclass
 class Trace:
     samples: list[TraceSample] = field(default_factory=list)
-    events: list[str] = field(default_factory=list)
     config: MachineConfig | None = None
     barrier_wait_total: float = 0.0
     extruded_length: float = 0.0
@@ -232,43 +231,80 @@ def _tick_budget(plan: Plan, tick_idx: int) -> float:
 
 # --- fidelity ---
 
-def _point_segment_distance(p, a, b) -> float:
-    ap = np.asarray(p, dtype=float) - np.asarray(a, dtype=float)
-    ab = np.asarray(b, dtype=float) - np.asarray(a, dtype=float)
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(ap))
-    s = min(1.0, max(0.0, float(ap @ ab) / denom))
-    return float(np.linalg.norm(ap - s * ab))
+# (point, segment) pairs per broadcast block in _segment_distances.  Bounds the
+# kernel's temporaries (~100 B per pair) independently of the sample count.
+CHUNK_PAIRS = 4096
+
+
+def _dot(u, v):
+    """Row-wise dot product over the last axis.
+
+    Stacked matmul dispatches each row to the same BLAS dot as a 1-D
+    `u @ v` or `np.linalg.norm`, so results match the scalar formula bit for
+    bit; `einsum` or an explicit component sum can round differently (BLAS
+    dot kernels may fuse multiply-adds).
+    """
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
+def _segment_distances(points, segments: list[MotionSegment]):
+    """Nearest segment and its distance for every point.
+
+    Returns `(nearest, distance)`: for each point, the index of the closest
+    segment (the lowest index on exact ties, as `np.argmin` picks) and the
+    distance to it.  A zero-length segment scores as the distance to its start.
+    Points are processed in blocks of CHUNK_PAIRS // len(segments) points (at
+    least one), so memory does not grow with the number of points.
+    """
+    points = np.asarray(points, dtype=float)
+    a = np.array([s.start for s in segments], dtype=float)
+    ab = np.array([s.end for s in segments], dtype=float) - a
+    denom = _dot(ab, ab)
+    # 0 / 1 gives s = 0 on a zero-length segment, so its distance is |ap|
+    denom = np.where(denom == 0.0, 1.0, denom)
+    nearest = np.empty(len(points), dtype=np.intp)
+    distance = np.empty(len(points))
+    rows = max(1, CHUNK_PAIRS // len(a))
+    for lo in range(0, len(points), rows):
+        ap = points[lo:lo + rows, None, :] - a
+        s = np.clip(_dot(ap, ab) / denom, 0.0, 1.0)
+        d = ap - s[..., None] * ab
+        dist = np.sqrt(_dot(d, d))
+        i = np.argmin(dist, axis=1)
+        nearest[lo:lo + rows] = i
+        distance[lo:lo + rows] = dist[np.arange(len(i)), i]
+    return nearest, distance
 
 
 def point_polyline_distance(p, segments: list[MotionSegment]) -> float:
-    return min(_point_segment_distance(p, seg.start, seg.end)
-               for seg in segments)
+    if not segments:
+        raise ValueError("no segments")
+    _, distance = _segment_distances([p], segments)
+    return float(distance[0])
 
 
 def measure_fidelity(trace: Trace,
                      segments: list[MotionSegment]) -> FidelityReport:
-    """Deviation of extruding samples from the commanded print polyline."""
+    """Deviation of extruding samples from the commanded print polyline.
+
+    Each extruding sample is charged to its nearest print segment (the first
+    one on exact ties); `per_segment_deviation` is the worst charge per segment.
+    """
     if not trace.samples:
         raise ValueError("trace is empty")
     print_segments = [s for s in segments if s.kind == "print"]
-    deviations = []
-    per_segment = [0.0] * len(print_segments)
-    for sample in trace.samples:
-        if not sample.extruding or not print_segments:
-            continue
-        dists = [_point_segment_distance(sample.tool_tip, seg.start, seg.end)
-                 for seg in print_segments]
-        i = int(np.argmin(dists))
-        deviations.append(dists[i])
-        per_segment[i] = max(per_segment[i], dists[i])
-    max_dev = max(deviations) if deviations else 0.0
-    mean_dev = float(np.mean(deviations)) if deviations else 0.0
+    tips = [s.tool_tip for s in trace.samples if s.extruding]
+    per_segment = np.zeros(len(print_segments))
+    max_dev = mean_dev = 0.0
+    if tips and print_segments:
+        nearest, deviations = _segment_distances(tips, print_segments)
+        np.maximum.at(per_segment, nearest, deviations)
+        max_dev = float(deviations.max())
+        mean_dev = float(np.mean(deviations))
     return FidelityReport(
         max_deviation=max_dev,
         mean_deviation=mean_dev,
-        per_segment_deviation=per_segment,
+        per_segment_deviation=per_segment.tolist(),
         total_print_length=sum(s.length for s in print_segments),
         total_travel_length=sum(s.length for s in segments
                                 if s.kind == "travel"),

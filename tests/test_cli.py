@@ -45,6 +45,18 @@ class TestParse:
         assert code == 2
         assert "line 3" in err
 
+    @pytest.mark.parametrize("program", [
+        "G1 X210 F1200\nG1 X220 F0\n",
+        "G1 X210 F1200\nG1 X220 F-600\n",
+        "G1 X210 Y110 F1200\nG2 X220 Y120 I10 J0 F0\n",
+    ], ids=["zero", "negative", "arc"])
+    def test_nonpositive_feed_cites_line(self, workdir, capsys, program):
+        bad = workdir / "feed.gcode"
+        bad.write_text(program)
+        code, _, err = run_cli(["parse", bad], capsys)
+        assert code == 2
+        assert "line 2: feed must be positive" in err
+
 
 class TestPlan:
     def test_writes_stream_and_summary(self, workdir, capsys):
@@ -138,6 +150,18 @@ class TestReconfigure:
                               workdir / "bridge.json", out_path], capsys)
         assert code == 0
         assert out_path.read_text() == ""
+
+    def test_too_few_parking_spots_exit_5(self, workdir, capsys):
+        config.write_default_config("printer_bridge", str(workdir / "pb.json"))
+        doc = config.default_config_doc("wire2d_wall")
+        doc["roster"] += [{"id": "r3"}, {"id": "r4"}]
+        doc["parking"] = [[200.0, -700.0]]
+        (workdir / "wall.json").write_text(json.dumps(doc))
+        code, _, err = run_cli(["reconfigure", workdir / "pb.json",
+                                workdir / "wall.json", workdir / "t.txt"],
+                               capsys)
+        assert code == 5
+        assert "r4" in err
 
     def test_disjoint_rosters_exit_5(self, workdir, capsys):
         doc = config.default_config_doc("printer_bridge")

@@ -199,6 +199,15 @@ class TestReconfigure:
         with pytest.raises(InsufficientRobots):
             coordinator.reconfigure(bridge_config, printer_bridge_config)
 
+    def test_too_few_parking_spots_names_unparked(self,
+                                                  printer_bridge_config):
+        doc = config.default_config_doc("wire2d_wall")
+        doc["roster"] += [{"id": "r3"}, {"id": "r4"}]
+        doc["parking"] = [[200.0, -700.0]]
+        with pytest.raises(PlanError, match="no spot for r4$"):
+            coordinator.reconfigure(printer_bridge_config,
+                                    config.parse_config(doc))
+
     def test_disjoint_rosters(self, printer_bridge_config):
         doc = config.default_config_doc("bridge_xy")
         for i, entry in enumerate(doc["roster"]):
