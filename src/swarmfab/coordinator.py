@@ -175,13 +175,26 @@ def time_parameterize(seg: MotionSegment, config: MachineConfig,
     return max([duration] + _axis_times(seg, config, roles))
 
 
+def datum_wire_lengths(config: MachineConfig,
+                       datum: tuple[float, float, float]) -> tuple:
+    """Wire lengths at the plan datum, where spool rotation is zero; empty
+    for the bridge morphologies, which have no wires."""
+    if config.morphology == "wire2d_wall":
+        return kin.wire2d_ik((datum[0], datum[1]), config.wire2d_geometry)
+    if config.morphology == "wire3d_printer":
+        return kin.wire3d_ik(datum, config.wire3d_geometry)
+    return ()
+
+
 def _tool_setpoints(tool: tuple[float, float, float], config: MachineConfig,
                     roles: dict[str, str],
-                    datum: tuple[float, float, float]) -> dict[str, Setpoint]:
+                    datum: tuple[float, float, float],
+                    datum_lengths: tuple) -> dict[str, Setpoint]:
     """Per-robot setpoints realizing a tool point.
 
     Spool and lead-screw rotation targets are relative to the plan datum
-    (the tool position at plan start, where accumulated rotation is 0).
+    (the tool position at plan start, where accumulated rotation is 0);
+    `datum_lengths` is datum_wire_lengths(config, datum).
     """
     morph = config.morphology
     out = {}
@@ -198,7 +211,6 @@ def _tool_setpoints(tool: tuple[float, float, float], config: MachineConfig,
     elif morph == "wire2d_wall":
         geom = config.wire2d_geometry
         lengths = kin.wire2d_ik((tool[0], tool[1]), geom)
-        datum_lengths = kin.wire2d_ik((datum[0], datum[1]), geom)
         for i, role in enumerate(("extruder_spool_1", "extruder_spool_2")):
             theta = kin.spool_delta(lengths[i] - datum_lengths[i],
                                     geom.spool_radius)
@@ -208,7 +220,6 @@ def _tool_setpoints(tool: tuple[float, float, float], config: MachineConfig,
     elif morph == "wire3d_printer":
         geom = config.wire3d_geometry
         lengths = kin.wire3d_ik(tool, geom)
-        datum_lengths = kin.wire3d_ik(datum, geom)
         for i, role in enumerate(("extruder_spool_1", "extruder_spool_2",
                                   "extruder_spool_3")):
             theta = kin.spool_delta(lengths[i] - datum_lengths[i],
@@ -224,21 +235,28 @@ def plan_segment(seg: MotionSegment, config: MachineConfig,
                  roles: Optional[dict[str, str]] = None, *,
                  t0: float = 0.0,
                  datum: Optional[tuple[float, float, float]] = None,
+                 datum_lengths: Optional[tuple] = None,
                  extrusion0: float = 0.0,
                  include_start: bool = True) -> list[PlanTick]:
-    """Sample one segment into setpoint ticks at the planning period."""
+    """Sample one segment into setpoint ticks at the planning period.
+
+    `datum_lengths` defaults to datum_wire_lengths(config, datum); a caller
+    planning many segments against one datum passes it in.
+    """
     if roles is None:
         roles = assign_roles(config)
     if datum is None:
         datum = seg.start
     duration = time_parameterize(seg, config, roles)
+    if datum_lengths is None:
+        datum_lengths = datum_wire_lengths(config, datum)
     dt = config.dt_plan
 
     ticks = []
     extruding = seg.kind == "print"
     if duration == 0.0:
         # extrude-in-place: a single dwell tick
-        sp = _tool_setpoints(seg.start, config, roles, datum)
+        sp = _tool_setpoints(seg.start, config, roles, datum, datum_lengths)
         ticks.append(PlanTick(t0 + dt, sp, seg.start, extruding,
                               extrusion0 + seg.extrusion_delta, seg.source_line))
         return ticks
@@ -258,7 +276,7 @@ def plan_segment(seg: MotionSegment, config: MachineConfig,
             raise OutOfWorkspace(
                 f"setpoint {tool} outside workspace: {check.reason}",
                 reason=check.reason, line_no=seg.source_line)
-        sp = _tool_setpoints(tool, config, roles, datum)
+        sp = _tool_setpoints(tool, config, roles, datum, datum_lengths)
         ticks.append(PlanTick(t0 + t, sp, tool, extruding,
                               extrusion0 + seg.extrusion_delta * frac,
                               seg.source_line))
@@ -292,6 +310,11 @@ def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
         return Plan(ticks=[], barriers=[], morphology=config.morphology)
 
     datum = segments[0].start
+    # time_parameterize checks the datum (the first segment's start) against
+    # the workspace; doing so before its IK keeps that error an
+    # OutOfWorkspace with its g-code line
+    time_parameterize(segments[0], config, roles)
+    datum_lengths = datum_wire_lengths(config, datum)
     threshold = math.radians(config.barrier_angle_deg) - 1e-9
     t_cursor = 0.0
     extrusion = 0.0
@@ -304,7 +327,8 @@ def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
                 barriers.append(len(ticks) - 1)
         seg_ticks = plan_segment(
             seg, config, roles, t0=t_cursor, datum=datum,
-            extrusion0=extrusion, include_start=prev_seg is None)
+            datum_lengths=datum_lengths, extrusion0=extrusion,
+            include_start=prev_seg is None)
         ticks.extend(seg_ticks)
         if seg_ticks:
             t_cursor = seg_ticks[-1].t
@@ -320,7 +344,8 @@ def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
 def initial_robot_positions(config: MachineConfig) -> dict[str, tuple[float, float]]:
     """Nominal start position of every active robot for a config's home tool."""
     roles = assign_roles(config)
-    sp = _tool_setpoints(config.home, config, roles, config.home)
+    sp = _tool_setpoints(config.home, config, roles, config.home,
+                         datum_wire_lengths(config, config.home))
     return {rid: (s.x, s.y) for rid, s in sp.items()}
 
 

@@ -9,7 +9,8 @@ line (2-wire) or below the anchor plane (3-wire).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,13 +44,44 @@ class BridgeGeometry:
             raise ValueError("carriage travel must satisfy 0 <= min < max <= span")
 
 
+class Wire2DFrame(NamedTuple):
+    """Constants of two-circle intersection, as plain floats."""
+
+    a1: tuple[float, float]  # first anchor
+    d: float  # anchor distance |a2 - a1|
+    u: tuple[float, float]  # unit vector from a1 to a2
+    n: tuple[float, float]  # unit normal of the anchor line, pointing down
+
+
+class Wire3DFrame(NamedTuple):
+    """Anchor-aligned trilateration frame, as plain floats."""
+
+    anchors: tuple[tuple[float, float, float], ...]
+    ex: tuple[float, float, float]  # unit vector from a1 to a2
+    ey: tuple[float, float, float]  # in-plane unit vector orthogonal to ex
+    ez: tuple[float, float, float]  # ex x ey
+    d: float  # |a2 - a1|
+    i: float  # ex . (a3 - a1)
+    j: float  # component of a3 - a1 along ey
+
+
+def _derived():
+    """A field computed in __post_init__: not an __init__ argument, and left
+    out of repr, == and hash, which stay those of the defining fields."""
+    return field(init=False, repr=False, compare=False)
+
+
 @dataclass(frozen=True)
 class WireGeometry2D:
-    """Two wire anchors on a vertical plane; coordinates are (x, z)."""
+    """Two wire anchors on a vertical plane; coordinates are (x, z).
+
+    `frame` holds the constants wire2d_fk needs, derived once here.
+    """
 
     anchors: tuple[tuple[float, float], tuple[float, float]]
     spool_radius: float
     workspace_margin: float = DEFAULT_WORKSPACE_MARGIN
+    frame: Wire2DFrame = _derived()
 
     def __post_init__(self):
         a1, a2 = self.anchors
@@ -57,15 +89,34 @@ class WireGeometry2D:
             raise ValueError("anchors must be distinct")
         if self.spool_radius <= 0:
             raise ValueError("spool_radius must be positive")
+        a1 = np.asarray(a1, dtype=float)
+        a2 = np.asarray(a2, dtype=float)
+        d = float(np.linalg.norm(a2 - a1))
+        u = (a2 - a1) / d
+        # normal pointing to the below-anchor side
+        n = np.array([u[1], -u[0]])
+        if n[1] > 0:
+            n = -n
+        object.__setattr__(self, "frame", Wire2DFrame(
+            tuple(a1.tolist()), d, tuple(u.tolist()), tuple(n.tolist())))
 
 
 @dataclass(frozen=True)
 class WireGeometry3D:
-    """Three non-collinear wire anchors in 3-D."""
+    """Three non-collinear wire anchors in 3-D.
+
+    The constants every FK, IK and workspace call needs are derived once
+    here: `anchor_array` (3 x 3) and `down_normal` (unit normal of the
+    anchor plane, pointing down) as read-only arrays, and the trilateration
+    `frame` as floats.
+    """
 
     anchors: tuple[tuple[float, float, float], ...]
     spool_radius: float
     workspace_margin: float = DEFAULT_WORKSPACE_MARGIN
+    anchor_array: np.ndarray = _derived()
+    down_normal: np.ndarray = _derived()
+    frame: Wire3DFrame = _derived()
 
     def __post_init__(self):
         if len(self.anchors) != 3:
@@ -73,9 +124,29 @@ class WireGeometry3D:
         if self.spool_radius <= 0:
             raise ValueError("spool_radius must be positive")
         a = np.asarray(self.anchors, dtype=float)
-        area = 0.5 * np.linalg.norm(np.cross(a[1] - a[0], a[2] - a[0]))
-        if area <= MIN_ANCHOR_TRIANGLE_AREA:
+        normal = np.cross(a[1] - a[0], a[2] - a[0])
+        length = np.linalg.norm(normal)
+        if 0.5 * length <= MIN_ANCHOR_TRIANGLE_AREA:
             raise ValueError("anchor triangle is degenerate")
+        n = normal / length
+        if n[2] > 0:
+            n = -n
+        ex = a[1] - a[0]
+        d = np.linalg.norm(ex)
+        ex = ex / d
+        v = a[2] - a[0]
+        i = float(ex @ v)
+        ey = v - i * ex
+        j = np.linalg.norm(ey)
+        ey = ey / j
+        ez = np.cross(ex, ey)
+        a.setflags(write=False)
+        n.setflags(write=False)
+        object.__setattr__(self, "anchor_array", a)
+        object.__setattr__(self, "down_normal", n)
+        object.__setattr__(self, "frame", Wire3DFrame(
+            tuple(tuple(row) for row in a.tolist()), tuple(ex.tolist()),
+            tuple(ey.tolist()), tuple(ez.tolist()), float(d), i, float(j)))
 
 
 @dataclass(frozen=True)
@@ -151,9 +222,7 @@ def wire2d_fk(L1: float, L2: float, geom: WireGeometry2D) -> tuple[float, float]
     """Wall point from wire lengths: two-circle intersection, lower branch."""
     if L1 <= 0 or L2 <= 0:
         raise NoIntersection("wire lengths must be positive")
-    a1 = np.asarray(geom.anchors[0], dtype=float)
-    a2 = np.asarray(geom.anchors[1], dtype=float)
-    d = float(np.linalg.norm(a2 - a1))
+    a1, d, u, n = geom.frame
     if L1 + L2 < d - 1e-9:
         raise NoIntersection("wires too short to meet")
     a = (L1 * L1 - L2 * L2 + d * d) / (2 * d)
@@ -161,52 +230,27 @@ def wire2d_fk(L1: float, L2: float, geom: WireGeometry2D) -> tuple[float, float]
     if h2 < -INTERSECTION_SLACK * max(1.0, L1 * L1):
         raise NoIntersection("circles do not intersect")
     h = math.sqrt(max(0.0, h2))
-    u = (a2 - a1) / d
-    # normal pointing to the below-anchor side
-    n = np.array([u[1], -u[0]])
-    if n[1] > 0:
-        n = -n
     if h < 1e-9:
         raise Unreachable("tangent solution lies on the anchor line")
-    p = a1 + a * u + h * n
-    return (float(p[0]), float(p[1]))
+    return (float(a1[0] + a * u[0] + h * n[0]),
+            float(a1[1] + a * u[1] + h * n[1]))
 
 
 # --- three-wire positioner ---
 
-def _wire3d_frame(geom: WireGeometry3D):
-    a = np.asarray(geom.anchors, dtype=float)
-    ex = a[1] - a[0]
-    d = np.linalg.norm(ex)
-    ex = ex / d
-    v = a[2] - a[0]
-    i = float(ex @ v)
-    ey = v - i * ex
-    j = np.linalg.norm(ey)
-    ey = ey / j
-    ez = np.cross(ex, ey)
-    return a, ex, ey, ez, d, i, j
-
-
-def _down_normal(geom: WireGeometry3D) -> np.ndarray:
-    a = np.asarray(geom.anchors, dtype=float)
-    n = np.cross(a[1] - a[0], a[2] - a[0])
-    n = n / np.linalg.norm(n)
-    if n[2] > 0:
-        n = -n
-    return n
+def _depth(geom: WireGeometry3D, p: np.ndarray) -> float:
+    """Signed distance of p below the anchor plane."""
+    return float(geom.down_normal @ (p - geom.anchor_array[0]))
 
 
 def wire3d_ik(p: tuple[float, float, float],
               geom: WireGeometry3D) -> tuple[float, float, float]:
     """Wire lengths to reach 3-D point p below the anchor plane."""
-    a = np.asarray(geom.anchors, dtype=float)
-    n = _down_normal(geom)
-    depth = float(n @ (np.asarray(p, dtype=float) - a[0]))
-    if depth <= 0:
-        raise Unreachable("point not below the anchor plane")
     pv = np.asarray(p, dtype=float)
-    return tuple(float(np.linalg.norm(pv - ai)) for ai in a)
+    if _depth(geom, pv) <= 0:
+        raise Unreachable("point not below the anchor plane")
+    # sqrt(v @ v) is what np.linalg.norm computes for a vector
+    return tuple(math.sqrt(v @ v) for v in pv - geom.anchor_array)
 
 
 def wire3d_fk(L1: float, L2: float, L3: float,
@@ -215,9 +259,11 @@ def wire3d_fk(L1: float, L2: float, L3: float,
 
     Solves in an anchor-aligned frame, picks the root below the anchor
     plane, then applies one Gauss-Newton step on the length residuals to
-    absorb frame round-off.
+    absorb frame round-off.  Scalar float arithmetic around one lstsq call;
+    every operation keeps the order of the array formulation (kept in the
+    tests as the oracle), so results are the same bit for bit.
     """
-    a, ex, ey, ez, d, i, j = _wire3d_frame(geom)
+    anchors, ex, ey, ez, d, i, j = geom.frame
     area = 0.5 * d * j
     if area < MIN_ANCHOR_TRIANGLE_AREA:
         raise IllConditioned("anchor triangle area below threshold")
@@ -229,21 +275,33 @@ def wire3d_fk(L1: float, L2: float, L3: float,
         raise NoIntersection("spheres do not intersect")
     z = math.sqrt(max(0.0, z2))
 
-    n_down = _down_normal(geom)
-    candidates = [a[0] + x * ex + y * ey + s * z * ez for s in (+1.0, -1.0)]
-    depths = [float(n_down @ (c - a[0])) for c in candidates]
-    p = candidates[0] if depths[0] >= depths[1] else candidates[1]
+    # the roots a1 + x*ex + y*ey +- z*ez; keep the deeper one below the plane
+    a1 = anchors[0]
+    base = [a + x * e + y * f for a, e, f in zip(a1, ex, ey)]
+    upper = [b + z * e for b, e in zip(base, ez)]
+    lower = [b - z * e for b, e in zip(base, ez)]
+    # depth via the array dot product: summed in a different order, the
+    # rounding could flip the choice between two nearly coincident roots
+    if _depth(geom, np.array(upper)) >= _depth(geom, np.array(lower)):
+        p = upper
+    else:
+        p = lower
 
-    # one Gauss-Newton step on r_i = |p - a_i| - L_i
-    L = np.array([L1, L2, L3], dtype=float)
-    diff = p[None, :] - a
-    dist = np.linalg.norm(diff, axis=1)
-    if np.all(dist > 1e-12):
-        r = dist - L
-        J = diff / dist[:, None]
-        dp, *_ = np.linalg.lstsq(J, -r, rcond=None)
-        p = p + dp
-    return (float(p[0]), float(p[1]), float(p[2]))
+    # one Gauss-Newton step on r_k = |p - a_k| - L_k, skipped when p sits
+    # on an anchor
+    px, py, pz = p
+    J = []
+    neg_r = []
+    for (ax, ay, az), Lk in zip(anchors, (L1, L2, L3)):
+        dx, dy, dz = px - ax, py - ay, pz - az
+        # the order in which np.linalg.norm(..., axis=1) sums the squares
+        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
+        if not dist > 1e-12:
+            return (float(px), float(py), float(pz))
+        J.append((dx / dist, dy / dist, dz / dist))
+        neg_r.append(-(dist - float(Lk)))
+    dx, dy, dz = np.linalg.lstsq(J, neg_r, rcond=None)[0].tolist()
+    return (float(px + dx), float(py + dy), float(pz + dz))
 
 
 # --- rotation conversions ---
@@ -312,10 +370,7 @@ def workspace_contains(config, p) -> WorkspaceCheck:
             return WorkspaceCheck(False, "NonPlanar")
     elif morph == "wire3d_printer":
         geom = config.wire3d_geometry
-        a = np.asarray(geom.anchors, dtype=float)
-        n = _down_normal(geom)
-        depth = float(n @ (np.asarray(p, dtype=float) - a[0]))
-        if depth <= geom.workspace_margin:
+        if _depth(geom, np.asarray(p, dtype=float)) <= geom.workspace_margin:
             return WorkspaceCheck(False, "AboveAnchors")
     else:
         return WorkspaceCheck(False, f"UnknownMorphology:{morph}")

@@ -8,7 +8,13 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from . import kinematics as kin
-from .coordinator import MachineConfig, Plan, Setpoint, assign_roles
+from .coordinator import (
+    MachineConfig,
+    Plan,
+    Setpoint,
+    assign_roles,
+    datum_wire_lengths,
+)
 from .errors import KinematicsFault, StallTimeout
 from .gcode import MotionSegment
 from .robot import (
@@ -77,22 +83,23 @@ def _arrived(state: RobotState, sp: Setpoint) -> bool:
 
 
 def _tool_fk(states: dict[str, RobotState], config: MachineConfig,
-             roles: dict[str, str], datum: tuple[float, float, float],
+             by_role: dict[str, str], datum: tuple[float, float, float],
              datum_lengths) -> tuple[float, float, float]:
-    """Tool tip from the current robot states via the morphology FK."""
-    by_role = {role: states[rid] for rid, role in roles.items()
-               if role != "idle" and rid in states}
+    """Tool tip from the current robot states via the morphology FK.
+
+    `by_role` maps each active role to its robot id.
+    """
     morph = config.morphology
     if morph in ("bridge_xy", "printer_bridge"):
-        b1 = by_role["bridge_left"].pose[:2]
-        b2 = by_role["bridge_right"].pose[:2]
-        car = by_role["carriage"].pose
+        b1 = states[by_role["bridge_left"]].pose[:2]
+        b2 = states[by_role["bridge_right"]].pose[:2]
+        car = states[by_role["carriage"]].pose
         offset = car[0] - config.bridge_geometry.rail1_x
         tool = kin.bridge_fk(b1, b2, offset, config.bridge_geometry,
                              sync_tol=config.sync_tol)
         if morph == "printer_bridge":
             screw = config.lead_screw
-            theta = by_role["leadscrew"].accumulated_rotation
+            theta = states[by_role["leadscrew"]].accumulated_rotation
             z = datum[2] + screw.direction * theta * screw.pitch / (2 * math.pi)
         else:
             z = config.bridge_geometry.bridge_height
@@ -100,26 +107,20 @@ def _tool_fk(states: dict[str, RobotState], config: MachineConfig,
     if morph == "wire2d_wall":
         geom = config.wire2d_geometry
         l1 = datum_lengths[0] + geom.spool_radius * \
-            by_role["extruder_spool_1"].accumulated_rotation
+            states[by_role["extruder_spool_1"]].accumulated_rotation
         l2 = datum_lengths[1] + geom.spool_radius * \
-            by_role["extruder_spool_2"].accumulated_rotation
+            states[by_role["extruder_spool_2"]].accumulated_rotation
         p = kin.wire2d_fk(l1, l2, geom)
         return (p[0], p[1], 0.0)
     if morph == "wire3d_printer":
         geom = config.wire3d_geometry
-        lengths = [datum_lengths[i] + geom.spool_radius *
-                   by_role[f"extruder_spool_{i + 1}"].accumulated_rotation
+        spools = [states[by_role[f"extruder_spool_{i + 1}"]]
+                  for i in range(3)]
+        lengths = [datum_lengths[i] +
+                   geom.spool_radius * spools[i].accumulated_rotation
                    for i in range(3)]
         return kin.wire3d_fk(*lengths, geom)
     raise KinematicsFault(f"no FK for morphology {morph}")
-
-
-def _datum_lengths(config: MachineConfig, datum):
-    if config.morphology == "wire2d_wall":
-        return kin.wire2d_ik((datum[0], datum[1]), config.wire2d_geometry)
-    if config.morphology == "wire3d_printer":
-        return kin.wire3d_ik(datum, config.wire3d_geometry)
-    return ()
 
 
 def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
@@ -131,21 +132,22 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
         raise ValueError("dt_sim must not exceed dt_plan")
 
     trace = Trace(config=config)
-    roles = assign_roles(config)
     states = _initial_states(plan, config)
+    by_role = {role: rid for rid, role in assign_roles(config).items()
+               if role != "idle" and rid in states}
     rng = np.random.default_rng(seed) if config.noise_std > 0 else None
 
     if not plan.ticks:
         return trace
 
     datum = plan.ticks[0].tool_target
-    datum_lengths = _datum_lengths(config, datum)
+    datum_lengths = datum_wire_lengths(config, datum)
     order = sorted(states)
     barriers = set(plan.barriers)
 
     def record(t, tick, extrusion_total):
         try:
-            tool = _tool_fk(states, config, roles, datum, datum_lengths)
+            tool = _tool_fk(states, config, by_role, datum, datum_lengths)
         except kin.BridgeSkewed as exc:
             raise KinematicsFault(str(exc)) from exc
         trace.samples.append(TraceSample(
@@ -447,13 +449,20 @@ class OverlapEvent:
 def overlap_diagnostic(trace: Trace, config: MachineConfig) -> list[OverlapEvent]:
     """Report samples where two robot body circles intersect (non-fatal)."""
     radii = {e.id: e.params.body_radius for e in config.roster}
+    # robot ids of a sample -> its (a, b, contact distance) pairs, a < b
+    pairs_by_ids: dict[tuple[str, ...], list[tuple[str, str, float]]] = {}
     events = []
     for s in trace.samples:
-        ids = sorted(s.poses)
-        for i, a in enumerate(ids):
-            for b in ids[i + 1:]:
-                d = math.hypot(s.poses[a][0] - s.poses[b][0],
-                               s.poses[a][1] - s.poses[b][1])
-                if d < radii.get(a, 16.0) + radii.get(b, 16.0):
-                    events.append(OverlapEvent(s.t, a, b, d))
+        ids = tuple(s.poses)
+        pairs = pairs_by_ids.get(ids)
+        if pairs is None:
+            ordered = sorted(ids)
+            pairs = pairs_by_ids[ids] = [
+                (a, b, radii.get(a, 16.0) + radii.get(b, 16.0))
+                for i, a in enumerate(ordered) for b in ordered[i + 1:]]
+        for a, b, contact in pairs:
+            pa, pb = s.poses[a], s.poses[b]
+            d = math.hypot(pa[0] - pb[0], pa[1] - pb[1])
+            if d < contact:
+                events.append(OverlapEvent(s.t, a, b, d))
     return events

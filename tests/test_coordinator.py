@@ -149,6 +149,29 @@ class TestPlanProgram:
         times = [t.t for t in plan.ticks]
         assert all(b > a for a, b in zip(times, times[1:]))
 
+    @pytest.mark.parametrize("morphology,start,end", [
+        ("wire2d_wall", (500, 10, 0), (500, -300, 0)),
+        ("wire3d_printer", (200, 100, 600), (200, 100, 50))])
+    def test_datum_outside_workspace_names_line(self, morphology, start, end):
+        cfg = config.default_config(morphology)
+        with pytest.raises(OutOfWorkspace) as err:
+            coordinator.plan_program([seg(start, end, line=4)], cfg)
+        assert err.value.line_no == 4
+
+    def test_wire3d_spool_targets_relative_to_datum(self, wire3d_config):
+        pts = [(200, 120, 50), (230, 120, 50), (230, 150, 60), (180, 90, 40)]
+        segs = [seg(a, b, line=i + 1)
+                for i, (a, b) in enumerate(zip(pts, pts[1:]))]
+        plan = coordinator.plan_program(segs, wire3d_config)
+        geom = wire3d_config.wire3d_geometry
+        datum = kin.wire3d_ik(pts[0], geom)
+        spools = [e.id for e in wire3d_config.roster[:3]]
+        for tick in plan.ticks:
+            lengths = kin.wire3d_ik(tick.tool_target, geom)
+            assert [tick.setpoints[rid].theta for rid in spools] == [
+                kin.spool_delta(l - l0, geom.spool_radius)
+                for l, l0 in zip(lengths, datum)]
+
     def test_feed_respect(self, bridge_config):
         plan = coordinator.plan_program(self.square(), bridge_config)
         limit = 20.0 * bridge_config.dt_plan + 1e-9

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,6 +7,8 @@ import pytest
 from swarmfab import kinematics as kin
 from swarmfab.errors import (
     BridgeSkewed,
+    IllConditioned,
+    KinematicsError,
     NoIntersection,
     OutOfWorkspace,
     Unreachable,
@@ -18,6 +21,134 @@ WIRE2D = kin.WireGeometry2D(anchors=((0.0, 0.0), (1000.0, 0.0)),
 WIRE3D = kin.WireGeometry3D(anchors=((0.0, 0.0, 500.0), (400.0, 0.0, 500.0),
                                      (200.0, 350.0, 500.0)),
                             spool_radius=20.0)
+# the same triangle in the opposite winding: ez points down, so trilateration
+# keeps the +z root instead of the -z one
+WIRE3D_REVERSED = kin.WireGeometry3D(anchors=WIRE3D.anchors[::-1],
+                                     spool_radius=20.0)
+EQUILATERAL = kin.WireGeometry3D(
+    anchors=((0.0, 0.0, 500.0), (300.0, 0.0, 500.0),
+             (150.0, 300.0 * math.sqrt(3) / 2, 500.0)),
+    spool_radius=20.0)
+TILTED = kin.WireGeometry3D(
+    anchors=((10.5, -3.25, 700.0), (390.0, 12.0, 650.0), (180.0, 410.0, 690.0)),
+    spool_radius=15.0, workspace_margin=5.0)
+WIRE3D_GEOMETRIES = (WIRE3D, WIRE3D_REVERSED, EQUILATERAL, TILTED)
+
+
+# --- oracle: the array formulation of the wire kinematics, which rebuilds the
+# geometry constants on every call.  The module's scalar versions, on constants
+# derived once per geometry, must match it bit for bit. ---
+
+def _wire3d_frame(geom):
+    a = np.asarray(geom.anchors, dtype=float)
+    ex = a[1] - a[0]
+    d = np.linalg.norm(ex)
+    ex = ex / d
+    v = a[2] - a[0]
+    i = float(ex @ v)
+    ey = v - i * ex
+    j = np.linalg.norm(ey)
+    ey = ey / j
+    ez = np.cross(ex, ey)
+    return a, ex, ey, ez, d, i, j
+
+
+def _down_normal(geom):
+    a = np.asarray(geom.anchors, dtype=float)
+    n = np.cross(a[1] - a[0], a[2] - a[0])
+    n = n / np.linalg.norm(n)
+    if n[2] > 0:
+        n = -n
+    return n
+
+
+def wire3d_ik_oracle(p, geom):
+    a = np.asarray(geom.anchors, dtype=float)
+    n = _down_normal(geom)
+    depth = float(n @ (np.asarray(p, dtype=float) - a[0]))
+    if depth <= 0:
+        raise Unreachable("point not below the anchor plane")
+    pv = np.asarray(p, dtype=float)
+    return tuple(float(np.linalg.norm(pv - ai)) for ai in a)
+
+
+def wire3d_fk_oracle(L1, L2, L3, geom, roots=None):
+    """Trilateration as arrays; appends the kept root to `roots` (0 for the
+    +z root, 1 for the -z one)."""
+    a, ex, ey, ez, d, i, j = _wire3d_frame(geom)
+    area = 0.5 * d * j
+    if area < kin.MIN_ANCHOR_TRIANGLE_AREA:
+        raise IllConditioned("anchor triangle area below threshold")
+
+    x = (L1 * L1 - L2 * L2 + d * d) / (2 * d)
+    y = (L1 * L1 - L3 * L3 + i * i + j * j - 2 * i * x) / (2 * j)
+    z2 = L1 * L1 - x * x - y * y
+    if z2 < -kin.INTERSECTION_SLACK * max(1.0, L1 * L1):
+        raise NoIntersection("spheres do not intersect")
+    z = math.sqrt(max(0.0, z2))
+
+    n_down = _down_normal(geom)
+    candidates = [a[0] + x * ex + y * ey + s * z * ez for s in (+1.0, -1.0)]
+    depths = [float(n_down @ (c - a[0])) for c in candidates]
+    root = 0 if depths[0] >= depths[1] else 1
+    if roots is not None:
+        roots.append(root)
+    p = candidates[root]
+
+    L = np.array([L1, L2, L3], dtype=float)
+    diff = p[None, :] - a
+    dist = np.linalg.norm(diff, axis=1)
+    if np.all(dist > 1e-12):
+        r = dist - L
+        J = diff / dist[:, None]
+        dp, *_ = np.linalg.lstsq(J, -r, rcond=None)
+        p = p + dp
+    return (float(p[0]), float(p[1]), float(p[2]))
+
+
+def wire2d_fk_oracle(L1, L2, geom):
+    if L1 <= 0 or L2 <= 0:
+        raise NoIntersection("wire lengths must be positive")
+    a1 = np.asarray(geom.anchors[0], dtype=float)
+    a2 = np.asarray(geom.anchors[1], dtype=float)
+    d = float(np.linalg.norm(a2 - a1))
+    if L1 + L2 < d - 1e-9:
+        raise NoIntersection("wires too short to meet")
+    a = (L1 * L1 - L2 * L2 + d * d) / (2 * d)
+    h2 = L1 * L1 - a * a
+    if h2 < -kin.INTERSECTION_SLACK * max(1.0, L1 * L1):
+        raise NoIntersection("circles do not intersect")
+    h = math.sqrt(max(0.0, h2))
+    u = (a2 - a1) / d
+    n = np.array([u[1], -u[0]])
+    if n[1] > 0:
+        n = -n
+    if h < 1e-9:
+        raise Unreachable("tangent solution lies on the anchor line")
+    p = a1 + a * u + h * n
+    return (float(p[0]), float(p[1]))
+
+
+def outcome(fn, *args):
+    """A call's result, or the type and message of the error it raised."""
+    try:
+        return fn(*args)
+    except KinematicsError as exc:
+        return (type(exc), str(exc))
+
+
+def assert_same_floats(got, expected):
+    """Equal outcomes, down to the type of every coordinate."""
+    assert got == expected
+    assert [type(v) for v in got] == [type(v) for v in expected]
+
+
+def point_below(geom, rng, depth):
+    """A point `depth` below the anchor plane, over a stretch of the anchor
+    triangle reaching a little beyond its edges."""
+    a = np.asarray(geom.anchors, dtype=float)
+    w = rng.dirichlet((1.0, 1.0, 1.0)) * 1.4 - 0.4 / 3
+    return tuple((w @ a + depth * _down_normal(geom)).tolist())
 
 
 class TestBridge:
@@ -169,13 +300,9 @@ class TestWire3D:
 
     def test_equilateral_centroid(self):
         s = 300.0
-        h = 500.0
-        geom = kin.WireGeometry3D(
-            anchors=((0.0, 0.0, h), (s, 0.0, h), (s / 2, s * math.sqrt(3) / 2, h)),
-            spool_radius=20.0)
         centroid = (s / 2, s * math.sqrt(3) / 6, 100.0)
-        L = math.dist(centroid, geom.anchors[0])
-        q = kin.wire3d_fk(L, L, L, geom)
+        L = math.dist(centroid, EQUILATERAL.anchors[0])
+        q = kin.wire3d_fk(L, L, L, EQUILATERAL)
         assert q[0] == pytest.approx(centroid[0], abs=1e-7)
         assert q[1] == pytest.approx(centroid[1], abs=1e-7)
         assert q[2] == pytest.approx(100.0, abs=1e-7)
@@ -206,6 +333,122 @@ class TestWire3D:
         bumped = tuple(l + 1e-6 for l in lengths)
         q1 = np.array(kin.wire3d_fk(*bumped, WIRE3D))
         assert np.linalg.norm(q1 - q0) < 1e-3
+
+
+class TestWireOracle:
+    """The wire FK/IK equal the per-call array formulation bit for bit."""
+
+    def test_fk_reachable_points_with_perturbed_lengths(self):
+        rng = np.random.default_rng(6)
+        for geom in WIRE3D_GEOMETRIES:
+            roots = []
+            for _ in range(400):
+                p = point_below(geom, rng, rng.uniform(1.0, 480.0))
+                scale = rng.choice([0.0, 1e-9, 1e-3, 1.0])
+                lengths = [l + rng.normal(0.0, scale)
+                           for l in wire3d_ik_oracle(p, geom)]
+                expected = outcome(wire3d_fk_oracle, *lengths, geom, roots)
+                assert_same_floats(outcome(kin.wire3d_fk, *lengths, geom),
+                                   expected)
+            # the winding decides the kept root: anticlockwise seen from
+            # above, ez points up and the -z root lies below the plane
+            assert set(roots) == {0 if geom is WIRE3D_REVERSED else 1}
+
+    def test_fk_roots_near_coincident(self):
+        # lengths to points on or just under the anchor plane: the roots
+        # nearly coincide, or z2 rounds to zero or below and leaves one root
+        rng = np.random.default_rng(7)
+        roots = []
+        for geom in WIRE3D_GEOMETRIES:
+            for depth in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+                for _ in range(20):
+                    p = point_below(geom, rng, depth)
+                    lengths = [math.dist(p, a) for a in geom.anchors]
+                    expected = outcome(wire3d_fk_oracle, *lengths, geom, roots)
+                    assert_same_floats(outcome(kin.wire3d_fk, *lengths, geom),
+                                       expected)
+        assert set(roots) == {0, 1}
+
+    def test_fk_no_intersection(self):
+        for geom in WIRE3D_GEOMETRIES:
+            for lengths in ((1.0, 1.0, 1.0), (50.0, 900.0, 60.0)):
+                expected = outcome(wire3d_fk_oracle, *lengths, geom)
+                assert expected[0] is NoIntersection
+                assert outcome(kin.wire3d_fk, *lengths, geom) == expected
+
+    def test_fk_integer_lengths(self):
+        for geom in WIRE3D_GEOMETRIES:
+            assert_same_floats(kin.wire3d_fk(400, 420, 410, geom),
+                               wire3d_fk_oracle(400, 420, 410, geom))
+
+    def test_ik(self):
+        rng = np.random.default_rng(8)
+        for geom in WIRE3D_GEOMETRIES:
+            for _ in range(300):
+                p = point_below(geom, rng, rng.uniform(-50.0, 480.0))
+                assert_same_floats(outcome(kin.wire3d_ik, p, geom),
+                                   outcome(wire3d_ik_oracle, p, geom))
+
+    def test_wire2d_fk(self):
+        slanted = kin.WireGeometry2D(anchors=((0.0, 10.0), (900.0, -40.5)),
+                                     spool_radius=20.0)
+        rng = np.random.default_rng(9)
+        for geom in (WIRE2D, slanted):
+            for _ in range(2000):
+                lengths = rng.uniform(-10.0, 1200.0, size=2).tolist()
+                assert_same_floats(outcome(kin.wire2d_fk, *lengths, geom),
+                                   outcome(wire2d_fk_oracle, *lengths, geom))
+
+
+class TestDerivedGeometryConstants:
+    def test_arrays_read_only(self):
+        for arr in (WIRE3D.anchor_array, WIRE3D.down_normal):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1.0
+
+    @pytest.mark.parametrize("geom", [WIRE2D, WIRE3D])
+    def test_frame_immutable(self, geom):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            geom.frame = None
+        with pytest.raises(AttributeError):
+            geom.frame.d = 1.0
+
+        def leaves(x):
+            if isinstance(x, tuple):
+                return [v for item in x for v in leaves(item)]
+            return [x]
+
+        assert all(type(v) is float for v in leaves(geom.frame))
+
+    def test_wire3d_identity_unchanged(self):
+        twin = kin.WireGeometry3D(anchors=((0, 0, 500), (400, 0, 500),
+                                           (200, 350, 500)),
+                                  spool_radius=20)
+        assert twin == WIRE3D and hash(twin) == hash(WIRE3D)
+        assert hash(WIRE3D) == hash((WIRE3D.anchors, WIRE3D.spool_radius,
+                                     WIRE3D.workspace_margin))
+        assert WIRE3D != WIRE3D_REVERSED
+        assert WIRE3D != dataclasses.replace(WIRE3D, spool_radius=10.0)
+        assert repr(WIRE3D) == (
+            "WireGeometry3D(anchors=((0.0, 0.0, 500.0), (400.0, 0.0, 500.0), "
+            "(200.0, 350.0, 500.0)), spool_radius=20.0, "
+            "workspace_margin=10.0)")
+
+    def test_wire2d_identity_unchanged(self):
+        twin = kin.WireGeometry2D(anchors=((0, 0), (1000, 0)),
+                                  spool_radius=20, workspace_margin=0)
+        assert twin == WIRE2D and hash(twin) == hash(WIRE2D)
+        assert hash(WIRE2D) == hash((WIRE2D.anchors, WIRE2D.spool_radius,
+                                     WIRE2D.workspace_margin))
+        assert repr(WIRE2D) == (
+            "WireGeometry2D(anchors=((0.0, 0.0), (1000.0, 0.0)), "
+            "spool_radius=20.0, workspace_margin=0.0)")
+
+    def test_replace_derives_afresh(self):
+        moved = dataclasses.replace(WIRE3D, anchors=EQUILATERAL.anchors)
+        assert moved.frame == EQUILATERAL.frame
+        assert np.array_equal(moved.down_normal, EQUILATERAL.down_normal)
 
 
 class TestConversions:

@@ -1,10 +1,13 @@
+import dataclasses
 import math
 
 import pytest
 
-from swarmfab import coordinator, gcode, sim
+from swarmfab import config, coordinator, gcode, sim
 from swarmfab import kinematics as kin
 from swarmfab.gcode import MotionSegment
+
+from test_acceptance import three_layer_program
 
 
 def seg(start, end, feed=30.0, e=0.0, line=1):
@@ -157,6 +160,28 @@ class TestExports:
         assert len(lines) - 1 == len(trace.samples) * 3
 
 
+def overlap_oracle(trace, config):
+    """overlap_diagnostic as a per-sample loop over sorted robot pairs."""
+    radii = {e.id: e.params.body_radius for e in config.roster}
+    events = []
+    for s in trace.samples:
+        ids = sorted(s.poses)
+        for i, a in enumerate(ids):
+            for b in ids[i + 1:]:
+                d = math.hypot(s.poses[a][0] - s.poses[b][0],
+                               s.poses[a][1] - s.poses[b][1])
+                if d < radii.get(a, 16.0) + radii.get(b, 16.0):
+                    events.append(sim.OverlapEvent(s.t, a, b, d))
+    return events
+
+
+def with_body_radii(cfg, radii):
+    roster = tuple(dataclasses.replace(
+        e, params=dataclasses.replace(e.params, body_radius=r))
+        for e, r in zip(cfg.roster, radii))
+    return dataclasses.replace(cfg, roster=roster)
+
+
 class TestOverlap:
     def make_trace(self, cfg, poses):
         trace = sim.Trace(config=cfg)
@@ -184,3 +209,35 @@ class TestOverlap:
         plan = coordinator.plan_program(res.segments, bridge_config)
         trace = sim.run(plan, bridge_config, seed=0)
         assert sim.overlap_diagnostic(trace, bridge_config) == []
+
+    @pytest.mark.parametrize("morphology", ["bridge_xy", "wire3d_printer"])
+    def test_matches_per_sample_loop(self, morphology, square_print_program):
+        cfg = config.default_config(morphology)
+        program = (square_print_program if morphology == "bridge_xy"
+                   else three_layer_program())
+        res = gcode.interpret(gcode.parse_program(program), home=cfg.home)
+        trace = sim.run(coordinator.plan_program(res.segments, cfg), cfg,
+                        seed=0)
+        # default bodies, then bodies large enough that some pairs touch
+        for radii in ((16.0,) * 4, (120.0, 170.0, 145.0, 95.0)):
+            bodies = with_body_radii(cfg, radii)
+            events = sim.overlap_diagnostic(trace, bodies)
+            assert events == overlap_oracle(trace, bodies)
+        assert events
+        assert len(events) < len(trace.samples) * 3
+
+    def test_robot_set_changes_between_samples(self, bridge_config):
+        poses = [{"r1": (0.0, 0.0, 0.0), "r2": (20.0, 0.0, 0.0)},
+                 {"r3": (0.0, 0.0, 0.0), "r1": (10.0, 0.0, 0.0),
+                  "x9": (5.0, 0.0, 0.0)},
+                 {"r2": (0.0, 0.0, 0.0), "r1": (20.0, 0.0, 0.0)}]
+        trace = sim.Trace(config=bridge_config)
+        trace.samples = [sim.TraceSample(
+            t=0.1 * k, poses=p, rotations={}, tool_tip=(0, 0, 0),
+            tool_target=(0, 0, 0), extruding=False, extrusion_total=0.0)
+            for k, p in enumerate(poses)]
+        events = sim.overlap_diagnostic(trace, bridge_config)
+        assert events == overlap_oracle(trace, bridge_config)
+        assert [(e.robot_a, e.robot_b) for e in events] == [
+            ("r1", "r2"), ("r1", "r3"), ("r1", "x9"), ("r3", "x9"),
+            ("r1", "r2")]
