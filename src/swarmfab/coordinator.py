@@ -119,60 +119,12 @@ def _omega_max(params: RobotParams) -> float:
     return 2.0 * params.max_wheel_speed / params.wheel_track
 
 
-def _axis_times(seg: MotionSegment, config: MachineConfig,
-                roles: dict[str, str]) -> list[float]:
-    """Per-actuated-axis minimum travel times through the morphology IK."""
-    dx = seg.end[0] - seg.start[0]
-    dy = seg.end[1] - seg.start[1]
-    dz = seg.end[2] - seg.start[2]
-    by_role = {role: config.robot_params(rid) for rid, role in roles.items()
-               if role != "idle"}
-    times = []
-    morph = config.morphology
-    if morph in ("bridge_xy", "printer_bridge"):
-        for role in ("bridge_left", "bridge_right"):
-            times.append(abs(dy) / by_role[role].max_wheel_speed)
-        times.append(abs(dx) / by_role["carriage"].max_wheel_speed)
-        if morph == "printer_bridge":
-            p = by_role["leadscrew"]
-            dtheta = abs(kin.leadscrew_delta(dz, config.lead_screw))
-            times.append(dtheta / _omega_max(p))
-    elif morph == "wire2d_wall":
-        geom = config.wire2d_geometry
-        l_start = kin.wire2d_ik((seg.start[0], seg.start[1]), geom)
-        l_end = kin.wire2d_ik((seg.end[0], seg.end[1]), geom)
-        for i, role in enumerate(("extruder_spool_1", "extruder_spool_2")):
-            p = by_role[role]
-            rim = geom.spool_radius * _omega_max(p)
-            times.append(abs(l_end[i] - l_start[i]) / rim)
-    elif morph == "wire3d_printer":
-        geom = config.wire3d_geometry
-        l_start = kin.wire3d_ik(seg.start, geom)
-        l_end = kin.wire3d_ik(seg.end, geom)
-        for i, role in enumerate(("extruder_spool_1", "extruder_spool_2",
-                                  "extruder_spool_3")):
-            p = by_role[role]
-            rim = geom.spool_radius * _omega_max(p)
-            times.append(abs(l_end[i] - l_start[i]) / rim)
-    return times
-
-
-def time_parameterize(seg: MotionSegment, config: MachineConfig,
-                      roles: Optional[dict[str, str]] = None) -> float:
-    """Feed- and actuator-limited duration of one segment."""
-    for point in (seg.start, seg.end):
-        check = kin.workspace_contains(config, point)
-        if not check:
-            raise OutOfWorkspace(
-                f"segment endpoint {point} outside workspace: {check.reason}",
-                reason=check.reason, line_no=seg.source_line)
-    if roles is None:
-        roles = assign_roles(config)
-    length = seg.length
-    if length == 0.0:
-        return 0.0
-    duration = max(length / seg.feed, length / config.max_tool_speed)
-    return max([duration] + _axis_times(seg, config, roles))
+def _check(config: MachineConfig, point, what: str, line_no: int) -> None:
+    check = kin.workspace_contains(config, point)
+    if not check:
+        raise OutOfWorkspace(
+            f"{what} {point} outside workspace: {check.reason}",
+            reason=check.reason, line_no=line_no)
 
 
 def datum_wire_lengths(config: MachineConfig,
@@ -186,49 +138,187 @@ def datum_wire_lengths(config: MachineConfig,
     return ()
 
 
-def _tool_setpoints(tool: tuple[float, float, float], config: MachineConfig,
-                    roles: dict[str, str],
-                    datum: tuple[float, float, float],
-                    datum_lengths: tuple) -> dict[str, Setpoint]:
-    """Per-robot setpoints realizing a tool point.
+def _direction_change(a: tuple, b: tuple) -> float:
+    """Angle in radians between two segment directions (dx, dy, dz, norm);
+    0 if either is degenerate."""
+    ax, ay, az, na = a
+    bx, by, bz, nb = b
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    cosang = (ax * bx + ay * by + az * bz) / (na * nb)
+    return math.acos(max(-1.0, min(1.0, cosang)))
 
-    Spool and lead-screw rotation targets are relative to the plan datum
-    (the tool position at plan start, where accumulated rotation is 0);
-    `datum_lengths` is datum_wire_lengths(config, datum).
+
+class _Planner:
+    """One plan's constants, built once: the robot id of each role, the
+    speed limit of each actuated axis, the datum and its wire lengths.
+
+    Every tool point goes through `solve` (the morphology IK: the bridge
+    decomposition, or the wire lengths) once, and `setpoints` turns a point
+    and its solution into per-robot setpoints.  Spool and lead-screw
+    rotation targets are relative to the datum (the tool position at plan
+    start, where accumulated rotation is 0); `datum_lengths` is
+    datum_wire_lengths(config, datum), or None to derive it when planning.
     """
-    morph = config.morphology
-    out = {}
-    by_role = {role: rid for rid, role in roles.items() if role != "idle"}
-    if morph in ("bridge_xy", "printer_bridge"):
-        sol = kin.bridge_ik((tool[0], tool[1]), config.bridge_geometry)
-        out[by_role["bridge_left"]] = Setpoint("move", *sol["bridge1"])
-        out[by_role["bridge_right"]] = Setpoint("move", *sol["bridge2"])
-        out[by_role["carriage"]] = Setpoint("move", tool[0], tool[1])
-        if morph == "printer_bridge":
-            theta = kin.leadscrew_delta(tool[2] - datum[2], config.lead_screw)
-            out[by_role["leadscrew"]] = Setpoint("rotate", *config.table_position,
-                                                 theta=theta)
-    elif morph == "wire2d_wall":
-        geom = config.wire2d_geometry
-        lengths = kin.wire2d_ik((tool[0], tool[1]), geom)
-        for i, role in enumerate(("extruder_spool_1", "extruder_spool_2")):
-            theta = kin.spool_delta(lengths[i] - datum_lengths[i],
-                                    geom.spool_radius)
-            anchor = geom.anchors[i]
-            out[by_role[role]] = Setpoint("rotate", anchor[0], anchor[1],
-                                          theta=theta)
-    elif morph == "wire3d_printer":
-        geom = config.wire3d_geometry
-        lengths = kin.wire3d_ik(tool, geom)
-        for i, role in enumerate(("extruder_spool_1", "extruder_spool_2",
-                                  "extruder_spool_3")):
-            theta = kin.spool_delta(lengths[i] - datum_lengths[i],
-                                    geom.spool_radius)
-            anchor = geom.anchors[i]
-            out[by_role[role]] = Setpoint("rotate", anchor[0], anchor[1],
-                                          theta=theta)
-        out[by_role["table"]] = Setpoint("move", *config.table_position)
-    return out
+
+    def __init__(self, config: MachineConfig, roles: dict[str, str],
+                 datum: tuple[float, float, float],
+                 datum_lengths: Optional[tuple] = None):
+        self.config = config
+        self.datum = datum
+        self.datum_lengths = datum_lengths
+        morph = config.morphology
+        by_role = {role: rid for rid, role in roles.items() if role != "idle"}
+        self.ids = [by_role[role] for role in ROLE_SEQUENCE[morph]]
+        params = [config.robot_params(rid) for rid in self.ids]
+        if morph in ("bridge_xy", "printer_bridge"):
+            self.geom = config.bridge_geometry
+            self.spools = []
+            # bridge_left, bridge_right, carriage (and lead screw)
+            self.limits = [p.max_wheel_speed for p in params[:3]]
+            if morph == "printer_bridge":
+                self.limits.append(_omega_max(params[3]))
+        else:
+            self.geom = (config.wire2d_geometry if morph == "wire2d_wall"
+                         else config.wire3d_geometry)
+            self.spools = [(rid, a[0], a[1])
+                           for rid, a in zip(self.ids, self.geom.anchors)]
+            self.limits = [self.geom.spool_radius * _omega_max(p)
+                           for p in params[:len(self.spools)]]
+        # the 3-wire table robot holds one setpoint for the whole plan
+        self.table = (Setpoint("move", *config.table_position)
+                      if morph == "wire3d_printer" else None)
+
+    def solve(self, tool: tuple[float, float, float]):
+        morph = self.config.morphology
+        if morph == "wire2d_wall":
+            return kin.wire2d_ik((tool[0], tool[1]), self.geom)
+        if morph == "wire3d_printer":
+            return kin.wire3d_ik(tool, self.geom)
+        return kin.bridge_ik((tool[0], tool[1]), self.geom)
+
+    def setpoints(self, tool: tuple[float, float, float],
+                  sol) -> dict[str, Setpoint]:
+        out = {}
+        if self.spools:
+            radius = self.geom.spool_radius
+            for (rid, x, y), length, length0 in zip(
+                    self.spools, sol, self.datum_lengths, strict=True):
+                out[rid] = Setpoint("rotate", x, y, theta=kin.spool_delta(
+                    length - length0, radius))
+            if self.table is not None:
+                out[self.ids[-1]] = self.table
+            return out
+        ids = self.ids
+        out[ids[0]] = Setpoint("move", *sol["bridge1"])
+        out[ids[1]] = Setpoint("move", *sol["bridge2"])
+        out[ids[2]] = Setpoint("move", tool[0], tool[1])
+        if len(ids) > 3:
+            config = self.config
+            theta = kin.leadscrew_delta(tool[2] - self.datum[2],
+                                        config.lead_screw)
+            out[ids[3]] = Setpoint("rotate", *config.table_position,
+                                   theta=theta)
+        return out
+
+    def duration(self, seg: MotionSegment, length: float, start_sol,
+                 end_sol) -> float:
+        """Feed- and actuator-limited duration of a segment of non-zero
+        length, from the IK solutions of its endpoints."""
+        duration = max(length / seg.feed, length / self.config.max_tool_speed)
+        if self.spools:
+            deltas = [e - s for s, e in zip(start_sol, end_sol)]
+        else:
+            dx = seg.end[0] - seg.start[0]
+            dy = seg.end[1] - seg.start[1]
+            deltas = [dy, dy, dx]
+            if len(self.limits) > 3:
+                deltas.append(kin.leadscrew_delta(seg.end[2] - seg.start[2],
+                                                  self.config.lead_screw))
+        return max([duration] + [abs(d) / limit
+                                 for d, limit in zip(deltas, self.limits)])
+
+    def plan(self, segments: list[MotionSegment], *, t0: float = 0.0,
+             extrusion0: float = 0.0, include_start: bool = True,
+             barriers: Optional[list[int]] = None) -> list[PlanTick]:
+        """Sample chained segments into ticks at the planning period.
+
+        A segment's start is the previous segment's end, so each endpoint
+        is checked against the workspace and solved once; interior ticks
+        get their own check.  The index of the last tick of a segment is
+        appended to `barriers` when the next segment turns by at least the
+        barrier angle or changes kind.
+        """
+        config = self.config
+        dt = config.dt_plan
+        threshold = math.radians(config.barrier_angle_deg) - 1e-9
+        ticks: list[PlanTick] = []
+        _check(config, segments[0].start, "segment endpoint",
+               segments[0].source_line)
+        sol = prev = None
+        for seg in segments:
+            line = seg.source_line
+            sx, sy, sz = seg.start
+            ex, ey, ez = seg.end
+            dx, dy, dz = ex - sx, ey - sy, ez - sz
+            direction = (dx, dy, dz, math.sqrt(dx * dx + dy * dy + dz * dz))
+            if barriers is not None and prev is not None and (
+                    prev[0] != seg.kind
+                    or _direction_change(prev[1], direction) >= threshold):
+                barriers.append(len(ticks) - 1)
+            prev = (seg.kind, direction)
+
+            _check(config, seg.end, "segment endpoint", line)
+            if sol is None:
+                sol = self.solve(seg.start)
+                if self.datum_lengths is None:
+                    self.datum_lengths = (
+                        sol if self.spools and self.datum == seg.start
+                        else datum_wire_lengths(config, self.datum))
+            extruding = seg.kind == "print"
+            de = seg.extrusion_delta
+            length = seg.length
+            if length == 0.0:
+                # extrude-in-place: a single dwell tick
+                t0 += dt
+                ticks.append(PlanTick(
+                    t0, self.setpoints(seg.start, self.solve(seg.start)),
+                    seg.start, extruding, extrusion0 + de, line))
+            else:
+                end_sol = self.solve(seg.end)
+                duration = self.duration(seg, length, sol, end_sol)
+                n = max(1, math.ceil(duration / dt - 1e-9))
+                for i in range(0 if include_start else 1, n):
+                    t = i * dt
+                    frac = t / duration
+                    tool = (sx + dx * frac, sy + dy * frac, sz + dz * frac)
+                    _check(config, tool, "setpoint", line)
+                    ticks.append(PlanTick(
+                        t0 + t, self.setpoints(tool, self.solve(tool)), tool,
+                        extruding, extrusion0 + de * frac, line))
+                t0 += duration
+                ticks.append(PlanTick(t0, self.setpoints(seg.end, end_sol),
+                                      seg.end, extruding, extrusion0 + de,
+                                      line))
+                sol = end_sol
+            extrusion0 += de
+            include_start = False
+        return ticks
+
+
+def time_parameterize(seg: MotionSegment, config: MachineConfig,
+                      roles: Optional[dict[str, str]] = None) -> float:
+    """Feed- and actuator-limited duration of one segment."""
+    for point in (seg.start, seg.end):
+        _check(config, point, "segment endpoint", seg.source_line)
+    if roles is None:
+        roles = assign_roles(config)
+    length = seg.length
+    if length == 0.0:
+        return 0.0
+    planner = _Planner(config, roles, seg.start)
+    return planner.duration(seg, length, planner.solve(seg.start),
+                            planner.solve(seg.end))
 
 
 def plan_segment(seg: MotionSegment, config: MachineConfig,
@@ -240,59 +330,15 @@ def plan_segment(seg: MotionSegment, config: MachineConfig,
                  include_start: bool = True) -> list[PlanTick]:
     """Sample one segment into setpoint ticks at the planning period.
 
-    `datum_lengths` defaults to datum_wire_lengths(config, datum); a caller
-    planning many segments against one datum passes it in.
+    `datum` defaults to the segment start and `datum_lengths` to
+    datum_wire_lengths(config, datum).
     """
     if roles is None:
         roles = assign_roles(config)
-    if datum is None:
-        datum = seg.start
-    duration = time_parameterize(seg, config, roles)
-    if datum_lengths is None:
-        datum_lengths = datum_wire_lengths(config, datum)
-    dt = config.dt_plan
-
-    ticks = []
-    extruding = seg.kind == "print"
-    if duration == 0.0:
-        # extrude-in-place: a single dwell tick
-        sp = _tool_setpoints(seg.start, config, roles, datum, datum_lengths)
-        ticks.append(PlanTick(t0 + dt, sp, seg.start, extruding,
-                              extrusion0 + seg.extrusion_delta, seg.source_line))
-        return ticks
-
-    n = max(1, math.ceil(duration / dt - 1e-9))
-    start = seg.start
-    end = seg.end
-    first = 0 if include_start else 1
-    for i in range(first, n + 1):
-        t = duration if i == n else i * dt
-        frac = t / duration
-        tool = tuple(s + (e - s) * frac for s, e in zip(start, end))
-        if i == n:
-            tool = end  # exact endpoint
-        check = kin.workspace_contains(config, tool)
-        if not check:
-            raise OutOfWorkspace(
-                f"setpoint {tool} outside workspace: {check.reason}",
-                reason=check.reason, line_no=seg.source_line)
-        sp = _tool_setpoints(tool, config, roles, datum, datum_lengths)
-        ticks.append(PlanTick(t0 + t, sp, tool, extruding,
-                              extrusion0 + seg.extrusion_delta * frac,
-                              seg.source_line))
-    return ticks
-
-
-def _direction_change(a: MotionSegment, b: MotionSegment) -> float:
-    """Angle in radians between successive segment directions; 0 if degenerate."""
-    va = tuple(e - s for s, e in zip(a.start, a.end))
-    vb = tuple(e - s for s, e in zip(b.start, b.end))
-    na = math.sqrt(sum(c * c for c in va))
-    nb = math.sqrt(sum(c * c for c in vb))
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    cosang = sum(x * y for x, y in zip(va, vb)) / (na * nb)
-    return math.acos(max(-1.0, min(1.0, cosang)))
+    planner = _Planner(config, roles, seg.start if datum is None else datum,
+                       datum_lengths)
+    return planner.plan([seg], t0=t0, extrusion0=extrusion0,
+                        include_start=include_start)
 
 
 def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
@@ -303,39 +349,11 @@ def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
             raise PlanError(
                 f"segments not chained at line {nxt.source_line}",
                 line_no=nxt.source_line)
-
-    ticks: list[PlanTick] = []
-    barriers: list[int] = []
     if not segments:
         return Plan(ticks=[], barriers=[], morphology=config.morphology)
-
-    datum = segments[0].start
-    # time_parameterize checks the datum (the first segment's start) against
-    # the workspace; doing so before its IK keeps that error an
-    # OutOfWorkspace with its g-code line
-    time_parameterize(segments[0], config, roles)
-    datum_lengths = datum_wire_lengths(config, datum)
-    threshold = math.radians(config.barrier_angle_deg) - 1e-9
-    t_cursor = 0.0
-    extrusion = 0.0
-    prev_seg: Optional[MotionSegment] = None
-    for seg in segments:
-        if prev_seg is not None and ticks:
-            turn = _direction_change(prev_seg, seg)
-            kind_change = prev_seg.kind != seg.kind
-            if turn >= threshold or kind_change:
-                barriers.append(len(ticks) - 1)
-        seg_ticks = plan_segment(
-            seg, config, roles, t0=t_cursor, datum=datum,
-            datum_lengths=datum_lengths, extrusion0=extrusion,
-            include_start=prev_seg is None)
-        ticks.extend(seg_ticks)
-        if seg_ticks:
-            t_cursor = seg_ticks[-1].t
-        extrusion += seg.extrusion_delta
-        prev_seg = seg
-    # deduplicate while preserving order
-    barriers = sorted(set(barriers))
+    barriers: list[int] = []  # ascending: every segment adds a tick
+    ticks = _Planner(config, roles, segments[0].start).plan(
+        segments, barriers=barriers)
     return Plan(ticks=ticks, barriers=barriers, morphology=config.morphology)
 
 
@@ -343,9 +361,10 @@ def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
 
 def initial_robot_positions(config: MachineConfig) -> dict[str, tuple[float, float]]:
     """Nominal start position of every active robot for a config's home tool."""
-    roles = assign_roles(config)
-    sp = _tool_setpoints(config.home, config, roles, config.home,
-                         datum_wire_lengths(config, config.home))
+    home = config.home
+    planner = _Planner(config, assign_roles(config), home,
+                       datum_wire_lengths(config, home))
+    sp = planner.setpoints(home, planner.solve(home))
     return {rid: (s.x, s.y) for rid, s in sp.items()}
 
 

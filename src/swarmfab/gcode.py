@@ -99,6 +99,8 @@ class InterpretResult:
 
 def _strip_comments(text: str) -> tuple[str, Optional[str]]:
     """Remove `;`-to-EOL and `( ... )` comments; return (code, first comment)."""
+    if ";" not in text and "(" not in text:
+        return text, None
     comment = None
     out = []
     i = 0
@@ -154,7 +156,7 @@ def parse_line(text: str, line_no: int = 1) -> Optional[GcodeCommand]:
             if m is None:
                 raise MalformedNumber(f"missing number after {word_letter}", line_no)
             value = float(m.group())
-            if value < 0 or value != int(value):
+            if value < 0 or not value.is_integer():
                 raise MalformedNumber(
                     f"{word_letter} code must be a non-negative integer", line_no
                 )
@@ -188,11 +190,21 @@ def parse_program(text: str) -> list[GcodeCommand]:
 _PARAM_ORDER = "XYZEFIJRSP"
 
 
+def _positional(value: float) -> str:
+    """The shortest repr of a float, in the positional notation parse_line
+    reads: 1e-05 becomes 0.00001."""
+    text = repr(value)
+    if "e" not in text:
+        return text
+    from decimal import Decimal  # imported only for the rare exponent form
+    return format(Decimal(text), "f")
+
+
 def serialize_command(cmd: GcodeCommand) -> str:
     parts = [f"{cmd.letter}{cmd.code}"]
     for letter in _PARAM_ORDER:
         if letter in cmd.params:
-            parts.append(f"{letter}{cmd.params[letter]!r}")
+            parts.append(f"{letter}{_positional(cmd.params[letter])}")
     text = " ".join(parts)
     if cmd.comment:
         text += f" ; {cmd.comment}"
@@ -233,13 +245,14 @@ def _extrusion_delta(state: InterpreterState, params: dict[str, float]) -> float
     return e
 
 
-def _feed_update(state: InterpreterState, cmd: GcodeCommand) -> InterpreterState:
-    if "F" in cmd.params:
-        f = cmd.params["F"] * _scale(state) / 60.0  # mm/min -> mm/s
-        if f <= 0:
-            raise GcodeError("feed must be positive", cmd.line_no)
-        state = replace(state, feed=f)
-    return state
+def _feed(state: InterpreterState, cmd: GcodeCommand) -> float:
+    """The feed in mm/s for a command: its F word, or the modal feed."""
+    if "F" not in cmd.params:
+        return state.feed
+    f = cmd.params["F"] * _scale(state) / 60.0  # mm/min -> mm/s
+    if f <= 0:
+        raise GcodeError("feed must be positive", cmd.line_no)
+    return f
 
 
 def _segment_count(theta: float, radius: float, chord_tol: float) -> int:
@@ -317,8 +330,7 @@ def flatten_arc(cmd: GcodeCommand, state: InterpreterState,
     a0 = math.atan2(sy - cy, sx - cx)
     direction = -1.0 if clockwise else 1.0
     e_total = _extrusion_delta(state, cmd.params)
-    feed_state = _feed_update(state, cmd)
-    feed = feed_state.feed
+    feed = _feed(state, cmd)
     kind = "print" if e_total > 0 else "travel"
 
     segments = []
@@ -378,23 +390,23 @@ def interpret(commands: list[GcodeCommand],
         if cmd.code in (0, 1):
             target = _resolve_target(state, cmd.params)
             delta_e = _extrusion_delta(state, cmd.params)
-            state = _feed_update(state, cmd)
+            feed = _feed(state, cmd)
             moved = target != state.position
             if moved or delta_e != 0.0:
                 kind = "print" if delta_e > 0 else "travel"
                 segments.append(MotionSegment(
-                    start=state.position, end=target, feed=state.feed,
+                    start=state.position, end=target, feed=feed,
                     extrusion_delta=delta_e, kind=kind,
                     source_line=cmd.line_no,
                 ))
-            state = replace(state, position=target,
+            state = replace(state, position=target, feed=feed,
                             extrusion_total=state.extrusion_total + delta_e)
         elif cmd.code in (2, 3):
             arc_segments = flatten_arc(cmd, state, chord_tol)
             delta_e = _extrusion_delta(state, cmd.params)
-            state = _feed_update(state, cmd)
             segments.extend(arc_segments)
             state = replace(state, position=arc_segments[-1].end,
+                            feed=arc_segments[-1].feed,
                             extrusion_total=state.extrusion_total + delta_e)
         elif cmd.code == 20:
             state = replace(state, units="inch")

@@ -9,7 +9,7 @@ line (2-wire) or below the anchor plane (3-wire).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
 import numpy as np
@@ -71,17 +71,30 @@ def _derived():
     return field(init=False, repr=False, compare=False)
 
 
+def _reduce_by_init(self):
+    """Copy and pickle a geometry by its defining fields, so that the copy
+    derives its fields anew in __post_init__: numpy does not keep the
+    read-only flag of an array it copies or unpickles."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self)
+                             if f.init)
+
+
 @dataclass(frozen=True)
 class WireGeometry2D:
     """Two wire anchors on a vertical plane; coordinates are (x, z).
 
-    `frame` holds the constants wire2d_fk needs, derived once here.
+    Derived once here: `frame`, the constants wire2d_fk needs, and `reach`,
+    the bounds (z_top, x_lo, x_hi) of the reachable points: below both
+    anchors and inside their lateral span, each by the workspace margin.
     """
 
     anchors: tuple[tuple[float, float], tuple[float, float]]
     spool_radius: float
     workspace_margin: float = DEFAULT_WORKSPACE_MARGIN
     frame: Wire2DFrame = _derived()
+    reach: tuple[float, float, float] = _derived()
+
+    __reduce__ = _reduce_by_init
 
     def __post_init__(self):
         a1, a2 = self.anchors
@@ -89,6 +102,10 @@ class WireGeometry2D:
             raise ValueError("anchors must be distinct")
         if self.spool_radius <= 0:
             raise ValueError("spool_radius must be positive")
+        m = self.workspace_margin
+        object.__setattr__(self, "reach", (min(a1[1], a2[1]) - m,
+                                           min(a1[0], a2[0]) + m,
+                                           max(a1[0], a2[0]) - m))
         a1 = np.asarray(a1, dtype=float)
         a2 = np.asarray(a2, dtype=float)
         d = float(np.linalg.norm(a2 - a1))
@@ -117,6 +134,8 @@ class WireGeometry3D:
     anchor_array: np.ndarray = _derived()
     down_normal: np.ndarray = _derived()
     frame: Wire3DFrame = _derived()
+
+    __reduce__ = _reduce_by_init
 
     def __post_init__(self):
         if len(self.anchors) != 3:
@@ -202,20 +221,24 @@ def bridge_fk(bridge1: tuple[float, float], bridge2: tuple[float, float],
 
 def wire2d_ik(p: tuple[float, float], geom: WireGeometry2D) -> tuple[float, float]:
     """Wire lengths to reach wall point p = (x, z)."""
-    _check_wire2d_reachable(p, geom)
+    reason = _wire2d_unreachable(p[0], p[1], geom)
+    if reason == "AboveAnchors":
+        raise Unreachable(f"point z={p[1]:.3f} not below anchors by margin "
+                          f"{geom.workspace_margin}")
+    if reason:
+        raise Unreachable(f"point x={p[0]:.3f} outside lateral cone")
     a1, a2 = geom.anchors
     return (math.dist(p, a1), math.dist(p, a2))
 
 
-def _check_wire2d_reachable(p, geom: WireGeometry2D):
-    a1, a2 = geom.anchors
-    m = geom.workspace_margin
-    top = min(a1[1], a2[1])
-    if not p[1] < top - m:
-        raise Unreachable(f"point z={p[1]:.3f} not below anchors by margin {m}")
-    lo, hi = min(a1[0], a2[0]), max(a1[0], a2[0])
-    if not (lo + m < p[0] < hi - m):
-        raise Unreachable(f"point x={p[0]:.3f} outside lateral cone")
+def _wire2d_unreachable(x: float, z: float, geom: WireGeometry2D) -> str:
+    """Why wall point (x, z) is outside `geom.reach`, or ""."""
+    top, lo, hi = geom.reach
+    if not z < top:
+        return "AboveAnchors"
+    if not lo < x < hi:
+        return "OutsideLateralCone"
+    return ""
 
 
 def wire2d_fk(L1: float, L2: float, geom: WireGeometry2D) -> tuple[float, float]:
@@ -329,8 +352,7 @@ class WorkspaceCheck:
         return self.ok
 
 
-def box_contains(box_min, box_max, p) -> bool:
-    return all(lo <= v <= hi for lo, v, hi in zip(box_min, p, box_max))
+_INSIDE = WorkspaceCheck(True)
 
 
 def workspace_contains(config, p) -> WorkspaceCheck:
@@ -339,34 +361,29 @@ def workspace_contains(config, p) -> WorkspaceCheck:
     `config` is a coordinator.MachineConfig; accepted duck-typed here to
     avoid a circular import.
     """
-    if not all(math.isfinite(v) for v in p):
+    x, y, z = p
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
         return WorkspaceCheck(False, "NonFinite")
-    if not box_contains(config.workspace_min, config.workspace_max, p):
+    lo, hi = config.workspace_min, config.workspace_max
+    if not (lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1]
+            and lo[2] <= z <= hi[2]):
         return WorkspaceCheck(False, "OutsideBox")
 
     morph = config.morphology
     if morph in ("bridge_xy", "printer_bridge"):
         geom = config.bridge_geometry
-        offset = p[0] - geom.rail1_x
-        if not (geom.carriage_min <= offset <= geom.carriage_max):
+        if not geom.carriage_min <= x - geom.rail1_x <= geom.carriage_max:
             return WorkspaceCheck(False, "CarriageTravel")
         if morph == "bridge_xy":
-            if abs(p[2] - geom.bridge_height) > 1e-9:
+            if abs(z - geom.bridge_height) > 1e-9:
                 return WorkspaceCheck(False, "NonPlanar")
-        else:
-            screw = config.lead_screw
-            if not (screw.z_min <= p[2] <= screw.z_max):
-                return WorkspaceCheck(False, "ZTravel")
+        elif not config.lead_screw.z_min <= z <= config.lead_screw.z_max:
+            return WorkspaceCheck(False, "ZTravel")
     elif morph == "wire2d_wall":
-        geom = config.wire2d_geometry
-        a1, a2 = geom.anchors
-        m = geom.workspace_margin
-        if not p[1] < min(a1[1], a2[1]) - m:
-            return WorkspaceCheck(False, "AboveAnchors")
-        lo, hi = min(a1[0], a2[0]), max(a1[0], a2[0])
-        if not (lo + m < p[0] < hi - m):
-            return WorkspaceCheck(False, "OutsideLateralCone")
-        if abs(p[2]) > 1e-9:
+        reason = _wire2d_unreachable(x, y, config.wire2d_geometry)
+        if reason:
+            return WorkspaceCheck(False, reason)
+        if abs(z) > 1e-9:
             return WorkspaceCheck(False, "NonPlanar")
     elif morph == "wire3d_printer":
         geom = config.wire3d_geometry
@@ -374,4 +391,4 @@ def workspace_contains(config, p) -> WorkspaceCheck:
             return WorkspaceCheck(False, "AboveAnchors")
     else:
         return WorkspaceCheck(False, f"UnknownMorphology:{morph}")
-    return WorkspaceCheck(True)
+    return _INSIDE

@@ -1,12 +1,22 @@
 import math
+import random
 
 import numpy as np
 import pytest
 
 from swarmfab import config, coordinator, gcode
 from swarmfab import kinematics as kin
-from swarmfab.errors import InsufficientRobots, OutOfWorkspace, PlanError
+from swarmfab.coordinator import Plan, PlanTick, Setpoint
+from swarmfab.errors import (
+    InsufficientRobots,
+    OutOfWorkspace,
+    PlanError,
+    SwarmFabError,
+)
 from swarmfab.gcode import MotionSegment
+
+from test_acceptance import CORPUS, HOME
+from test_kinematics import workspace_contains_oracle
 
 
 def seg(start, end, feed=50.0, e=0.0, line=1):
@@ -15,6 +25,371 @@ def seg(start, end, feed=50.0, e=0.0, line=1):
                          end=tuple(map(float, end)),
                          feed=feed, extrusion_delta=e, kind=kind,
                          source_line=line)
+
+
+# --- oracle: the planner that checks and solves every point where it is
+# used: each segment endpoint in time_parameterize and again as a tick, each
+# start again as the previous segment's end, and the role maps once per tick
+# or segment.  plan_program, plan_segment and time_parameterize must match it
+# bit for bit, errors included. ---
+
+def omega_max_oracle(params):
+    return 2.0 * params.max_wheel_speed / params.wheel_track
+
+
+def axis_times_oracle(seg, cfg, roles):
+    dx = seg.end[0] - seg.start[0]
+    dy = seg.end[1] - seg.start[1]
+    dz = seg.end[2] - seg.start[2]
+    by_role = {role: cfg.robot_params(rid) for rid, role in roles.items()
+               if role != "idle"}
+    times = []
+    morph = cfg.morphology
+    if morph in ("bridge_xy", "printer_bridge"):
+        for role in ("bridge_left", "bridge_right"):
+            times.append(abs(dy) / by_role[role].max_wheel_speed)
+        times.append(abs(dx) / by_role["carriage"].max_wheel_speed)
+        if morph == "printer_bridge":
+            p = by_role["leadscrew"]
+            dtheta = abs(kin.leadscrew_delta(dz, cfg.lead_screw))
+            times.append(dtheta / omega_max_oracle(p))
+    elif morph == "wire2d_wall":
+        geom = cfg.wire2d_geometry
+        l_start = kin.wire2d_ik((seg.start[0], seg.start[1]), geom)
+        l_end = kin.wire2d_ik((seg.end[0], seg.end[1]), geom)
+        for i, role in enumerate(("extruder_spool_1", "extruder_spool_2")):
+            rim = geom.spool_radius * omega_max_oracle(by_role[role])
+            times.append(abs(l_end[i] - l_start[i]) / rim)
+    elif morph == "wire3d_printer":
+        geom = cfg.wire3d_geometry
+        l_start = kin.wire3d_ik(seg.start, geom)
+        l_end = kin.wire3d_ik(seg.end, geom)
+        for i, role in enumerate(("extruder_spool_1", "extruder_spool_2",
+                                  "extruder_spool_3")):
+            rim = geom.spool_radius * omega_max_oracle(by_role[role])
+            times.append(abs(l_end[i] - l_start[i]) / rim)
+    return times
+
+
+def time_parameterize_oracle(seg, cfg, roles=None):
+    for point in (seg.start, seg.end):
+        check = workspace_contains_oracle(cfg, point)
+        if not check:
+            raise OutOfWorkspace(
+                f"segment endpoint {point} outside workspace: {check.reason}",
+                reason=check.reason, line_no=seg.source_line)
+    if roles is None:
+        roles = coordinator.assign_roles(cfg)
+    length = seg.length
+    if length == 0.0:
+        return 0.0
+    duration = max(length / seg.feed, length / cfg.max_tool_speed)
+    return max([duration] + axis_times_oracle(seg, cfg, roles))
+
+
+def datum_wire_lengths_oracle(cfg, datum):
+    if cfg.morphology == "wire2d_wall":
+        return kin.wire2d_ik((datum[0], datum[1]), cfg.wire2d_geometry)
+    if cfg.morphology == "wire3d_printer":
+        return kin.wire3d_ik(datum, cfg.wire3d_geometry)
+    return ()
+
+
+def tool_setpoints_oracle(tool, cfg, roles, datum, datum_lengths):
+    morph = cfg.morphology
+    out = {}
+    by_role = {role: rid for rid, role in roles.items() if role != "idle"}
+    if morph in ("bridge_xy", "printer_bridge"):
+        sol = kin.bridge_ik((tool[0], tool[1]), cfg.bridge_geometry)
+        out[by_role["bridge_left"]] = Setpoint("move", *sol["bridge1"])
+        out[by_role["bridge_right"]] = Setpoint("move", *sol["bridge2"])
+        out[by_role["carriage"]] = Setpoint("move", tool[0], tool[1])
+        if morph == "printer_bridge":
+            theta = kin.leadscrew_delta(tool[2] - datum[2], cfg.lead_screw)
+            out[by_role["leadscrew"]] = Setpoint(
+                "rotate", *cfg.table_position, theta=theta)
+    elif morph == "wire2d_wall":
+        geom = cfg.wire2d_geometry
+        lengths = kin.wire2d_ik((tool[0], tool[1]), geom)
+        for i, role in enumerate(("extruder_spool_1", "extruder_spool_2")):
+            theta = kin.spool_delta(lengths[i] - datum_lengths[i],
+                                    geom.spool_radius)
+            anchor = geom.anchors[i]
+            out[by_role[role]] = Setpoint("rotate", anchor[0], anchor[1],
+                                          theta=theta)
+    elif morph == "wire3d_printer":
+        geom = cfg.wire3d_geometry
+        lengths = kin.wire3d_ik(tool, geom)
+        for i, role in enumerate(("extruder_spool_1", "extruder_spool_2",
+                                  "extruder_spool_3")):
+            theta = kin.spool_delta(lengths[i] - datum_lengths[i],
+                                    geom.spool_radius)
+            anchor = geom.anchors[i]
+            out[by_role[role]] = Setpoint("rotate", anchor[0], anchor[1],
+                                          theta=theta)
+        out[by_role["table"]] = Setpoint("move", *cfg.table_position)
+    return out
+
+
+def plan_segment_oracle(seg, cfg, roles=None, *, t0=0.0, datum=None,
+                        datum_lengths=None, extrusion0=0.0,
+                        include_start=True):
+    if roles is None:
+        roles = coordinator.assign_roles(cfg)
+    if datum is None:
+        datum = seg.start
+    duration = time_parameterize_oracle(seg, cfg, roles)
+    if datum_lengths is None:
+        datum_lengths = datum_wire_lengths_oracle(cfg, datum)
+    dt = cfg.dt_plan
+
+    ticks = []
+    extruding = seg.kind == "print"
+    if duration == 0.0:
+        sp = tool_setpoints_oracle(seg.start, cfg, roles, datum,
+                                   datum_lengths)
+        ticks.append(PlanTick(t0 + dt, sp, seg.start, extruding,
+                              extrusion0 + seg.extrusion_delta,
+                              seg.source_line))
+        return ticks
+
+    n = max(1, math.ceil(duration / dt - 1e-9))
+    start = seg.start
+    end = seg.end
+    first = 0 if include_start else 1
+    for i in range(first, n + 1):
+        t = duration if i == n else i * dt
+        frac = t / duration
+        tool = tuple(s + (e - s) * frac for s, e in zip(start, end))
+        if i == n:
+            tool = end
+        check = workspace_contains_oracle(cfg, tool)
+        if not check:
+            raise OutOfWorkspace(
+                f"setpoint {tool} outside workspace: {check.reason}",
+                reason=check.reason, line_no=seg.source_line)
+        sp = tool_setpoints_oracle(tool, cfg, roles, datum, datum_lengths)
+        ticks.append(PlanTick(t0 + t, sp, tool, extruding,
+                              extrusion0 + seg.extrusion_delta * frac,
+                              seg.source_line))
+    return ticks
+
+
+def direction_change_oracle(a, b):
+    va = tuple(e - s for s, e in zip(a.start, a.end))
+    vb = tuple(e - s for s, e in zip(b.start, b.end))
+    na = math.sqrt(sum(c * c for c in va))
+    nb = math.sqrt(sum(c * c for c in vb))
+    if na == 0.0 or nb == 0.0:
+        return 0.0
+    cosang = sum(x * y for x, y in zip(va, vb)) / (na * nb)
+    return math.acos(max(-1.0, min(1.0, cosang)))
+
+
+def plan_program_oracle(segments, cfg):
+    roles = coordinator.assign_roles(cfg)
+    for prev, nxt in zip(segments, segments[1:]):
+        if prev.end != nxt.start:
+            raise PlanError(
+                f"segments not chained at line {nxt.source_line}",
+                line_no=nxt.source_line)
+
+    ticks = []
+    barriers = []
+    if not segments:
+        return Plan(ticks=[], barriers=[], morphology=cfg.morphology)
+
+    datum = segments[0].start
+    time_parameterize_oracle(segments[0], cfg, roles)
+    datum_lengths = datum_wire_lengths_oracle(cfg, datum)
+    threshold = math.radians(cfg.barrier_angle_deg) - 1e-9
+    t_cursor = 0.0
+    extrusion = 0.0
+    prev_seg = None
+    for seg in segments:
+        if prev_seg is not None and ticks:
+            turn = direction_change_oracle(prev_seg, seg)
+            kind_change = prev_seg.kind != seg.kind
+            if turn >= threshold or kind_change:
+                barriers.append(len(ticks) - 1)
+        seg_ticks = plan_segment_oracle(
+            seg, cfg, roles, t0=t_cursor, datum=datum,
+            datum_lengths=datum_lengths, extrusion0=extrusion,
+            include_start=prev_seg is None)
+        ticks.extend(seg_ticks)
+        if seg_ticks:
+            t_cursor = seg_ticks[-1].t
+        extrusion += seg.extrusion_delta
+        prev_seg = seg
+    barriers = sorted(set(barriers))
+    return Plan(ticks=ticks, barriers=barriers, morphology=cfg.morphology)
+
+
+def same_outcome(fn, oracle, *args, **kwargs):
+    """Run a planner call and its oracle: both return the same value, down to
+    every float's bits, its type and the order of each tick's setpoints (the
+    repr shows all of them), or both raise the same error with the same
+    message, reason and line."""
+    results = []
+    for call in (fn, oracle):
+        try:
+            value = call(*args, **kwargs)
+        except SwarmFabError as exc:
+            results.append((type(exc), str(exc), getattr(exc, "reason", None),
+                            getattr(exc, "line_no", None)))
+        else:
+            results.append((value, repr(value)))
+    got, expected = results
+    assert got == expected
+    return expected
+
+
+# centre and half-extent (x, y) of a random walk per morphology, and its z
+# range where the tool may leave the plane
+WALKS = {
+    "wire2d_wall": ((500.0, -400.0), (160.0, 130.0), None),
+    "bridge_xy": ((200.0, 250.0), (140.0, 200.0), None),
+    "printer_bridge": ((200.0, 250.0), (140.0, 200.0), (0.0, 150.0)),
+    "wire3d_printer": ((200.0, 160.0), (90.0, 70.0), (20.0, 300.0)),
+}
+
+
+def random_walk_program(morphology, seed, moves):
+    """A seeded drawing: short relative-E moves in a random walk with feed
+    changes, full G2 loops, travel jumps, extrusion in place and, where
+    the machine has a z axis, layer changes."""
+    rng = random.Random(seed)
+    (cx, cy), (hx, hy), z_range = WALKS[morphology]
+    x, y = cx, cy
+    heading = 0.0
+    lines = ["G21", "G90", "M83", "G92 E0", f"G0 X{x:.3f} Y{y:.3f} F3000"]
+    for k in range(moves):
+        if k % 100 == 0:
+            lines.append(f"G1 F{rng.choice((600, 1200, 1800, 3000))}")
+        if k % 250 == 249:  # a full loop, kept inside the walk's box
+            r = rng.uniform(3.0, 12.0)
+            lines.append(f"G2 X{x:.3f} Y{y:.3f} I{-r if x > cx else r:.3f} "
+                         f"J0 E{0.05 * r:.4f}")
+        elif k % 300 == 299:  # a travel jump towards the middle
+            heading = math.atan2(cy - y, cx - x) + rng.uniform(-1.0, 1.0)
+            x += 40.0 * math.cos(heading)
+            y += 40.0 * math.sin(heading)
+            lines.append(f"G0 X{x:.3f} Y{y:.3f}")
+        elif k % 150 == 149:
+            lines.append("G1 E0.2")
+        elif z_range is not None and k % 400 == 399:
+            lines.append(f"G1 Z{rng.uniform(*z_range):.3f}")
+        else:
+            heading += rng.uniform(-0.6, 0.6)
+            step = rng.uniform(0.5, 4.0)
+            x += step * math.cos(heading)
+            y += step * math.sin(heading)
+            if abs(x - cx) > hx - 30.0 or abs(y - cy) > hy - 30.0:
+                heading += math.pi  # turn back before the loops can leave
+            lines.append(f"G1 X{x:.3f} Y{y:.3f} E{0.05 * step:.4f}")
+    return "\n".join(lines) + "\n"
+
+
+def segments_of(program, home):
+    return gcode.interpret(gcode.parse_program(program), home=home).segments
+
+
+# a tilted anchor plane and a box reaching above it; the segment's endpoints
+# lie just below the margin, so rounding puts an interior tick above it
+TILTED_DOC = config.default_config_doc("wire3d_printer")
+TILTED_DOC["geometry"]["anchors"] = [[10.5, -3.25, 700.0],
+                                     [390.0, 12.0, 650.0],
+                                     [180.0, 410.0, 690.0]]
+TILTED_DOC["workspace"] = {"min": [-100.0, -100.0, 0.0],
+                           "max": [500.0, 500.0, 800.0]}
+MARGIN_GRAZER = ((240.57891840610495, 197.20358181257723, 665.3955532761656),
+                 (247.1637837670949, 242.49352326608118, 665.8941242853069))
+
+
+class TestPlannerOracle:
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    @pytest.mark.parametrize("name,program", [c[:2] for c in CORPUS],
+                             ids=[c[0] for c in CORPUS])
+    def test_acceptance_corpus(self, morphology, name, program):
+        cfg = config.default_config(morphology)
+        expected = same_outcome(coordinator.plan_program,
+                                plan_program_oracle,
+                                segments_of(program, HOME), cfg)
+        # the corpus lies in the plane z = 0 above the wall plotter's anchors
+        assert isinstance(expected[0], Plan) == (morphology != "wire2d_wall")
+
+    @pytest.mark.parametrize("morphology", sorted(WALKS))
+    def test_random_walk(self, morphology):
+        cfg = config.default_config(morphology)
+        moves = 2000 if morphology == "wire2d_wall" else 500
+        segments = segments_of(random_walk_program(morphology, 4, moves),
+                               cfg.home)
+        plan, _ = same_outcome(coordinator.plan_program, plan_program_oracle,
+                               segments, cfg)
+        assert plan.barriers
+        assert any(s.length == 0.0 for s in segments)
+        roles = coordinator.assign_roles(cfg)
+        for i, s in enumerate(segments[:300]):
+            same_outcome(coordinator.time_parameterize,
+                         time_parameterize_oracle, s, cfg)
+            same_outcome(coordinator.plan_segment, plan_segment_oracle, s, cfg)
+            same_outcome(coordinator.plan_segment, plan_segment_oracle, s,
+                         cfg, roles, t0=3.25 * i, datum=cfg.home,
+                         extrusion0=0.5 * i, include_start=i % 2 == 0)
+
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_extrusion_in_place_first_and_last(self, morphology):
+        cfg = config.default_config(morphology)
+        a = cfg.home
+        b = (a[0] + 20.0, a[1] - 30.0, a[2])
+        segments = [seg(a, a, e=1.0, line=1), seg(a, b, e=2.0, line=2),
+                    seg(b, b, e=0.5, line=3)]
+        plan, _ = same_outcome(coordinator.plan_program, plan_program_oracle,
+                               segments, cfg)
+        # the dwell tick is the only one at the start point
+        assert [t.tool_target for t in plan.ticks].count(a) == 1
+
+    def test_endpoint_outside(self, wire2d_config):
+        program = random_walk_program("wire2d_wall", 5, 40)
+        segments = segments_of(program + "G1 X500 Y-100\nG1 X520\n",
+                               wire2d_config.home)
+        _, message, reason, line = same_outcome(
+            coordinator.plan_program, plan_program_oracle, segments,
+            wire2d_config)
+        assert (message.startswith("segment endpoint (500.0, -100.0, 0.0)")
+                and reason == "OutsideBox" and line == 47)
+        same_outcome(coordinator.plan_segment, plan_segment_oracle,
+                     segments[-2], wire2d_config)
+
+    def test_interior_tick_outside(self):
+        cfg = config.parse_config(TILTED_DOC)
+        good = seg((200.0, 150.0, 300.0), MARGIN_GRAZER[0], line=6)
+        grazer = seg(*MARGIN_GRAZER, feed=20.0, line=7)
+        for call, oracle, args in (
+                (coordinator.plan_program, plan_program_oracle,
+                 ([good, grazer], cfg)),
+                (coordinator.plan_segment, plan_segment_oracle,
+                 (grazer, cfg))):
+            _, message, reason, line = same_outcome(call, oracle, *args)
+            assert (message.startswith("setpoint ")
+                    and reason == "AboveAnchors" and line == 7)
+        assert coordinator.time_parameterize(grazer, cfg) > 0.0
+
+    @pytest.mark.parametrize("morphology,start,end", [
+        ("wire2d_wall", (500, 10, 0), (500, -300, 0)),
+        ("wire3d_printer", (200, 100, 600), (200, 100, 50)),
+        ("bridge_xy", (10, 100, 0), (200, 100, 0))])
+    def test_datum_outside(self, morphology, start, end):
+        cfg = config.default_config(morphology)
+        s = seg(start, end, line=4)
+        for call, oracle in (
+                (coordinator.plan_program, plan_program_oracle),
+                (coordinator.plan_segment, plan_segment_oracle),
+                (coordinator.time_parameterize, time_parameterize_oracle)):
+            _, message, reason, line = same_outcome(
+                call, oracle, [s] if oracle is plan_program_oracle else s,
+                cfg)
+            assert message.startswith("segment endpoint") and line == 4
 
 
 class TestAssignRoles:

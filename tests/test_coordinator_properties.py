@@ -1,0 +1,64 @@
+"""Property tests of the planner: plan invariants on random chained
+segments, and bit-for-bit agreement with the oracle planner."""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+st = pytest.importorskip("hypothesis.strategies")
+
+from swarmfab import config, coordinator  # noqa: E402
+from swarmfab.gcode import MotionSegment  # noqa: E402
+
+from test_coordinator import plan_program_oracle, same_outcome  # noqa: E402
+
+SETTINGS = hypothesis.settings(max_examples=100, deadline=None)
+CONFIGS = {m: config.default_config(m) for m in coordinator.MORPHOLOGIES}
+# the tool stays in a plane on these machines
+PLANAR = ("bridge_xy", "wire2d_wall")
+
+
+@st.composite
+def chained_segments(draw, morphology):
+    """Up to eight chained segments between points of the workspace box; a
+    repeated point makes a zero-length segment (extrusion in place)."""
+    cfg = CONFIGS[morphology]
+    lo, hi = cfg.workspace_min, cfg.workspace_max
+
+    def coordinate(axis):
+        if axis == 2 and morphology in PLANAR:
+            return st.just(0.0)
+        return st.floats(lo[axis], hi[axis])
+
+    points = [cfg.home]
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()) and draw(st.booleans()):
+            points.append(points[-1])
+        else:
+            points.append(tuple(draw(coordinate(axis)) for axis in range(3)))
+    segments = []
+    for line, (a, b) in enumerate(zip(points, points[1:]), start=1):
+        e = draw(st.sampled_from((0.0, -0.5, 0.2, 1.5)))
+        segments.append(MotionSegment(
+            start=a, end=b, feed=draw(st.sampled_from((20.0, 50.0, 200.0))),
+            extrusion_delta=e, kind="print" if e > 0 else "travel",
+            source_line=line))
+    return segments
+
+
+@pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_plan_invariants(morphology, data):
+    segments = data.draw(chained_segments(morphology))
+    cfg = CONFIGS[morphology]
+    plan, _ = same_outcome(coordinator.plan_program, plan_program_oracle,
+                           segments, cfg)
+    times = [tick.t for tick in plan.ticks]
+    # monotone; not strictly, as a segment far shorter than the feed times
+    # the clock's resolution takes no time
+    assert all(b >= a for a, b in zip(times, times[1:]))
+    # every segment ends on a tick that carries its exact end point
+    ends = {(t.source_line, t.tool_target) for t in plan.ticks}
+    assert all((s.source_line, s.end) in ends for s in segments)
+    assert plan.barriers == sorted(set(plan.barriers))
+    assert all(0 <= b < len(plan.ticks) for b in plan.barriers)

@@ -1,9 +1,12 @@
+import copy
 import dataclasses
 import math
+import pickle
 
 import numpy as np
 import pytest
 
+from swarmfab import config
 from swarmfab import kinematics as kin
 from swarmfab.errors import (
     BridgeSkewed,
@@ -33,6 +36,9 @@ TILTED = kin.WireGeometry3D(
     anchors=((10.5, -3.25, 700.0), (390.0, 12.0, 650.0), (180.0, 410.0, 690.0)),
     spool_radius=15.0, workspace_margin=5.0)
 WIRE3D_GEOMETRIES = (WIRE3D, WIRE3D_REVERSED, EQUILATERAL, TILTED)
+# the first anchor right of the second and below it
+WIRE2D_SKEWED = kin.WireGeometry2D(anchors=((900.0, -20.0), (100.0, 35.0)),
+                                   spool_radius=15.0, workspace_margin=12.5)
 
 
 # --- oracle: the array formulation of the wire kinematics, which rebuilds the
@@ -129,6 +135,62 @@ def wire2d_fk_oracle(L1, L2, geom):
     return (float(p[0]), float(p[1]))
 
 
+def wire2d_ik_oracle(p, geom):
+    """wire2d_ik with its reachability check written out on its own."""
+    a1, a2 = geom.anchors
+    m = geom.workspace_margin
+    top = min(a1[1], a2[1])
+    if not p[1] < top - m:
+        raise Unreachable(f"point z={p[1]:.3f} not below anchors by margin {m}")
+    lo, hi = min(a1[0], a2[0]), max(a1[0], a2[0])
+    if not (lo + m < p[0] < hi - m):
+        raise Unreachable(f"point x={p[0]:.3f} outside lateral cone")
+    return (math.dist(p, a1), math.dist(p, a2))
+
+
+def workspace_contains_oracle(cfg, p):
+    """workspace_contains as generator expressions over the point, with the
+    wire2d reach test written out; the module's scalar version must give
+    the same verdict and reason for every point."""
+    if not all(math.isfinite(v) for v in p):
+        return kin.WorkspaceCheck(False, "NonFinite")
+    if not all(lo <= v <= hi for lo, v, hi in zip(cfg.workspace_min, p,
+                                                   cfg.workspace_max)):
+        return kin.WorkspaceCheck(False, "OutsideBox")
+    morph = cfg.morphology
+    if morph in ("bridge_xy", "printer_bridge"):
+        geom = cfg.bridge_geometry
+        offset = p[0] - geom.rail1_x
+        if not (geom.carriage_min <= offset <= geom.carriage_max):
+            return kin.WorkspaceCheck(False, "CarriageTravel")
+        if morph == "bridge_xy":
+            if abs(p[2] - geom.bridge_height) > 1e-9:
+                return kin.WorkspaceCheck(False, "NonPlanar")
+        else:
+            screw = cfg.lead_screw
+            if not (screw.z_min <= p[2] <= screw.z_max):
+                return kin.WorkspaceCheck(False, "ZTravel")
+    elif morph == "wire2d_wall":
+        geom = cfg.wire2d_geometry
+        a1, a2 = geom.anchors
+        m = geom.workspace_margin
+        if not p[1] < min(a1[1], a2[1]) - m:
+            return kin.WorkspaceCheck(False, "AboveAnchors")
+        lo, hi = min(a1[0], a2[0]), max(a1[0], a2[0])
+        if not (lo + m < p[0] < hi - m):
+            return kin.WorkspaceCheck(False, "OutsideLateralCone")
+        if abs(p[2]) > 1e-9:
+            return kin.WorkspaceCheck(False, "NonPlanar")
+    elif morph == "wire3d_printer":
+        geom = cfg.wire3d_geometry
+        depth = kin._depth(geom, np.asarray(p, dtype=float))
+        if depth <= geom.workspace_margin:
+            return kin.WorkspaceCheck(False, "AboveAnchors")
+    else:
+        return kin.WorkspaceCheck(False, f"UnknownMorphology:{morph}")
+    return kin.WorkspaceCheck(True)
+
+
 def outcome(fn, *args):
     """A call's result, or the type and message of the error it raised."""
     try:
@@ -194,8 +256,30 @@ class TestWire2D:
         assert l2 == pytest.approx(math.sqrt(1000.0**2 + 300.0**2))
 
     def test_above_anchors_unreachable(self):
-        with pytest.raises(Unreachable):
+        with pytest.raises(Unreachable, match=r"^point z=10\.000 not below "
+                                              r"anchors by margin 0\.0$"):
             kin.wire2d_ik((500.0, 10.0), WIRE2D)
+
+    def test_outside_lateral_cone_unreachable(self):
+        with pytest.raises(Unreachable, match=r"^point x=-0\.500 outside "
+                                              r"lateral cone$"):
+            kin.wire2d_ik((-0.5, -300.0), WIRE2D)
+
+    @pytest.mark.parametrize("geom", [WIRE2D, WIRE2D_SKEWED])
+    def test_ik_matches_oracle(self, geom):
+        (x1, z1), (x2, z2) = geom.anchors
+        m = geom.workspace_margin
+        rng = np.random.default_rng(11)
+        points = [tuple(p) for p in rng.uniform((-200.0, -900.0),
+                                                 (1200.0, 200.0), (3000, 2))]
+        # on and around the margin lines, where `<` decides
+        for x in (min(x1, x2) + m, max(x1, x2) - m):
+            for z in (min(z1, z2) - m, -300.0):
+                points += [(x, z), (math.nextafter(x, 500.0), z),
+                           (x, math.nextafter(z, -math.inf))]
+        for p in points:
+            assert outcome(kin.wire2d_ik, p, geom) == outcome(
+                wire2d_ik_oracle, p, geom)
 
     def test_fk_symmetric(self):
         L = math.sqrt(410_000)
@@ -445,6 +529,20 @@ class TestDerivedGeometryConstants:
             "WireGeometry2D(anchors=((0.0, 0.0), (1000.0, 0.0)), "
             "spool_radius=20.0, workspace_margin=0.0)")
 
+    @pytest.mark.parametrize("geom", [WIRE2D, WIRE2D_SKEWED, WIRE3D, TILTED])
+    @pytest.mark.parametrize("duplicate", [
+        copy.copy, copy.deepcopy, lambda g: pickle.loads(pickle.dumps(g))],
+        ids=["copy", "deepcopy", "pickle"])
+    def test_copies_derive_afresh(self, geom, duplicate):
+        twin = duplicate(geom)
+        assert twin == geom and hash(twin) == hash(geom)
+        assert twin.frame == geom.frame
+        if isinstance(geom, kin.WireGeometry3D):
+            for arr, orig in ((twin.anchor_array, geom.anchor_array),
+                              (twin.down_normal, geom.down_normal)):
+                assert not arr.flags.writeable
+                assert np.array_equal(arr, orig)
+
     def test_replace_derives_afresh(self):
         moved = dataclasses.replace(WIRE3D, anchors=EQUILATERAL.anchors)
         assert moved.frame == EQUILATERAL.frame
@@ -496,3 +594,35 @@ class TestWorkspaceContains:
         z = -geom.workspace_margin  # exactly at margin: excluded
         check = kin.workspace_contains(wire2d_config, (500.0, z, 0.0))
         assert not check
+
+    @pytest.mark.parametrize("name", [
+        "bridge_xy", "printer_bridge", "wire2d_wall", "wire3d_printer",
+        "wire2d_skewed", "wire3d_tilted"])
+    def test_matches_oracle(self, name):
+        doc = config.default_config_doc(
+            {"wire2d_skewed": "wire2d_wall",
+             "wire3d_tilted": "wire3d_printer"}.get(name, name))
+        if name == "wire2d_skewed":
+            doc["geometry"]["anchors"] = [list(a) for a in
+                                          WIRE2D_SKEWED.anchors]
+            doc["geometry"]["workspace_margin"] = 12.5
+        if name == "wire3d_tilted":  # the box reaches above the anchor plane
+            doc["geometry"]["anchors"] = [list(a) for a in TILTED.anchors]
+            doc["workspace"]["max"] = [320.0, 260.0, 800.0]
+        cfg = config.parse_config(doc)
+        lo = np.array(cfg.workspace_min) - 60.0
+        hi = np.array(cfg.workspace_max) + 60.0
+        rng = np.random.default_rng(12)
+        points = [tuple(p) for p in rng.uniform(lo, hi, (3000, 3)).tolist()]
+        # planar points, the box corners, and non-finite coordinates
+        points += [(x, y, 0.0) for x, y, _ in points[:1000]]
+        points += [(x, y, z) for x in (lo[0] + 60.0, hi[0] - 60.0)
+                   for y in (lo[1] + 60.0, hi[1] - 60.0)
+                   for z in (lo[2] + 60.0, hi[2] - 60.0)]
+        points += [(math.nan, 0.0, 0.0), (0.0, math.inf, 0.0),
+                   (0.0, 0.0, -math.inf), cfg.home,
+                   (cfg.home[0], cfg.home[1], cfg.home[2] + 2e-9)]
+        for p in points:
+            got = kin.workspace_contains(cfg, p)
+            expected = workspace_contains_oracle(cfg, p)
+            assert (got.ok, got.reason) == (expected.ok, expected.reason), p
