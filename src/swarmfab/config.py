@@ -66,12 +66,20 @@ def _point(value, n: int, where: str) -> tuple:
     return tuple(float(v) for v in value)
 
 
+def _margin(geo: dict) -> float:
+    margin = _number(geo, "workspace_margin", "geometry",
+                     kin.DEFAULT_WORKSPACE_MARGIN)
+    if margin < 0:
+        raise ConfigError("geometry.workspace_margin must not be negative")
+    return margin
+
+
 def parse_config(doc: Any) -> MachineConfig:
     """Validate a parsed JSON document into a MachineConfig."""
     _require_keys(doc, _TOP_KEYS,
                   {"v", "morphology", "geometry", "roster", "workspace"},
                   "config")
-    if doc["v"] != SCHEMA_VERSION:
+    if isinstance(doc["v"], bool) or doc["v"] != SCHEMA_VERSION:
         raise ConfigError(f"unsupported schema version {doc['v']!r}")
     morphology = doc["morphology"]
     if morphology not in MORPHOLOGIES:
@@ -139,7 +147,7 @@ def parse_config(doc: Any) -> MachineConfig:
                 _require_keys(screw, {"pitch", "direction", "z_min", "z_max"},
                               {"pitch"}, "geometry.screw")
                 direction = screw.get("direction", 1)
-                if direction not in (1, -1):
+                if isinstance(direction, bool) or direction not in (1, -1):
                     raise ConfigError("geometry.screw.direction must be 1 or -1")
                 kwargs["lead_screw"] = kin.LeadScrew(
                     pitch=_number(screw, "pitch", "geometry.screw"),
@@ -155,8 +163,7 @@ def parse_config(doc: Any) -> MachineConfig:
                 anchors=tuple(_point(a, 2, f"geometry.anchors[{i}]")
                               for i, a in enumerate(anchors)),
                 spool_radius=_number(geo, "spool_radius", "geometry"),
-                workspace_margin=_number(geo, "workspace_margin", "geometry",
-                                         kin.DEFAULT_WORKSPACE_MARGIN),
+                workspace_margin=_margin(geo),
             )
         elif morphology == "wire3d_printer":
             anchors = geo.get("anchors")
@@ -166,8 +173,7 @@ def parse_config(doc: Any) -> MachineConfig:
                 anchors=tuple(_point(a, 3, f"geometry.anchors[{i}]")
                               for i, a in enumerate(anchors)),
                 spool_radius=_number(geo, "spool_radius", "geometry"),
-                workspace_margin=_number(geo, "workspace_margin", "geometry",
-                                         kin.DEFAULT_WORKSPACE_MARGIN),
+                workspace_margin=_margin(geo),
             )
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}") from exc

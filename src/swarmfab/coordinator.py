@@ -59,12 +59,18 @@ class MachineConfig:
     swap_duration: float = 10.0  # s, attachment swap dwell
     barrier_angle_deg: float = 90.0
     stall_timeout: float = 10.0  # simulated s
+    # the morphology's mechanics (_Bridge or _Wire), built once here and
+    # left out of repr and ==
+    machine: "_Bridge | _Wire" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.morphology not in MORPHOLOGIES:
             raise ValueError(f"unknown morphology {self.morphology!r}")
         if self.sync_tol <= 0 or self.dt_plan <= 0 or self.max_tool_speed <= 0:
             raise ValueError("sync_tol, dt_plan, max_tool_speed must be positive")
+        family = (_Bridge if self.morphology in ("bridge_xy", "printer_bridge")
+                  else _Wire)
+        object.__setattr__(self, "machine", family(self))
 
     def robot_params(self, robot_id: str) -> RobotParams:
         for entry in self.roster:
@@ -98,25 +104,30 @@ class Plan:
     morphology: str
 
 
-def assign_roles(config: MachineConfig) -> dict[str, str]:
-    """Deterministic roster-order role assignment; surplus robots idle."""
+def active_robots(config: MachineConfig) -> list[str]:
+    """The roster's first robots, one per role of the morphology, in order."""
     sequence = ROLE_SEQUENCE[config.morphology]
     if len(config.roster) < len(sequence):
         raise InsufficientRobots(len(sequence), len(config.roster),
                                  config.morphology)
-    roles = {}
-    for i, entry in enumerate(config.roster):
-        roles[entry.id] = sequence[i] if i < len(sequence) else "idle"
-    return roles
-
-
-def active_robots(config: MachineConfig) -> list[str]:
-    sequence = ROLE_SEQUENCE[config.morphology]
     return [entry.id for entry in config.roster[:len(sequence)]]
+
+
+def assign_roles(config: MachineConfig) -> dict[str, str]:
+    """Deterministic roster-order role assignment; surplus robots idle."""
+    roles = dict(zip(active_robots(config), ROLE_SEQUENCE[config.morphology]))
+    return {entry.id: roles.get(entry.id, "idle") for entry in config.roster}
 
 
 def _omega_max(params: RobotParams) -> float:
     return 2.0 * params.max_wheel_speed / params.wheel_track
+
+
+def _required(config: MachineConfig, name: str):
+    value = getattr(config, name)
+    if value is None:
+        raise ValueError(f"{config.morphology} config needs a {name}")
+    return value
 
 
 def _check(config: MachineConfig, point, what: str, line_no: int) -> None:
@@ -127,15 +138,140 @@ def _check(config: MachineConfig, point, what: str, line_no: int) -> None:
             reason=check.reason, line_no=line_no)
 
 
-def datum_wire_lengths(config: MachineConfig,
-                       datum: tuple[float, float, float]) -> tuple:
-    """Wire lengths at the plan datum, where spool rotation is zero; empty
-    for the bridge morphologies, which have no wires."""
-    if config.morphology == "wire2d_wall":
-        return kin.wire2d_ik((datum[0], datum[1]), config.wire2d_geometry)
-    if config.morphology == "wire3d_printer":
-        return kin.wire3d_ik(datum, config.wire3d_geometry)
-    return ()
+# A machine holds one morphology family's mechanics, for a MachineConfig:
+#   limits(params)     speed limit of each actuated axis, in `deltas` units,
+#                      from the params of the roster's robots
+#   solve(tool)        IK solution of a tool point
+#   zero(datum, start, start_sol)  what rotation targets are relative to:
+#                      the datum's z (bridge) or its wire lengths (wire;
+#                      `start_sol`, start's IK, if the datum is `start`)
+#   setpoints(ids, tool, sol, zero)  robot id -> Setpoint
+#   deltas(seg, start_sol, end_sol)  travel of each actuated axis
+#   reach_reason(x, y, z)  why a tool point is out of reach, or ""
+#   tool_tip(states, ids, zero)  FK of the robot states
+# `ids` are active_robots(config).  The kinematics functions are looked up
+# on the module at call time, so wrappers installed there see every call.
+
+class _Bridge:
+    """bridge_xy, and printer_bridge with its lead screw: two rail robots
+    carry the bridge (y), the carriage rides it (x) and the 4th robot turns
+    the screw (z).  An IK solution is the bridge decomposition."""
+
+    def __init__(self, config: MachineConfig):
+        self.geom = _required(config, "bridge_geometry")
+        self.screw = (_required(config, "lead_screw")
+                      if config.morphology == "printer_bridge" else None)
+        self.sync_tol = config.sync_tol
+        self.table_position = config.table_position
+
+    def limits(self, params: list[RobotParams]) -> list[float]:
+        limits = [p.max_wheel_speed for p in params[:3]]
+        if self.screw is not None:
+            limits.append(_omega_max(params[3]))
+        return limits
+
+    def solve(self, tool: tuple[float, float, float]) -> dict:
+        return kin.bridge_ik((tool[0], tool[1]), self.geom)
+
+    def zero(self, datum, start=None, start_sol=None) -> float:
+        return datum[2]
+
+    def setpoints(self, ids, tool, sol, zero) -> dict[str, Setpoint]:
+        out = {ids[0]: Setpoint("move", *sol["bridge1"]),
+               ids[1]: Setpoint("move", *sol["bridge2"]),
+               ids[2]: Setpoint("move", tool[0], tool[1])}
+        if self.screw is not None:
+            out[ids[3]] = Setpoint("rotate", *self.table_position,
+                                   theta=kin.leadscrew_delta(
+                                       tool[2] - zero, self.screw))
+        return out
+
+    def deltas(self, seg: MotionSegment, start_sol, end_sol) -> list[float]:
+        dx = seg.end[0] - seg.start[0]
+        dy = seg.end[1] - seg.start[1]
+        deltas = [dy, dy, dx]
+        if self.screw is not None:
+            deltas.append(kin.leadscrew_delta(seg.end[2] - seg.start[2],
+                                              self.screw))
+        return deltas
+
+    def reach_reason(self, x: float, y: float, z: float) -> str:
+        geom, screw = self.geom, self.screw
+        if not geom.carriage_min <= x - geom.rail1_x <= geom.carriage_max:
+            return "CarriageTravel"
+        if screw is None:
+            if abs(z - geom.bridge_height) > 1e-9:
+                return "NonPlanar"
+        elif not screw.z_min <= z <= screw.z_max:
+            return "ZTravel"
+        return ""
+
+    def tool_tip(self, states, ids, zero) -> tuple:
+        geom, screw = self.geom, self.screw
+        offset = states[ids[2]].pose[0] - geom.rail1_x
+        x, y = kin.bridge_fk(states[ids[0]].pose[:2], states[ids[1]].pose[:2],
+                             offset, geom, sync_tol=self.sync_tol)
+        if screw is None:
+            return (x, y, geom.bridge_height)
+        theta = states[ids[3]].accumulated_rotation
+        return (x, y, zero +
+                screw.direction * theta * screw.pitch / (2 * math.pi))
+
+
+class _Wire:
+    """wire2d_wall, and wire3d_printer with its table robot: one spool robot
+    per wire anchor sets the wire lengths.  An IK solution is the tuple of
+    wire lengths; the wall plotter works in the plane z = 0."""
+
+    def __init__(self, config: MachineConfig):
+        self.planar = config.morphology == "wire2d_wall"
+        self.geom = _required(config, "wire2d_geometry" if self.planar
+                              else "wire3d_geometry")
+        self.spools = [(a[0], a[1]) for a in self.geom.anchors]
+        # the 3-wire table robot holds one setpoint for the whole plan
+        self.table = (None if self.planar
+                      else Setpoint("move", *config.table_position))
+
+    def limits(self, params: list[RobotParams]) -> list[float]:
+        return [self.geom.spool_radius * _omega_max(p)
+                for p in params[:len(self.spools)]]
+
+    def solve(self, tool: tuple[float, float, float]) -> tuple:
+        if self.planar:
+            return kin.wire2d_ik((tool[0], tool[1]), self.geom)
+        return kin.wire3d_ik(tool, self.geom)
+
+    def zero(self, datum, start=None, start_sol=None) -> tuple:
+        return start_sol if datum == start else self.solve(datum)
+
+    def setpoints(self, ids, tool, sol, zero) -> dict[str, Setpoint]:
+        radius = self.geom.spool_radius
+        out = {rid: Setpoint("rotate", x, y, theta=kin.spool_delta(
+                   length - length0, radius))
+               for rid, (x, y), length, length0
+               in zip(ids, self.spools, sol, zero)}
+        if self.table is not None:
+            out[ids[-1]] = self.table
+        return out
+
+    def deltas(self, seg: MotionSegment, start_sol, end_sol) -> list[float]:
+        return [e - s for s, e in zip(start_sol, end_sol)]
+
+    def reach_reason(self, x: float, y: float, z: float) -> str:
+        if self.planar:
+            reason = kin._wire2d_unreachable(x, y, self.geom)
+            return reason or ("NonPlanar" if abs(z) > 1e-9 else "")
+        if kin._depth(self.geom, (x, y, z)) <= self.geom.workspace_margin:
+            return "AboveAnchors"
+        return ""
+
+    def tool_tip(self, states, ids, zero) -> tuple:
+        radius = self.geom.spool_radius
+        lengths = [length0 + radius * states[rid].accumulated_rotation
+                   for rid, length0 in zip(ids, zero)]
+        if self.planar:
+            return (*kin.wire2d_fk(*lengths, self.geom), 0.0)
+        return kin.wire3d_fk(*lengths, self.geom)
 
 
 def _direction_change(a: tuple, b: tuple) -> float:
@@ -150,106 +286,42 @@ def _direction_change(a: tuple, b: tuple) -> float:
 
 
 class _Planner:
-    """One plan's constants, built once: the robot id of each role, the
-    speed limit of each actuated axis, the datum and its wire lengths.
+    """A config's planning constants, built once: the active robot ids and
+    the speed limit of each actuated axis."""
 
-    Every tool point goes through `solve` (the morphology IK: the bridge
-    decomposition, or the wire lengths) once, and `setpoints` turns a point
-    and its solution into per-robot setpoints.  Spool and lead-screw
-    rotation targets are relative to the datum (the tool position at plan
-    start, where accumulated rotation is 0); `datum_lengths` is
-    datum_wire_lengths(config, datum), or None to derive it when planning.
-    """
-
-    def __init__(self, config: MachineConfig, roles: dict[str, str],
-                 datum: tuple[float, float, float],
-                 datum_lengths: Optional[tuple] = None):
+    def __init__(self, config: MachineConfig):
         self.config = config
-        self.datum = datum
-        self.datum_lengths = datum_lengths
-        morph = config.morphology
-        by_role = {role: rid for rid, role in roles.items() if role != "idle"}
-        self.ids = [by_role[role] for role in ROLE_SEQUENCE[morph]]
-        params = [config.robot_params(rid) for rid in self.ids]
-        if morph in ("bridge_xy", "printer_bridge"):
-            self.geom = config.bridge_geometry
-            self.spools = []
-            # bridge_left, bridge_right, carriage (and lead screw)
-            self.limits = [p.max_wheel_speed for p in params[:3]]
-            if morph == "printer_bridge":
-                self.limits.append(_omega_max(params[3]))
-        else:
-            self.geom = (config.wire2d_geometry if morph == "wire2d_wall"
-                         else config.wire3d_geometry)
-            self.spools = [(rid, a[0], a[1])
-                           for rid, a in zip(self.ids, self.geom.anchors)]
-            self.limits = [self.geom.spool_radius * _omega_max(p)
-                           for p in params[:len(self.spools)]]
-        # the 3-wire table robot holds one setpoint for the whole plan
-        self.table = (Setpoint("move", *config.table_position)
-                      if morph == "wire3d_printer" else None)
-
-    def solve(self, tool: tuple[float, float, float]):
-        morph = self.config.morphology
-        if morph == "wire2d_wall":
-            return kin.wire2d_ik((tool[0], tool[1]), self.geom)
-        if morph == "wire3d_printer":
-            return kin.wire3d_ik(tool, self.geom)
-        return kin.bridge_ik((tool[0], tool[1]), self.geom)
-
-    def setpoints(self, tool: tuple[float, float, float],
-                  sol) -> dict[str, Setpoint]:
-        out = {}
-        if self.spools:
-            radius = self.geom.spool_radius
-            for (rid, x, y), length, length0 in zip(
-                    self.spools, sol, self.datum_lengths, strict=True):
-                out[rid] = Setpoint("rotate", x, y, theta=kin.spool_delta(
-                    length - length0, radius))
-            if self.table is not None:
-                out[self.ids[-1]] = self.table
-            return out
-        ids = self.ids
-        out[ids[0]] = Setpoint("move", *sol["bridge1"])
-        out[ids[1]] = Setpoint("move", *sol["bridge2"])
-        out[ids[2]] = Setpoint("move", tool[0], tool[1])
-        if len(ids) > 3:
-            config = self.config
-            theta = kin.leadscrew_delta(tool[2] - self.datum[2],
-                                        config.lead_screw)
-            out[ids[3]] = Setpoint("rotate", *config.table_position,
-                                   theta=theta)
-        return out
+        self.machine = config.machine
+        self.ids = active_robots(config)
+        self.limits = self.machine.limits([e.params for e in config.roster])
 
     def duration(self, seg: MotionSegment, length: float, start_sol,
                  end_sol) -> float:
         """Feed- and actuator-limited duration of a segment of non-zero
         length, from the IK solutions of its endpoints."""
         duration = max(length / seg.feed, length / self.config.max_tool_speed)
-        if self.spools:
-            deltas = [e - s for s, e in zip(start_sol, end_sol)]
-        else:
-            dx = seg.end[0] - seg.start[0]
-            dy = seg.end[1] - seg.start[1]
-            deltas = [dy, dy, dx]
-            if len(self.limits) > 3:
-                deltas.append(kin.leadscrew_delta(seg.end[2] - seg.start[2],
-                                                  self.config.lead_screw))
+        deltas = self.machine.deltas(seg, start_sol, end_sol)
         return max([duration] + [abs(d) / limit
                                  for d, limit in zip(deltas, self.limits)])
 
-    def plan(self, segments: list[MotionSegment], *, t0: float = 0.0,
+    def plan(self, segments: list[MotionSegment],
+             datum: tuple[float, float, float], *, t0: float = 0.0,
              extrusion0: float = 0.0, include_start: bool = True,
              barriers: Optional[list[int]] = None) -> list[PlanTick]:
         """Sample chained segments into ticks at the planning period.
 
-        A segment's start is the previous segment's end, so each endpoint
-        is checked against the workspace and solved once; interior ticks
-        get their own check.  The index of the last tick of a segment is
+        Rotation targets are relative to `datum`.  A segment's start is the
+        previous segment's end, so each endpoint is checked against the
+        workspace and solved once, by the machine's IK; interior ticks get
+        their own check.  The index of the last tick of a segment is
         appended to `barriers` when the next segment turns by at least the
         barrier angle or changes kind.
         """
-        config = self.config
+        config, machine, solve = self.config, self.machine, self.machine.solve
+
+        def setpoints(tool, sol):
+            return machine.setpoints(self.ids, tool, sol, zero)
+
         dt = config.dt_plan
         threshold = math.radians(config.barrier_angle_deg) - 1e-9
         ticks: list[PlanTick] = []
@@ -270,11 +342,8 @@ class _Planner:
 
             _check(config, seg.end, "segment endpoint", line)
             if sol is None:
-                sol = self.solve(seg.start)
-                if self.datum_lengths is None:
-                    self.datum_lengths = (
-                        sol if self.spools and self.datum == seg.start
-                        else datum_wire_lengths(config, self.datum))
+                sol = solve(seg.start)
+                zero = machine.zero(datum, seg.start, sol)
             extruding = seg.kind == "print"
             de = seg.extrusion_delta
             length = seg.length
@@ -282,10 +351,10 @@ class _Planner:
                 # extrude-in-place: a single dwell tick
                 t0 += dt
                 ticks.append(PlanTick(
-                    t0, self.setpoints(seg.start, self.solve(seg.start)),
-                    seg.start, extruding, extrusion0 + de, line))
+                    t0, setpoints(seg.start, solve(seg.start)), seg.start,
+                    extruding, extrusion0 + de, line))
             else:
-                end_sol = self.solve(seg.end)
+                end_sol = solve(seg.end)
                 duration = self.duration(seg, length, sol, end_sol)
                 n = max(1, math.ceil(duration / dt - 1e-9))
                 for i in range(0 if include_start else 1, n):
@@ -294,10 +363,10 @@ class _Planner:
                     tool = (sx + dx * frac, sy + dy * frac, sz + dz * frac)
                     _check(config, tool, "setpoint", line)
                     ticks.append(PlanTick(
-                        t0 + t, self.setpoints(tool, self.solve(tool)), tool,
+                        t0 + t, setpoints(tool, solve(tool)), tool,
                         extruding, extrusion0 + de * frac, line))
                 t0 += duration
-                ticks.append(PlanTick(t0, self.setpoints(seg.end, end_sol),
+                ticks.append(PlanTick(t0, setpoints(seg.end, end_sol),
                                       seg.end, extruding, extrusion0 + de,
                                       line))
                 sol = end_sol
@@ -306,44 +375,34 @@ class _Planner:
         return ticks
 
 
-def time_parameterize(seg: MotionSegment, config: MachineConfig,
-                      roles: Optional[dict[str, str]] = None) -> float:
+def time_parameterize(seg: MotionSegment, config: MachineConfig) -> float:
     """Feed- and actuator-limited duration of one segment."""
     for point in (seg.start, seg.end):
         _check(config, point, "segment endpoint", seg.source_line)
-    if roles is None:
-        roles = assign_roles(config)
+    planner = _Planner(config)
     length = seg.length
     if length == 0.0:
         return 0.0
-    planner = _Planner(config, roles, seg.start)
-    return planner.duration(seg, length, planner.solve(seg.start),
-                            planner.solve(seg.end))
+    solve = config.machine.solve
+    return planner.duration(seg, length, solve(seg.start), solve(seg.end))
 
 
-def plan_segment(seg: MotionSegment, config: MachineConfig,
-                 roles: Optional[dict[str, str]] = None, *,
+def plan_segment(seg: MotionSegment, config: MachineConfig, *,
                  t0: float = 0.0,
                  datum: Optional[tuple[float, float, float]] = None,
-                 datum_lengths: Optional[tuple] = None,
                  extrusion0: float = 0.0,
                  include_start: bool = True) -> list[PlanTick]:
-    """Sample one segment into setpoint ticks at the planning period.
-
-    `datum` defaults to the segment start and `datum_lengths` to
-    datum_wire_lengths(config, datum).
+    """Sample one segment into setpoint ticks at the planning period;
+    rotation targets are relative to `datum`, by default the segment start.
     """
-    if roles is None:
-        roles = assign_roles(config)
-    planner = _Planner(config, roles, seg.start if datum is None else datum,
-                       datum_lengths)
-    return planner.plan([seg], t0=t0, extrusion0=extrusion0,
-                        include_start=include_start)
+    return _Planner(config).plan(
+        [seg], seg.start if datum is None else datum, t0=t0,
+        extrusion0=extrusion0, include_start=include_start)
 
 
 def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
     """Plan a chained segment list into one synchronized schedule."""
-    roles = assign_roles(config)
+    planner = _Planner(config)
     for prev, nxt in zip(segments, segments[1:]):
         if prev.end != nxt.start:
             raise PlanError(
@@ -352,8 +411,7 @@ def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
     if not segments:
         return Plan(ticks=[], barriers=[], morphology=config.morphology)
     barriers: list[int] = []  # ascending: every segment adds a tick
-    ticks = _Planner(config, roles, segments[0].start).plan(
-        segments, barriers=barriers)
+    ticks = planner.plan(segments, segments[0].start, barriers=barriers)
     return Plan(ticks=ticks, barriers=barriers, morphology=config.morphology)
 
 
@@ -361,10 +419,10 @@ def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
 
 def initial_robot_positions(config: MachineConfig) -> dict[str, tuple[float, float]]:
     """Nominal start position of every active robot for a config's home tool."""
-    home = config.home
-    planner = _Planner(config, assign_roles(config), home,
-                       datum_wire_lengths(config, home))
-    sp = planner.setpoints(home, planner.solve(home))
+    ids = active_robots(config)
+    home, machine = config.home, config.machine
+    sol = machine.solve(home)
+    sp = machine.setpoints(ids, home, sol, machine.zero(home, home, sol))
     return {rid: (s.x, s.y) for rid, s in sp.items()}
 
 
@@ -392,9 +450,8 @@ def reconfigure(from_config: MachineConfig, to_config: MachineConfig) -> Plan:
         raise InsufficientRobots(needed, len(shared), to_config.morphology)
 
     roles_from = assign_roles(from_config)
-    roles_to = assign_roles(to_config)
-    if (from_config.morphology == to_config.morphology
-            and roles_from == roles_to):
+    # the set of roles names the morphology, so equal maps mean no change
+    if roles_from == assign_roles(to_config):
         return Plan(ticks=[], barriers=[], morphology=to_config.morphology)
 
     targets = initial_robot_positions(to_config)

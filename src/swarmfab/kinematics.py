@@ -261,8 +261,8 @@ def wire2d_fk(L1: float, L2: float, geom: WireGeometry2D) -> tuple[float, float]
 
 # --- three-wire positioner ---
 
-def _depth(geom: WireGeometry3D, p: np.ndarray) -> float:
-    """Signed distance of p below the anchor plane."""
+def _depth(geom: WireGeometry3D, p) -> float:
+    """Signed distance of point p below the anchor plane."""
     return float(geom.down_normal @ (p - geom.anchor_array[0]))
 
 
@@ -356,7 +356,8 @@ _INSIDE = WorkspaceCheck(True)
 
 
 def workspace_contains(config, p) -> WorkspaceCheck:
-    """Check all morphology preconditions for tool point p = (x, y, z).
+    """Check tool point p = (x, y, z): finite, inside the workspace box,
+    then within the reach of the config's machine.
 
     `config` is a coordinator.MachineConfig; accepted duck-typed here to
     avoid a circular import.
@@ -368,27 +369,5 @@ def workspace_contains(config, p) -> WorkspaceCheck:
     if not (lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1]
             and lo[2] <= z <= hi[2]):
         return WorkspaceCheck(False, "OutsideBox")
-
-    morph = config.morphology
-    if morph in ("bridge_xy", "printer_bridge"):
-        geom = config.bridge_geometry
-        if not geom.carriage_min <= x - geom.rail1_x <= geom.carriage_max:
-            return WorkspaceCheck(False, "CarriageTravel")
-        if morph == "bridge_xy":
-            if abs(z - geom.bridge_height) > 1e-9:
-                return WorkspaceCheck(False, "NonPlanar")
-        elif not config.lead_screw.z_min <= z <= config.lead_screw.z_max:
-            return WorkspaceCheck(False, "ZTravel")
-    elif morph == "wire2d_wall":
-        reason = _wire2d_unreachable(x, y, config.wire2d_geometry)
-        if reason:
-            return WorkspaceCheck(False, reason)
-        if abs(z) > 1e-9:
-            return WorkspaceCheck(False, "NonPlanar")
-    elif morph == "wire3d_printer":
-        geom = config.wire3d_geometry
-        if _depth(geom, np.asarray(p, dtype=float)) <= geom.workspace_margin:
-            return WorkspaceCheck(False, "AboveAnchors")
-    else:
-        return WorkspaceCheck(False, f"UnknownMorphology:{morph}")
-    return _INSIDE
+    reason = config.machine.reach_reason(x, y, z)
+    return WorkspaceCheck(False, reason) if reason else _INSIDE

@@ -12,8 +12,8 @@ from .coordinator import (
     MachineConfig,
     Plan,
     Setpoint,
+    active_robots,
     assign_roles,
-    datum_wire_lengths,
 )
 from .errors import KinematicsFault, StallTimeout
 from .gcode import MotionSegment
@@ -82,47 +82,6 @@ def _arrived(state: RobotState, sp: Setpoint) -> bool:
             < state.params.arrival_tol)
 
 
-def _tool_fk(states: dict[str, RobotState], config: MachineConfig,
-             by_role: dict[str, str], datum: tuple[float, float, float],
-             datum_lengths) -> tuple[float, float, float]:
-    """Tool tip from the current robot states via the morphology FK.
-
-    `by_role` maps each active role to its robot id.
-    """
-    morph = config.morphology
-    if morph in ("bridge_xy", "printer_bridge"):
-        b1 = states[by_role["bridge_left"]].pose[:2]
-        b2 = states[by_role["bridge_right"]].pose[:2]
-        car = states[by_role["carriage"]].pose
-        offset = car[0] - config.bridge_geometry.rail1_x
-        tool = kin.bridge_fk(b1, b2, offset, config.bridge_geometry,
-                             sync_tol=config.sync_tol)
-        if morph == "printer_bridge":
-            screw = config.lead_screw
-            theta = states[by_role["leadscrew"]].accumulated_rotation
-            z = datum[2] + screw.direction * theta * screw.pitch / (2 * math.pi)
-        else:
-            z = config.bridge_geometry.bridge_height
-        return (tool[0], tool[1], z)
-    if morph == "wire2d_wall":
-        geom = config.wire2d_geometry
-        l1 = datum_lengths[0] + geom.spool_radius * \
-            states[by_role["extruder_spool_1"]].accumulated_rotation
-        l2 = datum_lengths[1] + geom.spool_radius * \
-            states[by_role["extruder_spool_2"]].accumulated_rotation
-        p = kin.wire2d_fk(l1, l2, geom)
-        return (p[0], p[1], 0.0)
-    if morph == "wire3d_printer":
-        geom = config.wire3d_geometry
-        spools = [states[by_role[f"extruder_spool_{i + 1}"]]
-                  for i in range(3)]
-        lengths = [datum_lengths[i] +
-                   geom.spool_radius * spools[i].accumulated_rotation
-                   for i in range(3)]
-        return kin.wire3d_fk(*lengths, geom)
-    raise KinematicsFault(f"no FK for morphology {morph}")
-
-
 def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
         seed: int = 0) -> Trace:
     """Simulate plan execution; deterministic for a fixed (plan, config, seed)."""
@@ -133,21 +92,19 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
 
     trace = Trace(config=config)
     states = _initial_states(plan, config)
-    by_role = {role: rid for rid, role in assign_roles(config).items()
-               if role != "idle" and rid in states}
+    ids = active_robots(config)
     rng = np.random.default_rng(seed) if config.noise_std > 0 else None
 
     if not plan.ticks:
         return trace
 
-    datum = plan.ticks[0].tool_target
-    datum_lengths = datum_wire_lengths(config, datum)
+    zero = config.machine.zero(plan.ticks[0].tool_target)
     order = sorted(states)
     barriers = set(plan.barriers)
 
     def record(t, tick, extrusion_total):
         try:
-            tool = _tool_fk(states, config, by_role, datum, datum_lengths)
+            tool = config.machine.tool_tip(states, ids, zero)
         except kin.BridgeSkewed as exc:
             raise KinematicsFault(str(exc)) from exc
         trace.samples.append(TraceSample(

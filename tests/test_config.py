@@ -34,6 +34,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="version"):
             config.parse_config(doc)
 
+    def test_boolean_schema_version_rejected(self):
+        # JSON true == 1 in Python, so it would pass a plain equality check
+        doc = json.loads(json.dumps(config.default_config_doc("bridge_xy"))
+                         .replace('"v": 1', '"v": true'))
+        assert doc["v"] is True
+        with pytest.raises(ConfigError, match="version"):
+            config.parse_config(doc)
+
+    def test_boolean_screw_direction_rejected(self):
+        doc = config.default_config_doc("printer_bridge")
+        doc["geometry"]["screw"]["direction"] = True
+        with pytest.raises(ConfigError, match="direction"):
+            config.parse_config(doc)
+
+    @pytest.mark.parametrize("morphology,margin", [("wire2d_wall", -50.0),
+                                                   ("wire3d_printer", -5.0)])
+    def test_negative_workspace_margin_rejected(self, morphology, margin):
+        # a negative margin admits tool points above the anchors: the wall
+        # plotter then draws their mirror image, and the 3-wire printer
+        # fails in its IK without a g-code line
+        doc = config.default_config_doc(morphology)
+        doc["geometry"]["workspace_margin"] = margin
+        with pytest.raises(ConfigError, match="workspace_margin"):
+            config.parse_config(doc)
+        doc["geometry"]["workspace_margin"] = 0.0
+        config.parse_config(doc)
+
     def test_nonfinite_rejected(self):
         doc = config.default_config_doc("bridge_xy")
         doc["limits"]["max_tool_speed"] = float("inf")

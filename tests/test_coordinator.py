@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 
@@ -328,13 +329,12 @@ class TestPlannerOracle:
                                segments, cfg)
         assert plan.barriers
         assert any(s.length == 0.0 for s in segments)
-        roles = coordinator.assign_roles(cfg)
         for i, s in enumerate(segments[:300]):
             same_outcome(coordinator.time_parameterize,
                          time_parameterize_oracle, s, cfg)
             same_outcome(coordinator.plan_segment, plan_segment_oracle, s, cfg)
             same_outcome(coordinator.plan_segment, plan_segment_oracle, s,
-                         cfg, roles, t0=3.25 * i, datum=cfg.home,
+                         cfg, t0=3.25 * i, datum=cfg.home,
                          extrusion0=0.5 * i, include_start=i % 2 == 0)
 
     @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
@@ -416,6 +416,60 @@ class TestAssignRoles:
         assert sorted(roles.values()).count("idle") == 1
 
 
+class TestMachineConfig:
+    @pytest.mark.parametrize("morphology,missing", [
+        ("bridge_xy", "bridge_geometry"),
+        ("printer_bridge", "bridge_geometry"),
+        ("printer_bridge", "lead_screw"),
+        ("wire2d_wall", "wire2d_geometry"),
+        ("wire3d_printer", "wire3d_geometry"),
+    ])
+    def test_missing_geometry_rejected_when_built(self, morphology, missing):
+        cfg = config.default_config(morphology)
+        with pytest.raises(ValueError, match=f"{morphology} config needs a "
+                                             f"{missing}"):
+            dataclasses.replace(cfg, **{missing: None})
+
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_machine_is_derived(self, morphology):
+        cfg = config.default_config(morphology)
+        again = dataclasses.replace(cfg)
+        assert again.machine is not cfg.machine
+        assert again == cfg and hash(again) == hash(cfg)
+        assert "machine" not in repr(cfg)
+        with pytest.raises(ValueError, match="init=False"):
+            dataclasses.replace(cfg, machine=cfg.machine)
+
+
+SHORT_ROSTER_CALLS = {
+    "plan_program": lambda s, cfg: coordinator.plan_program([s], cfg),
+    "plan_program_empty": lambda s, cfg: coordinator.plan_program([], cfg),
+    "plan_segment": coordinator.plan_segment,
+    "time_parameterize": coordinator.time_parameterize,
+    "initial_robot_positions":
+        lambda s, cfg: coordinator.initial_robot_positions(cfg),
+}
+
+
+class TestShortRoster:
+    @pytest.mark.parametrize("zero_length", [False, True])
+    @pytest.mark.parametrize("call", sorted(SHORT_ROSTER_CALLS))
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_raises_insufficient_robots(self, morphology, call, zero_length):
+        full = config.default_config(morphology)
+        short = dataclasses.replace(full, roster=full.roster[:-1])
+        home = full.home
+        end = home if zero_length else (home[0] + 10.0, home[1] - 10.0,
+                                        home[2])
+        s = seg(home, end, e=1.0)
+        fn = SHORT_ROSTER_CALLS[call]
+        fn(s, full)  # the full roster plans the same segment
+        with pytest.raises(InsufficientRobots) as err:
+            fn(s, short)
+        assert err.value.needed == len(full.roster)
+        assert err.value.available == len(full.roster) - 1
+
+
 class TestTimeParameterize:
     def test_feed_limited(self, bridge_config):
         s = seg((200, 100, 0), (300, 100, 0), feed=50.0)
@@ -467,7 +521,7 @@ class TestPlanSegment:
     def test_wire2d_setpoints_match_ik(self, wire2d_config):
         s = seg((400, -500, 0), (600, -300, 0), feed=30.0)
         roles = coordinator.assign_roles(wire2d_config)
-        ticks = coordinator.plan_segment(s, wire2d_config, roles)
+        ticks = coordinator.plan_segment(s, wire2d_config)
         geom = wire2d_config.wire2d_geometry
         datum = kin.wire2d_ik((400, -500), geom)
         by_role = {role: rid for rid, role in roles.items()}
