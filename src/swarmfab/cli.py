@@ -77,13 +77,18 @@ def _load_config(config_path: str):
         raise SystemExit(EXIT_IO)
 
 
+def _print_error(exc) -> None:
+    """The error, with the g-code line it names, if any."""
+    line = getattr(exc, "line_no", None)
+    loc = f" (g-code line {line})" if line else ""
+    print(f"error: {exc}{loc}", file=sys.stderr)
+
+
 def _plan_or_exit(segments, machine):
     try:
         return coordinator.plan_program(segments, machine)
     except (KinematicsError, PlanError) as exc:
-        line = getattr(exc, "line_no", None)
-        loc = f" (g-code line {line})" if line else ""
-        print(f"error: {exc}{loc}", file=sys.stderr)
+        _print_error(exc)
         raise SystemExit(EXIT_KINEMATICS)
 
 
@@ -127,7 +132,7 @@ def cmd_simulate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STALL
     except (SimError, KinematicsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return EXIT_KINEMATICS
 
     for event in sim.overlap_diagnostic(trace, machine):

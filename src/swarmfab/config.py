@@ -111,9 +111,6 @@ def parse_config(doc: Any) -> MachineConfig:
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
         roster.append(RosterEntry(id=entry["id"], params=params))
-    ids = [e.id for e in roster]
-    if len(set(ids)) != len(ids):
-        raise ConfigError("duplicate robot ids in roster")
 
     ws = doc["workspace"]
     _require_keys(ws, {"min", "max"}, {"min", "max"}, "workspace")

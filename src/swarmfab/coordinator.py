@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
+import numpy as np
+
 from . import kinematics as kin
 from .errors import InsufficientRobots, OutOfWorkspace, PlanError
 from .gcode import MotionSegment
@@ -68,6 +70,11 @@ class MachineConfig:
             raise ValueError(f"unknown morphology {self.morphology!r}")
         if self.sync_tol <= 0 or self.dt_plan <= 0 or self.max_tool_speed <= 0:
             raise ValueError("sync_tol, dt_plan, max_tool_speed must be positive")
+        ids = [entry.id for entry in self.roster]
+        duplicates = sorted({rid for rid in ids if ids.count(rid) > 1})
+        if duplicates:
+            raise ValueError(f"duplicate robot ids in roster: "
+                             f"{', '.join(duplicates)}")
         family = (_Bridge if self.morphology in ("bridge_xy", "printer_bridge")
                   else _Wire)
         object.__setattr__(self, "machine", family(self))
@@ -148,7 +155,10 @@ def _check(config: MachineConfig, point, what: str, line_no: int) -> None:
 #   setpoints(ids, tool, sol, zero)  robot id -> Setpoint
 #   deltas(seg, start_sol, end_sol)  travel of each actuated axis
 #   reach_reason(x, y, z)  why a tool point is out of reach, or ""
-#   tool_tip(states, ids, zero)  FK of the robot states
+#   synced(ids)        the robots whose y must agree within sync_tol
+#   tool_tips(poses, rotations, cols, zero)  FK of every row of pose (N x R
+#                      x 3) and rotation (N x R) columns; `cols` holds the
+#                      column of each of `ids`
 # `ids` are active_robots(config).  The kinematics functions are looked up
 # on the module at call time, so wrappers installed there see every call.
 
@@ -206,16 +216,21 @@ class _Bridge:
             return "ZTravel"
         return ""
 
-    def tool_tip(self, states, ids, zero) -> tuple:
+    def synced(self, ids) -> tuple:
+        return (ids[0], ids[1])
+
+    def tool_tips(self, poses, rotations, cols, zero) -> np.ndarray:
         geom, screw = self.geom, self.screw
-        offset = states[ids[2]].pose[0] - geom.rail1_x
-        x, y = kin.bridge_fk(states[ids[0]].pose[:2], states[ids[1]].pose[:2],
-                             offset, geom, sync_tol=self.sync_tol)
+        tips = np.empty((len(poses), 3))
+        tips[:, :2] = kin.bridge_fk_rows(
+            poses[:, cols[0], :2], poses[:, cols[1], :2],
+            poses[:, cols[2], 0] - geom.rail1_x, geom, sync_tol=self.sync_tol)
         if screw is None:
-            return (x, y, geom.bridge_height)
-        theta = states[ids[3]].accumulated_rotation
-        return (x, y, zero +
-                screw.direction * theta * screw.pitch / (2 * math.pi))
+            tips[:, 2] = geom.bridge_height
+        else:
+            tips[:, 2] = zero + (screw.direction * rotations[:, cols[3]]
+                                 * screw.pitch / (2 * math.pi))
+        return tips
 
 
 class _Wire:
@@ -265,13 +280,17 @@ class _Wire:
             return "AboveAnchors"
         return ""
 
-    def tool_tip(self, states, ids, zero) -> tuple:
-        radius = self.geom.spool_radius
-        lengths = [length0 + radius * states[rid].accumulated_rotation
-                   for rid, length0 in zip(ids, zero)]
+    def synced(self, ids) -> tuple:
+        return ()
+
+    def tool_tips(self, poses, rotations, cols, zero) -> np.ndarray:
+        lengths = (np.asarray(zero) + self.geom.spool_radius
+                   * rotations[:, cols[:len(self.spools)]])
         if self.planar:
-            return (*kin.wire2d_fk(*lengths, self.geom), 0.0)
-        return kin.wire3d_fk(*lengths, self.geom)
+            tips = np.zeros((len(poses), 3))
+            tips[:, :2] = kin.wire2d_fk_rows(lengths, self.geom)
+            return tips
+        return kin.wire3d_fk_rows(lengths, self.geom)
 
 
 def _direction_change(a: tuple, b: tuple) -> float:
@@ -347,15 +366,17 @@ class _Planner:
             extruding = seg.kind == "print"
             de = seg.extrusion_delta
             length = seg.length
-            if length == 0.0:
-                # extrude-in-place: a single dwell tick
+            end_sol = sol if length == 0.0 else solve(seg.end)
+            duration = (0.0 if length == 0.0
+                        else self.duration(seg, length, sol, end_sol))
+            if duration == 0.0:
+                # extrude-in-place, or a segment so short that its duration
+                # underflows: a single dwell tick at its end
                 t0 += dt
                 ticks.append(PlanTick(
-                    t0, setpoints(seg.start, solve(seg.start)), seg.start,
-                    extruding, extrusion0 + de, line))
+                    t0, setpoints(seg.end, end_sol), seg.end, extruding,
+                    extrusion0 + de, line))
             else:
-                end_sol = solve(seg.end)
-                duration = self.duration(seg, length, sol, end_sol)
                 n = max(1, math.ceil(duration / dt - 1e-9))
                 for i in range(0 if include_start else 1, n):
                     t = i * dt
@@ -369,7 +390,7 @@ class _Planner:
                 ticks.append(PlanTick(t0, setpoints(seg.end, end_sol),
                                       seg.end, extruding, extrusion0 + de,
                                       line))
-                sol = end_sol
+            sol = end_sol
             extrusion0 += de
             include_start = False
         return ticks

@@ -97,7 +97,9 @@ class StallTimeout(SimError):
 
 
 class KinematicsFault(SimError):
-    pass
+    def __init__(self, message, line_no=None):
+        self.line_no = line_no
+        super().__init__(message)
 
 
 # --- configuration ---

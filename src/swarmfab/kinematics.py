@@ -180,7 +180,7 @@ class LeadScrew:
     def __post_init__(self):
         if self.pitch <= 0:
             raise ValueError("pitch must be positive")
-        if self.direction not in (1, -1):
+        if isinstance(self.direction, bool) or self.direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
         if self.z_min >= self.z_max:
             raise ValueError("z_min must be below z_max")
@@ -204,6 +204,24 @@ def bridge_ik(tool: tuple[float, float], geom: BridgeGeometry) -> dict:
         "bridge2": (geom.rail1_x + geom.bridge_span, y),
         "carriage_offset": offset,
     }
+
+
+def bridge_fk_rows(bridge1, bridge2, carriage_offset, geom: BridgeGeometry,
+                   sync_tol: float = 1.0) -> np.ndarray:
+    """bridge_fk of every row: the two bridge robot positions (N x 2 each)
+    and the carriage offsets (N) give the tool (x, y) (N x 2).  Raises for
+    the first row whose bridge is skewed beyond sync_tol."""
+    b1 = np.asarray(bridge1, dtype=float)
+    b2 = np.asarray(bridge2, dtype=float)
+    skew = np.abs(b1[:, 1] - b2[:, 1])
+    skewed = np.flatnonzero(skew > sync_tol)
+    if len(skewed):
+        raise BridgeSkewed(f"bridge skew {skew[skewed[0]]:.4f} mm "
+                           f"exceeds {sync_tol} mm")
+    tool = np.empty((len(b1), 2))
+    tool[:, 0] = b1[:, 0] + np.asarray(carriage_offset, dtype=float)
+    tool[:, 1] = 0.5 * (b1[:, 1] + b2[:, 1])
+    return tool
 
 
 def bridge_fk(bridge1: tuple[float, float], bridge2: tuple[float, float],
@@ -241,6 +259,48 @@ def _wire2d_unreachable(x: float, z: float, geom: WireGeometry2D) -> str:
     return ""
 
 
+def _raise_first(checks) -> None:
+    """Raise the error of the first row that fails a check.
+
+    `checks` are (mask, error) pairs over the rows, in the order the
+    one-point function tests them, so a row failing several raises the
+    error that function would have raised.
+    """
+    failing = np.logical_or.reduce([mask for mask, _ in checks])
+    if failing.any():
+        row = failing.argmax()
+        raise next(error for mask, error in checks if mask[row])
+
+
+def _max(a: float, b):
+    """max(a, b) for a constant a and an array b, elementwise as Python's
+    max: b where b > a, else a, so NaN gives a."""
+    return np.where(b > a, b, a)
+
+
+def wire2d_fk_rows(lengths, geom: WireGeometry2D) -> np.ndarray:
+    """wire2d_fk of every row of wire lengths (N x 2), in its operation
+    order; raises the error of the first row that has one."""
+    L = np.asarray(lengths, dtype=float)
+    L1, L2 = L[:, 0], L[:, 1]
+    a1, d, u, n = geom.frame
+    a = (L1 * L1 - L2 * L2 + d * d) / (2 * d)
+    h2 = L1 * L1 - a * a
+    h = np.sqrt(_max(0.0, h2))
+    _raise_first([
+        ((L1 <= 0) | (L2 <= 0),
+         NoIntersection("wire lengths must be positive")),
+        (L1 + L2 < d - 1e-9, NoIntersection("wires too short to meet")),
+        (h2 < -INTERSECTION_SLACK * _max(1.0, L1 * L1),
+         NoIntersection("circles do not intersect")),
+        (h < 1e-9, Unreachable("tangent solution lies on the anchor line")),
+    ])
+    point = np.empty((len(L), 2))
+    point[:, 0] = a1[0] + a * u[0] + h * n[0]
+    point[:, 1] = a1[1] + a * u[1] + h * n[1]
+    return point
+
+
 def wire2d_fk(L1: float, L2: float, geom: WireGeometry2D) -> tuple[float, float]:
     """Wall point from wire lengths: two-circle intersection, lower branch."""
     if L1 <= 0 or L2 <= 0:
@@ -261,6 +321,17 @@ def wire2d_fk(L1: float, L2: float, geom: WireGeometry2D) -> tuple[float, float]
 
 # --- three-wire positioner ---
 
+def _dot(u, v):
+    """Row-wise dot product over the last axis.
+
+    Stacked matmul dispatches each row to the same BLAS dot as a 1-D
+    `u @ v` or `np.linalg.norm`, so results match the scalar formula bit for
+    bit; `einsum` or an explicit component sum can round differently (BLAS
+    dot kernels may fuse multiply-adds).
+    """
+    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
+
+
 def _depth(geom: WireGeometry3D, p) -> float:
     """Signed distance of point p below the anchor plane."""
     return float(geom.down_normal @ (p - geom.anchor_array[0]))
@@ -274,6 +345,67 @@ def wire3d_ik(p: tuple[float, float, float],
         raise Unreachable("point not below the anchor plane")
     # sqrt(v @ v) is what np.linalg.norm computes for a vector
     return tuple(math.sqrt(v @ v) for v in pv - geom.anchor_array)
+
+
+# The Gauss-Newton step is the least-squares (lstsq) solution of a 3 x 3
+# system.  One batched LU solve gives the same step up to rounding, and that
+# rounding cannot show in p + step unless J is near singular (p near the
+# anchor plane) or a coordinate of p nearly cancels against the step: rows
+# with |det J| below GN_SOLVE_MIN_DET, or a coordinate smaller than
+# GN_SOLVE_MIN_RATIO times the step, take lstsq one by one.  In a million
+# random rows, solve and lstsq differed in no sum beyond a ratio of 1e6.
+GN_SOLVE_MIN_DET = 1e-4
+GN_SOLVE_MIN_RATIO = 1e9
+
+
+def wire3d_fk_rows(lengths, geom: WireGeometry3D) -> np.ndarray:
+    """wire3d_fk of every row of wire lengths (N x 3), in its operation
+    order; raises for the first row whose spheres do not intersect."""
+    anchors, ex, ey, ez, d, i, j = geom.frame
+    area = 0.5 * d * j
+    if area < MIN_ANCHOR_TRIANGLE_AREA:
+        raise IllConditioned("anchor triangle area below threshold")
+
+    L = np.asarray(lengths, dtype=float)
+    L1, L2, L3 = L[:, 0], L[:, 1], L[:, 2]
+    x = (L1 * L1 - L2 * L2 + d * d) / (2 * d)
+    y = (L1 * L1 - L3 * L3 + i * i + j * j - 2 * i * x) / (2 * j)
+    z2 = L1 * L1 - x * x - y * y
+    _raise_first([(z2 < -INTERSECTION_SLACK * _max(1.0, L1 * L1),
+                   NoIntersection("spheres do not intersect"))])
+    z = np.sqrt(_max(0.0, z2))
+
+    # the roots a1 + x*ex + y*ey +- z*ez; keep the deeper one below the plane
+    a = geom.anchor_array
+    base = a[0] + x[:, None] * np.array(ex) + y[:, None] * np.array(ey)
+    upper = base + z[:, None] * np.array(ez)
+    lower = base - z[:, None] * np.array(ez)
+    # depth by the BLAS dot of _depth: summed in another order, the rounding
+    # could flip the choice between two nearly coincident roots
+    deeper = _dot(upper - a[0], geom.down_normal) >= _dot(lower - a[0],
+                                                          geom.down_normal)
+    p = np.where(deeper[:, None], upper, lower)
+
+    # one Gauss-Newton step on r_k = |p - a_k| - L_k, skipped for a row
+    # whose p sits on an anchor
+    diff = p[:, None, :] - a
+    dx, dy, dz = diff[..., 0], diff[..., 1], diff[..., 2]
+    # the order in which np.linalg.norm(..., axis=1) sums the squares
+    dist = np.sqrt(dx * dx + dy * dy + dz * dz)
+    rows = np.flatnonzero((dist > 1e-12).all(axis=1))
+    jac = diff[rows] / dist[rows, :, None]
+    neg_r = -(dist[rows] - L[rows])
+    step = np.zeros((len(rows), 3))
+    solved = np.abs(np.linalg.det(jac)) >= GN_SOLVE_MIN_DET
+    if solved.any():
+        step[solved] = np.linalg.solve(jac[solved],
+                                       neg_r[solved, :, None])[..., 0]
+    close = (np.abs(p[rows]).min(axis=1)
+             < GN_SOLVE_MIN_RATIO * np.abs(step).max(axis=1))
+    for k in np.flatnonzero(~solved | close):
+        step[k] = np.linalg.lstsq(jac[k], neg_r[k], rcond=None)[0]
+    p[rows] += step
+    return p
 
 
 def wire3d_fk(L1: float, L2: float, L3: float,

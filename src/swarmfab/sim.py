@@ -3,22 +3,20 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
+from functools import partial
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kinematics as kin
-from .coordinator import (
-    MachineConfig,
-    Plan,
-    Setpoint,
-    active_robots,
-    assign_roles,
-)
+from .coordinator import MachineConfig, Plan, active_robots, assign_roles
 from .errors import KinematicsFault, StallTimeout
 from .gcode import MotionSegment
-from .robot import (
-    RobotState,
+# The simulator loop inlines these; they stay bound here, where the benchmark
+# tracer (perfbench/jobs.py) looks them up.
+from .robot import (  # noqa: F401
+    ACTUATOR_ROLES,
     goto_controller,
     rotate_controller,
     step_dynamics,
@@ -38,12 +36,70 @@ class TraceSample:
     extrusion_total: float
 
 
-@dataclass
+def _empty(*shape, dtype=float):
+    return field(default_factory=partial(np.zeros, shape, dtype=dtype))
+
+
+@dataclass(eq=False)
 class Trace:
-    samples: list[TraceSample] = field(default_factory=list)
+    """A simulated run as columns, one row per sample.
+
+    `poses[n, k]` is the (x, y, heading) and `rotations[n, k]` the
+    accumulated rotation of robot `robot_ids[k]` (ids sorted) at sample n;
+    `tool_tip` is the FK of those poses and `tool_target` the commanded
+    target of the sample's plan tick.
+    """
+
     config: MachineConfig | None = None
     barrier_wait_total: float = 0.0
     extruded_length: float = 0.0
+    robot_ids: tuple[str, ...] = ()
+    t: np.ndarray = _empty(0)
+    poses: np.ndarray = _empty(0, 0, 3)
+    rotations: np.ndarray = _empty(0, 0)
+    tool_tip: np.ndarray = _empty(0, 3)
+    tool_target: np.ndarray = _empty(0, 3)
+    extruding: np.ndarray = _empty(0, dtype=bool)
+    extrusion_total: np.ndarray = _empty(0)
+
+    @property
+    def samples(self) -> list[TraceSample]:
+        """The rows as TraceSamples of Python floats, built on each access."""
+        ids = self.robot_ids
+        return [TraceSample(t, dict(zip(ids, map(tuple, poses))),
+                            dict(zip(ids, rotations)), tuple(tip),
+                            tuple(target), extruding, extrusion)
+                for t, poses, rotations, tip, target, extruding, extrusion
+                in zip(self.t.tolist(), self.poses.tolist(),
+                       self.rotations.tolist(), self.tool_tip.tolist(),
+                       self.tool_target.tolist(), self.extruding.tolist(),
+                       self.extrusion_total.tolist())]
+
+    @samples.setter
+    def samples(self, samples: list[TraceSample]) -> None:
+        """Rebuild the columns from samples that share one robot set; a
+        robot missing from a sample's `rotations` has turned 0 rad."""
+        ids = tuple(sorted(samples[0].poses)) if samples else ()
+        for s in samples:
+            if tuple(sorted(s.poses)) != ids:
+                raise ValueError(f"sample at t={s.t} has robots "
+                                 f"{sorted(s.poses)}, not {list(ids)}")
+        n = len(samples)
+        self.robot_ids = ids
+        self.t = np.array([s.t for s in samples], dtype=float)
+        self.poses = np.array([[s.poses[rid] for rid in ids]
+                               for s in samples], dtype=float).reshape(
+                                   n, len(ids), 3)
+        self.rotations = np.array([[s.rotations.get(rid, 0.0) for rid in ids]
+                                   for s in samples],
+                                  dtype=float).reshape(n, len(ids))
+        self.tool_tip = np.array([s.tool_tip for s in samples],
+                                 dtype=float).reshape(n, 3)
+        self.tool_target = np.array([s.tool_target for s in samples],
+                                    dtype=float).reshape(n, 3)
+        self.extruding = np.array([s.extruding for s in samples], dtype=bool)
+        self.extrusion_total = np.array([s.extrusion_total for s in samples],
+                                        dtype=float)
 
 
 @dataclass(frozen=True)
@@ -57,97 +113,225 @@ class FidelityReport:
     barrier_wait_total: float
 
 
-def _initial_states(plan: Plan, config: MachineConfig) -> dict[str, RobotState]:
-    roles = assign_roles(config)
-    states = {}
-    if plan.ticks:
-        first = plan.ticks[0]
-        for rid, sp in first.setpoints.items():
-            states[rid] = RobotState(
-                id=rid, pose=(sp.x, sp.y, 0.0), role=roles[rid],
-                params=config.robot_params(rid))
-    return states
-
-
-def _setpoint_error(state: RobotState, sp: Setpoint) -> float:
-    if sp.kind == "rotate":
-        return abs(sp.theta - state.accumulated_rotation)
-    return math.hypot(sp.x - state.pose[0], sp.y - state.pose[1])
-
-
-def _arrived(state: RobotState, sp: Setpoint) -> bool:
-    if sp.kind == "rotate":
-        return abs(sp.theta - state.accumulated_rotation) < state.params.angular_tol
-    return (math.hypot(sp.x - state.pose[0], sp.y - state.pose[1])
-            < state.params.arrival_tol)
-
-
 def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
         seed: int = 0) -> Trace:
-    """Simulate plan execution; deterministic for a fixed (plan, config, seed)."""
+    """Simulate plan execution; deterministic for a fixed (plan, config, seed).
+
+    The tool tip does not feed back into control, so the machine's FK runs
+    once, on all samples, after the robots have been stepped through the
+    plan (see _drive).  An FK error is raised for its sample even when the
+    run stalls later; a skewed bridge stops the run at once and raises
+    KinematicsFault with the g-code line of the sample's plan tick.
+    """
     if dt_sim is None:
         dt_sim = config.dt_sim
     if dt_sim > config.dt_plan:
         raise ValueError("dt_sim must not exceed dt_plan")
 
     trace = Trace(config=config)
-    states = _initial_states(plan, config)
+    roles = assign_roles(config)
     ids = active_robots(config)
     rng = np.random.default_rng(seed) if config.noise_std > 0 else None
-
-    if not plan.ticks:
+    ticks = plan.ticks
+    if not ticks:
         return trace
+    if dt_sim <= 0:
+        raise ValueError("dt must be positive")
 
-    zero = config.machine.zero(plan.ticks[0].tool_target)
-    order = sorted(states)
-    barriers = set(plan.barriers)
+    robots = {}
+    for rid, sp in ticks[0].setpoints.items():
+        p = config.robot_params(rid)
+        robots[rid] = _Robot(sp.x, sp.y, p.wheel_track, p.max_wheel_speed,
+                             p.k_heading, p.k_distance, p.arrival_tol,
+                             p.angular_tol,
+                             p.position_noise_std if rng is not None else 0.0,
+                             roles[rid] in ACTUATOR_ROLES)
+    machine = config.machine
+    zero = machine.zero(ticks[0].tool_target)
+    rows, times, tick_of, wait, extruded, stall = _drive(
+        plan, dt_sim, config.stall_timeout, robots, machine.synced(ids),
+        config.sync_tol, rng)
 
-    def record(t, tick, extrusion_total):
-        try:
-            tool = config.machine.tool_tip(states, ids, zero)
-        except kin.BridgeSkewed as exc:
-            raise KinematicsFault(str(exc)) from exc
-        trace.samples.append(TraceSample(
-            t=round(t, 9),
-            poses={rid: states[rid].pose for rid in order},
-            rotations={rid: states[rid].accumulated_rotation for rid in order},
-            tool_tip=tool, tool_target=tick.tool_target,
-            extruding=tick.extruding,
-            extrusion_total=extrusion_total))
+    order = sorted(robots)
+    state = np.array(rows).reshape(len(times), len(order), 4)
+    at = np.array(tick_of)
+    trace.robot_ids = tuple(order)
+    trace.barrier_wait_total = wait
+    trace.extruded_length = extruded
+    trace.t = np.array(times)
+    trace.poses = state[..., :3]
+    trace.rotations = state[..., 3]
+    trace.tool_target = np.array([tk.tool_target for tk in ticks],
+                                 dtype=float)[at]
+    trace.extruding = np.array([tk.extruding for tk in ticks], dtype=bool)[at]
+    # a sample carries the extrusion total reached when its tick began
+    trace.extrusion_total = np.array(
+        [ticks[0].extrusion_total]
+        + [tk.extrusion_total for tk in ticks[:-1]], dtype=float)[at]
+    try:
+        trace.tool_tip = machine.tool_tips(
+            trace.poses, trace.rotations, [order.index(rid) for rid in ids],
+            zero)
+    except kin.BridgeSkewed as exc:
+        # _drive stops at the first skewed sample: the last one
+        raise KinematicsFault(str(exc), line_no=ticks[at[-1]].source_line) \
+            from exc
+    if stall is not None:
+        raise stall
+    return trace
 
-    t = 0.0
-    extrusion_prev = plan.ticks[0].extrusion_total
-    record(t, plan.ticks[0], extrusion_prev)
 
+class _Robot(NamedTuple):
+    """A robot's start and constants, in the order _drive unpacks them."""
+
+    x0: float
+    y0: float
+    track: float
+    cap: float  # wheel speed
+    k_heading: float
+    k_distance: float
+    arrival_tol: float
+    angular_tol: float
+    noise: float  # position noise per step; 0 without an rng
+    actuator: bool  # accumulates its rotation
+
+
+def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
+           synced: tuple, sync_tol: float, rng):
+    """Step the robots through the plan's ticks, sampling after every step.
+
+    `robots` maps each id to its _Robot; the y of the `synced` robots must
+    stay within sync_tol of each other.  Robot state lives in one flat
+    list, and the controllers and dynamics of swarmfab.robot
+    (goto_controller, rotate_controller, step_dynamics) are inlined in their
+    operation order, so every pose is theirs bit for bit.
+
+    Returns the samples as flat rows (x, y, heading and accumulated rotation
+    of each robot, ids sorted), their times and plan tick indices, the
+    barrier wait, the extruded length, and the StallTimeout that ended the
+    run, if one did.  The run also ends at the first skewed sample.
+    """
+    ticks, barriers = plan.ticks, set(plan.barriers)
+    sin, cos, atan2, hypot, pi = (math.sin, math.cos, math.atan2, math.hypot,
+                                  math.pi)
+    # robot k of the sorted ids has its state at s[4k:4k + 4]
+    base = {rid: 4 * k for k, rid in enumerate(sorted(robots))}
+    s = []
+    for rid in base:
+        s += (robots[rid].x0, robots[rid].y0, 0.0, 0.0)
+    ya, yb = ([base[rid] + 1 for rid in synced] if synced
+              else (None, None))
+
+    def enter(tick_idx):
+        """The constants of pursuing plan tick tick_idx: the steps of the
+        robots with a setpoint, in id order, and the arrival checks, in
+        setpoint order."""
+        tick = ticks[tick_idx]
+        checks = []
+        for rid, sp in tick.setpoints.items():
+            if rid in robots:
+                rotate = sp.kind == "rotate"
+                tol = (robots[rid].angular_tol if rotate
+                       else robots[rid].arrival_tol)
+                checks.append((base[rid], rotate, sp.x, sp.y, sp.theta, tol))
+        steps = [(b, sp.kind == "rotate", sp.x, sp.y, sp.theta,
+                  *robots[rid][2:])
+                 for rid, b in base.items()
+                 if (sp := tick.setpoints.get(rid)) is not None]
+        t_prev = ticks[tick_idx - 1].t if tick_idx > 0 else 0.0
+        return (tick, steps, checks, max(tick.t - t_prev, 0.0),
+                tick_idx in barriers)
+
+    rows = s[:]
+    times = [0.0]
+    tick_of = [0]
+    t = wait = extruded = 0.0
+    extrusion_prev = ticks[0].extrusion_total
     tick_idx = 0
     tick_entry_time = 0.0
     last_best = None
     stall_clock = 0.0
-    while tick_idx < len(plan.ticks):
-        tick = plan.ticks[tick_idx]
-        is_barrier = tick_idx in barriers
+    tick, steps, checks, budget, is_barrier = enter(0)
+    if synced and abs(s[ya] - s[yb]) > sync_tol:
+        return rows, times, tick_of, wait, extruded, None
+    while tick_idx < len(ticks):
         # pursue the current tick's setpoints
-        for rid in order:
-            sp = tick.setpoints.get(rid)
-            if sp is None:
-                continue
-            st = states[rid]
-            if sp.kind == "rotate":
-                wheels = rotate_controller(
-                    st, sp.theta - st.accumulated_rotation)
+        for (b, rotate, tx, ty, theta, track, cap, k_heading, k_distance,
+             arrival_tol, angular_tol, noise, actuator) in steps:
+            x, y, heading = s[b], s[b + 1], s[b + 2]
+            if rotate:
+                remaining = theta - s[b + 3]
+                if abs(remaining) < angular_tol:
+                    vl = vr = 0.0
+                else:
+                    vr = k_heading * remaining * 0.5 * track
+                    if not vr < cap:
+                        vr = cap
+                    if not vr > -cap:
+                        vr = -cap
+                    vl = -vr
             else:
-                wheels = goto_controller(st, (sp.x, sp.y))
-            states[rid] = step_dynamics(
-                replace(st, wheel_speeds=wheels), dt_sim, rng)
+                dx, dy = tx - x, ty - y
+                distance = hypot(dx, dy)
+                if distance < arrival_tol:
+                    vl = vr = 0.0
+                else:
+                    err = atan2(dy, dx) - heading
+                    err = atan2(sin(err), cos(err))
+                    if err == -pi:
+                        err = pi
+                    omega = k_heading * err
+                    v = k_distance * distance
+                    if cap < v:
+                        v = cap
+                    c = cos(err)
+                    v *= c if c > 0.0 else 0.0
+                    half = 0.5 * track
+                    vl, vr = v - omega * half, v + omega * half
+                    peak = abs(vl)
+                    if abs(vr) > peak:
+                        peak = abs(vr)
+                    if peak > cap:
+                        scale = cap / peak
+                        vl *= scale
+                        vr *= scale
+            v = 0.5 * (vl + vr)
+            omega = (vr - vl) / track
+            if abs(omega) < 1e-9:
+                x += v * cos(heading) * dt_sim
+                y += v * sin(heading) * dt_sim
+            else:
+                turned = heading + omega * dt_sim
+                radius = v / omega
+                x += radius * (sin(turned) - sin(heading))
+                y -= radius * (cos(turned) - cos(heading))
+                heading = atan2(sin(turned), cos(turned))
+                if heading == -pi:
+                    heading = pi
+            if noise > 0:
+                x += rng.normal(0.0, noise)
+                y += rng.normal(0.0, noise)
+            s[b], s[b + 1], s[b + 2] = x, y, heading
+            if actuator:
+                s[b + 3] += omega * dt_sim
         t += dt_sim
-        record(t, tick, extrusion_prev)
+        rows += s
+        times.append(round(t, 9))
+        tick_of.append(tick_idx)
+        if synced and abs(s[ya] - s[yb]) > sync_tol:
+            break
 
-        all_arrived = all(_arrived(states[rid], sp)
-                          for rid, sp in tick.setpoints.items() if rid in states)
-
-        # stall detection: not arrived and no robot improving toward its setpoint
-        best = sum(_setpoint_error(states[rid], sp)
-                   for rid, sp in tick.setpoints.items() if rid in states)
+        # arrival, and the stall clock: not arrived and no robot improving
+        # toward its setpoint
+        errors = []
+        all_arrived = True
+        for b, rotate, tx, ty, theta, tol in checks:
+            error = (abs(theta - s[b + 3]) if rotate
+                     else hypot(tx - s[b], ty - s[b + 1]))
+            errors.append(error)
+            if not error < tol:
+                all_arrived = False
+        best = sum(errors)
         if all_arrived:
             stall_clock = 0.0
         elif last_best is not None and best > last_best - PROGRESS_EPS:
@@ -155,16 +339,16 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
         else:
             stall_clock = 0.0
         last_best = best
-        if stall_clock > config.stall_timeout:
-            raise StallTimeout(
-                f"no progress for {config.stall_timeout} s at plan tick "
+        if stall_clock > stall_timeout:
+            return rows, times, tick_of, wait, extruded, StallTimeout(
+                f"no progress for {stall_timeout} s at plan tick "
                 f"{tick_idx} (t={t:.2f} s, line {tick.source_line})")
 
         # advance the plan clock
-        deadline_met = t - tick_entry_time >= _tick_budget(plan, tick_idx) - 1e-12
+        deadline_met = t - tick_entry_time >= budget - 1e-12
         if is_barrier:
             if deadline_met and not all_arrived:
-                trace.barrier_wait_total += dt_sim
+                wait += dt_sim
             advance = deadline_met and all_arrived
         else:
             advance = deadline_met
@@ -172,20 +356,15 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
             if tick.extruding:
                 gained = tick.extrusion_total - extrusion_prev
                 if gained > 0:
-                    trace.extruded_length += gained
+                    extruded += gained
             extrusion_prev = tick.extrusion_total
             tick_idx += 1
             tick_entry_time = t
             last_best = None
             stall_clock = 0.0
-    return trace
-
-
-def _tick_budget(plan: Plan, tick_idx: int) -> float:
-    """Nominal time allotted to reach tick tick_idx from its predecessor."""
-    t_here = plan.ticks[tick_idx].t
-    t_prev = plan.ticks[tick_idx - 1].t if tick_idx > 0 else 0.0
-    return max(t_here - t_prev, 0.0)
+            if tick_idx < len(ticks):
+                tick, steps, checks, budget, is_barrier = enter(tick_idx)
+    return rows, times, tick_of, wait, extruded, None
 
 
 # --- fidelity ---
@@ -193,17 +372,6 @@ def _tick_budget(plan: Plan, tick_idx: int) -> float:
 # (point, segment) pairs per broadcast block in _segment_distances.  Bounds the
 # kernel's temporaries (~100 B per pair) independently of the sample count.
 CHUNK_PAIRS = 4096
-
-
-def _dot(u, v):
-    """Row-wise dot product over the last axis.
-
-    Stacked matmul dispatches each row to the same BLAS dot as a 1-D
-    `u @ v` or `np.linalg.norm`, so results match the scalar formula bit for
-    bit; `einsum` or an explicit component sum can round differently (BLAS
-    dot kernels may fuse multiply-adds).
-    """
-    return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
 def _segment_distances(points, segments: list[MotionSegment]):
@@ -218,7 +386,7 @@ def _segment_distances(points, segments: list[MotionSegment]):
     points = np.asarray(points, dtype=float)
     a = np.array([s.start for s in segments], dtype=float)
     ab = np.array([s.end for s in segments], dtype=float) - a
-    denom = _dot(ab, ab)
+    denom = kin._dot(ab, ab)
     # 0 / 1 gives s = 0 on a zero-length segment, so its distance is |ap|
     denom = np.where(denom == 0.0, 1.0, denom)
     nearest = np.empty(len(points), dtype=np.intp)
@@ -226,9 +394,9 @@ def _segment_distances(points, segments: list[MotionSegment]):
     rows = max(1, CHUNK_PAIRS // len(a))
     for lo in range(0, len(points), rows):
         ap = points[lo:lo + rows, None, :] - a
-        s = np.clip(_dot(ap, ab) / denom, 0.0, 1.0)
+        s = np.clip(kin._dot(ap, ab) / denom, 0.0, 1.0)
         d = ap - s[..., None] * ab
-        dist = np.sqrt(_dot(d, d))
+        dist = np.sqrt(kin._dot(d, d))
         i = np.argmin(dist, axis=1)
         nearest[lo:lo + rows] = i
         distance[lo:lo + rows] = dist[np.arange(len(i)), i]
@@ -249,13 +417,13 @@ def measure_fidelity(trace: Trace,
     Each extruding sample is charged to its nearest print segment (the first
     one on exact ties); `per_segment_deviation` is the worst charge per segment.
     """
-    if not trace.samples:
+    if not len(trace.t):
         raise ValueError("trace is empty")
     print_segments = [s for s in segments if s.kind == "print"]
-    tips = [s.tool_tip for s in trace.samples if s.extruding]
+    tips = trace.tool_tip[trace.extruding]
     per_segment = np.zeros(len(print_segments))
     max_dev = mean_dev = 0.0
-    if tips and print_segments:
+    if len(tips) and print_segments:
         nearest, deviations = _segment_distances(tips, print_segments)
         np.maximum.at(per_segment, nearest, deviations)
         max_dev = float(deviations.max())
@@ -267,7 +435,7 @@ def measure_fidelity(trace: Trace,
         total_print_length=sum(s.length for s in print_segments),
         total_travel_length=sum(s.length for s in segments
                                 if s.kind == "travel"),
-        simulated_duration=trace.samples[-1].t,
+        simulated_duration=float(trace.t[-1]),
         barrier_wait_total=trace.barrier_wait_total,
     )
 
@@ -277,7 +445,7 @@ def measure_fidelity(trace: Trace,
 Z_QUANTUM = 1e-6  # mm, layer grouping quantization
 
 
-def _polylines_from_samples(samples, want_extruding: bool):
+def _polylines(trace: Trace, want_extruding: bool):
     """Maximal runs of consecutive samples sharing the extruding flag.
 
     Each run carries a layer key taken from the commanded target z, which
@@ -286,11 +454,13 @@ def _polylines_from_samples(samples, want_extruding: bool):
     runs = []
     current = []
     key_z = 0.0
-    for s in samples:
-        if s.extruding == want_extruding:
+    for extruding, target_z, tip in zip(trace.extruding.tolist(),
+                                        trace.tool_target[:, 2].tolist(),
+                                        trace.tool_tip.tolist()):
+        if extruding == want_extruding:
             if not current:
-                key_z = s.tool_target[2]
-            current.append(s.tool_tip)
+                key_z = target_z
+            current.append(tip)
         else:
             if len(current) >= 2:
                 runs.append((key_z, current))
@@ -310,8 +480,8 @@ def export_svg(source, *, workspace=None, include_travel: bool = True) -> str:
     `source` is a Trace or a list of MotionSegments.
     """
     if isinstance(source, Trace):
-        print_polys = _polylines_from_samples(source.samples, True)
-        travel_polys = _polylines_from_samples(source.samples, False)
+        print_polys = _polylines(source, True)
+        travel_polys = _polylines(source, False)
         if workspace is None and source.config is not None:
             workspace = (source.config.workspace_min, source.config.workspace_max)
     else:
@@ -382,16 +552,24 @@ def _merge_chains(polys):
     return merged
 
 
+def _format_rows(fmt: str, values: np.ndarray) -> list[str]:
+    """`fmt % row` for every row of a 2-D array, by one % call."""
+    return ((fmt + "\n") * len(values) % tuple(values.ravel().tolist())
+            ).split("\n")[:-1]
+
+
 def export_csv(trace: Trace) -> str:
     """Flat per-robot per-sample table with fixed 6-decimal formatting."""
+    ids = trace.robot_ids
+    heads = _format_rows("%.6f,", trace.t[:, None])
+    tips = np.empty((len(trace.t), 4))
+    tips[:, :3] = trace.tool_tip
+    tips[:, 3] = trace.extruding
+    tails = _format_rows(",%.6f,%.6f,%.6f,%d", tips)
+    poses = iter(_format_rows("%.6f,%.6f,%.6f", trace.poses.reshape(-1, 3)))
     lines = ["t,robot_id,x,y,heading,tool_x,tool_y,tool_z,extruding"]
-    for s in trace.samples:
-        for rid in sorted(s.poses):
-            x, y, heading = s.poses[rid]
-            lines.append(
-                f"{s.t:.6f},{rid},{x:.6f},{y:.6f},{heading:.6f},"
-                f"{s.tool_tip[0]:.6f},{s.tool_tip[1]:.6f},"
-                f"{s.tool_tip[2]:.6f},{int(s.extruding)}")
+    lines += [f"{head}{rid},{next(poses)}{tail}"
+              for head, tail in zip(heads, tails) for rid in ids]
     return "\n".join(lines) + "\n"
 
 
@@ -403,23 +581,33 @@ class OverlapEvent:
     distance: float
 
 
+# relative margin of the numpy pre-filter in overlap_diagnostic: squared
+# distances round differently than math.hypot, so candidates are rechecked
+OVERLAP_PREFILTER_SLACK = 1e-9
+
+
 def overlap_diagnostic(trace: Trace, config: MachineConfig) -> list[OverlapEvent]:
-    """Report samples where two robot body circles intersect (non-fatal)."""
+    """Report samples where two robot body circles intersect (non-fatal).
+
+    Events come in sample order, then in sorted robot-pair order.
+    """
     radii = {e.id: e.params.body_radius for e in config.roster}
-    # robot ids of a sample -> its (a, b, contact distance) pairs, a < b
-    pairs_by_ids: dict[tuple[str, ...], list[tuple[str, str, float]]] = {}
+    ids = trace.robot_ids
+    pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+    if not pairs or not len(trace.t):
+        return []
+    a, b = np.array(pairs).T
+    contact = np.array([radii.get(ids[i], 16.0) + radii.get(ids[j], 16.0)
+                        for i, j in pairs])
+    xy = trace.poses[..., :2]
+    dx = xy[:, a, 0] - xy[:, b, 0]
+    dy = xy[:, a, 1] - xy[:, b, 1]
+    near = dx * dx + dy * dy < (contact * (1.0 + OVERLAP_PREFILTER_SLACK)) ** 2
     events = []
-    for s in trace.samples:
-        ids = tuple(s.poses)
-        pairs = pairs_by_ids.get(ids)
-        if pairs is None:
-            ordered = sorted(ids)
-            pairs = pairs_by_ids[ids] = [
-                (a, b, radii.get(a, 16.0) + radii.get(b, 16.0))
-                for i, a in enumerate(ordered) for b in ordered[i + 1:]]
-        for a, b, contact in pairs:
-            pa, pb = s.poses[a], s.poses[b]
-            d = math.hypot(pa[0] - pb[0], pa[1] - pb[1])
-            if d < contact:
-                events.append(OverlapEvent(s.t, a, b, d))
+    for n, k in zip(*np.nonzero(near)):
+        (xa, ya), (xb, yb) = xy[n, a[k]].tolist(), xy[n, b[k]].tolist()
+        d = math.hypot(xa - xb, ya - yb)
+        if d < contact[k]:
+            events.append(OverlapEvent(float(trace.t[n]), ids[a[k]],
+                                       ids[b[k]], d))
     return events

@@ -104,6 +104,19 @@ class TestSimulate:
             assert ((workdir / f"a.{ext}").read_bytes()
                     == (workdir / f"b.{ext}").read_bytes())
 
+    def test_bridge_skew_cites_line(self, workdir, capsys):
+        doc = config.default_config_doc("bridge_xy")
+        doc["sim"]["noise_std"] = 0.02
+        for entry in doc["roster"]:
+            entry["position_noise_std"] = 0.02
+        noisy = workdir / "noisy.json"
+        noisy.write_text(json.dumps(doc))
+        code, _, err = run_cli(["simulate", workdir / "square.gcode", noisy,
+                                "--dt", 0.005, "--seed", 3], capsys)
+        assert code == 5
+        assert err == ("error: bridge skew 1.0055 mm exceeds 1.0 mm "
+                       "(g-code line 5)\n")
+
     def test_dt_larger_than_plan_usage_error(self, workdir, capsys):
         code, _, _ = run_cli(["simulate", workdir / "square.gcode",
                               workdir / "bridge.json", "--dt", 0.5], capsys)

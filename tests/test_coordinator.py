@@ -147,9 +147,11 @@ def plan_segment_oracle(seg, cfg, roles=None, *, t0=0.0, datum=None,
     ticks = []
     extruding = seg.kind == "print"
     if duration == 0.0:
-        sp = tool_setpoints_oracle(seg.start, cfg, roles, datum,
+        # the dwell tick of a segment whose duration is 0: at its end, which
+        # is its start unless the duration underflowed
+        sp = tool_setpoints_oracle(seg.end, cfg, roles, datum,
                                    datum_lengths)
-        ticks.append(PlanTick(t0 + dt, sp, seg.start, extruding,
+        ticks.append(PlanTick(t0 + dt, sp, seg.end, extruding,
                               extrusion0 + seg.extrusion_delta,
                               seg.source_line))
         return ticks
@@ -349,6 +351,23 @@ class TestPlannerOracle:
         # the dwell tick is the only one at the start point
         assert [t.tool_target for t in plan.ticks].count(a) == 1
 
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_segment_whose_duration_underflows(self, morphology):
+        # 5e-324 mm at any feed takes 0.0 s: one dwell tick at the segment's
+        # end, as for extrusion in place, not a second tick at the same t
+        cfg = config.default_config(morphology)
+        a = cfg.home
+        b = (a[0] + 20.0, a[1] - 30.0, a[2])
+        c = (b[0], b[1] + 5e-324, b[2])
+        segments = [seg(a, b, line=1), seg(b, c, line=2),
+                    seg(c, a, e=1.0, line=3)]
+        plan, _ = same_outcome(coordinator.plan_program, plan_program_oracle,
+                               segments, cfg)
+        times = [t.t for t in plan.ticks]
+        assert times == sorted(set(times))
+        assert [(t.source_line, t.tool_target) for t in plan.ticks
+                if t.source_line == 2] == [(2, c)]
+
     def test_endpoint_outside(self, wire2d_config):
         program = random_walk_program("wire2d_wall", 5, 40)
         segments = segments_of(program + "G1 X500 Y-100\nG1 X520\n",
@@ -429,6 +448,14 @@ class TestMachineConfig:
         with pytest.raises(ValueError, match=f"{morphology} config needs a "
                                              f"{missing}"):
             dataclasses.replace(cfg, **{missing: None})
+
+    def test_duplicate_robot_ids_rejected(self):
+        # a repeated id would take two roles in assign_roles and keep one
+        cfg = config.default_config("bridge_xy")
+        r1 = cfg.roster[0]
+        with pytest.raises(ValueError, match="duplicate robot ids in roster: "
+                                             "r1$"):
+            dataclasses.replace(cfg, roster=(r1, r1) + cfg.roster[2:])
 
     @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
     def test_machine_is_derived(self, morphology):

@@ -484,6 +484,99 @@ class TestWireOracle:
                                    outcome(wire2d_fk_oracle, *lengths, geom))
 
 
+def row_outcomes(fk_rows, rows, *args):
+    """The batched kernel's rows as tuples, or its error as (type, message)."""
+    try:
+        return [tuple(r) for r in fk_rows(rows, *args).tolist()]
+    except KinematicsError as exc:
+        return (type(exc), str(exc))
+
+
+def assert_rows_match(fk_rows, oracle, rows, *args):
+    """Every row equal to the oracle's, down to the type of each coordinate;
+    with a failing row, the error of the first one."""
+    expected = [outcome(oracle, *row, *args) for row in rows]
+    errors = [o for o in expected if isinstance(o[0], type)]
+    got = row_outcomes(fk_rows, rows, *args)
+    if errors:
+        assert got == errors[0]
+    else:
+        for g, e in zip(got, expected, strict=True):
+            assert_same_floats(g, e)
+    return expected
+
+
+class TestFkRows:
+    """The batched FK kernels against the one-point array oracles."""
+
+    def test_wire3d_rows(self):
+        rng = np.random.default_rng(10)
+        roots = []
+        for geom in WIRE3D_GEOMETRIES:
+            rows = []
+            for _ in range(300):
+                p = point_below(geom, rng, rng.uniform(1.0, 480.0))
+                scale = rng.choice([0.0, 1e-9, 1e-3, 1.0])
+                rows.append([l + rng.normal(0.0, scale)
+                             for l in wire3d_ik_oracle(p, geom)])
+            # on or just under the anchor plane, where J is near singular
+            for depth in (0.0, 1e-12, 1e-9, 1e-6, 1e-3):
+                p = point_below(geom, rng, depth)
+                rows.append([math.dist(p, a) for a in geom.anchors])
+            # on an anchor, where the Gauss-Newton step is skipped
+            rows.append([math.dist(geom.anchors[0], a) for a in geom.anchors])
+            rows = [r for r in rows
+                    if not isinstance(outcome(wire3d_fk_oracle, *r, geom)[0],
+                                      type)]
+            expected = assert_rows_match(kin.wire3d_fk_rows,
+                                         wire3d_fk_oracle, rows, geom)
+            assert math.dist(expected[-1], geom.anchors[0]) < 1e-9
+            for r in rows:
+                wire3d_fk_oracle(*r, geom, roots)
+        assert set(roots) == {0, 1}
+
+    def test_wire3d_first_failing_row_raises(self):
+        ok = list(wire3d_ik_oracle((200.0, 150.0, 100.0), WIRE3D))
+        for rows in ([ok, [1.0, 1.0, 1.0], ok], [[50.0, 900.0, 60.0]]):
+            assert row_outcomes(kin.wire3d_fk_rows, rows, WIRE3D) == (
+                NoIntersection, "spheres do not intersect")
+
+    def test_wire2d_rows(self):
+        rng = np.random.default_rng(11)
+        raised = set()
+        for _ in range(400):
+            rows = rng.uniform(-10.0, 1200.0,
+                               size=(rng.integers(1, 6), 2)).tolist()
+            expected = assert_rows_match(kin.wire2d_fk_rows, wire2d_fk_oracle,
+                                         rows, WIRE2D)
+            raised.update(o[1] for o in expected if isinstance(o[0], type))
+        assert len(raised) == 3  # every NoIntersection reason
+
+    def test_wire2d_error_of_first_failing_row(self):
+        rows = [[600.0, 500.0], [100.0, 2000.0], [-1.0, 5.0], [10.0, 10.0]]
+        assert row_outcomes(kin.wire2d_fk_rows, rows, WIRE2D) == (
+            NoIntersection, "circles do not intersect")
+        tangent = [[400.0, 600.0]]
+        assert row_outcomes(kin.wire2d_fk_rows, tangent, WIRE2D) == (
+            Unreachable, "tangent solution lies on the anchor line")
+
+    def test_bridge_rows(self):
+        rng = np.random.default_rng(12)
+        b1 = np.column_stack([np.zeros(50), rng.uniform(-500, 500, 50)])
+        b2 = b1 + [400.0, 0.0] + np.column_stack(
+            [np.zeros(50), rng.uniform(-0.9, 0.9, 50)])
+        offset = rng.uniform(0.0, 400.0, 50)
+        got = kin.bridge_fk_rows(b1, b2, offset, BRIDGE)
+        for row, p, q, c in zip(got.tolist(), b1.tolist(), b2.tolist(),
+                                offset.tolist()):
+            assert tuple(row) == (p[0] + c, 0.5 * (p[1] + q[1]))
+        b2[[7, 30], 1] += [1.25, -3.5]
+        with pytest.raises(BridgeSkewed) as exc:
+            kin.bridge_fk_rows(b1, b2, offset, BRIDGE, sync_tol=1.0)
+        skew = abs(b1[7, 1] - b2[7, 1])
+        assert str(exc.value) == f"bridge skew {skew:.4f} mm exceeds 1.0 mm"
+
+
 class TestDerivedGeometryConstants:
     def test_arrays_read_only(self):
         for arr in (WIRE3D.anchor_array, WIRE3D.down_normal):
@@ -555,6 +648,11 @@ class TestConversions:
         r = 7.5
         assert kin.spool_delta(2 * math.pi * r, r) == pytest.approx(2 * math.pi)
         assert kin.spool_delta(10.0, 5.0) == pytest.approx(2.0)
+
+    def test_leadscrew_rejects_boolean_direction(self):
+        for direction in (True, False):
+            with pytest.raises(ValueError, match="direction"):
+                kin.LeadScrew(pitch=8.0, direction=direction)
 
     def test_leadscrew_delta(self):
         screw = kin.LeadScrew(pitch=8.0)

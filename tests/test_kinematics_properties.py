@@ -15,6 +15,7 @@ from test_kinematics import (  # noqa: E402
     WIRE2D,
     WIRE3D,
     WIRE3D_GEOMETRIES,
+    assert_rows_match,
     assert_same_floats,
     outcome,
     wire2d_fk_oracle,
@@ -71,14 +72,38 @@ def test_leadscrew_round_trip(pitch, direction, dz):
                   noise=st.tuples(floats(-1.0, 1.0), floats(-1.0, 1.0),
                                   floats(-1.0, 1.0)))
 def test_wire3d_fk_matches_oracle(geom, x, y, depth, noise):
-    # lengths to a point `depth` below the plane through (x, y), perturbed
+    lengths = perturbed_lengths(geom, x, y, depth, noise)
+    expected = outcome(wire3d_fk_oracle, *lengths, geom)
+    assert_same_floats(outcome(kin.wire3d_fk, *lengths, geom), expected)
+
+
+def perturbed_lengths(geom, x, y, depth, noise):
+    """Lengths to a point `depth` below the plane through (x, y), perturbed."""
     n = geom.down_normal
     a0 = geom.anchors[0]
     height = (n[0] * (x - a0[0]) + n[1] * (y - a0[1])) / -n[2]
     p = (x, y, a0[2] + height - depth)
-    lengths = [math.dist(p, a) + e for a, e in zip(geom.anchors, noise)]
-    expected = outcome(wire3d_fk_oracle, *lengths, geom)
-    assert_same_floats(outcome(kin.wire3d_fk, *lengths, geom), expected)
+    return [math.dist(p, a) + e for a, e in zip(geom.anchors, noise)]
+
+
+@SETTINGS
+@hypothesis.given(geom=st.sampled_from(WIRE3D_GEOMETRIES),
+                  points=st.lists(st.tuples(
+                      floats(-100.0, 500.0), floats(-100.0, 450.0),
+                      floats(0.0, 480.0),
+                      st.tuples(floats(-1.0, 1.0), floats(-1.0, 1.0),
+                                floats(-1.0, 1.0))), min_size=1, max_size=6))
+def test_wire3d_fk_rows_match_oracle(geom, points):
+    rows = [perturbed_lengths(geom, *point) for point in points]
+    assert_rows_match(kin.wire3d_fk_rows, wire3d_fk_oracle, rows, geom)
+
+
+@SETTINGS
+@hypothesis.given(rows=st.lists(st.tuples(floats(-10.0, 1500.0),
+                                          floats(-10.0, 1500.0)),
+                                min_size=1, max_size=6))
+def test_wire2d_fk_rows_match_oracle(rows):
+    assert_rows_match(kin.wire2d_fk_rows, wire2d_fk_oracle, rows, WIRE2D)
 
 
 @SETTINGS

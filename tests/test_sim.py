@@ -1,13 +1,29 @@
 import dataclasses
 import math
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from swarmfab import config, coordinator, gcode, sim
 from swarmfab import kinematics as kin
+from swarmfab.coordinator import Plan, PlanTick, Setpoint
+from swarmfab.errors import (
+    KinematicsFault,
+    NoIntersection,
+    StallTimeout,
+    SwarmFabError,
+)
 from swarmfab.gcode import MotionSegment
+from swarmfab.robot import (
+    RobotState,
+    goto_controller,
+    rotate_controller,
+    step_dynamics,
+)
 
-from test_acceptance import three_layer_program
+from test_acceptance import CORPUS, HOME, three_layer_program
+from test_kinematics import wire2d_fk_oracle, wire3d_fk_oracle
 
 
 def seg(start, end, feed=30.0, e=0.0, line=1):
@@ -16,6 +32,299 @@ def seg(start, end, feed=30.0, e=0.0, line=1):
                          end=tuple(map(float, end)),
                          feed=feed, extrusion_delta=e, kind=kind,
                          source_line=line)
+
+
+# --- oracle: the simulator loop before the columnar trace.  It steps frozen
+# RobotStates through swarmfab.robot's controllers and dynamics, and runs
+# the FK of every sample inside the loop, through the array FK oracles of
+# test_kinematics.  sim.run must give the same columns bit for bit, or
+# raise the same error. ---
+
+class OracleRun(NamedTuple):
+    samples: list
+    barrier_wait_total: float
+    extruded_length: float
+
+
+def tool_tip_oracle(cfg, states, ids, zero):
+    """The machine's FK of one sample, as the per-sample scalar code."""
+    if cfg.morphology in ("bridge_xy", "printer_bridge"):
+        geom, screw = cfg.bridge_geometry, cfg.lead_screw
+        b1, b2 = states[ids[0]].pose, states[ids[1]].pose
+        skew = abs(b1[1] - b2[1])
+        if skew > cfg.sync_tol:
+            raise kin.BridgeSkewed(f"bridge skew {skew:.4f} mm exceeds "
+                                   f"{cfg.sync_tol} mm")
+        x = b1[0] + (states[ids[2]].pose[0] - geom.rail1_x)
+        y = 0.5 * (b1[1] + b2[1])
+        if cfg.morphology == "bridge_xy":
+            return (x, y, geom.bridge_height)
+        theta = states[ids[3]].accumulated_rotation
+        return (x, y, zero + screw.direction * theta * screw.pitch
+                / (2 * math.pi))
+    planar = cfg.morphology == "wire2d_wall"
+    geom = cfg.wire2d_geometry if planar else cfg.wire3d_geometry
+    lengths = [length0 + geom.spool_radius * states[rid].accumulated_rotation
+               for rid, length0 in zip(ids, zero)]
+    if planar:
+        return (*wire2d_fk_oracle(*lengths, geom), 0.0)
+    return wire3d_fk_oracle(*lengths, geom)
+
+
+def run_oracle(plan, cfg, dt_sim=None, seed=0):
+    if dt_sim is None:
+        dt_sim = cfg.dt_sim
+    if dt_sim > cfg.dt_plan:
+        raise ValueError("dt_sim must not exceed dt_plan")
+    roles = coordinator.assign_roles(cfg)
+    states = {}
+    if plan.ticks:
+        for rid, sp in plan.ticks[0].setpoints.items():
+            states[rid] = RobotState(id=rid, pose=(sp.x, sp.y, 0.0),
+                                     role=roles[rid],
+                                     params=cfg.robot_params(rid))
+    ids = coordinator.active_robots(cfg)
+    rng = np.random.default_rng(seed) if cfg.noise_std > 0 else None
+    samples = []
+    wait = extruded = 0.0
+    if not plan.ticks:
+        return OracleRun(samples, wait, extruded)
+    zero = cfg.machine.zero(plan.ticks[0].tool_target)
+    order = sorted(states)
+    barriers = set(plan.barriers)
+
+    def record(t, tick, extrusion_total):
+        try:
+            tool = tool_tip_oracle(cfg, states, ids, zero)
+        except kin.BridgeSkewed as exc:
+            raise KinematicsFault(str(exc), line_no=tick.source_line) from exc
+        samples.append(sim.TraceSample(
+            t=round(t, 9),
+            poses={rid: states[rid].pose for rid in order},
+            rotations={rid: states[rid].accumulated_rotation for rid in order},
+            tool_tip=tool, tool_target=tick.tool_target,
+            extruding=tick.extruding, extrusion_total=extrusion_total))
+
+    def error(state, sp):
+        if sp.kind == "rotate":
+            return abs(sp.theta - state.accumulated_rotation)
+        return math.hypot(sp.x - state.pose[0], sp.y - state.pose[1])
+
+    def arrived(state, sp):
+        tol = (state.params.angular_tol if sp.kind == "rotate"
+               else state.params.arrival_tol)
+        return error(state, sp) < tol
+
+    t = 0.0
+    extrusion_prev = plan.ticks[0].extrusion_total
+    record(t, plan.ticks[0], extrusion_prev)
+    tick_idx = 0
+    tick_entry_time = 0.0
+    last_best = None
+    stall_clock = 0.0
+    while tick_idx < len(plan.ticks):
+        tick = plan.ticks[tick_idx]
+        is_barrier = tick_idx in barriers
+        for rid in order:
+            sp = tick.setpoints.get(rid)
+            if sp is None:
+                continue
+            st = states[rid]
+            if sp.kind == "rotate":
+                wheels = rotate_controller(
+                    st, sp.theta - st.accumulated_rotation)
+            else:
+                wheels = goto_controller(st, (sp.x, sp.y))
+            states[rid] = step_dynamics(
+                dataclasses.replace(st, wheel_speeds=wheels), dt_sim, rng)
+        t += dt_sim
+        record(t, tick, extrusion_prev)
+
+        all_arrived = all(arrived(states[rid], sp)
+                          for rid, sp in tick.setpoints.items()
+                          if rid in states)
+        best = sum(error(states[rid], sp)
+                   for rid, sp in tick.setpoints.items() if rid in states)
+        if all_arrived:
+            stall_clock = 0.0
+        elif last_best is not None and best > last_best - sim.PROGRESS_EPS:
+            stall_clock += dt_sim
+        else:
+            stall_clock = 0.0
+        last_best = best
+        if stall_clock > cfg.stall_timeout:
+            raise StallTimeout(
+                f"no progress for {cfg.stall_timeout} s at plan tick "
+                f"{tick_idx} (t={t:.2f} s, line {tick.source_line})")
+
+        t_prev = plan.ticks[tick_idx - 1].t if tick_idx > 0 else 0.0
+        budget = max(tick.t - t_prev, 0.0)
+        deadline_met = t - tick_entry_time >= budget - 1e-12
+        if is_barrier:
+            if deadline_met and not all_arrived:
+                wait += dt_sim
+            advance = deadline_met and all_arrived
+        else:
+            advance = deadline_met
+        if advance:
+            if tick.extruding:
+                gained = tick.extrusion_total - extrusion_prev
+                if gained > 0:
+                    extruded += gained
+            extrusion_prev = tick.extrusion_total
+            tick_idx += 1
+            tick_entry_time = t
+            last_best = None
+            stall_clock = 0.0
+    return OracleRun(samples, wait, extruded)
+
+
+def columns_of(samples):
+    """The Trace columns that hold `samples`, robot ids sorted."""
+    ids = sorted(samples[0].poses) if samples else []
+    n = len(samples)
+    return {
+        "t": np.array([s.t for s in samples], dtype=float),
+        "poses": np.array([[s.poses[r] for r in ids] for s in samples],
+                          dtype=float).reshape(n, len(ids), 3),
+        "rotations": np.array([[s.rotations[r] for r in ids]
+                               for s in samples],
+                              dtype=float).reshape(n, len(ids)),
+        "tool_tip": np.array([s.tool_tip for s in samples],
+                             dtype=float).reshape(n, 3),
+        "tool_target": np.array([s.tool_target for s in samples],
+                                dtype=float).reshape(n, 3),
+        "extruding": np.array([s.extruding for s in samples], dtype=bool),
+        "extrusion_total": np.array([s.extrusion_total for s in samples],
+                                    dtype=float),
+    }, tuple(ids)
+
+
+def assert_same_columns(trace, samples):
+    """Every column equal to that of `samples`, bit for bit."""
+    columns, ids = columns_of(samples)
+    assert trace.robot_ids == ids
+    for name, expected in columns.items():
+        got = getattr(trace, name)
+        assert (got.dtype, got.shape) == (expected.dtype, expected.shape), name
+        assert got.tobytes() == expected.tobytes(), name
+
+
+def outcome(fn, *args, **kwargs):
+    """A run's result, or the type, message and g-code line of its error."""
+    try:
+        return fn(*args, **kwargs)
+    except SwarmFabError as exc:
+        return (type(exc), str(exc), getattr(exc, "line_no", None))
+
+
+def same_run(plan, cfg, **kwargs):
+    """sim.run and the oracle agree; returns the oracle's outcome."""
+    got = outcome(sim.run, plan, cfg, **kwargs)
+    expected = outcome(run_oracle, plan, cfg, **kwargs)
+    if isinstance(expected, OracleRun):
+        assert isinstance(got, sim.Trace), got
+        assert_same_columns(got, expected.samples)
+        assert got.barrier_wait_total == expected.barrier_wait_total
+        assert got.extruded_length == expected.extruded_length
+        assert got.samples == expected.samples
+    else:
+        assert got == expected
+    return expected
+
+
+def plan_of(program, cfg, shift=(0.0, 0.0)):
+    segments = gcode.interpret(gcode.parse_program(program),
+                               home=HOME).segments
+    dx, dy = shift
+    segments = [dataclasses.replace(
+        s, start=(s.start[0] + dx, s.start[1] + dy, s.start[2]),
+        end=(s.end[0] + dx, s.end[1] + dy, s.end[2])) for s in segments]
+    return coordinator.plan_program(segments, cfg)
+
+
+# the corpus lies above the wall plotter's anchors; moved below them, it
+# runs on all four machines
+CORPUS_SHIFT = {"wire2d_wall": (300.0, -500.0)}
+
+
+def noisy_config(morphology, noise):
+    doc = config.default_config_doc(morphology)
+    doc["sim"]["noise_std"] = noise
+    for entry in doc["roster"]:
+        entry["position_noise_std"] = noise
+    return config.parse_config(doc)
+
+
+def stall_plan(cfg, spool_theta):
+    """A wire3d plan whose last tick is a barrier that never completes: the
+    table robot, too slow to make progress, is sent 50 mm away, while spool
+    1 turns to `spool_theta`."""
+    ids = coordinator.active_robots(cfg)
+    home = cfg.home
+    sol = cfg.machine.solve(home)
+    first = cfg.machine.setpoints(ids, home, sol, sol)
+    second = dict(first)
+    second[ids[0]] = dataclasses.replace(first[ids[0]], theta=spool_theta)
+    table = first[ids[3]]
+    second[ids[3]] = Setpoint("move", table.x + 50.0, table.y)
+    return Plan(ticks=[PlanTick(0.0, first, home, False, 0.0, 1),
+                       PlanTick(0.1, second, home, False, 0.0, 2)],
+                barriers=[1], morphology=cfg.morphology)
+
+
+def slow_table_config():
+    doc = config.default_config_doc("wire3d_printer")
+    doc["roster"][3]["max_wheel_speed"] = 1e-6
+    doc["planning"] = {"stall_timeout": 2.0}
+    return config.parse_config(doc)
+
+
+class TestRunOracle:
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    @pytest.mark.parametrize("name,program", [c[:2] for c in CORPUS],
+                             ids=[c[0] for c in CORPUS])
+    def test_acceptance_corpus(self, morphology, name, program):
+        cfg = config.default_config(morphology)
+        plan = plan_of(program, cfg, CORPUS_SHIFT.get(morphology, (0, 0)))
+        result = same_run(plan, cfg)
+        assert isinstance(result, OracleRun) and result.samples
+
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_half_step(self, morphology):
+        cfg = config.default_config(morphology)
+        program = CORPUS[2][1] if morphology != "wire3d_printer" \
+            else three_layer_program()
+        plan = plan_of(program, cfg, CORPUS_SHIFT.get(morphology, (0, 0)))
+        same_run(plan, cfg, dt_sim=0.005)
+
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    @pytest.mark.parametrize("seed", [0, 1, 7])
+    def test_seeded_noise(self, morphology, seed):
+        cfg = noisy_config(morphology, 0.01)
+        plan = plan_of(CORPUS[2][1], cfg, CORPUS_SHIFT.get(morphology, (0, 0)))
+        result = same_run(plan, cfg, seed=seed)
+        assert isinstance(result, OracleRun)
+        again = sim.run(plan, cfg, seed=seed)
+        assert_same_columns(again, result.samples)
+
+    def test_bridge_skew_fault(self):
+        cfg = noisy_config("bridge_xy", 0.02)
+        plan = plan_of(CORPUS[2][1], cfg)
+        result = same_run(plan, cfg, dt_sim=0.005, seed=3)
+        assert result == (KinematicsFault,
+                          "bridge skew 1.0055 mm exceeds 1.0 mm", 5)
+
+    def test_wire_fk_fault_before_stall(self):
+        cfg = slow_table_config()
+        result = same_run(stall_plan(cfg, -20.0), cfg)
+        assert result[0] is NoIntersection
+
+    def test_stall(self):
+        cfg = slow_table_config()
+        result = same_run(stall_plan(cfg, 0.0), cfg)
+        assert result[0] is StallTimeout
+        assert result[1].endswith("at plan tick 1 (t=2.02 s, line 2)")
 
 
 class TestRun:
@@ -227,17 +536,14 @@ class TestOverlap:
         assert len(events) < len(trace.samples) * 3
 
     def test_robot_set_changes_between_samples(self, bridge_config):
+        # one trace has one robot set: the columns cannot hold another
         poses = [{"r1": (0.0, 0.0, 0.0), "r2": (20.0, 0.0, 0.0)},
                  {"r3": (0.0, 0.0, 0.0), "r1": (10.0, 0.0, 0.0),
                   "x9": (5.0, 0.0, 0.0)},
                  {"r2": (0.0, 0.0, 0.0), "r1": (20.0, 0.0, 0.0)}]
         trace = sim.Trace(config=bridge_config)
-        trace.samples = [sim.TraceSample(
-            t=0.1 * k, poses=p, rotations={}, tool_tip=(0, 0, 0),
-            tool_target=(0, 0, 0), extruding=False, extrusion_total=0.0)
-            for k, p in enumerate(poses)]
-        events = sim.overlap_diagnostic(trace, bridge_config)
-        assert events == overlap_oracle(trace, bridge_config)
-        assert [(e.robot_a, e.robot_b) for e in events] == [
-            ("r1", "r2"), ("r1", "r3"), ("r1", "x9"), ("r3", "x9"),
-            ("r1", "r2")]
+        with pytest.raises(ValueError, match="robots"):
+            trace.samples = [sim.TraceSample(
+                t=0.1 * k, poses=p, rotations={}, tool_tip=(0, 0, 0),
+                tool_target=(0, 0, 0), extruding=False, extrusion_total=0.0)
+                for k, p in enumerate(poses)]
