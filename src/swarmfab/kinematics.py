@@ -56,7 +56,6 @@ class Wire2DFrame(NamedTuple):
 class Wire3DFrame(NamedTuple):
     """Anchor-aligned trilateration frame, as plain floats."""
 
-    anchors: tuple[tuple[float, float, float], ...]
     ex: tuple[float, float, float]  # unit vector from a1 to a2
     ey: tuple[float, float, float]  # in-plane unit vector orthogonal to ex
     ez: tuple[float, float, float]  # ex x ey
@@ -164,8 +163,8 @@ class WireGeometry3D:
         object.__setattr__(self, "anchor_array", a)
         object.__setattr__(self, "down_normal", n)
         object.__setattr__(self, "frame", Wire3DFrame(
-            tuple(tuple(row) for row in a.tolist()), tuple(ex.tolist()),
-            tuple(ey.tolist()), tuple(ez.tolist()), float(d), i, float(j)))
+            tuple(ex.tolist()), tuple(ey.tolist()), tuple(ez.tolist()),
+            float(d), i, float(j)))
 
 
 @dataclass(frozen=True)
@@ -208,9 +207,9 @@ def bridge_ik(tool: tuple[float, float], geom: BridgeGeometry) -> dict:
 
 def bridge_fk_rows(bridge1, bridge2, carriage_offset, geom: BridgeGeometry,
                    sync_tol: float = 1.0) -> np.ndarray:
-    """bridge_fk of every row: the two bridge robot positions (N x 2 each)
-    and the carriage offsets (N) give the tool (x, y) (N x 2).  Raises for
-    the first row whose bridge is skewed beyond sync_tol."""
+    """Tool (x, y) (N x 2) from every row of the two bridge robot positions
+    (N x 2 each) and the carriage offset (N).  Raises for the first row
+    whose bridge is skewed beyond sync_tol."""
     b1 = np.asarray(bridge1, dtype=float)
     b2 = np.asarray(bridge2, dtype=float)
     skew = np.abs(b1[:, 1] - b2[:, 1])
@@ -228,11 +227,9 @@ def bridge_fk(bridge1: tuple[float, float], bridge2: tuple[float, float],
               carriage_offset: float, geom: BridgeGeometry,
               sync_tol: float = 1.0) -> tuple[float, float]:
     """Tool position from the two bridge robot positions and carriage offset."""
-    skew = abs(bridge1[1] - bridge2[1])
-    if skew > sync_tol:
-        raise BridgeSkewed(f"bridge skew {skew:.4f} mm exceeds {sync_tol} mm")
-    y = 0.5 * (bridge1[1] + bridge2[1])
-    return (bridge1[0] + carriage_offset, y)
+    tool = bridge_fk_rows([bridge1[:2]], [bridge2[:2]], [carriage_offset],
+                          geom, sync_tol)
+    return tuple(tool[0].tolist())
 
 
 # --- two-wire wall plotter ---
@@ -262,9 +259,9 @@ def _wire2d_unreachable(x: float, z: float, geom: WireGeometry2D) -> str:
 def _raise_first(checks) -> None:
     """Raise the error of the first row that fails a check.
 
-    `checks` are (mask, error) pairs over the rows, in the order the
-    one-point function tests them, so a row failing several raises the
-    error that function would have raised.
+    `checks` are (mask, error) pairs over the rows, in the order a single
+    point is tested, so a row failing several raises the error of the
+    first check it fails.
     """
     failing = np.logical_or.reduce([mask for mask, _ in checks])
     if failing.any():
@@ -279,8 +276,9 @@ def _max(a: float, b):
 
 
 def wire2d_fk_rows(lengths, geom: WireGeometry2D) -> np.ndarray:
-    """wire2d_fk of every row of wire lengths (N x 2), in its operation
-    order; raises the error of the first row that has one."""
+    """Wall point from every row of wire lengths (N x 2): two-circle
+    intersection, lower branch.  Raises the error of the first row that
+    has one."""
     L = np.asarray(lengths, dtype=float)
     L1, L2 = L[:, 0], L[:, 1]
     a1, d, u, n = geom.frame
@@ -303,20 +301,7 @@ def wire2d_fk_rows(lengths, geom: WireGeometry2D) -> np.ndarray:
 
 def wire2d_fk(L1: float, L2: float, geom: WireGeometry2D) -> tuple[float, float]:
     """Wall point from wire lengths: two-circle intersection, lower branch."""
-    if L1 <= 0 or L2 <= 0:
-        raise NoIntersection("wire lengths must be positive")
-    a1, d, u, n = geom.frame
-    if L1 + L2 < d - 1e-9:
-        raise NoIntersection("wires too short to meet")
-    a = (L1 * L1 - L2 * L2 + d * d) / (2 * d)
-    h2 = L1 * L1 - a * a
-    if h2 < -INTERSECTION_SLACK * max(1.0, L1 * L1):
-        raise NoIntersection("circles do not intersect")
-    h = math.sqrt(max(0.0, h2))
-    if h < 1e-9:
-        raise Unreachable("tangent solution lies on the anchor line")
-    return (float(a1[0] + a * u[0] + h * n[0]),
-            float(a1[1] + a * u[1] + h * n[1]))
+    return tuple(wire2d_fk_rows([[L1, L2]], geom)[0].tolist())
 
 
 # --- three-wire positioner ---
@@ -349,19 +334,27 @@ def wire3d_ik(p: tuple[float, float, float],
 
 # The Gauss-Newton step is the least-squares (lstsq) solution of a 3 x 3
 # system.  One batched LU solve gives the same step up to rounding, and that
-# rounding cannot show in p + step unless J is near singular (p near the
-# anchor plane) or a coordinate of p nearly cancels against the step: rows
-# with |det J| below GN_SOLVE_MIN_DET, or a coordinate smaller than
-# GN_SOLVE_MIN_RATIO times the step, take lstsq one by one.  In a million
-# random rows, solve and lstsq differed in no sum beyond a ratio of 1e6.
+# rounding is most likely to show in p + step where J is near singular (p
+# near the anchor plane) or a coordinate of p nearly cancels against the
+# step: rows with |det J| below GN_SOLVE_MIN_DET, or a coordinate smaller
+# than GN_SOLVE_MIN_RATIO times the step, take lstsq one by one.  In a
+# million random rows, solve and lstsq differed in no sum beyond a ratio of
+# 1e6.  The agreement is measured, not proven; the tests and the seed-0
+# output digests check it.
 GN_SOLVE_MIN_DET = 1e-4
 GN_SOLVE_MIN_RATIO = 1e9
 
 
 def wire3d_fk_rows(lengths, geom: WireGeometry3D) -> np.ndarray:
-    """wire3d_fk of every row of wire lengths (N x 3), in its operation
-    order; raises for the first row whose spheres do not intersect."""
-    anchors, ex, ey, ez, d, i, j = geom.frame
+    """Trilateration of the tool point from every row of three wire lengths
+    (N x 3).
+
+    Solves in an anchor-aligned frame, picks the root below the anchor
+    plane, then applies one Gauss-Newton step on the length residuals to
+    absorb frame round-off.  Raises for the first row whose spheres do not
+    intersect.
+    """
+    ex, ey, ez, d, i, j = geom.frame
     area = 0.5 * d * j
     if area < MIN_ANCHOR_TRIANGLE_AREA:
         raise IllConditioned("anchor triangle area below threshold")
@@ -410,53 +403,8 @@ def wire3d_fk_rows(lengths, geom: WireGeometry3D) -> np.ndarray:
 
 def wire3d_fk(L1: float, L2: float, L3: float,
               geom: WireGeometry3D) -> tuple[float, float, float]:
-    """Trilateration of the tool point from three wire lengths.
-
-    Solves in an anchor-aligned frame, picks the root below the anchor
-    plane, then applies one Gauss-Newton step on the length residuals to
-    absorb frame round-off.  Scalar float arithmetic around one lstsq call;
-    every operation keeps the order of the array formulation (kept in the
-    tests as the oracle), so results are the same bit for bit.
-    """
-    anchors, ex, ey, ez, d, i, j = geom.frame
-    area = 0.5 * d * j
-    if area < MIN_ANCHOR_TRIANGLE_AREA:
-        raise IllConditioned("anchor triangle area below threshold")
-
-    x = (L1 * L1 - L2 * L2 + d * d) / (2 * d)
-    y = (L1 * L1 - L3 * L3 + i * i + j * j - 2 * i * x) / (2 * j)
-    z2 = L1 * L1 - x * x - y * y
-    if z2 < -INTERSECTION_SLACK * max(1.0, L1 * L1):
-        raise NoIntersection("spheres do not intersect")
-    z = math.sqrt(max(0.0, z2))
-
-    # the roots a1 + x*ex + y*ey +- z*ez; keep the deeper one below the plane
-    a1 = anchors[0]
-    base = [a + x * e + y * f for a, e, f in zip(a1, ex, ey)]
-    upper = [b + z * e for b, e in zip(base, ez)]
-    lower = [b - z * e for b, e in zip(base, ez)]
-    # depth via the array dot product: summed in a different order, the
-    # rounding could flip the choice between two nearly coincident roots
-    if _depth(geom, np.array(upper)) >= _depth(geom, np.array(lower)):
-        p = upper
-    else:
-        p = lower
-
-    # one Gauss-Newton step on r_k = |p - a_k| - L_k, skipped when p sits
-    # on an anchor
-    px, py, pz = p
-    J = []
-    neg_r = []
-    for (ax, ay, az), Lk in zip(anchors, (L1, L2, L3)):
-        dx, dy, dz = px - ax, py - ay, pz - az
-        # the order in which np.linalg.norm(..., axis=1) sums the squares
-        dist = math.sqrt(dx * dx + dy * dy + dz * dz)
-        if not dist > 1e-12:
-            return (float(px), float(py), float(pz))
-        J.append((dx / dist, dy / dist, dz / dist))
-        neg_r.append(-(dist - float(Lk)))
-    dx, dy, dz = np.linalg.lstsq(J, neg_r, rcond=None)[0].tolist()
-    return (float(px + dx), float(py + dy), float(pz + dz))
+    """Trilateration of the tool point from three wire lengths."""
+    return tuple(wire3d_fk_rows([[L1, L2, L3]], geom)[0].tolist())
 
 
 # --- rotation conversions ---

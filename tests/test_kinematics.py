@@ -42,8 +42,8 @@ WIRE2D_SKEWED = kin.WireGeometry2D(anchors=((900.0, -20.0), (100.0, 35.0)),
 
 
 # --- oracle: the array formulation of the wire kinematics, which rebuilds the
-# geometry constants on every call.  The module's scalar versions, on constants
-# derived once per geometry, must match it bit for bit. ---
+# geometry constants on every call.  The module's versions, on constants derived
+# once per geometry, must match it bit for bit. ---
 
 def _wire3d_frame(geom):
     a = np.asarray(geom.anchors, dtype=float)
