@@ -119,17 +119,16 @@ def cmd_plan(args) -> int:
 
 def cmd_simulate(args) -> int:
     machine = _load_config(args.config)
-    dt_sim = args.dt if args.dt is not None else machine.dt_sim
-    if dt_sim <= 0 or dt_sim > machine.dt_plan:
+    if args.dt is not None and not 0 < args.dt <= machine.dt_plan:
         print(f"error: --dt must be in (0, dt_plan={machine.dt_plan}]",
               file=sys.stderr)
         return EXIT_USAGE
     result = _load_segments(args.gcode, home=machine.home)
     plan = _plan_or_exit(result.segments, machine)
     try:
-        trace = sim.run(plan, machine, dt_sim=dt_sim, seed=args.seed)
+        trace = sim.run(plan, machine, dt_sim=args.dt, seed=args.seed)
     except StallTimeout as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _print_error(exc)
         return EXIT_STALL
     except (SimError, KinematicsError) as exc:
         _print_error(exc)

@@ -1,11 +1,14 @@
-"""Machine configuration files: strict JSON schema (v1), defaults, scaffolds.
+"""Machine configuration files: strict JSON schema (v1) and scaffolds.
 
 Unknown keys are rejected everywhere to catch typos early.  All numbers
-must be finite.  The document maps 1:1 onto coordinator.MachineConfig.
+must be finite.  The document maps 1:1 onto coordinator.MachineConfig: a
+key left out takes the default of the field it names, and a value out of
+that field's range is rejected.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 from typing import Any
@@ -17,18 +20,33 @@ from .robot import RobotParams
 
 SCHEMA_VERSION = 1
 
-_GEOMETRY_KEYS = {
-    "bridge_xy": {"rail1_x", "bridge_span", "carriage_min", "carriage_max",
-                  "bridge_height"},
-    "wire2d_wall": {"anchors", "spool_radius", "workspace_margin"},
-    "wire3d_printer": {"anchors", "spool_radius", "workspace_margin",
-                       "table_position"},
-    "printer_bridge": {"rail1_x", "bridge_span", "carriage_min", "carriage_max",
-                       "bridge_height", "screw", "table_position"},
+# The numbers each block may set, each key named as the dataclass field it
+# sets.  Only the keys a document sets are passed on, so MachineConfig,
+# RobotParams, BridgeGeometry, WireGeometry2D/3D and LeadScrew own every
+# default, and say which fields are required.
+_NUMBERS = {
+    "limits": ("max_tool_speed", "sync_tol"),
+    "planning": ("dt_plan", "swap_duration", "barrier_angle_deg",
+                 "stall_timeout"),
+    "sim": ("dt_sim", "noise_std"),
+    "roster": ("wheel_track", "max_wheel_speed", "body_radius"),
+    "screw": ("pitch", "direction", "z_min", "z_max"),
+    "bridge": ("rail1_x", "bridge_span", "carriage_min", "carriage_max",
+               "bridge_height"),
+    "wire": ("spool_radius", "workspace_margin"),
 }
 
-_ROSTER_KEYS = {"id", "wheel_track", "max_wheel_speed", "body_radius",
-                "position_noise_std"}
+# morphology -> the MachineConfig field of its geometry, the geometry class,
+# its numbers, and its other geometry keys
+_GEOMETRY = {
+    "bridge_xy": ("bridge_geometry", kin.BridgeGeometry, "bridge", ()),
+    "wire2d_wall": ("wire2d_geometry", kin.WireGeometry2D, "wire",
+                    ("anchors",)),
+    "wire3d_printer": ("wire3d_geometry", kin.WireGeometry3D, "wire",
+                       ("anchors", "table_position")),
+    "printer_bridge": ("bridge_geometry", kin.BridgeGeometry, "bridge",
+                       ("screw", "table_position")),
+}
 
 _TOP_KEYS = {"v", "morphology", "geometry", "roster", "workspace", "limits",
              "planning", "sim", "home", "parking"}
@@ -45,17 +63,29 @@ def _require_keys(obj: dict, allowed: set, required: set, where: str):
         raise ConfigError(f"missing key(s) in {where}: {sorted(missing)}")
 
 
-def _number(obj: dict, key: str, where: str, default=None) -> float:
-    if key not in obj:
-        if default is not None:
-            return default
-        raise ConfigError(f"missing number {key!r} in {where}")
-    v = obj[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{where}.{key} must be a number")
-    if not math.isfinite(v):
-        raise ConfigError(f"{where}.{key} must be finite")
-    return float(v)
+def _required(cls) -> set:
+    """The fields of dataclass cls that have no default."""
+    return {f.name for f in dataclasses.fields(cls)
+            if f.init and f.default is dataclasses.MISSING
+            and f.default_factory is dataclasses.MISSING}
+
+
+def _numbers(obj: dict, block: str, where: str, other=(),
+             required=frozenset()) -> dict:
+    """The numbers obj sets among the keys of block, by key, once obj is
+    checked to set no key but those and `other`, and every required one."""
+    keys = _NUMBERS[block]
+    _require_keys(obj, {*keys, *other}, set(required), where)
+    return {key: _number(obj[key], f"{where}.{key}")
+            for key in keys if key in obj}
+
+
+def _number(value, where: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number")
+    if not math.isfinite(value):
+        raise ConfigError(f"{where} must be finite")
+    return float(value)
 
 
 def _point(value, n: int, where: str) -> tuple:
@@ -64,14 +94,6 @@ def _point(value, n: int, where: str) -> tuple:
                    or not math.isfinite(v) for v in value)):
         raise ConfigError(f"{where} must be a list of {n} finite numbers")
     return tuple(float(v) for v in value)
-
-
-def _margin(geo: dict) -> float:
-    margin = _number(geo, "workspace_margin", "geometry",
-                     kin.DEFAULT_WORKSPACE_MARGIN)
-    if margin < 0:
-        raise ConfigError("geometry.workspace_margin must not be negative")
-    return margin
 
 
 def parse_config(doc: Any) -> MachineConfig:
@@ -85,32 +107,19 @@ def parse_config(doc: Any) -> MachineConfig:
     if morphology not in MORPHOLOGIES:
         raise ConfigError(f"unknown morphology {morphology!r}")
 
-    geo = doc["geometry"]
-    _require_keys(geo, _GEOMETRY_KEYS[morphology], set(), "geometry")
-
     roster = []
     if not isinstance(doc["roster"], list) or not doc["roster"]:
         raise ConfigError("roster must be a non-empty list")
     for i, entry in enumerate(doc["roster"]):
         where = f"roster[{i}]"
-        _require_keys(entry, _ROSTER_KEYS, {"id"}, where)
+        params = _numbers(entry, "roster", where, ("id",), {"id"})
         if not isinstance(entry["id"], str) or not entry["id"]:
             raise ConfigError(f"{where}.id must be a non-empty string")
-        defaults = RobotParams()
         try:
-            params = RobotParams(
-                wheel_track=_number(entry, "wheel_track", where,
-                                    defaults.wheel_track),
-                max_wheel_speed=_number(entry, "max_wheel_speed", where,
-                                        defaults.max_wheel_speed),
-                body_radius=_number(entry, "body_radius", where,
-                                    defaults.body_radius),
-                position_noise_std=_number(entry, "position_noise_std", where,
-                                           0.0),
-            )
+            roster.append(RosterEntry(id=entry["id"],
+                                      params=RobotParams(**params)))
         except ValueError as exc:
             raise ConfigError(f"{where}: {exc}") from exc
-        roster.append(RosterEntry(id=entry["id"], params=params))
 
     ws = doc["workspace"]
     _require_keys(ws, {"min", "max"}, {"min", "max"}, "workspace")
@@ -119,59 +128,30 @@ def parse_config(doc: Any) -> MachineConfig:
     if any(lo > hi for lo, hi in zip(ws_min, ws_max)):
         raise ConfigError("workspace.min must be <= workspace.max componentwise")
 
-    limits = doc.get("limits", {})
-    _require_keys(limits, {"max_tool_speed", "sync_tol"}, set(), "limits")
-    planning = doc.get("planning", {})
-    _require_keys(planning, {"dt_plan", "swap_duration", "barrier_angle_deg",
-                             "stall_timeout"}, set(), "planning")
-    sim_block = doc.get("sim", {})
-    _require_keys(sim_block, {"dt_sim", "noise_std"}, set(), "sim")
-
     kwargs: dict[str, Any] = {}
+    for block in ("limits", "planning", "sim"):
+        kwargs.update(_numbers(doc.get(block, {}), block, block))
+
+    attr, cls, block, other = _GEOMETRY[morphology]
+    geo = doc["geometry"]
+    values = _numbers(geo, block, "geometry", other, _required(cls))
+    if "workspace_margin" in values and values["workspace_margin"] < 0:
+        raise ConfigError("geometry.workspace_margin must not be negative")
+    if "screw" in other and "screw" not in geo:
+        raise ConfigError("printer_bridge geometry needs a screw block")
+    if "anchors" in other:
+        n = 2 if morphology == "wire2d_wall" else 3
+        anchors = geo["anchors"]
+        if not isinstance(anchors, list) or len(anchors) != n:
+            raise ConfigError(f"geometry needs exactly {n} anchors")
+        values["anchors"] = tuple(_point(a, n, f"geometry.anchors[{i}]")
+                                  for i, a in enumerate(anchors))
     try:
-        if morphology in ("bridge_xy", "printer_bridge"):
-            kwargs["bridge_geometry"] = kin.BridgeGeometry(
-                bridge_span=_number(geo, "bridge_span", "geometry"),
-                carriage_min=_number(geo, "carriage_min", "geometry"),
-                carriage_max=_number(geo, "carriage_max", "geometry"),
-                bridge_height=_number(geo, "bridge_height", "geometry", 0.0),
-                rail1_x=_number(geo, "rail1_x", "geometry", 0.0),
-            )
-            if morphology == "printer_bridge":
-                screw = geo.get("screw")
-                if screw is None:
-                    raise ConfigError("printer_bridge geometry needs a screw block")
-                _require_keys(screw, {"pitch", "direction", "z_min", "z_max"},
-                              {"pitch"}, "geometry.screw")
-                direction = screw.get("direction", 1)
-                if isinstance(direction, bool) or direction not in (1, -1):
-                    raise ConfigError("geometry.screw.direction must be 1 or -1")
-                kwargs["lead_screw"] = kin.LeadScrew(
-                    pitch=_number(screw, "pitch", "geometry.screw"),
-                    direction=int(direction),
-                    z_min=_number(screw, "z_min", "geometry.screw", 0.0),
-                    z_max=_number(screw, "z_max", "geometry.screw", 200.0),
-                )
-        elif morphology == "wire2d_wall":
-            anchors = geo.get("anchors")
-            if not isinstance(anchors, list) or len(anchors) != 2:
-                raise ConfigError("wire2d geometry needs exactly 2 anchors")
-            kwargs["wire2d_geometry"] = kin.WireGeometry2D(
-                anchors=tuple(_point(a, 2, f"geometry.anchors[{i}]")
-                              for i, a in enumerate(anchors)),
-                spool_radius=_number(geo, "spool_radius", "geometry"),
-                workspace_margin=_margin(geo),
-            )
-        elif morphology == "wire3d_printer":
-            anchors = geo.get("anchors")
-            if not isinstance(anchors, list) or len(anchors) != 3:
-                raise ConfigError("wire3d geometry needs exactly 3 anchors")
-            kwargs["wire3d_geometry"] = kin.WireGeometry3D(
-                anchors=tuple(_point(a, 3, f"geometry.anchors[{i}]")
-                              for i, a in enumerate(anchors)),
-                spool_radius=_number(geo, "spool_radius", "geometry"),
-                workspace_margin=_margin(geo),
-            )
+        kwargs[attr] = cls(**values)
+        if "screw" in other:
+            kwargs["lead_screw"] = kin.LeadScrew(**_numbers(
+                geo["screw"], "screw", "geometry.screw",
+                required=_required(kin.LeadScrew)))
     except ValueError as exc:
         raise ConfigError(f"geometry: {exc}") from exc
 
@@ -188,22 +168,9 @@ def parse_config(doc: Any) -> MachineConfig:
                                   for i, p in enumerate(doc["parking"]))
 
     try:
-        return MachineConfig(
-            morphology=morphology,
-            roster=tuple(roster),
-            workspace_min=ws_min,
-            workspace_max=ws_max,
-            sync_tol=_number(limits, "sync_tol", "limits", 1.0),
-            max_tool_speed=_number(limits, "max_tool_speed", "limits", 50.0),
-            dt_plan=_number(planning, "dt_plan", "planning", 0.1),
-            swap_duration=_number(planning, "swap_duration", "planning", 10.0),
-            barrier_angle_deg=_number(planning, "barrier_angle_deg",
-                                      "planning", 90.0),
-            stall_timeout=_number(planning, "stall_timeout", "planning", 10.0),
-            dt_sim=_number(sim_block, "dt_sim", "sim", 0.01),
-            noise_std=_number(sim_block, "noise_std", "sim", 0.0),
-            **kwargs,
-        )
+        return MachineConfig(morphology=morphology, roster=tuple(roster),
+                             workspace_min=ws_min, workspace_max=ws_max,
+                             **kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -217,6 +184,12 @@ def load_config(path: str) -> MachineConfig:
     return parse_config(doc)
 
 
+def _scaffold(cls, block: str, **values) -> dict:
+    """Every key of block: its value in `values`, or the default of cls."""
+    defaults = {f.name: f.default for f in dataclasses.fields(cls)}
+    return {key: values.get(key, defaults[key]) for key in _NUMBERS[block]}
+
+
 def default_config_doc(morphology: str) -> dict:
     """A valid scaffold config document for a morphology."""
     if morphology not in MORPHOLOGIES:
@@ -227,24 +200,20 @@ def default_config_doc(morphology: str) -> dict:
         "v": SCHEMA_VERSION,
         "morphology": morphology,
         "roster": roster,
-        "limits": {"max_tool_speed": 50.0, "sync_tol": 1.0},
-        "planning": {"dt_plan": 0.1},
-        "sim": {"dt_sim": 0.01, "noise_std": 0.0},
+        **{block: _scaffold(MachineConfig, block)
+           for block in ("limits", "planning", "sim")},
     }
+    bridge = _scaffold(kin.BridgeGeometry, "bridge", bridge_span=400.0,
+                       carriage_min=30.0, carriage_max=370.0)
     if morphology == "bridge_xy":
-        doc["geometry"] = {
-            "rail1_x": 0.0, "bridge_span": 400.0,
-            "carriage_min": 30.0, "carriage_max": 370.0,
-            "bridge_height": 0.0,
-        }
+        doc["geometry"] = bridge
         doc["workspace"] = {"min": [30.0, 0.0, 0.0],
                             "max": [370.0, 500.0, 0.0]}
         doc["home"] = [200.0, 100.0, 0.0]
     elif morphology == "wire2d_wall":
         doc["geometry"] = {
             "anchors": [[0.0, 0.0], [1000.0, 0.0]],
-            "spool_radius": 20.0,
-            "workspace_margin": 10.0,
+            **_scaffold(kin.WireGeometry2D, "wire", spool_radius=20.0),
         }
         doc["workspace"] = {"min": [150.0, -750.0, 0.0],
                             "max": [850.0, -150.0, 0.0]}
@@ -253,8 +222,7 @@ def default_config_doc(morphology: str) -> dict:
         doc["geometry"] = {
             "anchors": [[0.0, 0.0, 500.0], [400.0, 0.0, 500.0],
                         [200.0, 350.0, 500.0]],
-            "spool_radius": 20.0,
-            "workspace_margin": 10.0,
+            **_scaffold(kin.WireGeometry3D, "wire", spool_radius=20.0),
             "table_position": [200.0, 120.0],
         }
         doc["workspace"] = {"min": [80.0, 60.0, 0.0],
@@ -262,11 +230,8 @@ def default_config_doc(morphology: str) -> dict:
         doc["home"] = [200.0, 120.0, 50.0]
     else:  # printer_bridge
         doc["geometry"] = {
-            "rail1_x": 0.0, "bridge_span": 400.0,
-            "carriage_min": 30.0, "carriage_max": 370.0,
-            "bridge_height": 0.0,
-            "screw": {"pitch": 8.0, "direction": 1,
-                      "z_min": 0.0, "z_max": 200.0},
+            **bridge,
+            "screw": _scaffold(kin.LeadScrew, "screw", pitch=8.0),
             "table_position": [200.0, -60.0],
         }
         doc["workspace"] = {"min": [30.0, 0.0, 0.0],

@@ -54,7 +54,7 @@ class MachineConfig:
     max_tool_speed: float = 50.0  # mm/s
     dt_plan: float = 0.1  # s
     dt_sim: float = 0.01  # s
-    noise_std: float = 0.0  # mm
+    noise_std: float = 0.0  # mm/sqrt(s), position random walk (see sim.run)
     home: tuple[float, float, float] = (0.0, 0.0, 0.0)
     table_position: tuple[float, float] = (0.0, 0.0)
     parking: tuple[tuple[float, float], ...] = ()
@@ -68,8 +68,16 @@ class MachineConfig:
     def __post_init__(self):
         if self.morphology not in MORPHOLOGIES:
             raise ValueError(f"unknown morphology {self.morphology!r}")
-        if self.sync_tol <= 0 or self.dt_plan <= 0 or self.max_tool_speed <= 0:
-            raise ValueError("sync_tol, dt_plan, max_tool_speed must be positive")
+        for name in ("sync_tol", "max_tool_speed", "dt_plan", "swap_duration",
+                     "stall_timeout"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
+        if not 0 < self.dt_sim <= self.dt_plan:
+            raise ValueError(f"dt_sim must be in (0, dt_plan={self.dt_plan}]")
+        if not self.noise_std >= 0:
+            raise ValueError("noise_std must not be negative")
+        if not 0 <= self.barrier_angle_deg <= 180:
+            raise ValueError("barrier_angle_deg must be in [0, 180]")
         ids = [entry.id for entry in self.roster]
         duplicates = sorted({rid for rid in ids if ids.count(rid) > 1})
         if duplicates:
@@ -453,7 +461,7 @@ def default_parking(config: MachineConfig, count: int) -> list[tuple[float, floa
         return list(config.parking[:count])
     x0, y0 = config.workspace_min[0], config.workspace_min[1]
     spacing = 4.0 * max((e.params.body_radius for e in config.roster),
-                        default=16.0)
+                        default=RobotParams.body_radius)
     return [(x0 + i * spacing, y0) for i in range(count)]
 
 

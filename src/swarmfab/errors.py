@@ -89,7 +89,9 @@ class InsufficientRobots(PlanError):
 # --- simulation ---
 
 class SimError(SwarmFabError):
-    pass
+    def __init__(self, message, line_no=None):
+        self.line_no = line_no
+        super().__init__(message)
 
 
 class StallTimeout(SimError):
@@ -97,9 +99,7 @@ class StallTimeout(SimError):
 
 
 class KinematicsFault(SimError):
-    def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        super().__init__(message)
+    pass
 
 
 # --- configuration ---

@@ -181,6 +181,7 @@ class LeadScrew:
             raise ValueError("pitch must be positive")
         if isinstance(self.direction, bool) or self.direction not in (1, -1):
             raise ValueError("direction must be +1 or -1")
+        object.__setattr__(self, "direction", int(self.direction))
         if self.z_min >= self.z_max:
             raise ValueError("z_min must be below z_max")
 

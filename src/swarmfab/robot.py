@@ -21,7 +21,6 @@ class RobotParams:
     wheel_track: float = 26.0  # mm, toio-class default
     max_wheel_speed: float = 115.0  # mm/s
     body_radius: float = 16.0  # mm
-    position_noise_std: float = 0.0  # mm per step; 0 = deterministic
 
     # controller gains, tuned for overdamped convergence at the speed cap
     # and low corner swing-out while the heading realigns
@@ -33,8 +32,6 @@ class RobotParams:
     def __post_init__(self):
         if self.wheel_track <= 0 or self.max_wheel_speed <= 0 or self.body_radius <= 0:
             raise ValueError("wheel_track, max_wheel_speed, body_radius must be positive")
-        if self.position_noise_std < 0:
-            raise ValueError("noise std must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -55,8 +52,11 @@ def wrap_angle(theta: float) -> float:
     return wrapped
 
 
-def step_dynamics(state: RobotState, dt: float, rng=None) -> RobotState:
-    """Advance the pose by dt using exact constant-twist arc integration."""
+def step_dynamics(state: RobotState, dt: float) -> RobotState:
+    """Advance the pose by dt using exact constant-twist arc integration.
+
+    The model is deterministic; the simulator adds the position noise.
+    """
     if dt <= 0:
         raise ValueError("dt must be positive")
     vl, vr = state.wheel_speeds
@@ -71,9 +71,6 @@ def step_dynamics(state: RobotState, dt: float, rng=None) -> RobotState:
         x += (v / omega) * (math.sin(theta + omega * dt) - math.sin(theta))
         y -= (v / omega) * (math.cos(theta + omega * dt) - math.cos(theta))
         new_theta = wrap_angle(theta + omega * dt)
-    if rng is not None and state.params.position_noise_std > 0:
-        x += rng.normal(0.0, state.params.position_noise_std)
-        y += rng.normal(0.0, state.params.position_noise_std)
     rotation = state.accumulated_rotation
     if state.role in ACTUATOR_ROLES:
         rotation += omega * dt

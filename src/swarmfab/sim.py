@@ -75,32 +75,6 @@ class Trace:
                        self.tool_target.tolist(), self.extruding.tolist(),
                        self.extrusion_total.tolist())]
 
-    @samples.setter
-    def samples(self, samples: list[TraceSample]) -> None:
-        """Rebuild the columns from samples that share one robot set; a
-        robot missing from a sample's `rotations` has turned 0 rad."""
-        ids = tuple(sorted(samples[0].poses)) if samples else ()
-        for s in samples:
-            if tuple(sorted(s.poses)) != ids:
-                raise ValueError(f"sample at t={s.t} has robots "
-                                 f"{sorted(s.poses)}, not {list(ids)}")
-        n = len(samples)
-        self.robot_ids = ids
-        self.t = np.array([s.t for s in samples], dtype=float)
-        self.poses = np.array([[s.poses[rid] for rid in ids]
-                               for s in samples], dtype=float).reshape(
-                                   n, len(ids), 3)
-        self.rotations = np.array([[s.rotations.get(rid, 0.0) for rid in ids]
-                                   for s in samples],
-                                  dtype=float).reshape(n, len(ids))
-        self.tool_tip = np.array([s.tool_tip for s in samples],
-                                 dtype=float).reshape(n, 3)
-        self.tool_target = np.array([s.tool_target for s in samples],
-                                    dtype=float).reshape(n, 3)
-        self.extruding = np.array([s.extruding for s in samples], dtype=bool)
-        self.extrusion_total = np.array([s.extrusion_total for s in samples],
-                                        dtype=float)
-
 
 @dataclass(frozen=True)
 class FidelityReport:
@@ -117,6 +91,11 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
         seed: int = 0) -> Trace:
     """Simulate plan execution; deterministic for a fixed (plan, config, seed).
 
+    Position noise is a random walk of config.noise_std mm/sqrt(s): after
+    its dynamics step, each stepped robot, in id order, moves by a normal
+    draw of standard deviation noise_std * sqrt(dt_sim) in x, then in y, so
+    the spread after a time T is noise_std * sqrt(T) at any step size.
+
     The tool tip does not feed back into control, so the machine's FK runs
     once, on all samples, after the robots have been stepped through the
     plan (see _drive).  An FK error is raised for its sample even when the
@@ -131,7 +110,6 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
     trace = Trace(config=config)
     roles = assign_roles(config)
     ids = active_robots(config)
-    rng = np.random.default_rng(seed) if config.noise_std > 0 else None
     ticks = plan.ticks
     if not ticks:
         return trace
@@ -143,14 +121,16 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
         p = config.robot_params(rid)
         robots[rid] = _Robot(sp.x, sp.y, p.wheel_track, p.max_wheel_speed,
                              p.k_heading, p.k_distance, p.arrival_tol,
-                             p.angular_tol,
-                             p.position_noise_std if rng is not None else 0.0,
-                             roles[rid] in ACTUATOR_ROLES)
+                             p.angular_tol, roles[rid] in ACTUATOR_ROLES)
+    noise = None
+    if config.noise_std > 0:
+        noise = partial(np.random.default_rng(seed).normal, 0.0,
+                        config.noise_std * math.sqrt(dt_sim))
     machine = config.machine
     zero = machine.zero(ticks[0].tool_target)
     rows, times, tick_of, wait, extruded, stall = _drive(
         plan, dt_sim, config.stall_timeout, robots, machine.synced(ids),
-        config.sync_tol, rng)
+        config.sync_tol, noise)
 
     order = sorted(robots)
     state = np.array(rows).reshape(len(times), len(order), 4)
@@ -192,19 +172,20 @@ class _Robot(NamedTuple):
     k_distance: float
     arrival_tol: float
     angular_tol: float
-    noise: float  # position noise per step; 0 without an rng
     actuator: bool  # accumulates its rotation
 
 
 def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
-           synced: tuple, sync_tol: float, rng):
+           synced: tuple, sync_tol: float, noise):
     """Step the robots through the plan's ticks, sampling after every step.
 
     `robots` maps each id to its _Robot; the y of the `synced` robots must
     stay within sync_tol of each other.  Robot state lives in one flat
     list, and the controllers and dynamics of swarmfab.robot
     (goto_controller, rotate_controller, step_dynamics) are inlined in their
-    operation order, so every pose is theirs bit for bit.
+    operation order, so every pose is theirs bit for bit.  `noise`, if not
+    None, returns one position-noise draw: each robot's dynamics step adds
+    one to its x, then one to its y.
 
     Returns the samples as flat rows (x, y, heading and accumulated rotation
     of each robot, ids sorted), their times and plan tick indices, the
@@ -257,7 +238,7 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
     while tick_idx < len(ticks):
         # pursue the current tick's setpoints
         for (b, rotate, tx, ty, theta, track, cap, k_heading, k_distance,
-             arrival_tol, angular_tol, noise, actuator) in steps:
+             arrival_tol, angular_tol, actuator) in steps:
             x, y, heading = s[b], s[b + 1], s[b + 2]
             if rotate:
                 remaining = theta - s[b + 3]
@@ -308,9 +289,9 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
                 heading = atan2(sin(turned), cos(turned))
                 if heading == -pi:
                     heading = pi
-            if noise > 0:
-                x += rng.normal(0.0, noise)
-                y += rng.normal(0.0, noise)
+            if noise is not None:
+                x += noise()
+                y += noise()
             s[b], s[b + 1], s[b + 2] = x, y, heading
             if actuator:
                 s[b + 3] += omega * dt_sim
@@ -342,7 +323,7 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
         if stall_clock > stall_timeout:
             return rows, times, tick_of, wait, extruded, StallTimeout(
                 f"no progress for {stall_timeout} s at plan tick "
-                f"{tick_idx} (t={t:.2f} s, line {tick.source_line})")
+                f"{tick_idx} (t={t:.2f} s)", line_no=tick.source_line)
 
         # advance the plan clock
         deadline_met = t - tick_entry_time >= budget - 1e-12
@@ -597,8 +578,7 @@ def overlap_diagnostic(trace: Trace, config: MachineConfig) -> list[OverlapEvent
     if not pairs or not len(trace.t):
         return []
     a, b = np.array(pairs).T
-    contact = np.array([radii.get(ids[i], 16.0) + radii.get(ids[j], 16.0)
-                        for i, j in pairs])
+    contact = np.array([radii[ids[i]] + radii[ids[j]] for i, j in pairs])
     xy = trace.poses[..., :2]
     dx = xy[:, a, 0] - xy[:, b, 0]
     dy = xy[:, a, 1] - xy[:, b, 1]

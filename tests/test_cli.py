@@ -106,16 +106,37 @@ class TestSimulate:
 
     def test_bridge_skew_cites_line(self, workdir, capsys):
         doc = config.default_config_doc("bridge_xy")
-        doc["sim"]["noise_std"] = 0.02
-        for entry in doc["roster"]:
-            entry["position_noise_std"] = 0.02
+        doc["sim"]["noise_std"] = 0.3
         noisy = workdir / "noisy.json"
         noisy.write_text(json.dumps(doc))
         code, _, err = run_cli(["simulate", workdir / "square.gcode", noisy,
                                 "--dt", 0.005, "--seed", 3], capsys)
         assert code == 5
-        assert err == ("error: bridge skew 1.0055 mm exceeds 1.0 mm "
+        assert err == ("error: bridge skew 1.0162 mm exceeds 1.0 mm "
                        "(g-code line 5)\n")
+
+    def test_stall_cites_line(self, workdir, capsys):
+        # the carriage turns in place to reverse at the barrier of line 2,
+        # which takes longer than a 0.05 s stall timeout
+        (workdir / "reverse.gcode").write_text(
+            "G1 X230 Y100 F600\nG1 X200 Y100\n")
+        doc = config.default_config_doc("bridge_xy")
+        doc["planning"]["stall_timeout"] = 0.05
+        (workdir / "short.json").write_text(json.dumps(doc))
+        code, _, err = run_cli(["simulate", workdir / "reverse.gcode",
+                                workdir / "short.json"], capsys)
+        assert code == 6
+        assert err == ("error: no progress for 0.05 s at plan tick 31 "
+                       "(t=4.17 s) (g-code line 2)\n")
+
+    def test_config_dt_sim_out_of_range(self, workdir, capsys):
+        doc = config.default_config_doc("bridge_xy")
+        doc["sim"]["dt_sim"] = -1
+        (workdir / "bad.json").write_text(json.dumps(doc))
+        code, _, err = run_cli(["simulate", workdir / "square.gcode",
+                                workdir / "bad.json"], capsys)
+        assert code == 4
+        assert "dt_sim" in err and "--dt" not in err
 
     def test_dt_larger_than_plan_usage_error(self, workdir, capsys):
         code, _, _ = run_cli(["simulate", workdir / "square.gcode",

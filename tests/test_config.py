@@ -1,3 +1,4 @@
+import copy
 import json
 
 import pytest
@@ -91,6 +92,95 @@ class TestParseConfig:
         cfg = config.parse_config(doc)
         assert cfg.roster[0].params.max_wheel_speed == 42.0
         assert cfg.roster[1].params.max_wheel_speed == 115.0
+
+
+def settings(doc):
+    """The path and value of every setting in a scaffold document."""
+    for block in ("limits", "planning", "sim", "geometry", "workspace"):
+        for key, value in doc[block].items():
+            if isinstance(value, dict):  # geometry.screw
+                yield from (((block, key, k), v) for k, v in value.items())
+            else:
+                yield (block, key), value
+    yield ("home",), doc["home"]
+
+
+# a valid value other than the scaffold's; any other number is raised by 1,
+# and a point list moves its first coordinate by 1
+OTHER = {"dt_sim": 0.005, "direction": -1}
+
+
+def other(key, value):
+    if key in OTHER:
+        return OTHER[key]
+    if isinstance(value, list):
+        value = copy.deepcopy(value)
+        point = value[0] if isinstance(value[0], list) else value
+        point[0] += 1.0
+        return value
+    return value + 1.0
+
+
+class TestEveryKey:
+    @pytest.mark.parametrize("morphology", MORPHOLOGIES)
+    def test_every_scaffold_setting_has_an_effect(self, morphology):
+        doc = config.default_config_doc(morphology)
+        default = config.parse_config(doc)
+        paths = list(settings(doc))
+        assert len(paths) >= 12
+        for path, value in paths:
+            changed = copy.deepcopy(doc)
+            *outer, key = path
+            block = changed
+            for name in outer:
+                block = block[name]
+            block[key] = other(key, value)
+            assert config.parse_config(changed) != default, path
+
+    @pytest.mark.parametrize("key", ["wheel_track", "max_wheel_speed",
+                                     "body_radius"])
+    def test_every_roster_key_has_an_effect(self, key):
+        doc = config.default_config_doc("bridge_xy")
+        default = config.parse_config(doc)
+        doc["roster"][0][key] = 50.0
+        cfg = config.parse_config(doc)
+        assert cfg != default
+        assert getattr(cfg.roster[0].params, key) == 50.0
+
+    def test_position_noise_std_rejected(self):
+        # the position noise is one machine setting, sim.noise_std
+        doc = config.default_config_doc("bridge_xy")
+        doc["roster"][0]["position_noise_std"] = 0.01
+        with pytest.raises(ConfigError,
+                           match=r"unknown key.*position_noise_std"):
+            config.parse_config(doc)
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("sim", "dt_sim", -1.0), ("sim", "dt_sim", 0.0),
+        ("sim", "dt_sim", 0.2), ("sim", "noise_std", -0.01),
+        ("planning", "stall_timeout", 0.0),
+        ("planning", "stall_timeout", -1.0),
+        ("planning", "swap_duration", 0.0),
+        ("planning", "barrier_angle_deg", -1.0),
+        ("planning", "barrier_angle_deg", 181.0),
+        ("planning", "dt_plan", 0.0), ("limits", "sync_tol", 0.0),
+        ("limits", "max_tool_speed", -5.0),
+    ])
+    def test_out_of_range_rejected(self, block, key, value):
+        doc = config.default_config_doc("bridge_xy")
+        doc[block][key] = value
+        with pytest.raises(ConfigError, match=key):
+            config.parse_config(doc)
+
+    @pytest.mark.parametrize("block,key,value", [
+        ("sim", "dt_sim", 0.1), ("sim", "noise_std", 0.0),
+        ("planning", "barrier_angle_deg", 0.0),
+        ("planning", "barrier_angle_deg", 180.0),
+    ])
+    def test_range_bounds_accepted(self, block, key, value):
+        doc = config.default_config_doc("bridge_xy")
+        doc[block][key] = value
+        assert getattr(config.parse_config(doc), key) == value
 
 
 class TestFiles:

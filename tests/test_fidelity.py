@@ -13,6 +13,7 @@ from swarmfab import coordinator, gcode, sim
 from swarmfab.gcode import MotionSegment
 
 from test_acceptance import CORPUS, WIRE2D_SQUARE, three_layer_program
+from test_sim import trace_of
 
 
 def point_segment_distance(p, a, b) -> float:
@@ -67,12 +68,10 @@ def seg(start, end, e=1.0):
 
 
 def synthetic_trace(tips, extruding=True):
-    trace = sim.Trace()
-    trace.samples = [sim.TraceSample(
+    return trace_of([sim.TraceSample(
         t=0.1 * k, poses={}, rotations={}, tool_tip=tuple(map(float, tip)),
         tool_target=tuple(map(float, tip)), extruding=extruding,
-        extrusion_total=0.0) for k, tip in enumerate(tips)]
-    return trace
+        extrusion_total=0.0) for k, tip in enumerate(tips)])
 
 
 def simulate(cfg, program):

@@ -80,16 +80,6 @@ class TestStepDynamics:
             b = step_dynamics(b, 0.01)
         assert a.pose == b.pose
 
-    def test_noise_seeded(self):
-        rng1 = np.random.default_rng(11)
-        rng2 = np.random.default_rng(11)
-        a = make_state(wheels=(10.0, 10.0), position_noise_std=0.1)
-        b = make_state(wheels=(10.0, 10.0), position_noise_std=0.1)
-        for _ in range(50):
-            a = step_dynamics(a, 0.01, rng1)
-            b = step_dynamics(b, 0.01, rng2)
-        assert a.pose == b.pose
-
 
 class TestGotoController:
     def test_dead_ahead_full_speed(self):

@@ -35,7 +35,8 @@ def seg(start, end, feed=30.0, e=0.0, line=1):
 
 
 # --- oracle: the simulator loop before the columnar trace.  It steps frozen
-# RobotStates through swarmfab.robot's controllers and dynamics, and runs
+# RobotStates through swarmfab.robot's controllers and dynamics, adds the
+# position noise of each step after the robot's dynamics, and runs
 # the FK of every sample inside the loop, through the array FK oracles of
 # test_kinematics.  sim.run must give the same columns bit for bit, or
 # raise the same error. ---
@@ -89,6 +90,7 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
     wait = extruded = 0.0
     if not plan.ticks:
         return OracleRun(samples, wait, extruded)
+    sigma = cfg.noise_std * math.sqrt(dt_sim)
     zero = cfg.machine.zero(plan.ticks[0].tool_target)
     order = sorted(states)
     barriers = set(plan.barriers)
@@ -135,8 +137,14 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
                     st, sp.theta - st.accumulated_rotation)
             else:
                 wheels = goto_controller(st, (sp.x, sp.y))
-            states[rid] = step_dynamics(
-                dataclasses.replace(st, wheel_speeds=wheels), dt_sim, rng)
+            st = step_dynamics(dataclasses.replace(st, wheel_speeds=wheels),
+                               dt_sim)
+            if rng is not None:
+                x, y, heading = st.pose
+                x += rng.normal(0.0, sigma)
+                y += rng.normal(0.0, sigma)
+                st = dataclasses.replace(st, pose=(x, y, heading))
+            states[rid] = st
         t += dt_sim
         record(t, tick, extrusion_prev)
 
@@ -155,7 +163,7 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
         if stall_clock > cfg.stall_timeout:
             raise StallTimeout(
                 f"no progress for {cfg.stall_timeout} s at plan tick "
-                f"{tick_idx} (t={t:.2f} s, line {tick.source_line})")
+                f"{tick_idx} (t={t:.2f} s)", line_no=tick.source_line)
 
         t_prev = plan.ticks[tick_idx - 1].t if tick_idx > 0 else 0.0
         budget = max(tick.t - t_prev, 0.0)
@@ -198,6 +206,12 @@ def columns_of(samples):
         "extrusion_total": np.array([s.extrusion_total for s in samples],
                                     dtype=float),
     }, tuple(ids)
+
+
+def trace_of(samples, cfg=None):
+    """A Trace that holds `samples`."""
+    columns, ids = columns_of(samples)
+    return sim.Trace(config=cfg, robot_ids=ids, **columns)
 
 
 def assert_same_columns(trace, samples):
@@ -251,8 +265,6 @@ CORPUS_SHIFT = {"wire2d_wall": (300.0, -500.0)}
 def noisy_config(morphology, noise):
     doc = config.default_config_doc(morphology)
     doc["sim"]["noise_std"] = noise
-    for entry in doc["roster"]:
-        entry["position_noise_std"] = noise
     return config.parse_config(doc)
 
 
@@ -271,6 +283,16 @@ def stall_plan(cfg, spool_theta):
     return Plan(ticks=[PlanTick(0.0, first, home, False, 0.0, 1),
                        PlanTick(0.1, second, home, False, 0.0, 2)],
                 barriers=[1], morphology=cfg.morphology)
+
+
+def dwell_plan(cfg, seconds):
+    """One plan tick that holds every robot at its home setpoint."""
+    machine, home = cfg.machine, cfg.home
+    sol = machine.solve(home)
+    setpoints = machine.setpoints(coordinator.active_robots(cfg), home, sol,
+                                  machine.zero(home))
+    return Plan(ticks=[PlanTick(seconds, setpoints, home, False, 0.0, 1)],
+                barriers=[], morphology=cfg.morphology)
 
 
 def slow_table_config():
@@ -301,7 +323,7 @@ class TestRunOracle:
     @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
     @pytest.mark.parametrize("seed", [0, 1, 7])
     def test_seeded_noise(self, morphology, seed):
-        cfg = noisy_config(morphology, 0.01)
+        cfg = noisy_config(morphology, 0.1)  # 0.01 mm per 0.01 s step
         plan = plan_of(CORPUS[2][1], cfg, CORPUS_SHIFT.get(morphology, (0, 0)))
         result = same_run(plan, cfg, seed=seed)
         assert isinstance(result, OracleRun)
@@ -309,11 +331,11 @@ class TestRunOracle:
         assert_same_columns(again, result.samples)
 
     def test_bridge_skew_fault(self):
-        cfg = noisy_config("bridge_xy", 0.02)
+        cfg = noisy_config("bridge_xy", 0.3)
         plan = plan_of(CORPUS[2][1], cfg)
         result = same_run(plan, cfg, dt_sim=0.005, seed=3)
         assert result == (KinematicsFault,
-                          "bridge skew 1.0055 mm exceeds 1.0 mm", 5)
+                          "bridge skew 1.0162 mm exceeds 1.0 mm", 5)
 
     def test_wire_fk_fault_before_stall(self):
         cfg = slow_table_config()
@@ -323,8 +345,39 @@ class TestRunOracle:
     def test_stall(self):
         cfg = slow_table_config()
         result = same_run(stall_plan(cfg, 0.0), cfg)
-        assert result[0] is StallTimeout
-        assert result[1].endswith("at plan tick 1 (t=2.02 s, line 2)")
+        assert result == (StallTimeout,
+                          "no progress for 2.0 s at plan tick 1 (t=2.02 s)", 2)
+
+
+class TestNoise:
+    """sim.noise_std is a random walk in mm/sqrt(s).  A dwell at home keeps
+    every robot inside its arrival tolerance, so no controller acts and a
+    robot's displacement is the sum of its draws."""
+
+    def carriage_x_moves(self, sigma, dt, seeds):
+        cfg = noisy_config("bridge_xy", sigma)
+        plan = dwell_plan(cfg, 1.0)
+        carriage = coordinator.active_robots(cfg)[2]
+        moves = []
+        for seed in seeds:
+            trace = sim.run(plan, cfg, dt_sim=dt, seed=seed)
+            k = trace.robot_ids.index(carriage)
+            moves.append(trace.poses[-1, k, 0] - trace.poses[0, k, 0])
+        return np.array(moves), float(trace.t[-1])
+
+    def test_sigma_scales_the_walk(self):
+        small, _ = self.carriage_x_moves(0.01, 0.01, [5])
+        large, _ = self.carriage_x_moves(0.05, 0.01, [5])
+        assert small[0] != 0.0
+        assert large[0] == pytest.approx(5.0 * small[0], rel=1e-9)
+
+    @pytest.mark.parametrize("dt", [0.01, 0.005])
+    def test_spread_independent_of_step(self, dt):
+        sigma = 0.05
+        moves, duration = self.carriage_x_moves(sigma, dt, range(400))
+        assert duration == pytest.approx(1.0)
+        assert np.std(moves) == pytest.approx(sigma * math.sqrt(duration),
+                                              rel=0.15)
 
 
 class TestRun:
@@ -386,11 +439,6 @@ class TestRun:
 
 
 class TestMeasureFidelity:
-    def synthetic_trace(self, samples, cfg):
-        trace = sim.Trace(config=cfg)
-        trace.samples = samples
-        return trace
-
     def sample(self, t, tool, extruding=True):
         return sim.TraceSample(t=t, poses={}, rotations={}, tool_tip=tool,
                                tool_target=tool, extruding=extruding,
@@ -399,7 +447,7 @@ class TestMeasureFidelity:
     def test_exact_follow_zero_deviation(self, bridge_config):
         s = seg((0, 0, 0), (10, 0, 0), e=1.0)
         samples = [self.sample(t / 10, (t, 0.0, 0.0)) for t in range(11)]
-        report = sim.measure_fidelity(self.synthetic_trace(samples, bridge_config), [s])
+        report = sim.measure_fidelity(trace_of(samples, bridge_config), [s])
         assert report.max_deviation == 0.0
         assert report.mean_deviation == 0.0
         assert report.total_print_length == pytest.approx(10.0)
@@ -407,7 +455,7 @@ class TestMeasureFidelity:
     def test_uniform_offset(self, bridge_config):
         s = seg((0, 0, 0), (10, 0, 0), e=1.0)
         samples = [self.sample(t / 10, (t, 0.3, 0.0)) for t in range(11)]
-        report = sim.measure_fidelity(self.synthetic_trace(samples, bridge_config), [s])
+        report = sim.measure_fidelity(trace_of(samples, bridge_config), [s])
         assert report.max_deviation == pytest.approx(0.3)
         assert report.mean_deviation == pytest.approx(0.3)
 
@@ -416,7 +464,7 @@ class TestMeasureFidelity:
         samples = [self.sample(0.0, (0.0, 0.0, 0.0)),
                    self.sample(1.0, (5.0, 9.0, 0.0), extruding=False),
                    self.sample(2.0, (10.0, 0.0, 0.0))]
-        report = sim.measure_fidelity(self.synthetic_trace(samples, bridge_config), [s])
+        report = sim.measure_fidelity(trace_of(samples, bridge_config), [s])
         assert report.max_deviation == 0.0
 
     def test_square_regression_envelope(self, bridge_config,
@@ -493,11 +541,10 @@ def with_body_radii(cfg, radii):
 
 class TestOverlap:
     def make_trace(self, cfg, poses):
-        trace = sim.Trace(config=cfg)
-        trace.samples = [sim.TraceSample(
-            t=0.0, poses=poses, rotations={}, tool_tip=(0, 0, 0),
-            tool_target=(0, 0, 0), extruding=False, extrusion_total=0.0)]
-        return trace
+        return trace_of([sim.TraceSample(
+            t=0.0, poses=poses, rotations=dict.fromkeys(poses, 0.0),
+            tool_tip=(0, 0, 0), tool_target=(0, 0, 0), extruding=False,
+            extrusion_total=0.0)], cfg)
 
     def test_far_apart_no_event(self, bridge_config):
         trace = self.make_trace(bridge_config,
@@ -534,16 +581,3 @@ class TestOverlap:
             assert events == overlap_oracle(trace, bodies)
         assert events
         assert len(events) < len(trace.samples) * 3
-
-    def test_robot_set_changes_between_samples(self, bridge_config):
-        # one trace has one robot set: the columns cannot hold another
-        poses = [{"r1": (0.0, 0.0, 0.0), "r2": (20.0, 0.0, 0.0)},
-                 {"r3": (0.0, 0.0, 0.0), "r1": (10.0, 0.0, 0.0),
-                  "x9": (5.0, 0.0, 0.0)},
-                 {"r2": (0.0, 0.0, 0.0), "r1": (20.0, 0.0, 0.0)}]
-        trace = sim.Trace(config=bridge_config)
-        with pytest.raises(ValueError, match="robots"):
-            trace.samples = [sim.TraceSample(
-                t=0.1 * k, poses=p, rotations={}, tool_tip=(0, 0, 0),
-                tool_target=(0, 0, 0), extruding=False, extrusion_total=0.0)
-                for k, p in enumerate(poses)]
