@@ -105,16 +105,21 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
+def _write_plan(path, plan, machine) -> int:
+    """Write a plan's command stream, in roster order, and its summary."""
+    roster_order = [e.id for e in machine.roster]
+    _write_text(path, coordinator.serialize_command_stream(plan, roster_order))
+    duration = plan.t[-1] if plan.t else 0.0
+    print(f"ticks={len(plan.t)} duration_s={duration:.6f} "
+          f"barriers={len(plan.barriers)}")
+    return EXIT_OK
+
+
 def cmd_plan(args) -> int:
     machine = _load_config(args.config)
     result = _load_segments(args.gcode, home=machine.home)
-    plan = _plan_or_exit(result.segments, machine)
-    roster_order = [e.id for e in machine.roster]
-    _write_text(args.out, coordinator.serialize_command_stream(plan, roster_order))
-    duration = plan.ticks[-1].t if plan.ticks else 0.0
-    print(f"ticks={len(plan.ticks)} duration_s={duration:.6f} "
-          f"barriers={len(plan.barriers)}")
-    return EXIT_OK
+    return _write_plan(args.out, _plan_or_exit(result.segments, machine),
+                       machine)
 
 
 def cmd_simulate(args) -> int:
@@ -184,12 +189,7 @@ def cmd_reconfigure(args) -> int:
     except (PlanError, KinematicsError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_KINEMATICS
-    roster_order = [e.id for e in config_b.roster]
-    _write_text(args.out, coordinator.serialize_command_stream(plan, roster_order))
-    duration = plan.ticks[-1].t if plan.ticks else 0.0
-    print(f"ticks={len(plan.ticks)} duration_s={duration:.6f} "
-          f"barriers={len(plan.barriers)}")
-    return EXIT_OK
+    return _write_plan(args.out, plan, config_b)
 
 
 def build_parser() -> argparse.ArgumentParser:

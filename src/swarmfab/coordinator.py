@@ -1,16 +1,18 @@
 """Role assignment, time parameterization, and per-robot setpoint planning.
 
-A Plan is a time-ordered list of ticks; each tick carries one setpoint
-per active robot (a position for rail/carriage/table robots, a target
-accumulated rotation for spool and lead-screw robots) plus the tool
-target it realizes.  Barriers mark ticks where every robot must arrive
-before the plan clock advances.
+A Plan is a time-ordered schedule of ticks, held as columns; each tick
+carries one setpoint per active robot (a position for rail/carriage/table
+robots, a target accumulated rotation for spool and lead-screw robots) plus
+the tool target it realizes.  Barriers mark ticks where every robot must
+arrive before the plan clock advances.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -114,9 +116,57 @@ class PlanTick:
 
 @dataclass(frozen=True)
 class Plan:
-    ticks: list[PlanTick]
-    barriers: list[int]
+    """A schedule as columns, one entry per tick.
+
+    `setpoints[n]` is tick n's setpoint row: the (x, y, theta) of robot
+    `ids[k]` at 3k:3k + 3.  `kinds[k]` is that robot's setpoint kind for the
+    whole plan: a move robot's row holds its target and theta 0.0, a rotate
+    robot's the spot it turns at and its target accumulated rotation.
+    """
+
     morphology: str
+    barriers: list[int] = field(default_factory=list)
+    ids: tuple[str, ...] = ()
+    kinds: tuple[str, ...] = ()
+    t: list[float] = field(default_factory=list)
+    tool_target: list[tuple[float, float, float]] = field(default_factory=list)
+    extruding: list[bool] = field(default_factory=list)
+    extrusion_total: list[float] = field(default_factory=list)
+    source_line: list[int] = field(default_factory=list)
+    setpoints: list[tuple[float, ...]] = field(default_factory=list)
+
+    @property
+    def ticks(self) -> list[PlanTick]:
+        """The rows as PlanTicks, built on each access."""
+        robots = list(enumerate(zip(self.ids, self.kinds)))
+        return [PlanTick(t, {rid: Setpoint(kind, *row[3 * k:3 * k + 3])
+                             for k, (rid, kind) in robots},
+                         target, extruding, total, line)
+                for t, target, extruding, total, line, row
+                in zip(self.t, self.tool_target, self.extruding,
+                       self.extrusion_total, self.source_line,
+                       self.setpoints)]
+
+    @classmethod
+    def from_ticks(cls, ticks: list[PlanTick], barriers: list[int],
+                   morphology: str) -> Plan:
+        """The Plan of `ticks`, whose setpoints must name the first tick's
+        robots, in its order and with its kinds."""
+        first = ticks[0].setpoints.items() if ticks else ()
+        robots = [(rid, sp.kind) for rid, sp in first]
+        for tick in ticks:
+            items = tick.setpoints.items()
+            if [(rid, sp.kind) for rid, sp in items] != robots:
+                raise ValueError(f"the tick at t={tick.t} has other robots "
+                                 f"or kinds than the first tick")
+        columns = zip(*((tick.t, tick.tool_target, tick.extruding,
+                         tick.extrusion_total, tick.source_line,
+                         tuple(v for sp in tick.setpoints.values()
+                               for v in (sp.x, sp.y, sp.theta)))
+                        for tick in ticks))
+        return cls(morphology, list(barriers),
+                   tuple(rid for rid, _ in robots),
+                   tuple(kind for _, kind in robots), *map(list, columns))
 
 
 def active_robots(config: MachineConfig) -> list[str]:
@@ -160,7 +210,9 @@ def _check(config: MachineConfig, point, what: str, line_no: int) -> None:
 #   zero(datum, start, start_sol)  what rotation targets are relative to:
 #                      the datum's z (bridge) or its wire lengths (wire;
 #                      `start_sol`, start's IK, if the datum is `start`)
-#   setpoints(ids, tool, sol, zero)  robot id -> Setpoint
+#   kinds              setpoint kind of each of `ids`, move or rotate
+#   setpoints(tool, sol, zero)  the setpoint row of a tool point: (x, y,
+#                      theta) of each of `ids` (see Plan)
 #   deltas(seg, start_sol, end_sol)  travel of each actuated axis
 #   reach_reason(x, y, z)  why a tool point is out of reach, or ""
 #   synced(ids)        the robots whose y must agree within sync_tol
@@ -181,6 +233,9 @@ class _Bridge:
                       if config.morphology == "printer_bridge" else None)
         self.sync_tol = config.sync_tol
         self.table_position = config.table_position
+        self.kinds = ("move",) * 3
+        if self.screw is not None:
+            self.kinds += ("rotate",)
 
     def limits(self, params: list[RobotParams]) -> list[float]:
         limits = [p.max_wheel_speed for p in params[:3]]
@@ -194,15 +249,13 @@ class _Bridge:
     def zero(self, datum, start=None, start_sol=None) -> float:
         return datum[2]
 
-    def setpoints(self, ids, tool, sol, zero) -> dict[str, Setpoint]:
-        out = {ids[0]: Setpoint("move", *sol["bridge1"]),
-               ids[1]: Setpoint("move", *sol["bridge2"]),
-               ids[2]: Setpoint("move", tool[0], tool[1])}
-        if self.screw is not None:
-            out[ids[3]] = Setpoint("rotate", *self.table_position,
-                                   theta=kin.leadscrew_delta(
-                                       tool[2] - zero, self.screw))
-        return out
+    def setpoints(self, tool, sol, zero) -> tuple:
+        row = (*sol["bridge1"], 0.0, *sol["bridge2"], 0.0, tool[0], tool[1],
+               0.0)
+        if self.screw is None:
+            return row
+        return (*row, *self.table_position,
+                kin.leadscrew_delta(tool[2] - zero, self.screw))
 
     def deltas(self, seg: MotionSegment, start_sol, end_sol) -> list[float]:
         dx = seg.end[0] - seg.start[0]
@@ -251,9 +304,11 @@ class _Wire:
         self.geom = _required(config, "wire2d_geometry" if self.planar
                               else "wire3d_geometry")
         self.spools = [(a[0], a[1]) for a in self.geom.anchors]
+        self.kinds = ("rotate",) * len(self.spools)
         # the 3-wire table robot holds one setpoint for the whole plan
-        self.table = (None if self.planar
-                      else Setpoint("move", *config.table_position))
+        self.table = () if self.planar else (*config.table_position, 0.0)
+        if not self.planar:
+            self.kinds += ("move",)
 
     def limits(self, params: list[RobotParams]) -> list[float]:
         return [self.geom.spool_radius * _omega_max(p)
@@ -267,15 +322,12 @@ class _Wire:
     def zero(self, datum, start=None, start_sol=None) -> tuple:
         return start_sol if datum == start else self.solve(datum)
 
-    def setpoints(self, ids, tool, sol, zero) -> dict[str, Setpoint]:
+    def setpoints(self, tool, sol, zero) -> tuple:
         radius = self.geom.spool_radius
-        out = {rid: Setpoint("rotate", x, y, theta=kin.spool_delta(
-                   length - length0, radius))
-               for rid, (x, y), length, length0
-               in zip(ids, self.spools, sol, zero)}
-        if self.table is not None:
-            out[ids[-1]] = self.table
-        return out
+        row = ()
+        for (x, y), length, length0 in zip(self.spools, sol, zero):
+            row += (x, y, kin.spool_delta(length - length0, radius))
+        return row + self.table
 
     def deltas(self, seg: MotionSegment, start_sol, end_sol) -> list[float]:
         return [e - s for s, e in zip(start_sol, end_sol)]
@@ -319,7 +371,7 @@ class _Planner:
     def __init__(self, config: MachineConfig):
         self.config = config
         self.machine = config.machine
-        self.ids = active_robots(config)
+        self.ids = tuple(active_robots(config))
         self.limits = self.machine.limits([e.params for e in config.roster])
 
     def duration(self, seg: MotionSegment, length: float, start_sol,
@@ -334,7 +386,7 @@ class _Planner:
     def plan(self, segments: list[MotionSegment],
              datum: tuple[float, float, float], *, t0: float = 0.0,
              extrusion0: float = 0.0, include_start: bool = True,
-             barriers: Optional[list[int]] = None) -> list[PlanTick]:
+             barriers: Optional[list[int]] = None) -> Plan:
         """Sample chained segments into ticks at the planning period.
 
         Rotation targets are relative to `datum`.  A segment's start is the
@@ -345,13 +397,10 @@ class _Planner:
         barrier angle or changes kind.
         """
         config, machine, solve = self.config, self.machine, self.machine.solve
-
-        def setpoints(tool, sol):
-            return machine.setpoints(self.ids, tool, sol, zero)
-
+        setpoints = machine.setpoints
         dt = config.dt_plan
         threshold = math.radians(config.barrier_angle_deg) - 1e-9
-        ticks: list[PlanTick] = []
+        times, tools, extruding, totals, lines, rows = [], [], [], [], [], []
         _check(config, segments[0].start, "segment endpoint",
                segments[0].source_line)
         sol = prev = None
@@ -364,44 +413,50 @@ class _Planner:
             if barriers is not None and prev is not None and (
                     prev[0] != seg.kind
                     or _direction_change(prev[1], direction) >= threshold):
-                barriers.append(len(ticks) - 1)
+                barriers.append(len(times) - 1)
             prev = (seg.kind, direction)
 
             _check(config, seg.end, "segment endpoint", line)
             if sol is None:
                 sol = solve(seg.start)
                 zero = machine.zero(datum, seg.start, sol)
-            extruding = seg.kind == "print"
             de = seg.extrusion_delta
             length = seg.length
             end_sol = sol if length == 0.0 else solve(seg.end)
             duration = (0.0 if length == 0.0
                         else self.duration(seg, length, sol, end_sol))
-            if duration == 0.0:
-                # extrude-in-place, or a segment so short that its duration
-                # underflows: a single dwell tick at its end
+            count = 1
+            if t0 + duration == t0:
+                # extrude-in-place, or a segment too short to move the plan
+                # clock: a single dwell tick at its end
                 t0 += dt
-                ticks.append(PlanTick(
-                    t0, setpoints(seg.end, end_sol), seg.end, extruding,
-                    extrusion0 + de, line))
             else:
                 n = max(1, math.ceil(duration / dt - 1e-9))
-                for i in range(0 if include_start else 1, n):
+                first = 0 if include_start else 1
+                for i in range(first, n):
                     t = i * dt
                     frac = t / duration
                     tool = (sx + dx * frac, sy + dy * frac, sz + dz * frac)
                     _check(config, tool, "setpoint", line)
-                    ticks.append(PlanTick(
-                        t0 + t, setpoints(tool, solve(tool)), tool,
-                        extruding, extrusion0 + de * frac, line))
+                    times.append(t0 + t)
+                    tools.append(tool)
+                    totals.append(extrusion0 + de * frac)
+                    rows.append(setpoints(tool, solve(tool), zero))
+                count += n - first
                 t0 += duration
-                ticks.append(PlanTick(t0, setpoints(seg.end, end_sol),
-                                      seg.end, extruding, extrusion0 + de,
-                                      line))
+            times.append(t0)
+            tools.append(seg.end)
+            totals.append(extrusion0 + de)
+            rows.append(setpoints(seg.end, end_sol, zero))
+            extruding += [seg.kind == "print"] * count
+            lines += [line] * count
             sol = end_sol
             extrusion0 += de
             include_start = False
-        return ticks
+        return Plan(config.morphology, [] if barriers is None else barriers,
+                    ids=self.ids, kinds=machine.kinds, t=times,
+                    tool_target=tools, extruding=extruding,
+                    extrusion_total=totals, source_line=lines, setpoints=rows)
 
 
 def time_parameterize(seg: MotionSegment, config: MachineConfig) -> float:
@@ -426,7 +481,7 @@ def plan_segment(seg: MotionSegment, config: MachineConfig, *,
     """
     return _Planner(config).plan(
         [seg], seg.start if datum is None else datum, t0=t0,
-        extrusion0=extrusion0, include_start=include_start)
+        extrusion0=extrusion0, include_start=include_start).ticks
 
 
 def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
@@ -438,10 +493,9 @@ def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
                 f"segments not chained at line {nxt.source_line}",
                 line_no=nxt.source_line)
     if not segments:
-        return Plan(ticks=[], barriers=[], morphology=config.morphology)
-    barriers: list[int] = []  # ascending: every segment adds a tick
-    ticks = planner.plan(segments, segments[0].start, barriers=barriers)
-    return Plan(ticks=ticks, barriers=barriers, morphology=config.morphology)
+        return Plan(config.morphology)
+    # ascending: every segment adds a tick
+    return planner.plan(segments, segments[0].start, barriers=[])
 
 
 # --- reconfiguration ---
@@ -451,8 +505,8 @@ def initial_robot_positions(config: MachineConfig) -> dict[str, tuple[float, flo
     ids = active_robots(config)
     home, machine = config.home, config.machine
     sol = machine.solve(home)
-    sp = machine.setpoints(ids, home, sol, machine.zero(home, home, sol))
-    return {rid: (s.x, s.y) for rid, s in sp.items()}
+    row = machine.setpoints(home, sol, machine.zero(home, home, sol))
+    return {rid: row[3 * k:3 * k + 2] for k, rid in enumerate(ids)}
 
 
 def default_parking(config: MachineConfig, count: int) -> list[tuple[float, float]]:
@@ -481,7 +535,7 @@ def reconfigure(from_config: MachineConfig, to_config: MachineConfig) -> Plan:
     roles_from = assign_roles(from_config)
     # the set of roles names the morphology, so equal maps mean no change
     if roles_from == assign_roles(to_config):
-        return Plan(ticks=[], barriers=[], morphology=to_config.morphology)
+        return Plan(to_config.morphology)
 
     targets = initial_robot_positions(to_config)
     parked = [rid for rid, role in roles_from.items()
@@ -493,46 +547,47 @@ def reconfigure(from_config: MachineConfig, to_config: MachineConfig) -> Plan:
             f"spot(s) for {len(parked)} parked robots; no spot for "
             f"{', '.join(parked[len(parking):])}")
 
-    setpoints = {}
-    for rid, pos in targets.items():
-        setpoints[rid] = Setpoint("move", pos[0], pos[1])
-    for rid, spot in zip(parked, parking):
-        setpoints[rid] = Setpoint("move", spot[0], spot[1])
-
+    # every robot moves to its spot, then dwells there for the swap
+    spots = [*targets.values(), *parking]
+    row = tuple(v for x, y in spots for v in (x, y, 0.0))
     home = to_config.home
-    move_tick = PlanTick(0.0, setpoints, home, False, 0.0, 0)
-    dwell_tick = PlanTick(to_config.swap_duration, dict(setpoints), home,
-                          False, 0.0, 0)
-    return Plan(ticks=[move_tick, dwell_tick], barriers=[0, 1],
-                morphology=to_config.morphology)
+    return Plan(to_config.morphology, [0, 1], ids=(*targets, *parked),
+                kinds=("move",) * len(spots),
+                t=[0.0, to_config.swap_duration], tool_target=[home, home],
+                extruding=[False, False], extrusion_total=[0.0, 0.0],
+                source_line=[0, 0], setpoints=[row, row])
 
 
 # --- command stream ---
 
 def serialize_command_stream(plan: Plan,
                              roster_order: Optional[list[str]] = None) -> str:
-    """Byte-stable newline-delimited command records, one per robot per tick."""
-    lines = []
-    seen_order: list[str] = []
-    for tick in plan.ticks:
-        ids = roster_order if roster_order is not None else list(tick.setpoints)
-        for rid in ids:
-            if rid not in tick.setpoints:
-                continue
-            if rid not in seen_order:
-                seen_order.append(rid)
-            sp = tick.setpoints[rid]
-            if sp.kind == "move":
-                lines.append(
-                    f"t={tick.t:.6f} id={rid} op=move x={sp.x:.6f} "
-                    f"y={sp.y:.6f} line={tick.source_line}")
-            else:
-                lines.append(
-                    f"t={tick.t:.6f} id={rid} op=rotate theta={sp.theta:.6f} "
-                    f"line={tick.source_line}")
-    if plan.ticks:
-        t_end = plan.ticks[-1].t
-        line = plan.ticks[-1].source_line
-        for rid in seen_order:
-            lines.append(f"t={t_end:.6f} id={rid} op=stop line={line}")
-    return "\n".join(lines) + ("\n" if lines else "")
+    """Byte-stable newline-delimited command records, one per robot per tick
+    (in roster order, by default the plan's), then a stop record per robot.
+
+    Every tick's records come from one format, so the whole stream but the
+    stop records is formatted by one % call.
+    """
+    column = {rid: k for k, rid in enumerate(plan.ids)}
+    order = [column[rid] for rid in
+             (plan.ids if roster_order is None else roster_order)
+             if rid in column]
+    if not plan.t or not order:
+        return ""
+    # a tick's values are picked from (t, line, *setpoint row)
+    formats, picks = [], []
+    for k in order:
+        rid = plan.ids[k].replace("%", "%%")
+        if plan.kinds[k] == "move":
+            formats.append(f"t=%.6f id={rid} op=move x=%.6f y=%.6f line=%s\n")
+            picks += (0, 2 + 3 * k, 3 + 3 * k, 1)
+        else:
+            formats.append(f"t=%.6f id={rid} op=rotate theta=%.6f line=%s\n")
+            picks += (0, 4 + 3 * k, 1)
+    values = chain.from_iterable(map(
+        operator.itemgetter(*picks),
+        map(operator.add, zip(plan.t, plan.source_line), plan.setpoints)))
+    t_end, line = plan.t[-1], plan.source_line[-1]
+    stops = [f"t={t_end:.6f} id={plan.ids[k]} op=stop line={line}\n"
+             for k in dict.fromkeys(order)]
+    return "".join(formats) * len(plan.t) % tuple(values) + "".join(stops)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .errors import (
@@ -32,7 +32,12 @@ SUPPORTED_G = frozenset({0, 1, 2, 3, 20, 21, 28, 90, 91, 92})
 DEFAULT_FEED_MM_S = 20.0
 INCH_TO_MM = 25.4
 
-_NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)")
+# a comment: `;` to the end of the line, or `(` to the next `)`, or to the
+# end of the line if none follows
+_COMMENT_RE = re.compile(r";(.*)|\(([^)]*)\)?")
+# one word: a letter (any non-space character; parse_line checks it) and
+# the number that follows it, if any
+_WORD_RE = re.compile(r"\s*(\S)([+-]?(?:\d+\.?\d*|\.\d+))?")
 
 
 @dataclass(frozen=True)
@@ -101,32 +106,9 @@ def _strip_comments(text: str) -> tuple[str, Optional[str]]:
     """Remove `;`-to-EOL and `( ... )` comments; return (code, first comment)."""
     if ";" not in text and "(" not in text:
         return text, None
-    comment = None
-    out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            body = text[i + 1:].strip()
-            if comment is None and body:
-                comment = body
-            break
-        if c == "(":
-            close = text.find(")", i + 1)
-            if close < 0:
-                body = text[i + 1:].strip()
-                if comment is None and body:
-                    comment = body
-                break
-            body = text[i + 1:close].strip()
-            if comment is None and body:
-                comment = body
-            i = close + 1
-            continue
-        out.append(c)
-        i += 1
-    return "".join(out), comment
+    bodies = (body.strip() for m in _COMMENT_RE.finditer(text)
+              for body in m.groups() if body is not None)
+    return _COMMENT_RE.sub("", text), next(filter(None, bodies), None)
 
 
 def parse_line(text: str, line_no: int = 1) -> Optional[GcodeCommand]:
@@ -141,35 +123,28 @@ def parse_line(text: str, line_no: int = 1) -> Optional[GcodeCommand]:
     letter = None
     code = None
     params: dict[str, float] = {}
-    i = 0
-    n = len(code_text)
-    while i < n:
-        c = code_text[i]
-        if c.isspace():
-            i += 1
-            continue
-        word_letter = c.upper()
-        m = _NUMBER_RE.match(code_text, i + 1)
+    # code_text is stripped, so the words cover it end to end
+    for word, number in _WORD_RE.findall(code_text):
+        word_letter = word.upper()
         if word_letter in COMMAND_LETTERS:
             if letter is not None:
                 raise GcodeError("multiple G/M words on one line", line_no)
-            if m is None:
+            if not number:
                 raise MalformedNumber(f"missing number after {word_letter}", line_no)
-            value = float(m.group())
+            value = float(number)
             if value < 0 or not value.is_integer():
                 raise MalformedNumber(
                     f"{word_letter} code must be a non-negative integer", line_no
                 )
             letter, code = word_letter, int(value)
         elif word_letter in PARAM_LETTERS:
-            if m is None:
+            if not number:
                 raise MalformedNumber(f"missing number after {word_letter}", line_no)
             if word_letter in params:
                 raise DuplicateParam(f"duplicate parameter {word_letter}", line_no)
-            params[word_letter] = float(m.group())
+            params[word_letter] = float(number)
         else:
             raise UnknownWord(f"unknown word letter {word_letter!r}", line_no)
-        i = m.end()
 
     if letter is None:
         raise UnknownWord("line has parameters but no G/M word", line_no)
@@ -215,20 +190,23 @@ def serialize_program(commands: list[GcodeCommand]) -> str:
     return "\n".join(serialize_command(c) for c in commands) + "\n"
 
 
-def _scale(state: InterpreterState) -> float:
-    return INCH_TO_MM if state.units == "inch" else 1.0
+# The modal-state helpers take the state's fields, so that interpret can
+# keep them in locals; `s` is the unit scale (_scale).
+
+def _scale(units: str) -> float:
+    return INCH_TO_MM if units == "inch" else 1.0
 
 
-def _resolve_target(state: InterpreterState, params: dict[str, float]) -> tuple[float, float, float]:
-    s = _scale(state)
-    x, y, z = state.position
-    if state.positioning_mode == "absolute":
+def _resolve_target(params: dict[str, float], s: float, absolute: bool,
+                    position, offset) -> tuple[float, float, float]:
+    x, y, z = position
+    if absolute:
         if "X" in params:
-            x = params["X"] * s + state.offset[0]
+            x = params["X"] * s + offset[0]
         if "Y" in params:
-            y = params["Y"] * s + state.offset[1]
+            y = params["Y"] * s + offset[1]
         if "Z" in params:
-            z = params["Z"] * s + state.offset[2]
+            z = params["Z"] * s + offset[2]
     else:
         x += params.get("X", 0.0) * s
         y += params.get("Y", 0.0) * s
@@ -236,20 +214,21 @@ def _resolve_target(state: InterpreterState, params: dict[str, float]) -> tuple[
     return (x, y, z)
 
 
-def _extrusion_delta(state: InterpreterState, params: dict[str, float]) -> float:
+def _extrusion_delta(params: dict[str, float], s: float, absolute: bool,
+                     e_offset: float, extrusion_total: float) -> float:
     if "E" not in params:
         return 0.0
-    e = params["E"] * _scale(state)
-    if state.extrusion_mode == "absolute":
-        return e + state.e_offset - state.extrusion_total
+    e = params["E"] * s
+    if absolute:
+        return e + e_offset - extrusion_total
     return e
 
 
-def _feed(state: InterpreterState, cmd: GcodeCommand) -> float:
+def _feed(cmd: GcodeCommand, s: float, feed: float) -> float:
     """The feed in mm/s for a command: its F word, or the modal feed."""
     if "F" not in cmd.params:
-        return state.feed
-    f = cmd.params["F"] * _scale(state) / 60.0  # mm/min -> mm/s
+        return feed
+    f = cmd.params["F"] * s / 60.0  # mm/min -> mm/s
     if f <= 0:
         raise GcodeError("feed must be positive", cmd.line_no)
     return f
@@ -277,9 +256,10 @@ def flatten_arc(cmd: GcodeCommand, state: InterpreterState,
     if chord_tol <= 0:
         raise ValueError("chord_tol must be positive")
     clockwise = cmd.code == 2
-    s = _scale(state)
+    s = _scale(state.units)
     start = state.position
-    end = _resolve_target(state, cmd.params)
+    end = _resolve_target(cmd.params, s, state.positioning_mode == "absolute",
+                          start, state.offset)
     sx, sy = start[0], start[1]
     ex, ey = end[0], end[1]
 
@@ -329,8 +309,10 @@ def flatten_arc(cmd: GcodeCommand, state: InterpreterState,
     n = _segment_count(theta, radius, chord_tol)
     a0 = math.atan2(sy - cy, sx - cx)
     direction = -1.0 if clockwise else 1.0
-    e_total = _extrusion_delta(state, cmd.params)
-    feed = _feed(state, cmd)
+    e_total = _extrusion_delta(cmd.params, s,
+                               state.extrusion_mode == "absolute",
+                               state.e_offset, state.extrusion_total)
+    feed = _feed(cmd, s, state.feed)
     kind = "print" if e_total > 0 else "travel"
 
     segments = []
@@ -370,51 +352,59 @@ def interpret(commands: list[GcodeCommand],
               chord_tol: float = 0.05) -> InterpretResult:
     """Execute parsed commands into a chained list of MotionSegments."""
     state = initial if initial is not None else InterpreterState(position=home)
+    # the modal state lives in locals, in InterpreterState's field order
+    (position, extrusion_total, feed, positioning_mode, extrusion_mode, units,
+     offset, e_offset) = (state.position, state.extrusion_total, state.feed,
+                          state.positioning_mode, state.extrusion_mode,
+                          state.units, state.offset, state.e_offset)
     segments: list[MotionSegment] = []
     events: list[MetadataEvent] = []
 
     for cmd in commands:
+        params = cmd.params
         if cmd.letter == "M":
             if cmd.code == 82:
-                state = replace(state, extrusion_mode="absolute")
+                extrusion_mode = "absolute"
             elif cmd.code == 83:
-                state = replace(state, extrusion_mode="relative")
+                extrusion_mode = "relative"
             else:
                 events.append(MetadataEvent(cmd.line_no, "M", cmd.code,
-                                            dict(cmd.params)))
+                                            dict(params)))
             continue
 
         if cmd.code not in SUPPORTED_G:
             raise UnsupportedGCode(f"G{cmd.code} is not supported", cmd.line_no)
 
+        s = _scale(units)
         if cmd.code in (0, 1):
-            target = _resolve_target(state, cmd.params)
-            delta_e = _extrusion_delta(state, cmd.params)
-            feed = _feed(state, cmd)
-            moved = target != state.position
-            if moved or delta_e != 0.0:
+            target = _resolve_target(params, s, positioning_mode == "absolute",
+                                     position, offset)
+            delta_e = _extrusion_delta(params, s, extrusion_mode == "absolute",
+                                       e_offset, extrusion_total)
+            feed = _feed(cmd, s, feed)
+            if target != position or delta_e != 0.0:
                 kind = "print" if delta_e > 0 else "travel"
-                segments.append(MotionSegment(
-                    start=state.position, end=target, feed=feed,
-                    extrusion_delta=delta_e, kind=kind,
-                    source_line=cmd.line_no,
-                ))
-            state = replace(state, position=target, feed=feed,
-                            extrusion_total=state.extrusion_total + delta_e)
+                segments.append(MotionSegment(position, target, feed, delta_e,
+                                              kind, cmd.line_no))
+            position = target
+            extrusion_total += delta_e
         elif cmd.code in (2, 3):
-            arc_segments = flatten_arc(cmd, state, chord_tol)
-            delta_e = _extrusion_delta(state, cmd.params)
+            arc_segments = flatten_arc(cmd, InterpreterState(
+                position, extrusion_total, feed, positioning_mode,
+                extrusion_mode, units, offset, e_offset), chord_tol)
+            delta_e = _extrusion_delta(params, s, extrusion_mode == "absolute",
+                                       e_offset, extrusion_total)
             segments.extend(arc_segments)
-            state = replace(state, position=arc_segments[-1].end,
-                            feed=arc_segments[-1].feed,
-                            extrusion_total=state.extrusion_total + delta_e)
+            position = arc_segments[-1].end
+            feed = arc_segments[-1].feed
+            extrusion_total += delta_e
         elif cmd.code == 20:
-            state = replace(state, units="inch")
+            units = "inch"
         elif cmd.code == 21:
-            state = replace(state, units="mm")
+            units = "mm"
         elif cmd.code == 28:
-            axes = [a for a in "XYZ" if a in cmd.params] or list("XYZ")
-            x, y, z = state.position
+            axes = [a for a in "XYZ" if a in params] or list("XYZ")
+            x, y, z = position
             if "X" in axes:
                 x = home[0]
             if "Y" in axes:
@@ -422,32 +412,29 @@ def interpret(commands: list[GcodeCommand],
             if "Z" in axes:
                 z = home[2]
             target = (x, y, z)
-            if target != state.position:
-                segments.append(MotionSegment(
-                    start=state.position, end=target, feed=state.feed,
-                    extrusion_delta=0.0, kind="travel",
-                    source_line=cmd.line_no,
-                ))
-            state = replace(state, position=target)
+            if target != position:
+                segments.append(MotionSegment(position, target, feed, 0.0,
+                                              "travel", cmd.line_no))
+            position = target
         elif cmd.code == 90:
-            state = replace(state, positioning_mode="absolute")
+            positioning_mode = "absolute"
         elif cmd.code == 91:
-            state = replace(state, positioning_mode="relative")
+            positioning_mode = "relative"
         elif cmd.code == 92:
-            s = _scale(state)
-            ox, oy, oz = state.offset
-            e_off = state.e_offset
-            if "X" in cmd.params:
-                ox = state.position[0] - cmd.params["X"] * s
-            if "Y" in cmd.params:
-                oy = state.position[1] - cmd.params["Y"] * s
-            if "Z" in cmd.params:
-                oz = state.position[2] - cmd.params["Z"] * s
-            if "E" in cmd.params:
-                e_off = state.extrusion_total - cmd.params["E"] * s
-            if not cmd.params:  # bare G92: all logical coordinates become 0
-                ox, oy, oz = state.position
-                e_off = state.extrusion_total
-            state = replace(state, offset=(ox, oy, oz), e_offset=e_off)
+            ox, oy, oz = offset
+            if "X" in params:
+                ox = position[0] - params["X"] * s
+            if "Y" in params:
+                oy = position[1] - params["Y"] * s
+            if "Z" in params:
+                oz = position[2] - params["Z"] * s
+            if "E" in params:
+                e_offset = extrusion_total - params["E"] * s
+            if not params:  # bare G92: all logical coordinates become 0
+                ox, oy, oz = position
+                e_offset = extrusion_total
+            offset = (ox, oy, oz)
 
-    return InterpretResult(segments=segments, events=events, final_state=state)
+    final = InterpreterState(position, extrusion_total, feed, positioning_mode,
+                             extrusion_mode, units, offset, e_offset)
+    return InterpretResult(segments=segments, events=events, final_state=final)

@@ -106,28 +106,27 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
         dt_sim = config.dt_sim
     if dt_sim > config.dt_plan:
         raise ValueError("dt_sim must not exceed dt_plan")
+    if dt_sim <= 0:
+        raise ValueError("dt must be positive")
 
     trace = Trace(config=config)
     roles = assign_roles(config)
     ids = active_robots(config)
-    ticks = plan.ticks
-    if not ticks:
+    if not plan.t:
         return trace
-    if dt_sim <= 0:
-        raise ValueError("dt must be positive")
 
     robots = {}
-    for rid, sp in ticks[0].setpoints.items():
+    for rid in plan.ids:
         p = config.robot_params(rid)
-        robots[rid] = _Robot(sp.x, sp.y, p.wheel_track, p.max_wheel_speed,
-                             p.k_heading, p.k_distance, p.arrival_tol,
-                             p.angular_tol, roles[rid] in ACTUATOR_ROLES)
+        robots[rid] = _Robot(p.wheel_track, p.max_wheel_speed, p.k_heading,
+                             p.k_distance, p.arrival_tol, p.angular_tol,
+                             roles[rid] in ACTUATOR_ROLES)
     noise = None
     if config.noise_std > 0:
         noise = partial(np.random.default_rng(seed).normal, 0.0,
                         config.noise_std * math.sqrt(dt_sim))
     machine = config.machine
-    zero = machine.zero(ticks[0].tool_target)
+    zero = machine.zero(plan.tool_target[0])
     rows, times, tick_of, wait, extruded, stall = _drive(
         plan, dt_sim, config.stall_timeout, robots, machine.synced(ids),
         config.sync_tol, noise)
@@ -141,20 +140,19 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
     trace.t = np.array(times)
     trace.poses = state[..., :3]
     trace.rotations = state[..., 3]
-    trace.tool_target = np.array([tk.tool_target for tk in ticks],
-                                 dtype=float)[at]
-    trace.extruding = np.array([tk.extruding for tk in ticks], dtype=bool)[at]
+    trace.tool_target = np.array(plan.tool_target, dtype=float)[at]
+    trace.extruding = np.array(plan.extruding, dtype=bool)[at]
     # a sample carries the extrusion total reached when its tick began
-    trace.extrusion_total = np.array(
-        [ticks[0].extrusion_total]
-        + [tk.extrusion_total for tk in ticks[:-1]], dtype=float)[at]
+    totals = plan.extrusion_total
+    trace.extrusion_total = np.array(totals[:1] + totals[:-1],
+                                     dtype=float)[at]
     try:
         trace.tool_tip = machine.tool_tips(
             trace.poses, trace.rotations, [order.index(rid) for rid in ids],
             zero)
     except kin.BridgeSkewed as exc:
         # _drive stops at the first skewed sample: the last one
-        raise KinematicsFault(str(exc), line_no=ticks[at[-1]].source_line) \
+        raise KinematicsFault(str(exc), line_no=plan.source_line[at[-1]]) \
             from exc
     if stall is not None:
         raise stall
@@ -162,10 +160,8 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
 
 
 class _Robot(NamedTuple):
-    """A robot's start and constants, in the order _drive unpacks them."""
+    """A robot's constants, in the order _drive unpacks them."""
 
-    x0: float
-    y0: float
     track: float
     cap: float  # wheel speed
     k_heading: float
@@ -179,9 +175,10 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
            synced: tuple, sync_tol: float, noise):
     """Step the robots through the plan's ticks, sampling after every step.
 
-    `robots` maps each id to its _Robot; the y of the `synced` robots must
-    stay within sync_tol of each other.  Robot state lives in one flat
-    list, and the controllers and dynamics of swarmfab.robot
+    `robots` maps each of the plan's ids to its _Robot; each starts at the
+    (x, y) of its first setpoint, and the y of the `synced` robots must stay
+    within sync_tol of each other.  Robot state lives in one flat list, and
+    the controllers and dynamics of swarmfab.robot
     (goto_controller, rotate_controller, step_dynamics) are inlined in their
     operation order, so every pose is theirs bit for bit.  `noise`, if not
     None, returns one position-noise draw: each robot's dynamics step adds
@@ -192,50 +189,53 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
     barrier wait, the extruded length, and the StallTimeout that ended the
     run, if one did.  The run also ends at the first skewed sample.
     """
-    ticks, barriers = plan.ticks, set(plan.barriers)
+    times_of, source_lines = plan.t, plan.source_line
+    barriers = set(plan.barriers)
     sin, cos, atan2, hypot, pi = (math.sin, math.cos, math.atan2, math.hypot,
                                   math.pi)
     # robot k of the sorted ids has its state at s[4k:4k + 4]
     base = {rid: 4 * k for k, rid in enumerate(sorted(robots))}
+    # per robot, in plan order: its state, whether it rotates and where its
+    # (x, y, theta) sits in a setpoint row
+    column = {rid: (base[rid], kind == "rotate", 3 * k)
+              for k, (rid, kind) in enumerate(zip(plan.ids, plan.kinds))}
     s = []
     for rid in base:
-        s += (robots[rid].x0, robots[rid].y0, 0.0, 0.0)
+        j = column[rid][2]
+        s += (*plan.setpoints[0][j:j + 2], 0.0, 0.0)
     ya, yb = ([base[rid] + 1 for rid in synced] if synced
               else (None, None))
+    check_of = [(b, rotate, j, robots[rid].angular_tol if rotate
+                 else robots[rid].arrival_tol)
+                for rid, (b, rotate, j) in column.items()]
+    step_of = [(*column[rid], robots[rid]) for rid in base]
 
     def enter(tick_idx):
         """The constants of pursuing plan tick tick_idx: the steps of the
-        robots with a setpoint, in id order, and the arrival checks, in
-        setpoint order."""
-        tick = ticks[tick_idx]
-        checks = []
-        for rid, sp in tick.setpoints.items():
-            if rid in robots:
-                rotate = sp.kind == "rotate"
-                tol = (robots[rid].angular_tol if rotate
-                       else robots[rid].arrival_tol)
-                checks.append((base[rid], rotate, sp.x, sp.y, sp.theta, tol))
-        steps = [(b, sp.kind == "rotate", sp.x, sp.y, sp.theta,
-                  *robots[rid][2:])
-                 for rid, b in base.items()
-                 if (sp := tick.setpoints.get(rid)) is not None]
-        t_prev = ticks[tick_idx - 1].t if tick_idx > 0 else 0.0
-        return (tick, steps, checks, max(tick.t - t_prev, 0.0),
+        robots, in id order, and the arrival checks, in plan order."""
+        row = plan.setpoints[tick_idx]
+        checks = [(b, rotate, *row[j:j + 3], tol)
+                  for b, rotate, j, tol in check_of]
+        steps = [(b, rotate, *row[j:j + 3], *constants)
+                 for b, rotate, j, constants in step_of]
+        t_prev = times_of[tick_idx - 1] if tick_idx > 0 else 0.0
+        return (steps, checks, max(times_of[tick_idx] - t_prev, 0.0),
                 tick_idx in barriers)
 
     rows = s[:]
     times = [0.0]
     tick_of = [0]
     t = wait = extruded = 0.0
-    extrusion_prev = ticks[0].extrusion_total
+    extruding, totals = plan.extruding, plan.extrusion_total
+    extrusion_prev = totals[0]
     tick_idx = 0
     tick_entry_time = 0.0
     last_best = None
     stall_clock = 0.0
-    tick, steps, checks, budget, is_barrier = enter(0)
+    steps, checks, budget, is_barrier = enter(0)
     if synced and abs(s[ya] - s[yb]) > sync_tol:
         return rows, times, tick_of, wait, extruded, None
-    while tick_idx < len(ticks):
+    while tick_idx < len(times_of):
         # pursue the current tick's setpoints
         for (b, rotate, tx, ty, theta, track, cap, k_heading, k_distance,
              arrival_tol, angular_tol, actuator) in steps:
@@ -323,7 +323,7 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
         if stall_clock > stall_timeout:
             return rows, times, tick_of, wait, extruded, StallTimeout(
                 f"no progress for {stall_timeout} s at plan tick "
-                f"{tick_idx} (t={t:.2f} s)", line_no=tick.source_line)
+                f"{tick_idx} (t={t:.2f} s)", line_no=source_lines[tick_idx])
 
         # advance the plan clock
         deadline_met = t - tick_entry_time >= budget - 1e-12
@@ -334,17 +334,17 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
         else:
             advance = deadline_met
         if advance:
-            if tick.extruding:
-                gained = tick.extrusion_total - extrusion_prev
+            if extruding[tick_idx]:
+                gained = totals[tick_idx] - extrusion_prev
                 if gained > 0:
                     extruded += gained
-            extrusion_prev = tick.extrusion_total
+            extrusion_prev = totals[tick_idx]
             tick_idx += 1
             tick_entry_time = t
             last_best = None
             stall_clock = 0.0
-            if tick_idx < len(ticks):
-                tick, steps, checks, budget, is_barrier = enter(tick_idx)
+            if tick_idx < len(times_of):
+                steps, checks, budget, is_barrier = enter(tick_idx)
     return rows, times, tick_of, wait, extruded, None
 
 
@@ -427,28 +427,17 @@ Z_QUANTUM = 1e-6  # mm, layer grouping quantization
 
 
 def _polylines(trace: Trace, want_extruding: bool):
-    """Maximal runs of consecutive samples sharing the extruding flag.
+    """Maximal runs of at least two consecutive samples sharing the
+    extruding flag, as (layer z, tool-tip rows).
 
-    Each run carries a layer key taken from the commanded target z, which
-    is exact; the FK tool-tip z jitters below the grouping quantum.
+    A run's layer z is the commanded target z of its first sample, which is
+    exact; the FK tool-tip z jitters below the grouping quantum.
     """
-    runs = []
-    current = []
-    key_z = 0.0
-    for extruding, target_z, tip in zip(trace.extruding.tolist(),
-                                        trace.tool_target[:, 2].tolist(),
-                                        trace.tool_tip.tolist()):
-        if extruding == want_extruding:
-            if not current:
-                key_z = target_z
-            current.append(tip)
-        else:
-            if len(current) >= 2:
-                runs.append((key_z, current))
-            current = []
-    if len(current) >= 2:
-        runs.append((key_z, current))
-    return runs
+    flags = np.concatenate(([False], trace.extruding == want_extruding,
+                            [False]))
+    edges = np.flatnonzero(flags[1:] != flags[:-1]).tolist()
+    return [(float(trace.tool_target[a, 2]), trace.tool_tip[a:b].tolist())
+            for a, b in zip(edges[::2], edges[1::2]) if b - a >= 2]
 
 
 def _fmt(v: float) -> str:
@@ -508,12 +497,12 @@ def export_svg(source, *, workspace=None, include_travel: bool = True) -> str:
     for z in sorted(layers):
         lines.append(f'<g id="layer-z{_fmt(z)}">')
         for poly in layers[z]["travel"]:
-            pts = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in poly)
+            pts = _svg_points(poly)
             lines.append(
                 f'<polyline points="{pts}" fill="none" stroke="#999999" '
                 f'stroke-width="0.2" stroke-dasharray="2,2"/>')
         for poly in layers[z]["print"]:
-            pts = " ".join(f"{_fmt(p[0])},{_fmt(p[1])}" for p in poly)
+            pts = _svg_points(poly)
             lines.append(
                 f'<polyline points="{pts}" fill="none" stroke="#000000" '
                 f'stroke-width="0.4"/>')
@@ -537,6 +526,11 @@ def _format_rows(fmt: str, values: np.ndarray) -> list[str]:
     """`fmt % row` for every row of a 2-D array, by one % call."""
     return ((fmt + "\n") * len(values) % tuple(values.ravel().tolist())
             ).split("\n")[:-1]
+
+
+def _svg_points(poly) -> str:
+    """A polyline's "x,y" pairs, space-separated, one % call per point."""
+    return " ".join(["%.6f,%.6f" % (x, y) for x, y, _ in poly])
 
 
 def export_csv(trace: Trace) -> str:

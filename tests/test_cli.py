@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from swarmfab import cli, config
+from swarmfab import cli, config, coordinator
 
 SQUARE = """G92 E0
 G1 X210 Y110 F1200
@@ -83,6 +83,38 @@ class TestPlan:
         code, _, _ = run_cli(["plan", workdir / "square.gcode", bad,
                               workdir / "s.txt"], capsys)
         assert code == 4
+
+
+class TestPlanColumns:
+    def test_commands_never_build_the_ticks_view(self, workdir, capsys,
+                                                  monkeypatch):
+        # plan, reconfigure and simulate read the plan's columns only
+        doc = config.default_config_doc("bridge_xy")
+        doc["roster"].append({"id": "r4"})
+        (workdir / "bridge4.json").write_text(json.dumps(doc))
+        config.write_default_config("printer_bridge", str(workdir / "pb.json"))
+        commands = {
+            "plan": ["plan", workdir / "square.gcode", workdir / "bridge.json"],
+            "reconfigure": ["reconfigure", workdir / "bridge4.json",
+                            workdir / "pb.json"],
+            "simulate": ["simulate", workdir / "square.gcode",
+                         workdir / "bridge.json", "--report", "--csv",
+                         workdir / "trace.csv", "--stream"],
+        }
+        expected = {}
+        for name, argv in commands.items():
+            expected[name] = run_cli(argv + [workdir / f"{name}.txt"], capsys)
+            assert expected[name][0] == 0
+            expected[name] += ((workdir / f"{name}.txt").read_bytes(),)
+
+        def refuse(plan):
+            raise AssertionError("Plan.ticks built")
+
+        monkeypatch.setattr(coordinator.Plan, "ticks", property(refuse))
+        for name, argv in commands.items():
+            got = run_cli(argv + [workdir / f"{name}.txt"], capsys)
+            assert got + ((workdir / f"{name}.txt").read_bytes(),) \
+                == expected[name]
 
 
 class TestSimulate:

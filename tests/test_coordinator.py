@@ -146,9 +146,9 @@ def plan_segment_oracle(seg, cfg, roles=None, *, t0=0.0, datum=None,
 
     ticks = []
     extruding = seg.kind == "print"
-    if duration == 0.0:
-        # the dwell tick of a segment whose duration is 0: at its end, which
-        # is its start unless the duration underflowed
+    if t0 + duration == t0:
+        # the dwell tick of a segment that does not move the plan clock: at
+        # its end, which is its start unless the segment has a length
         sp = tool_setpoints_oracle(seg.end, cfg, roles, datum,
                                    datum_lengths)
         ticks.append(PlanTick(t0 + dt, sp, seg.end, extruding,
@@ -200,7 +200,7 @@ def plan_program_oracle(segments, cfg):
     ticks = []
     barriers = []
     if not segments:
-        return Plan(ticks=[], barriers=[], morphology=cfg.morphology)
+        return Plan.from_ticks([], [], cfg.morphology)
 
     datum = segments[0].start
     time_parameterize_oracle(segments[0], cfg, roles)
@@ -225,7 +225,45 @@ def plan_program_oracle(segments, cfg):
         extrusion += seg.extrusion_delta
         prev_seg = seg
     barriers = sorted(set(barriers))
-    return Plan(ticks=ticks, barriers=barriers, morphology=cfg.morphology)
+    return Plan.from_ticks(ticks, barriers, cfg.morphology)
+
+
+def serialize_command_stream_oracle(plan, roster_order=None):
+    """The serializer before the columnar plan: one f-string per record,
+    from the PlanTicks of the plan's ticks view."""
+    lines = []
+    seen_order = []
+    ticks = plan.ticks
+    for tick in ticks:
+        ids = roster_order if roster_order is not None else list(tick.setpoints)
+        for rid in ids:
+            if rid not in tick.setpoints:
+                continue
+            if rid not in seen_order:
+                seen_order.append(rid)
+            sp = tick.setpoints[rid]
+            if sp.kind == "move":
+                lines.append(
+                    f"t={tick.t:.6f} id={rid} op=move x={sp.x:.6f} "
+                    f"y={sp.y:.6f} line={tick.source_line}")
+            else:
+                lines.append(
+                    f"t={tick.t:.6f} id={rid} op=rotate theta={sp.theta:.6f} "
+                    f"line={tick.source_line}")
+    if ticks:
+        t_end = ticks[-1].t
+        line = ticks[-1].source_line
+        for rid in seen_order:
+            lines.append(f"t={t_end:.6f} id={rid} op=stop line={line}")
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def four_robot_config(morphology, ids=("r1", "r2", "r3", "r4")):
+    """The scaffold config of a morphology with a roster of `ids`: every
+    morphology can reconfigure into any other."""
+    doc = config.default_config_doc(morphology)
+    doc["roster"] = [{"id": rid} for rid in ids]
+    return config.parse_config(doc)
 
 
 def same_outcome(fn, oracle, *args, **kwargs):
@@ -367,6 +405,20 @@ class TestPlannerOracle:
         assert times == sorted(set(times))
         assert [(t.source_line, t.tool_target) for t in plan.ticks
                 if t.source_line == 2] == [(2, c)]
+
+    def test_segment_too_short_for_the_clock(self):
+        # 1.1e-308 mm takes a duration that 0.4 s + duration rounds back to
+        # 0.4 s: one dwell tick a plan period later, not two at one time
+        cfg = config.default_config("bridge_xy")
+        segments = [seg((200, 0, 0), (210, 0, 0), feed=25.0, line=1),
+                    seg((210, 0, 0), (210, 1.1e-308, 0), feed=25.0, line=2)]
+        plan, _ = same_outcome(coordinator.plan_program, plan_program_oracle,
+                               segments, cfg)
+        assert plan.t[-2:] == [0.4, 0.5] and plan.source_line[-1] == 2
+        stream = coordinator.serialize_command_stream(plan)
+        stamps = [line.split()[:2] for line in stream.splitlines()
+                  if "op=stop" not in line]
+        assert len(stamps) == len(set(map(tuple, stamps))) == 3 * len(plan.t)
 
     def test_endpoint_outside(self, wire2d_config):
         program = random_walk_program("wire2d_wall", 5, 40)
@@ -654,6 +706,50 @@ class TestPlanProgram:
         assert plan.ticks == [] and plan.barriers == []
 
 
+class TestPlanColumns:
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_from_ticks_round_trip(self, morphology):
+        cfg = four_robot_config(morphology)
+        segments = segments_of(random_walk_program(morphology, 3, 200),
+                               cfg.home)
+        for plan in (coordinator.plan_program(segments, cfg),
+                     coordinator.plan_program([], cfg),
+                     coordinator.reconfigure(
+                         four_robot_config("wire2d_wall"), cfg)):
+            again = Plan.from_ticks(plan.ticks, plan.barriers,
+                                    plan.morphology)
+            assert again == plan and repr(again) == repr(plan)
+
+    def test_rows_follow_ids_and_kinds(self, printer_bridge_config):
+        plan = coordinator.plan_program(
+            [seg((210, 110, 0), (230, 110, 20), line=1)],
+            printer_bridge_config)
+        assert plan.ids == ("r1", "r2", "r3", "r4")
+        assert plan.kinds == ("move", "move", "move", "rotate")
+        tick = plan.ticks[-1]
+        assert tick.setpoints["r3"] == Setpoint("move", 230.0, 110.0)
+        assert plan.setpoints[-1][9:] == (
+            *printer_bridge_config.table_position,
+            tick.setpoints["r4"].theta)
+
+    @pytest.mark.parametrize("change", ["drop", "add", "kind", "order"])
+    def test_from_ticks_rejects_other_robots(self, bridge_config, change):
+        ticks = coordinator.plan_segment(
+            seg((200, 100, 0), (210, 100, 0)), bridge_config)
+        setpoints = dict(ticks[1].setpoints)
+        if change == "drop":
+            del setpoints["r3"]
+        elif change == "add":
+            setpoints["r4"] = Setpoint("move", 1.0, 2.0)
+        elif change == "kind":
+            setpoints["r3"] = Setpoint("rotate", theta=1.0)
+        else:
+            setpoints = dict(reversed(setpoints.items()))
+        ticks[1] = dataclasses.replace(ticks[1], setpoints=setpoints)
+        with pytest.raises(ValueError, match="other robots or kinds"):
+            Plan.from_ticks(ticks, [], "bridge_xy")
+
+
 class TestReconfigure:
     def four_robot_bridge(self):
         doc = config.default_config_doc("bridge_xy")
@@ -709,6 +805,28 @@ class TestSerializeCommandStream:
     def test_empty_plan(self, bridge_config):
         plan = coordinator.plan_program([], bridge_config)
         assert coordinator.serialize_command_stream(plan) == ""
+
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_matches_oracle(self, morphology):
+        cfg = config.default_config(morphology)
+        segments = segments_of(random_walk_program(morphology, 2, 300),
+                               cfg.home)
+        plan = coordinator.plan_program(segments, cfg)
+        ids = [e.id for e in cfg.roster]
+        for order in (None, ids, ids[::-1] + ["ghost"], ids[:1] * 2, []):
+            assert (coordinator.serialize_command_stream(plan, order)
+                    == serialize_command_stream_oracle(plan, order))
+
+    @pytest.mark.parametrize("to", coordinator.MORPHOLOGIES)
+    def test_reconfigure_matches_oracle(self, to):
+        # robot ids holding % and other format characters stay literal
+        ids = ("r%s", "100%", "{r}", "r 4")
+        plan = coordinator.reconfigure(four_robot_config("bridge_xy", ids),
+                                       four_robot_config(to, ids))
+        for order in (None, list(ids)):
+            text = coordinator.serialize_command_stream(plan, order)
+            assert text == serialize_command_stream_oracle(plan, order)
+        assert bool(text) == (to != "bridge_xy")
 
     def test_byte_stable(self, bridge_config):
         segs = [seg((100, 100, 0), (200, 150, 0), feed=25.0)]

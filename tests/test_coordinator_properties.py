@@ -9,7 +9,12 @@ st = pytest.importorskip("hypothesis.strategies")
 from swarmfab import config, coordinator  # noqa: E402
 from swarmfab.gcode import MotionSegment  # noqa: E402
 
-from test_coordinator import plan_program_oracle, same_outcome  # noqa: E402
+from test_coordinator import (  # noqa: E402
+    four_robot_config,
+    plan_program_oracle,
+    same_outcome,
+    serialize_command_stream_oracle,
+)
 
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None)
 CONFIGS = {m: config.default_config(m) for m in coordinator.MORPHOLOGIES}
@@ -54,11 +59,35 @@ def test_plan_invariants(morphology, data):
     plan, _ = same_outcome(coordinator.plan_program, plan_program_oracle,
                            segments, cfg)
     times = [tick.t for tick in plan.ticks]
-    # monotone; not strictly, as a segment far shorter than the feed times
-    # the clock's resolution takes no time
-    assert all(b >= a for a, b in zip(times, times[1:]))
+    assert all(b > a for a, b in zip(times, times[1:]))
     # every segment ends on a tick that carries its exact end point
     ends = {(t.source_line, t.tool_target) for t in plan.ticks}
     assert all((s.source_line, s.end) in ends for s in segments)
     assert plan.barriers == sorted(set(plan.barriers))
     assert all(0 <= b < len(plan.ticks) for b in plan.barriers)
+
+
+ROSTER_ORDERS = st.none() | st.lists(
+    st.sampled_from(("r1", "r2", "r3", "r4", "r5", "ghost")), max_size=7)
+
+
+@pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_stream_matches_oracle(morphology, data):
+    segments = data.draw(chained_segments(morphology))
+    plan = coordinator.plan_program(segments, CONFIGS[morphology])
+    order = data.draw(ROSTER_ORDERS)
+    assert (coordinator.serialize_command_stream(plan, order)
+            == serialize_command_stream_oracle(plan, order))
+
+
+@SETTINGS
+@hypothesis.given(pair=st.permutations(coordinator.MORPHOLOGIES),
+                  five=st.booleans(), order=ROSTER_ORDERS)
+def test_reconfigure_stream_matches_oracle(pair, five, order):
+    ids = ("r1", "r2", "r3", "r4", "r5")[:5 if five else 4]
+    plan = coordinator.reconfigure(four_robot_config(pair[0], ids),
+                                   four_robot_config(pair[1], ids))
+    assert (coordinator.serialize_command_stream(plan, order)
+            == serialize_command_stream_oracle(plan, order))

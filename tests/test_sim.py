@@ -77,10 +77,13 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
         dt_sim = cfg.dt_sim
     if dt_sim > cfg.dt_plan:
         raise ValueError("dt_sim must not exceed dt_plan")
+    if dt_sim <= 0:
+        raise ValueError("dt must be positive")
+    ticks = plan.ticks
     roles = coordinator.assign_roles(cfg)
     states = {}
-    if plan.ticks:
-        for rid, sp in plan.ticks[0].setpoints.items():
+    if ticks:
+        for rid, sp in ticks[0].setpoints.items():
             states[rid] = RobotState(id=rid, pose=(sp.x, sp.y, 0.0),
                                      role=roles[rid],
                                      params=cfg.robot_params(rid))
@@ -88,10 +91,10 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
     rng = np.random.default_rng(seed) if cfg.noise_std > 0 else None
     samples = []
     wait = extruded = 0.0
-    if not plan.ticks:
+    if not ticks:
         return OracleRun(samples, wait, extruded)
     sigma = cfg.noise_std * math.sqrt(dt_sim)
-    zero = cfg.machine.zero(plan.ticks[0].tool_target)
+    zero = cfg.machine.zero(ticks[0].tool_target)
     order = sorted(states)
     barriers = set(plan.barriers)
 
@@ -118,14 +121,14 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
         return error(state, sp) < tol
 
     t = 0.0
-    extrusion_prev = plan.ticks[0].extrusion_total
-    record(t, plan.ticks[0], extrusion_prev)
+    extrusion_prev = ticks[0].extrusion_total
+    record(t, ticks[0], extrusion_prev)
     tick_idx = 0
     tick_entry_time = 0.0
     last_best = None
     stall_clock = 0.0
-    while tick_idx < len(plan.ticks):
-        tick = plan.ticks[tick_idx]
+    while tick_idx < len(ticks):
+        tick = ticks[tick_idx]
         is_barrier = tick_idx in barriers
         for rid in order:
             sp = tick.setpoints.get(rid)
@@ -165,7 +168,7 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
                 f"no progress for {cfg.stall_timeout} s at plan tick "
                 f"{tick_idx} (t={t:.2f} s)", line_no=tick.source_line)
 
-        t_prev = plan.ticks[tick_idx - 1].t if tick_idx > 0 else 0.0
+        t_prev = ticks[tick_idx - 1].t if tick_idx > 0 else 0.0
         budget = max(tick.t - t_prev, 0.0)
         deadline_met = t - tick_entry_time >= budget - 1e-12
         if is_barrier:
@@ -268,31 +271,34 @@ def noisy_config(morphology, noise):
     return config.parse_config(doc)
 
 
+def home_setpoints(cfg):
+    """Every robot's setpoint for the home tool point, relative to home."""
+    home = cfg.home
+    return coordinator.plan_segment(seg(home, home), cfg)[0].setpoints
+
+
 def stall_plan(cfg, spool_theta):
     """A wire3d plan whose last tick is a barrier that never completes: the
     table robot, too slow to make progress, is sent 50 mm away, while spool
     1 turns to `spool_theta`."""
     ids = coordinator.active_robots(cfg)
     home = cfg.home
-    sol = cfg.machine.solve(home)
-    first = cfg.machine.setpoints(ids, home, sol, sol)
+    first = home_setpoints(cfg)
     second = dict(first)
     second[ids[0]] = dataclasses.replace(first[ids[0]], theta=spool_theta)
     table = first[ids[3]]
     second[ids[3]] = Setpoint("move", table.x + 50.0, table.y)
-    return Plan(ticks=[PlanTick(0.0, first, home, False, 0.0, 1),
-                       PlanTick(0.1, second, home, False, 0.0, 2)],
-                barriers=[1], morphology=cfg.morphology)
+    return Plan.from_ticks([PlanTick(0.0, first, home, False, 0.0, 1),
+                            PlanTick(0.1, second, home, False, 0.0, 2)],
+                           [1], cfg.morphology)
 
 
 def dwell_plan(cfg, seconds):
     """One plan tick that holds every robot at its home setpoint."""
-    machine, home = cfg.machine, cfg.home
-    sol = machine.solve(home)
-    setpoints = machine.setpoints(coordinator.active_robots(cfg), home, sol,
-                                  machine.zero(home))
-    return Plan(ticks=[PlanTick(seconds, setpoints, home, False, 0.0, 1)],
-                barriers=[], morphology=cfg.morphology)
+    home = cfg.home
+    return Plan.from_ticks(
+        [PlanTick(seconds, home_setpoints(cfg), home, False, 0.0, 1)], [],
+        cfg.morphology)
 
 
 def slow_table_config():
@@ -431,6 +437,16 @@ class TestRun:
         bound = cap * bridge_config.dt_plan + tol
         for x in trace.samples:
             assert math.dist(x.tool_tip, x.tool_target) <= bound + 5.0
+
+    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    @pytest.mark.parametrize("empty", [True, False])
+    def test_non_positive_dt_sim_rejected(self, bridge_config, dt, empty):
+        # also for an empty plan, which runs no step
+        plan = (coordinator.plan_program([], bridge_config) if empty
+                else dwell_plan(bridge_config, 0.1))
+        for run in (sim.run, run_oracle):
+            with pytest.raises(ValueError, match="dt must be positive"):
+                run(plan, bridge_config, dt_sim=dt)
 
     def test_dt_sim_larger_than_plan_rejected(self, bridge_config):
         plan = coordinator.plan_program([], bridge_config)
