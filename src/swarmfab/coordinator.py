@@ -12,12 +12,13 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain
-from typing import Optional
+from itertools import chain, repeat
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import kinematics as kin
+from . import machines
 from .errors import InsufficientRobots, OutOfWorkspace, PlanError
 from .gcode import MotionSegment
 from .robot import RobotParams
@@ -34,6 +35,13 @@ ROLE_SEQUENCE = {
 }
 
 REQUIRED_ROBOTS = {m: len(seq) for m, seq in ROLE_SEQUENCE.items()}
+
+# The most ticks a plan may have, about 28 h of machine time at a 0.1 s
+# dt_plan: a near-zero speed limit would otherwise ask for a plan too long
+# to build.
+MAX_PLAN_TICKS = 1_000_000
+# segments per block of the planner's tick pass
+BLOCK_SEGMENTS = 1024
 
 
 @dataclass(frozen=True)
@@ -63,9 +71,10 @@ class MachineConfig:
     swap_duration: float = 10.0  # s, attachment swap dwell
     barrier_angle_deg: float = 90.0
     stall_timeout: float = 10.0  # simulated s
-    # the morphology's mechanics (_Bridge or _Wire), built once here and
-    # left out of repr and ==
-    machine: "_Bridge | _Wire" = field(init=False, repr=False, compare=False)
+    # the morphology's mechanics (a machines.Bridge or Wire), built once
+    # here and left out of repr and ==
+    machine: "machines.Bridge | machines.Wire" = field(
+        init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.morphology not in MORPHOLOGIES:
@@ -85,8 +94,9 @@ class MachineConfig:
         if duplicates:
             raise ValueError(f"duplicate robot ids in roster: "
                              f"{', '.join(duplicates)}")
-        family = (_Bridge if self.morphology in ("bridge_xy", "printer_bridge")
-                  else _Wire)
+        family = (machines.Bridge
+                  if self.morphology in ("bridge_xy", "printer_bridge")
+                  else machines.Wire)
         object.__setattr__(self, "machine", family(self))
 
     def robot_params(self, robot_id: str) -> RobotParams:
@@ -184,184 +194,37 @@ def assign_roles(config: MachineConfig) -> dict[str, str]:
     return {entry.id: roles.get(entry.id, "idle") for entry in config.roster}
 
 
-def _omega_max(params: RobotParams) -> float:
-    return 2.0 * params.max_wheel_speed / params.wheel_track
+def _outside(point, reason: str, what: str, line_no: int) -> OutOfWorkspace:
+    return OutOfWorkspace(f"{what} {point} outside workspace: {reason}",
+                          reason=reason, line_no=line_no)
 
 
-def _required(config: MachineConfig, name: str):
-    value = getattr(config, name)
-    if value is None:
-        raise ValueError(f"{config.morphology} config needs a {name}")
-    return value
+def _points(tuples) -> np.ndarray:
+    """The N x 3 array of N 3-tuples."""
+    return np.fromiter(chain.from_iterable(tuples), float,
+                       3 * len(tuples)).reshape(-1, 3)
 
 
-def _check(config: MachineConfig, point, what: str, line_no: int) -> None:
-    check = kin.workspace_contains(config, point)
-    if not check:
-        raise OutOfWorkspace(
-            f"{what} {point} outside workspace: {check.reason}",
-            reason=check.reason, line_no=line_no)
+def _column(values: np.ndarray):
+    """A column of floats as a list, or as a repeat of one float object if
+    every row holds the same float, down to the sign of a zero."""
+    bits = values.view(np.int64)
+    if len(bits) and (bits == bits[0]).all():
+        return repeat(values[0].item(), len(values))
+    return values.tolist()
 
 
-# A machine holds one morphology family's mechanics, for a MachineConfig:
-#   limits(params)     speed limit of each actuated axis, in `deltas` units,
-#                      from the params of the roster's robots
-#   solve(tool)        IK solution of a tool point
-#   zero(datum, start, start_sol)  what rotation targets are relative to:
-#                      the datum's z (bridge) or its wire lengths (wire;
-#                      `start_sol`, start's IK, if the datum is `start`)
-#   kinds              setpoint kind of each of `ids`, move or rotate
-#   setpoints(tool, sol, zero)  the setpoint row of a tool point: (x, y,
-#                      theta) of each of `ids` (see Plan)
-#   deltas(seg, start_sol, end_sol)  travel of each actuated axis
-#   reach_reason(x, y, z)  why a tool point is out of reach, or ""
-#   synced(ids)        the robots whose y must agree within sync_tol
-#   tool_tips(poses, rotations, cols, zero)  FK of every row of pose (N x R
-#                      x 3) and rotation (N x R) columns; `cols` holds the
-#                      column of each of `ids`
-# `ids` are active_robots(config).  The kinematics functions are looked up
-# on the module at call time, so wrappers installed there see every call.
+class _Segments(NamedTuple):
+    """Chained segments as columns, one row per segment: its start and end
+    (N x 3 each), the IK solution of its end, its extrusion and its
+    duration."""
 
-class _Bridge:
-    """bridge_xy, and printer_bridge with its lead screw: two rail robots
-    carry the bridge (y), the carriage rides it (x) and the 4th robot turns
-    the screw (z).  An IK solution is the bridge decomposition."""
-
-    def __init__(self, config: MachineConfig):
-        self.geom = _required(config, "bridge_geometry")
-        self.screw = (_required(config, "lead_screw")
-                      if config.morphology == "printer_bridge" else None)
-        self.sync_tol = config.sync_tol
-        self.table_position = config.table_position
-        self.kinds = ("move",) * 3
-        if self.screw is not None:
-            self.kinds += ("rotate",)
-
-    def limits(self, params: list[RobotParams]) -> list[float]:
-        limits = [p.max_wheel_speed for p in params[:3]]
-        if self.screw is not None:
-            limits.append(_omega_max(params[3]))
-        return limits
-
-    def solve(self, tool: tuple[float, float, float]) -> dict:
-        return kin.bridge_ik((tool[0], tool[1]), self.geom)
-
-    def zero(self, datum, start=None, start_sol=None) -> float:
-        return datum[2]
-
-    def setpoints(self, tool, sol, zero) -> tuple:
-        row = (*sol["bridge1"], 0.0, *sol["bridge2"], 0.0, tool[0], tool[1],
-               0.0)
-        if self.screw is None:
-            return row
-        return (*row, *self.table_position,
-                kin.leadscrew_delta(tool[2] - zero, self.screw))
-
-    def deltas(self, seg: MotionSegment, start_sol, end_sol) -> list[float]:
-        dx = seg.end[0] - seg.start[0]
-        dy = seg.end[1] - seg.start[1]
-        deltas = [dy, dy, dx]
-        if self.screw is not None:
-            deltas.append(kin.leadscrew_delta(seg.end[2] - seg.start[2],
-                                              self.screw))
-        return deltas
-
-    def reach_reason(self, x: float, y: float, z: float) -> str:
-        geom, screw = self.geom, self.screw
-        if not geom.carriage_min <= x - geom.rail1_x <= geom.carriage_max:
-            return "CarriageTravel"
-        if screw is None:
-            if abs(z - geom.bridge_height) > 1e-9:
-                return "NonPlanar"
-        elif not screw.z_min <= z <= screw.z_max:
-            return "ZTravel"
-        return ""
-
-    def synced(self, ids) -> tuple:
-        return (ids[0], ids[1])
-
-    def tool_tips(self, poses, rotations, cols, zero) -> np.ndarray:
-        geom, screw = self.geom, self.screw
-        tips = np.empty((len(poses), 3))
-        tips[:, :2] = kin.bridge_fk_rows(
-            poses[:, cols[0], :2], poses[:, cols[1], :2],
-            poses[:, cols[2], 0] - geom.rail1_x, geom, sync_tol=self.sync_tol)
-        if screw is None:
-            tips[:, 2] = geom.bridge_height
-        else:
-            tips[:, 2] = zero + (screw.direction * rotations[:, cols[3]]
-                                 * screw.pitch / (2 * math.pi))
-        return tips
-
-
-class _Wire:
-    """wire2d_wall, and wire3d_printer with its table robot: one spool robot
-    per wire anchor sets the wire lengths.  An IK solution is the tuple of
-    wire lengths; the wall plotter works in the plane z = 0."""
-
-    def __init__(self, config: MachineConfig):
-        self.planar = config.morphology == "wire2d_wall"
-        self.geom = _required(config, "wire2d_geometry" if self.planar
-                              else "wire3d_geometry")
-        self.spools = [(a[0], a[1]) for a in self.geom.anchors]
-        self.kinds = ("rotate",) * len(self.spools)
-        # the 3-wire table robot holds one setpoint for the whole plan
-        self.table = () if self.planar else (*config.table_position, 0.0)
-        if not self.planar:
-            self.kinds += ("move",)
-
-    def limits(self, params: list[RobotParams]) -> list[float]:
-        return [self.geom.spool_radius * _omega_max(p)
-                for p in params[:len(self.spools)]]
-
-    def solve(self, tool: tuple[float, float, float]) -> tuple:
-        if self.planar:
-            return kin.wire2d_ik((tool[0], tool[1]), self.geom)
-        return kin.wire3d_ik(tool, self.geom)
-
-    def zero(self, datum, start=None, start_sol=None) -> tuple:
-        return start_sol if datum == start else self.solve(datum)
-
-    def setpoints(self, tool, sol, zero) -> tuple:
-        radius = self.geom.spool_radius
-        row = ()
-        for (x, y), length, length0 in zip(self.spools, sol, zero):
-            row += (x, y, kin.spool_delta(length - length0, radius))
-        return row + self.table
-
-    def deltas(self, seg: MotionSegment, start_sol, end_sol) -> list[float]:
-        return [e - s for s, e in zip(start_sol, end_sol)]
-
-    def reach_reason(self, x: float, y: float, z: float) -> str:
-        if self.planar:
-            reason = kin._wire2d_unreachable(x, y, self.geom)
-            return reason or ("NonPlanar" if abs(z) > 1e-9 else "")
-        if kin._depth(self.geom, (x, y, z)) <= self.geom.workspace_margin:
-            return "AboveAnchors"
-        return ""
-
-    def synced(self, ids) -> tuple:
-        return ()
-
-    def tool_tips(self, poses, rotations, cols, zero) -> np.ndarray:
-        lengths = (np.asarray(zero) + self.geom.spool_radius
-                   * rotations[:, cols[:len(self.spools)]])
-        if self.planar:
-            tips = np.zeros((len(poses), 3))
-            tips[:, :2] = kin.wire2d_fk_rows(lengths, self.geom)
-            return tips
-        return kin.wire3d_fk_rows(lengths, self.geom)
-
-
-def _direction_change(a: tuple, b: tuple) -> float:
-    """Angle in radians between two segment directions (dx, dy, dz, norm);
-    0 if either is degenerate."""
-    ax, ay, az, na = a
-    bx, by, bz, nb = b
-    if na == 0.0 or nb == 0.0:
-        return 0.0
-    cosang = (ax * bx + ay * by + az * bz) / (na * nb)
-    return math.acos(max(-1.0, min(1.0, cosang)))
+    segments: list[MotionSegment]
+    starts: np.ndarray
+    ends: np.ndarray
+    end_sols: np.ndarray
+    extrusion: np.ndarray
+    durations: np.ndarray
 
 
 class _Planner:
@@ -374,14 +237,105 @@ class _Planner:
         self.ids = tuple(active_robots(config))
         self.limits = self.machine.limits([e.params for e in config.roster])
 
-    def duration(self, seg: MotionSegment, length: float, start_sol,
-                 end_sol) -> float:
-        """Feed- and actuator-limited duration of a segment of non-zero
-        length, from the IK solutions of its endpoints."""
-        duration = max(length / seg.feed, length / self.config.max_tool_speed)
-        deltas = self.machine.deltas(seg, start_sol, end_sol)
-        return max([duration] + [abs(d) / limit
-                                 for d, limit in zip(deltas, self.limits)])
+    def segments(self, segments: list[MotionSegment]):
+        """The segment pass: check every endpoint, the first segment's start
+        and then each end, then solve and time the segments before the
+        first endpoint outside the workspace.
+
+        Returns (columns, error): the _Segments of those segments, and the
+        OutOfWorkspace of the first endpoint outside, or None; raises that
+        error if no segment comes before it.  IK is solved only for the
+        endpoints inside; a point inside the workspace is inside the reach
+        of its IK, so the IK raises nothing here.
+        """
+        starts, ends, feeds, extrusion = (
+            list(map(operator.attrgetter(name), segments))
+            for name in ("start", "end", "feed", "extrusion_delta"))
+        # each MotionSegment.length
+        lengths = np.fromiter(map(math.dist, starts, ends), float,
+                              len(segments))
+        points = _points([starts[0], *ends])
+        starts = _points(starts)
+        # a segment starts where the one before ends, unless a zero there
+        # has the other sign: keep one copy of the points then
+        if (starts.view(np.int64) == points[:-1].view(np.int64)).all():
+            starts = points[:-1]
+        row, reason = kin.workspace_contains_rows(self.config, points)
+        count = max(row - 1, 0)
+        error = None
+        if reason:
+            seg = segments[count]
+            error = _outside(seg.end if row else seg.start, reason,
+                             "segment endpoint", seg.source_line)
+            if not count:
+                raise error
+            segments, starts = segments[:count], starts[:count]
+        points = points[:count + 1]
+        ends = points[1:]
+        sols = self.machine.solve(points)
+        lengths, feeds = lengths[:count], np.array(feeds[:count], dtype=float)
+        # feed- and actuator-limited, and inf if too long for a float
+        with np.errstate(over="ignore"):
+            durations = np.maximum(lengths / feeds,
+                                   lengths / self.config.max_tool_speed)
+            for delta, limit in zip(
+                    self.machine.deltas(starts, ends, sols[:-1], sols[1:]),
+                    self.limits):
+                durations = np.maximum(durations, np.abs(delta) / limit)
+        return _Segments(segments, starts, ends, sols[1:],
+                         np.array(extrusion[:count], dtype=float),
+                         durations), error
+
+    def clock(self, cols: _Segments, t0: float, first: int):
+        """The plan clock: when each segment starts, and the last one ends
+        (N + 1), and how many interior ticks each has, from tick `first` of
+        the first segment (0 or 1) and tick 1 of the others.  A segment too
+        short to move the clock dwells one tick at its end.  Raises
+        PlanError at the segment where the plan passes MAX_PLAN_TICKS
+        ticks, before any tick is built."""
+        dt = self.config.dt_plan
+        with np.errstate(over="ignore"):
+            ticks = np.maximum(1.0, np.ceil(cols.durations / dt - 1e-9))
+        times, interior = [t0], []
+        for duration, n in zip(cols.durations.tolist(), ticks.tolist()):
+            if t0 + duration == t0:
+                t0 += dt
+                n = first  # no interior ticks
+            else:
+                t0 += duration
+            times.append(t0)
+            interior.append(n - first)
+            first = 1
+        interior = np.array(interior)
+        passed = np.cumsum(interior + 1) > MAX_PLAN_TICKS
+        if passed.any():
+            line = cols.segments[passed.argmax()].source_line
+            raise PlanError(f"plan longer than {MAX_PLAN_TICKS} ticks of "
+                            f"{dt} s", line_no=line)
+        return np.array(times), interior.astype(np.int64)
+
+    def turns(self, cols: _Segments) -> np.ndarray:
+        """Whether each segment after the first turns by at least the
+        barrier angle from the one before, or changes kind."""
+        d = cols.ends - cols.starts
+        dx, dy, dz = d.T
+        norm = np.sqrt(dx * dx + dy * dy + dz * dz)
+        a, b = d[:-1], d[1:]
+        product = norm[:-1] * norm[1:]
+        cosang = np.divide(a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+                           + a[:, 2] * b[:, 2], product,
+                           out=np.ones_like(product),
+                           where=(norm[:-1] != 0.0) & (norm[1:] != 0.0))
+        cosang = np.maximum(-1.0, np.minimum(1.0, cosang))
+        # math.acos: np.arccos may round differently; a segment of zero
+        # length turns by acos(1.0) == 0.0
+        angle = np.fromiter(map(math.acos, cosang.tolist()), float,
+                            len(cosang))
+        threshold = math.radians(self.config.barrier_angle_deg) - 1e-9
+        kinds = [s.kind for s in cols.segments]
+        changed = np.array([k != nxt for k, nxt in zip(kinds, kinds[1:])],
+                           dtype=bool)
+        return changed | (angle >= threshold)
 
     def plan(self, segments: list[MotionSegment],
              datum: tuple[float, float, float], *, t0: float = 0.0,
@@ -389,86 +343,111 @@ class _Planner:
              barriers: Optional[list[int]] = None) -> Plan:
         """Sample chained segments into ticks at the planning period.
 
-        Rotation targets are relative to `datum`.  A segment's start is the
-        previous segment's end, so each endpoint is checked against the
-        workspace and solved once, by the machine's IK; interior ticks get
-        their own check.  The index of the last tick of a segment is
-        appended to `barriers` when the next segment turns by at least the
-        barrier angle or changes kind.
+        Rotation targets are relative to `datum`.  The segment pass checks,
+        solves and times every segment; the tick pass interpolates, checks
+        and solves the interior ticks a block of segments at a time.  The
+        error raised is the one a tick-by-tick planner meets first: it
+        checks the first start, then each segment's end and its interior
+        ticks.  The index of the last tick of a segment is appended to
+        `barriers` when the next segment turns by at least the barrier
+        angle or changes kind.
         """
-        config, machine, solve = self.config, self.machine, self.machine.solve
-        setpoints = machine.setpoints
-        dt = config.dt_plan
-        threshold = math.radians(config.barrier_angle_deg) - 1e-9
-        times, tools, extruding, totals, lines, rows = [], [], [], [], [], []
-        _check(config, segments[0].start, "segment endpoint",
-               segments[0].source_line)
-        sol = prev = None
-        for seg in segments:
-            line = seg.source_line
-            sx, sy, sz = seg.start
-            ex, ey, ez = seg.end
-            dx, dy, dz = ex - sx, ey - sy, ez - sz
-            direction = (dx, dy, dz, math.sqrt(dx * dx + dy * dy + dz * dz))
-            if barriers is not None and prev is not None and (
-                    prev[0] != seg.kind
-                    or _direction_change(prev[1], direction) >= threshold):
-                barriers.append(len(times) - 1)
-            prev = (seg.kind, direction)
+        cols, error = self.segments(segments)
+        zero = self.machine.zero(datum)
+        first = 0 if include_start else 1
+        clock, interior = self.clock(cols, t0, first)
+        # the index of each segment's last tick
+        ends_at = np.cumsum(interior + 1) - 1
+        if barriers is not None:
+            barriers += ends_at[:-1][self.turns(cols)].tolist()
+        # the tick columns, filled a block at a time
+        ticks = [[None] * (ends_at[-1] + 1) for _ in range(4)]
+        for a in range(0, len(interior), BLOCK_SEGMENTS):
+            block = slice(a, a + BLOCK_SEGMENTS)
+            extrusion0 = self._ticks(
+                cols, block, interior[block], clock[a:a + BLOCK_SEGMENTS + 1],
+                extrusion0, zero, first if a == 0 else 1, ticks,
+                ends_at[a - 1] + 1 if a else 0)
+        if error is not None:
+            raise error
+        times, tools, totals, rows = ticks
+        segments = cols.segments
+        # the per-segment columns go before the last two columns are built
+        del cols, clock, ends_at
+        counts = (interior + 1).tolist()
+        kinds = (s.kind == "print" for s in segments)
+        lines = (s.source_line for s in segments)
+        extruding = list(chain.from_iterable(map(repeat, kinds, counts)))
+        source_line = list(chain.from_iterable(map(repeat, lines, counts)))
+        return Plan(self.config.morphology,
+                    [] if barriers is None else barriers, ids=self.ids,
+                    kinds=self.machine.kinds, t=times, tool_target=tools,
+                    extruding=extruding, extrusion_total=totals,
+                    source_line=source_line, setpoints=rows)
 
-            _check(config, seg.end, "segment endpoint", line)
-            if sol is None:
-                sol = solve(seg.start)
-                zero = machine.zero(datum, seg.start, sol)
-            de = seg.extrusion_delta
-            length = seg.length
-            end_sol = sol if length == 0.0 else solve(seg.end)
-            duration = (0.0 if length == 0.0
-                        else self.duration(seg, length, sol, end_sol))
-            count = 1
-            if t0 + duration == t0:
-                # extrude-in-place, or a segment too short to move the plan
-                # clock: a single dwell tick at its end
-                t0 += dt
-            else:
-                n = max(1, math.ceil(duration / dt - 1e-9))
-                first = 0 if include_start else 1
-                for i in range(first, n):
-                    t = i * dt
-                    frac = t / duration
-                    tool = (sx + dx * frac, sy + dy * frac, sz + dz * frac)
-                    _check(config, tool, "setpoint", line)
-                    times.append(t0 + t)
-                    tools.append(tool)
-                    totals.append(extrusion0 + de * frac)
-                    rows.append(setpoints(tool, solve(tool), zero))
-                count += n - first
-                t0 += duration
-            times.append(t0)
-            tools.append(seg.end)
-            totals.append(extrusion0 + de)
-            rows.append(setpoints(seg.end, end_sol, zero))
-            extruding += [seg.kind == "print"] * count
-            lines += [line] * count
-            sol = end_sol
-            extrusion0 += de
-            include_start = False
-        return Plan(config.morphology, [] if barriers is None else barriers,
-                    ids=self.ids, kinds=machine.kinds, t=times,
-                    tool_target=tools, extruding=extruding,
-                    extrusion_total=totals, source_line=lines, setpoints=rows)
+    def _ticks(self, cols: _Segments, block: slice, interior, clock,
+               extrusion0: float, zero, first: int, ticks, at: int) -> float:
+        """The tick pass over one block of segments: write the t, tool
+        target, extrusion total and setpoint row of each of their ticks, the
+        interior ones and then the end, to the `ticks` columns from row
+        `at` on.  Returns the extrusion total after the block.
+
+        `interior` and `clock` are the block's rows of the plan clock (the
+        clock with one more, for the end of its last segment), `extrusion0`
+        the extrusion total before it and `first` the first interior tick of
+        its first segment.
+        """
+        n = len(interior)
+        seg = np.repeat(np.arange(n), interior)
+        # where each interior tick and each end goes in the block's ticks
+        at_inner = np.arange(len(seg)) + seg
+        at_end = np.cumsum(interior) + np.arange(n)
+        # tick i of a segment: i * dt of the way, as a fraction of its
+        # duration, along it
+        i = at_inner - (at_end - interior)[seg] + 1
+        i[:interior[0]] += first - 1
+        t = i * self.config.dt_plan
+        frac = t / cols.durations[block][seg]
+        starts = cols.starts[block][seg]
+        inner = starts + (cols.ends[block][seg] - starts) * frac[:, None]
+        row, reason = kin.workspace_contains_rows(self.config, inner)
+        if reason:
+            raise _outside(tuple(inner[row].tolist()), reason, "setpoint",
+                           cols.segments[block][seg[row]].source_line)
+
+        points = np.empty((len(at_inner) + n, 3))
+        points[at_inner] = inner
+        points[at_end] = cols.ends[block]
+        sols = np.empty((len(points), cols.end_sols.shape[1]))
+        sols[at_inner] = self.machine.solve(inner)
+        sols[at_end] = cols.end_sols[block]
+        times = np.empty(len(points))
+        times[at_inner] = clock[seg] + t
+        times[at_end] = clock[1:]
+        # the extrusion total before each segment, and after the last
+        extrusion = np.cumsum(np.concatenate(([extrusion0],
+                                              cols.extrusion[block])))
+        totals = np.empty(len(points))
+        totals[at_inner] = extrusion[seg] + cols.extrusion[block][seg] * frac
+        totals[at_end] = extrusion[1:]
+        # an end tick's tool target is its segment's end tuple
+        tools = list(zip(*map(_column, points.T)))
+        for k, s in zip(at_end.tolist(), cols.segments[block]):
+            tools[k] = s.end
+
+        out = slice(at, at + len(points))
+        out_times, out_tools, out_totals, out_rows = ticks
+        out_times[out] = times.tolist()
+        out_tools[out] = tools
+        out_totals[out] = totals.tolist()
+        out_rows[out] = self.machine.setpoints(points, sols, zero)
+        return extrusion[-1].item()
 
 
 def time_parameterize(seg: MotionSegment, config: MachineConfig) -> float:
     """Feed- and actuator-limited duration of one segment."""
-    for point in (seg.start, seg.end):
-        _check(config, point, "segment endpoint", seg.source_line)
-    planner = _Planner(config)
-    length = seg.length
-    if length == 0.0:
-        return 0.0
-    solve = config.machine.solve
-    return planner.duration(seg, length, solve(seg.start), solve(seg.end))
+    columns, _ = _Planner(config).segments([seg])
+    return columns.durations.item()
 
 
 def plan_segment(seg: MotionSegment, config: MachineConfig, *,
@@ -503,9 +482,10 @@ def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
 def initial_robot_positions(config: MachineConfig) -> dict[str, tuple[float, float]]:
     """Nominal start position of every active robot for a config's home tool."""
     ids = active_robots(config)
-    home, machine = config.home, config.machine
-    sol = machine.solve(home)
-    row = machine.setpoints(home, sol, machine.zero(home, home, sol))
+    machine = config.machine
+    home = np.array([config.home], dtype=float)
+    row, = machine.setpoints(home, machine.solve(home),
+                             machine.zero(config.home))
     return {rid: row[3 * k:3 * k + 2] for k, rid in enumerate(ids)}
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
+from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -188,22 +189,41 @@ class LeadScrew:
 
 # --- bridge ---
 
-def bridge_ik(tool: tuple[float, float], geom: BridgeGeometry) -> dict:
-    """Decompose a tool (x, y) into the two bridge robot positions and
-    the carriage offset along the bridge."""
-    x, y = tool
+def _carriage_outside(x, geom: BridgeGeometry):
+    """Which tool x are beyond the carriage travel."""
     offset = x - geom.rail1_x
-    if not (geom.carriage_min <= offset <= geom.carriage_max):
+    return ~((geom.carriage_min <= offset) & (offset <= geom.carriage_max))
+
+
+def bridge_ik_rows(tools, geom: BridgeGeometry) -> np.ndarray:
+    """Decompose every row of tool (x, y) (N x 2) into the two bridge robot
+    positions and the carriage offset along the bridge: N x 5 columns
+    (bridge1 x, y, bridge2 x, y, offset).  Raises for the first row beyond
+    the carriage travel."""
+    T = np.asarray(tools, dtype=float)
+    x, y = T[:, 0], T[:, 1]
+    outside = np.flatnonzero(_carriage_outside(x, geom))
+    if len(outside):
         raise OutOfWorkspace(
-            f"carriage offset {offset:.3f} outside "
+            f"carriage offset {x[outside[0]] - geom.rail1_x:.3f} outside "
             f"[{geom.carriage_min}, {geom.carriage_max}]",
             reason="CarriageTravel",
         )
-    return {
-        "bridge1": (geom.rail1_x, y),
-        "bridge2": (geom.rail1_x + geom.bridge_span, y),
-        "carriage_offset": offset,
-    }
+    sol = np.empty((len(T), 5))
+    sol[:, 0] = geom.rail1_x
+    sol[:, 1] = y
+    sol[:, 2] = geom.rail1_x + geom.bridge_span
+    sol[:, 3] = y
+    sol[:, 4] = x - geom.rail1_x
+    return sol
+
+
+def bridge_ik(tool: tuple[float, float], geom: BridgeGeometry) -> dict:
+    """Decompose a tool (x, y) into the two bridge robot positions and
+    the carriage offset along the bridge."""
+    x1, y1, x2, y2, offset = bridge_ik_rows([tool[:2]], geom)[0].tolist()
+    return {"bridge1": (x1, y1), "bridge2": (x2, y2),
+            "carriage_offset": offset}
 
 
 def bridge_fk_rows(bridge1, bridge2, carriage_offset, geom: BridgeGeometry,
@@ -235,39 +255,60 @@ def bridge_fk(bridge1: tuple[float, float], bridge2: tuple[float, float],
 
 # --- two-wire wall plotter ---
 
-def wire2d_ik(p: tuple[float, float], geom: WireGeometry2D) -> tuple[float, float]:
-    """Wire lengths to reach wall point p = (x, z)."""
-    reason = _wire2d_unreachable(p[0], p[1], geom)
+def _wire2d_reach(x, z, geom: WireGeometry2D) -> list:
+    """(mask, reason) pairs of the wall points (x, z) outside `geom.reach`,
+    in the order a point is tested."""
+    top, lo, hi = geom.reach
+    return [(~(z < top), "AboveAnchors"),
+            (~((lo < x) & (x < hi)), "OutsideLateralCone")]
+
+
+def wire2d_ik_rows(points, geom: WireGeometry2D) -> np.ndarray:
+    """Wire lengths (N x 2) to reach every row of wall points (x, z)
+    (N x 2).  Raises for the first row out of reach."""
+    P = np.asarray(points, dtype=float)
+    x, z = P[:, 0], P[:, 1]
+    row, reason = _first(_wire2d_reach(x, z, geom))
     if reason == "AboveAnchors":
-        raise Unreachable(f"point z={p[1]:.3f} not below anchors by margin "
+        raise Unreachable(f"point z={z[row]:.3f} not below anchors by margin "
                           f"{geom.workspace_margin}")
     if reason:
-        raise Unreachable(f"point x={p[0]:.3f} outside lateral cone")
-    a1, a2 = geom.anchors
-    return (math.dist(p, a1), math.dist(p, a2))
+        raise Unreachable(f"point x={x[row]:.3f} outside lateral cone")
+    # math.dist per row: np.hypot, or the root of the summed squares, can
+    # round the distance differently
+    x, z = x.tolist(), z.tolist()
+    lengths = np.empty((len(P), 2))
+    for k, anchor in enumerate(geom.anchors):
+        lengths[:, k] = np.fromiter(
+            map(math.dist, zip(x, z), repeat(anchor)), float, len(x))
+    return lengths
 
 
-def _wire2d_unreachable(x: float, z: float, geom: WireGeometry2D) -> str:
-    """Why wall point (x, z) is outside `geom.reach`, or ""."""
-    top, lo, hi = geom.reach
-    if not z < top:
-        return "AboveAnchors"
-    if not lo < x < hi:
-        return "OutsideLateralCone"
-    return ""
+def wire2d_ik(p: tuple[float, float], geom: WireGeometry2D) -> tuple[float, float]:
+    """Wire lengths to reach wall point p = (x, z)."""
+    return tuple(wire2d_ik_rows([p[:2]], geom)[0].tolist())
+
+
+def _first(checks) -> tuple:
+    """The first row that fails one of `checks` and the value of the first
+    check it fails, or (None, "") if no row fails.
+
+    `checks` are (mask, value) pairs over the rows, in the order a single
+    point is tested.
+    """
+    failing = np.logical_or.reduce([mask for mask, _ in checks])
+    if not failing.any():
+        return None, ""
+    row = int(failing.argmax())
+    return row, next(value for mask, value in checks if mask[row])
 
 
 def _raise_first(checks) -> None:
-    """Raise the error of the first row that fails a check.
-
-    `checks` are (mask, error) pairs over the rows, in the order a single
-    point is tested, so a row failing several raises the error of the
-    first check it fails.
-    """
-    failing = np.logical_or.reduce([mask for mask, _ in checks])
-    if failing.any():
-        row = failing.argmax()
-        raise next(error for mask, error in checks if mask[row])
+    """Raise the error of the first row that fails a check of `checks`,
+    (mask, error) pairs as for _first."""
+    _, error = _first(checks)
+    if error:
+        raise error
 
 
 def _max(a: float, b):
@@ -318,19 +359,27 @@ def _dot(u, v):
     return (u[..., None, :] @ v[..., :, None])[..., 0, 0]
 
 
-def _depth(geom: WireGeometry3D, p) -> float:
-    """Signed distance of point p below the anchor plane."""
-    return float(geom.down_normal @ (p - geom.anchor_array[0]))
+def _depth(geom: WireGeometry3D, points) -> np.ndarray:
+    """Signed distance of every row of points (N x 3) below the anchor
+    plane."""
+    return _dot(points - geom.anchor_array[0], geom.down_normal)
+
+
+def wire3d_ik_rows(points, geom: WireGeometry3D) -> np.ndarray:
+    """Wire lengths (N x 3) to reach every row of 3-D points (N x 3) below
+    the anchor plane.  Raises for the first row that is not below it."""
+    P = np.asarray(points, dtype=float)
+    if (_depth(geom, P) <= 0).any():
+        raise Unreachable("point not below the anchor plane")
+    diff = P[:, None, :] - geom.anchor_array
+    # the root of v @ v, what np.linalg.norm computes for a vector
+    return np.sqrt(_dot(diff, diff))
 
 
 def wire3d_ik(p: tuple[float, float, float],
               geom: WireGeometry3D) -> tuple[float, float, float]:
     """Wire lengths to reach 3-D point p below the anchor plane."""
-    pv = np.asarray(p, dtype=float)
-    if _depth(geom, pv) <= 0:
-        raise Unreachable("point not below the anchor plane")
-    # sqrt(v @ v) is what np.linalg.norm computes for a vector
-    return tuple(math.sqrt(v @ v) for v in pv - geom.anchor_array)
+    return tuple(wire3d_ik_rows([p], geom)[0].tolist())
 
 
 # The Gauss-Newton step is the least-squares (lstsq) solution of a 3 x 3
@@ -436,19 +485,30 @@ class WorkspaceCheck:
 _INSIDE = WorkspaceCheck(True)
 
 
-def workspace_contains(config, p) -> WorkspaceCheck:
-    """Check tool point p = (x, y, z): finite, inside the workspace box,
-    then within the reach of the config's machine.
+def workspace_contains_rows(config, points) -> tuple[int, str]:
+    """The first row of tool points (N x 3) outside the config's workspace
+    and why, or (N, "") if every row is inside.
 
+    A point is tested for being finite, then for lying inside the
+    workspace box, then for lying within the reach of the config's machine.
     `config` is a coordinator.MachineConfig; accepted duck-typed here to
     avoid a circular import.
     """
-    x, y, z = p
-    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
-        return WorkspaceCheck(False, "NonFinite")
+    P = np.asarray(points, dtype=float)
     lo, hi = config.workspace_min, config.workspace_max
-    if not (lo[0] <= x <= hi[0] and lo[1] <= y <= hi[1]
-            and lo[2] <= z <= hi[2]):
-        return WorkspaceCheck(False, "OutsideBox")
-    reason = config.machine.reach_reason(x, y, z)
+    inside = ((lo <= P) & (P <= hi)).all(axis=1)
+    row, reason = _first([(~np.isfinite(P).all(axis=1), "NonFinite"),
+                          (~inside, "OutsideBox")])
+    if row is None:
+        row = len(P)
+    # the rows before `row` are finite and inside the box
+    reach_row, reach_reason = _first(config.machine.reach(P[:row]))
+    if reach_reason:
+        return reach_row, reach_reason
+    return row, reason
+
+
+def workspace_contains(config, p) -> WorkspaceCheck:
+    """Check tool point p = (x, y, z) as workspace_contains_rows does."""
+    _, reason = workspace_contains_rows(config, [p])
     return WorkspaceCheck(False, reason) if reason else _INSIDE

@@ -75,6 +75,17 @@ class TestPlan:
         assert code == 5
         assert "line 1" in err
 
+    def test_too_many_ticks_exit_5(self, workdir, capsys):
+        # 1e-6 mm/s robots: the first move alone needs 1e8 ticks
+        slow = workdir / "slow.json"
+        doc = config.default_config_doc("bridge_xy")
+        doc["roster"] = [{**e, "max_wheel_speed": 1e-6} for e in doc["roster"]]
+        slow.write_text(json.dumps(doc))
+        code, _, err = run_cli(["plan", workdir / "square.gcode", slow,
+                                workdir / "s.txt"], capsys)
+        assert code == 5
+        assert "ticks" in err and "(g-code line 2)" in err
+
     def test_malformed_config_exit_4(self, workdir, capsys):
         bad = workdir / "bad.json"
         doc = config.default_config_doc("bridge_xy")

@@ -1,6 +1,8 @@
 import dataclasses
 import math
 import random
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -420,6 +422,26 @@ class TestPlannerOracle:
                   if "op=stop" not in line]
         assert len(stamps) == len(set(map(tuple, stamps))) == 3 * len(plan.t)
 
+    def test_start_with_the_other_zero(self):
+        # lines 2 and 4 start at y -0.0 where the line before ends at 0.0
+        # (== holds, so the segments are chained).  Interpolated from its
+        # own start, line 2's first ticks have y -0.0; the zero-length line
+        # 4 has its bridge robots at its own end's y, -0.0, not at the IK of
+        # the end before
+        doc = config.default_config_doc("bridge_xy")
+        doc["workspace"]["min"][1] = -10.0
+        cfg = config.parse_config(doc)
+        segments = [seg((200, 10, 0), (200, 0.0, 0), line=1),
+                    seg((200, -0.0, 0), (210, -5e-324, 0), line=2),
+                    seg((210, -5e-324, 0), (210, 0.0, 0), line=3),
+                    seg((210, -0.0, 0), (210, -0.0, 0), e=1.0, line=4)]
+        plan, _ = same_outcome(coordinator.plan_program, plan_program_oracle,
+                               segments, cfg)
+        assert "-0.0" in repr([t for t, line in zip(plan.tool_target,
+                                                    plan.source_line)
+                               if line == 2])
+        assert repr(plan.setpoints[-1][:2]) == "(0.0, -0.0)"
+
     def test_endpoint_outside(self, wire2d_config):
         program = random_walk_program("wire2d_wall", 5, 40)
         segments = segments_of(program + "G1 X500 Y-100\nG1 X520\n",
@@ -446,6 +468,19 @@ class TestPlannerOracle:
                     and reason == "AboveAnchors" and line == 7)
         assert coordinator.time_parameterize(grazer, cfg) > 0.0
 
+    def test_interior_tick_outside_before_a_later_endpoint(self):
+        # the grazer's interior tick comes before the next segment's end,
+        # which is outside too
+        cfg = config.parse_config(TILTED_DOC)
+        good = seg((200.0, 150.0, 300.0), MARGIN_GRAZER[0], line=6)
+        grazer = seg(*MARGIN_GRAZER, feed=20.0, line=7)
+        away = seg(MARGIN_GRAZER[1], (900.0, 0.0, 0.0), line=8)
+        _, message, reason, line = same_outcome(
+            coordinator.plan_program, plan_program_oracle,
+            [good, grazer, away], cfg)
+        assert (message.startswith("setpoint ")
+                and reason == "AboveAnchors" and line == 7)
+
     @pytest.mark.parametrize("morphology,start,end", [
         ("wire2d_wall", (500, 10, 0), (500, -300, 0)),
         ("wire3d_printer", (200, 100, 600), (200, 100, 50)),
@@ -461,6 +496,72 @@ class TestPlannerOracle:
                 call, oracle, [s] if oracle is plan_program_oracle else s,
                 cfg)
             assert message.startswith("segment endpoint") and line == 4
+
+
+def slow_roster_doc(morphology):
+    """The scaffold config doc of a morphology whose robots all crawl at
+    1e-6 mm/s: a 10 mm move takes 1e7 s, 1e8 ticks at dt_plan 0.1 s."""
+    doc = config.default_config_doc(morphology)
+    doc["roster"] = [{**entry, "max_wheel_speed": 1e-6}
+                     for entry in doc["roster"]]
+    return doc
+
+
+class TestTickBound:
+    def test_too_many_ticks_raise_at_the_segment(self):
+        from test_cli import SQUARE
+        cfg = config.parse_config(slow_roster_doc("bridge_xy"))
+        segments = segments_of(SQUARE, cfg.home)
+        start = time.perf_counter()
+        with pytest.raises(PlanError) as err:
+            coordinator.plan_program(segments, cfg)
+        assert time.perf_counter() - start < 1.0
+        # the first move already passes the bound
+        assert err.value.line_no == segments[0].source_line == 2
+        assert f"{coordinator.MAX_PLAN_TICKS} ticks" in str(err.value)
+
+    def test_running_total_names_the_segment_that_passes(self):
+        # 6 s of 0.1 s ticks per segment: 61 ticks for the first, 60 for
+        # each after it, so the bound falls inside the segment of line k
+        cfg = config.default_config("bridge_xy")
+        bound = coordinator.MAX_PLAN_TICKS
+        a, b = (100.0, 100.0, 0.0), (130.0, 100.0, 0.0)
+        segments = [seg(a if k % 2 else b, b if k % 2 else a, feed=5.0,
+                        line=k + 1) for k in range(bound // 60 + 2)]
+        k = (bound - 61) // 60 + 2
+        with pytest.raises(PlanError) as err:
+            coordinator.plan_program(segments, cfg)
+        assert err.value.line_no == k
+        assert coordinator.plan_program(segments[:k - 1], cfg).t
+
+    def test_duration_too_long_for_a_float(self):
+        # a 10 mm wire travel at a spool rim speed of about 1.5e-308 mm/s
+        doc = slow_roster_doc("wire2d_wall")
+        doc["roster"] = [{**entry, "max_wheel_speed": 1e-308}
+                         for entry in doc["roster"]]
+        cfg = config.parse_config(doc)
+        s = seg(cfg.home, (cfg.home[0] + 10.0, cfg.home[1], 0.0), line=3)
+        assert coordinator.time_parameterize(s, cfg) == math.inf
+        with pytest.raises(PlanError) as err:
+            coordinator.plan_program([s], cfg)
+        assert err.value.line_no == 3
+
+
+def test_plan_peak_memory_near_what_the_plan_keeps():
+    """The planner works in blocks: while it plans, it holds little more
+    than the Plan it returns."""
+    cfg = config.default_config("wire2d_wall")
+    segments = segments_of(random_walk_program("wire2d_wall", 4, 2000),
+                           cfg.home)
+    coordinator.plan_program(segments[:10], cfg)  # numpy's first-call caches
+    tracemalloc.start()
+    try:
+        plan = coordinator.plan_program(segments, cfg)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(plan.t) > 3000
+    assert peak <= 1.5 * kept
 
 
 class TestAssignRoles:

@@ -12,27 +12,44 @@ from swarmfab.gcode import MotionSegment  # noqa: E402
 from test_coordinator import (  # noqa: E402
     four_robot_config,
     plan_program_oracle,
+    plan_segment_oracle,
     same_outcome,
     serialize_command_stream_oracle,
 )
 
 SETTINGS = hypothesis.settings(max_examples=100, deadline=None)
 CONFIGS = {m: config.default_config(m) for m in coordinator.MORPHOLOGIES}
+
+
+def reach_config(morphology):
+    """The scaffold config with its workspace box widened by its size on
+    every side, so that the machine's reach, not the box, bounds it."""
+    doc = config.default_config_doc(morphology)
+    lo, hi = doc["workspace"]["min"], doc["workspace"]["max"]
+    doc["workspace"] = {"min": [a - (b - a) for a, b in zip(lo, hi)],
+                        "max": [b + (b - a) for a, b in zip(lo, hi)]}
+    return config.parse_config(doc)
+
+
+REACH_CONFIGS = {m: reach_config(m) for m in coordinator.MORPHOLOGIES}
 # the tool stays in a plane on these machines
 PLANAR = ("bridge_xy", "wire2d_wall")
 
 
 @st.composite
-def chained_segments(draw, morphology):
-    """Up to eight chained segments between points of the workspace box; a
-    repeated point makes a zero-length segment (extrusion in place)."""
-    cfg = CONFIGS[morphology]
+def chained_segments(draw, morphology, widen=0.0, cfg=None):
+    """Up to eight chained segments between points of the workspace box of
+    `cfg` (by default the morphology's scaffold config), widened by `widen`
+    times its size on every side; a repeated point makes a zero-length
+    segment (extrusion in place)."""
+    cfg = cfg or CONFIGS[morphology]
     lo, hi = cfg.workspace_min, cfg.workspace_max
 
     def coordinate(axis):
         if axis == 2 and morphology in PLANAR:
             return st.just(0.0)
-        return st.floats(lo[axis], hi[axis])
+        margin = widen * (hi[axis] - lo[axis])
+        return st.floats(lo[axis] - margin, hi[axis] + margin)
 
     points = [cfg.home]
     for _ in range(draw(st.integers(1, 8))):
@@ -65,6 +82,26 @@ def test_plan_invariants(morphology, data):
     assert all((s.source_line, s.end) in ends for s in segments)
     assert plan.barriers == sorted(set(plan.barriers))
     assert all(0 <= b < len(plan.ticks) for b in plan.barriers)
+
+
+@pytest.mark.parametrize("configs", [CONFIGS, REACH_CONFIGS],
+                         ids=["box", "reach"])
+@pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+@SETTINGS
+@hypothesis.given(data=st.data())
+def test_out_of_workspace_matches_oracle(morphology, configs, data):
+    # points from a box 10% wider than the workspace: the first start, an
+    # end or an interior tick outside the box or out of the machine's
+    # reach (REACH_CONFIGS) fails where the oracle fails
+    cfg = configs[morphology]
+    segments = data.draw(chained_segments(morphology, widen=0.1, cfg=cfg))
+    same_outcome(coordinator.plan_program, plan_program_oracle, segments,
+                 cfg)
+    t0 = data.draw(st.sampled_from((0.0, 3.25)))
+    for s in segments:
+        same_outcome(coordinator.plan_segment, plan_segment_oracle, s, cfg,
+                     t0=t0, datum=cfg.home, extrusion0=0.5,
+                     include_start=False)
 
 
 ROSTER_ORDERS = st.none() | st.lists(

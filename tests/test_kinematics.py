@@ -183,7 +183,8 @@ def workspace_contains_oracle(cfg, p):
             return kin.WorkspaceCheck(False, "NonPlanar")
     elif morph == "wire3d_printer":
         geom = cfg.wire3d_geometry
-        depth = kin._depth(geom, np.asarray(p, dtype=float))
+        depth = float(geom.down_normal
+                      @ (np.asarray(p, dtype=float) - geom.anchor_array[0]))
         if depth <= geom.workspace_margin:
             return kin.WorkspaceCheck(False, "AboveAnchors")
     else:
