@@ -274,14 +274,20 @@ class _Planner:
         ends = points[1:]
         sols = self.machine.solve(points)
         lengths, feeds = lengths[:count], np.array(feeds[:count], dtype=float)
-        # feed- and actuator-limited, and inf if too long for a float
-        with np.errstate(over="ignore"):
-            durations = np.maximum(lengths / feeds,
-                                   lengths / self.config.max_tool_speed)
+        # feed- and actuator-limited, and inf if too long for a float; what
+        # does not travel takes no time, even at a feed or speed limit of
+        # 0.0
+        with np.errstate(over="ignore", divide="ignore"):
+            durations = np.maximum(
+                np.divide(lengths, feeds, out=np.zeros_like(lengths),
+                          where=lengths != 0.0),
+                lengths / self.config.max_tool_speed)
             for delta, limit in zip(
                     self.machine.deltas(starts, ends, sols[:-1], sols[1:]),
                     self.limits):
-                durations = np.maximum(durations, np.abs(delta) / limit)
+                durations = np.maximum(durations, np.divide(
+                    np.abs(delta), limit, out=np.zeros_like(durations),
+                    where=delta != 0.0))
         return _Segments(segments, starts, ends, sols[1:],
                          np.array(extrusion[:count], dtype=float),
                          durations), error

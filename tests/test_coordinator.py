@@ -546,6 +546,37 @@ class TestTickBound:
             coordinator.plan_program([s], cfg)
         assert err.value.line_no == 3
 
+    def test_speed_limit_that_underflows_to_zero(self):
+        # 5e-324 mm/s robots: the spool rim speed limit is 0.0.  A segment
+        # without travel dwells, as before; one with travel has no finite
+        # duration
+        doc = slow_roster_doc("wire2d_wall")
+        doc["roster"] = [{**entry, "max_wheel_speed": 5e-324}
+                         for entry in doc["roster"]]
+        cfg = config.parse_config(doc)
+        home = cfg.home
+        dwell = seg(home, home, e=1.0, line=3)
+        plan, _ = same_outcome(coordinator.plan_program, plan_program_oracle,
+                               [dwell], cfg)
+        assert plan.t == [cfg.dt_plan]
+        move = seg(home, (home[0] + 10.0, home[1], 0.0), line=4)
+        with pytest.raises(PlanError) as err:
+            coordinator.plan_program([dwell, move], cfg)
+        assert err.value.line_no == 4
+
+    def test_zero_feed(self):
+        # g-code rejects F0, but a MotionSegment may carry it: extrusion in
+        # place dwells as before, a move has no finite duration
+        cfg = config.default_config("bridge_xy")
+        home = cfg.home
+        dwell = seg(home, home, feed=0.0, e=1.0, line=3)
+        same_outcome(coordinator.plan_program, plan_program_oracle, [dwell],
+                     cfg)
+        move = seg(home, (home[0] + 10.0, home[1], 0.0), feed=0.0, line=4)
+        with pytest.raises(PlanError) as err:
+            coordinator.plan_program([dwell, move], cfg)
+        assert err.value.line_no == 4
+
 
 def test_plan_peak_memory_near_what_the_plan_keeps():
     """The planner works in blocks: while it plans, it holds little more
