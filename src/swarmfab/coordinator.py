@@ -215,11 +215,13 @@ def _column(values: np.ndarray):
 
 
 class _Segments(NamedTuple):
-    """Chained segments as columns, one row per segment: its start and end
-    (N x 3 each), the IK solution of its end, its extrusion and its
-    duration."""
+    """Chained segments as columns, one row per segment: its kind, source
+    line and end tuple, its start and end (N x 3 each), the IK solution of
+    its end, its extrusion and its duration."""
 
-    segments: list[MotionSegment]
+    kinds: tuple[str, ...]
+    lines: tuple[int, ...]
+    end_points: tuple[tuple[float, float, float], ...]
     starts: np.ndarray
     ends: np.ndarray
     end_sols: np.ndarray
@@ -237,10 +239,12 @@ class _Planner:
         self.ids = tuple(active_robots(config))
         self.limits = self.machine.limits([e.params for e in config.roster])
 
-    def segments(self, segments: list[MotionSegment]):
+    def segments(self, columns):
         """The segment pass: check every endpoint, the first segment's start
         and then each end, then solve and time the segments before the
-        first endpoint outside the workspace.
+        first endpoint outside the workspace.  `columns` are the
+        MotionSegment fields of chained segments, as zip(*segments) gives
+        them.
 
         Returns (columns, error): the _Segments of those segments, and the
         OutOfWorkspace of the first endpoint outside, or None; raises that
@@ -248,14 +252,12 @@ class _Planner:
         endpoints inside; a point inside the workspace is inside the reach
         of its IK, so the IK raises nothing here.
         """
-        starts, ends, feeds, extrusion = (
-            list(map(operator.attrgetter(name), segments))
-            for name in ("start", "end", "feed", "extrusion_delta"))
+        start_points, end_points, feeds, extrusion, kinds, lines = columns
         # each MotionSegment.length
-        lengths = np.fromiter(map(math.dist, starts, ends), float,
-                              len(segments))
-        points = _points([starts[0], *ends])
-        starts = _points(starts)
+        lengths = np.fromiter(map(math.dist, start_points, end_points), float,
+                              len(lines))
+        points = _points([start_points[0], *end_points])
+        starts = _points(start_points)
         # a segment starts where the one before ends, unless a zero there
         # has the other sign: keep one copy of the points then
         if (starts.view(np.int64) == points[:-1].view(np.int64)).all():
@@ -264,12 +266,12 @@ class _Planner:
         count = max(row - 1, 0)
         error = None
         if reason:
-            seg = segments[count]
-            error = _outside(seg.end if row else seg.start, reason,
-                             "segment endpoint", seg.source_line)
+            error = _outside(end_points[count] if row else start_points[0],
+                             reason, "segment endpoint", lines[count])
             if not count:
                 raise error
-            segments, starts = segments[:count], starts[:count]
+            kinds, lines = kinds[:count], lines[:count]
+            end_points, starts = end_points[:count], starts[:count]
         points = points[:count + 1]
         ends = points[1:]
         sols = self.machine.solve(points)
@@ -288,7 +290,7 @@ class _Planner:
                 durations = np.maximum(durations, np.divide(
                     np.abs(delta), limit, out=np.zeros_like(durations),
                     where=delta != 0.0))
-        return _Segments(segments, starts, ends, sols[1:],
+        return _Segments(kinds, lines, end_points, starts, ends, sols[1:],
                          np.array(extrusion[:count], dtype=float),
                          durations), error
 
@@ -315,7 +317,7 @@ class _Planner:
         interior = np.array(interior)
         passed = np.cumsum(interior + 1) > MAX_PLAN_TICKS
         if passed.any():
-            line = cols.segments[passed.argmax()].source_line
+            line = cols.lines[passed.argmax()]
             raise PlanError(f"plan longer than {MAX_PLAN_TICKS} ticks of "
                             f"{dt} s", line_no=line)
         return np.array(times), interior.astype(np.int64)
@@ -338,16 +340,17 @@ class _Planner:
         angle = np.fromiter(map(math.acos, cosang.tolist()), float,
                             len(cosang))
         threshold = math.radians(self.config.barrier_angle_deg) - 1e-9
-        kinds = [s.kind for s in cols.segments]
-        changed = np.array([k != nxt for k, nxt in zip(kinds, kinds[1:])],
-                           dtype=bool)
+        kinds = cols.kinds
+        changed = np.fromiter(map(operator.ne, kinds, kinds[1:]), bool,
+                              len(kinds) - 1)
         return changed | (angle >= threshold)
 
-    def plan(self, segments: list[MotionSegment],
-             datum: tuple[float, float, float], *, t0: float = 0.0,
-             extrusion0: float = 0.0, include_start: bool = True,
+    def plan(self, columns, datum: tuple[float, float, float], *,
+             t0: float = 0.0, extrusion0: float = 0.0,
+             include_start: bool = True,
              barriers: Optional[list[int]] = None) -> Plan:
-        """Sample chained segments into ticks at the planning period.
+        """Sample chained segments, as the columns of zip(*segments), into
+        ticks at the planning period.
 
         Rotation targets are relative to `datum`.  The segment pass checks,
         solves and times every segment; the tick pass interpolates, checks
@@ -358,7 +361,7 @@ class _Planner:
         `barriers` when the next segment turns by at least the barrier
         angle or changes kind.
         """
-        cols, error = self.segments(segments)
+        cols, error = self.segments(columns)
         zero = self.machine.zero(datum)
         first = 0 if include_start else 1
         clock, interior = self.clock(cols, t0, first)
@@ -377,13 +380,12 @@ class _Planner:
         if error is not None:
             raise error
         times, tools, totals, rows = ticks
-        segments = cols.segments
-        # the per-segment columns go before the last two columns are built
+        kinds, lines = cols.kinds, cols.lines
+        # the per-segment arrays go before the last two columns are built
         del cols, clock, ends_at
         counts = (interior + 1).tolist()
-        kinds = (s.kind == "print" for s in segments)
-        lines = (s.source_line for s in segments)
-        extruding = list(chain.from_iterable(map(repeat, kinds, counts)))
+        printing = map("print".__eq__, kinds)
+        extruding = list(chain.from_iterable(map(repeat, printing, counts)))
         source_line = list(chain.from_iterable(map(repeat, lines, counts)))
         return Plan(self.config.morphology,
                     [] if barriers is None else barriers, ids=self.ids,
@@ -419,7 +421,7 @@ class _Planner:
         row, reason = kin.workspace_contains_rows(self.config, inner)
         if reason:
             raise _outside(tuple(inner[row].tolist()), reason, "setpoint",
-                           cols.segments[block][seg[row]].source_line)
+                           cols.lines[block][seg[row]])
 
         points = np.empty((len(at_inner) + n, 3))
         points[at_inner] = inner
@@ -438,8 +440,8 @@ class _Planner:
         totals[at_end] = extrusion[1:]
         # an end tick's tool target is its segment's end tuple
         tools = list(zip(*map(_column, points.T)))
-        for k, s in zip(at_end.tolist(), cols.segments[block]):
-            tools[k] = s.end
+        for k, end in zip(at_end.tolist(), cols.end_points[block]):
+            tools[k] = end
 
         out = slice(at, at + len(points))
         out_times, out_tools, out_totals, out_rows = ticks
@@ -452,8 +454,8 @@ class _Planner:
 
 def time_parameterize(seg: MotionSegment, config: MachineConfig) -> float:
     """Feed- and actuator-limited duration of one segment."""
-    columns, _ = _Planner(config).segments([seg])
-    return columns.durations.item()
+    cols, _ = _Planner(config).segments(zip(seg))
+    return cols.durations.item()
 
 
 def plan_segment(seg: MotionSegment, config: MachineConfig, *,
@@ -465,22 +467,23 @@ def plan_segment(seg: MotionSegment, config: MachineConfig, *,
     rotation targets are relative to `datum`, by default the segment start.
     """
     return _Planner(config).plan(
-        [seg], seg.start if datum is None else datum, t0=t0,
+        zip(seg), seg.start if datum is None else datum, t0=t0,
         extrusion0=extrusion0, include_start=include_start).ticks
 
 
 def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
     """Plan a chained segment list into one synchronized schedule."""
     planner = _Planner(config)
-    for prev, nxt in zip(segments, segments[1:]):
-        if prev.end != nxt.start:
-            raise PlanError(
-                f"segments not chained at line {nxt.source_line}",
-                line_no=nxt.source_line)
     if not segments:
         return Plan(config.morphology)
+    columns = tuple(zip(*segments))
+    starts, ends, lines = columns[0], columns[1], columns[5]
+    if starts[1:] != ends[:-1]:
+        line = next(line for start, end, line
+                    in zip(starts[1:], ends, lines[1:]) if start != end)
+        raise PlanError(f"segments not chained at line {line}", line_no=line)
     # ascending: every segment adds a tick
-    return planner.plan(segments, segments[0].start, barriers=[])
+    return planner.plan(columns, starts[0], barriers=[])
 
 
 # --- reconfiguration ---

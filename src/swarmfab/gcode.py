@@ -11,8 +11,9 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass
+from itertools import count
+from typing import NamedTuple, Optional
 
 from .errors import (
     DegenerateArc,
@@ -38,27 +39,53 @@ _COMMENT_RE = re.compile(r";(.*)|\(([^)]*)\)?")
 # one word: a letter (any non-space character; parse_line checks it) and
 # the number that follows it, if any
 _WORD_RE = re.compile(r"\s*(\S)([+-]?(?:\d+\.?\d*|\.\d+))?")
+# a plain line: an upper-case G or M word, then parameter words, each after
+# one space, with ASCII numbers and no comment.  A number's digits split
+# only one way, so a near miss fails in linear time.
+_PLAIN_RE = re.compile(
+    r"[GM][0-9]+(?: [XYZEFIJRSP][+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+))*")
+
+# builds a record from the tuple of its fields, without a __new__ call
+_new = tuple.__new__
 
 
-@dataclass(frozen=True)
-class GcodeCommand:
-    """One structured G or M word with its parameters."""
-
+class _Command(NamedTuple):
     line_no: int
     letter: str  # "G" or "M"
     code: int
-    params: dict[str, float] = field(default_factory=dict)
+    params: dict[str, float]
     comment: Optional[str] = None
 
 
-@dataclass(frozen=True)
-class MetadataEvent:
-    """Non-motion M code recorded alongside the segment stream."""
+class GcodeCommand(_Command):
+    """One structured G or M word with its parameters."""
 
+    __slots__ = ()
+
+    def __new__(cls, line_no: int, letter: str, code: int,
+                params: Optional[dict[str, float]] = None,
+                comment: Optional[str] = None):
+        # a default-built command gets its own empty params
+        return _new(cls, (line_no, letter, code,
+                          {} if params is None else params, comment))
+
+
+class _Event(NamedTuple):
     line_no: int
     letter: str
     code: int
-    params: dict[str, float] = field(default_factory=dict)
+    params: dict[str, float]
+
+
+class MetadataEvent(_Event):
+    """Non-motion M code recorded alongside the segment stream."""
+
+    __slots__ = ()
+
+    def __new__(cls, line_no: int, letter: str, code: int,
+                params: Optional[dict[str, float]] = None):
+        return _new(cls, (line_no, letter, code,
+                          {} if params is None else params))
 
 
 @dataclass(frozen=True)
@@ -79,8 +106,7 @@ class InterpreterState:
     e_offset: float = 0.0
 
 
-@dataclass(frozen=True)
-class MotionSegment:
+class MotionSegment(NamedTuple):
     """A straight-line tool move between two cartesian points."""
 
     start: tuple[float, float, float]
@@ -111,8 +137,26 @@ def _strip_comments(text: str) -> tuple[str, Optional[str]]:
     return _COMMENT_RE.sub("", text), next(filter(None, bodies), None)
 
 
+def _code(letter: str, number: str, line_no: int) -> int:
+    """The integer of a G/M word's number, which may be written as a float."""
+    value = float(number)
+    if value < 0 or not value.is_integer():
+        raise MalformedNumber(f"{letter} code must be a non-negative integer",
+                              line_no)
+    return int(value)
+
+
 def parse_line(text: str, line_no: int = 1) -> Optional[GcodeCommand]:
     """Parse one source line; returns None for blank or comment-only lines."""
+    if _PLAIN_RE.fullmatch(text):
+        words = text.split(" ")
+        params = {word[0]: float(word[1:]) for word in words[1:]}
+        # a duplicate word goes to the tokenizer, which names it
+        if len(params) == len(words) - 1:
+            letter = text[0]
+            return _new(GcodeCommand, (line_no, letter,
+                                       _code(letter, words[0][1:], line_no),
+                                       params, None))
     if "\n" in text or "\r" in text:
         raise GcodeError("parse_line expects a single line", line_no)
     code_text, comment = _strip_comments(text)
@@ -131,12 +175,7 @@ def parse_line(text: str, line_no: int = 1) -> Optional[GcodeCommand]:
                 raise GcodeError("multiple G/M words on one line", line_no)
             if not number:
                 raise MalformedNumber(f"missing number after {word_letter}", line_no)
-            value = float(number)
-            if value < 0 or not value.is_integer():
-                raise MalformedNumber(
-                    f"{word_letter} code must be a non-negative integer", line_no
-                )
-            letter, code = word_letter, int(value)
+            letter, code = word_letter, _code(word_letter, number, line_no)
         elif word_letter in PARAM_LETTERS:
             if not number:
                 raise MalformedNumber(f"missing number after {word_letter}", line_no)
@@ -148,18 +187,13 @@ def parse_line(text: str, line_no: int = 1) -> Optional[GcodeCommand]:
 
     if letter is None:
         raise UnknownWord("line has parameters but no G/M word", line_no)
-    return GcodeCommand(line_no=line_no, letter=letter, code=code,
-                        params=params, comment=comment)
+    return GcodeCommand(line_no, letter, code, params, comment)
 
 
 def parse_program(text: str) -> list[GcodeCommand]:
     """Parse a whole program; skips blank/comment lines, aborts on first error."""
-    commands = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        cmd = parse_line(raw, line_no)
-        if cmd is not None:
-            commands.append(cmd)
-    return commands
+    # a command is a non-empty tuple, so filter drops just the Nones
+    return list(filter(None, map(parse_line, text.splitlines(), count(1))))
 
 
 _PARAM_ORDER = "XYZEFIJRSP"
@@ -224,13 +258,14 @@ def _extrusion_delta(params: dict[str, float], s: float, absolute: bool,
     return e
 
 
-def _feed(cmd: GcodeCommand, s: float, feed: float) -> float:
+def _feed(params: dict[str, float], line_no: int, s: float,
+          feed: float) -> float:
     """The feed in mm/s for a command: its F word, or the modal feed."""
-    if "F" not in cmd.params:
+    if "F" not in params:
         return feed
-    f = cmd.params["F"] * s / 60.0  # mm/min -> mm/s
+    f = params["F"] * s / 60.0  # mm/min -> mm/s
     if f <= 0:
-        raise GcodeError("feed must be positive", cmd.line_no)
+        raise GcodeError("feed must be positive", line_no)
     return f
 
 
@@ -312,7 +347,7 @@ def flatten_arc(cmd: GcodeCommand, state: InterpreterState,
     e_total = _extrusion_delta(cmd.params, s,
                                state.extrusion_mode == "absolute",
                                state.e_offset, state.extrusion_total)
-    feed = _feed(cmd, s, state.feed)
+    feed = _feed(cmd.params, cmd.line_no, s, state.feed)
     kind = "print" if e_total > 0 else "travel"
 
     segments = []
@@ -326,11 +361,8 @@ def flatten_arc(cmd: GcodeCommand, state: InterpreterState,
             pt = (cx + radius * math.cos(a), cy + radius * math.sin(a),
                   start[2] + (end[2] - start[2]) * i / n)
         cum_e = e_total * i / n
-        segments.append(MotionSegment(
-            start=prev, end=pt, feed=feed,
-            extrusion_delta=cum_e - prev_e, kind=kind,
-            source_line=cmd.line_no,
-        ))
+        segments.append(_new(MotionSegment, (prev, pt, feed, cum_e - prev_e,
+                                             kind, cmd.line_no)))
         prev, prev_e = pt, cum_e
     return segments
 
@@ -360,35 +392,34 @@ def interpret(commands: list[GcodeCommand],
     segments: list[MotionSegment] = []
     events: list[MetadataEvent] = []
 
+    s = _scale(units)
     for cmd in commands:
-        params = cmd.params
-        if cmd.letter == "M":
-            if cmd.code == 82:
+        line_no, letter, code, params, _ = cmd
+        if letter == "M":
+            if code == 82:
                 extrusion_mode = "absolute"
-            elif cmd.code == 83:
+            elif code == 83:
                 extrusion_mode = "relative"
             else:
-                events.append(MetadataEvent(cmd.line_no, "M", cmd.code,
-                                            dict(params)))
+                events.append(MetadataEvent(line_no, "M", code, dict(params)))
             continue
 
-        if cmd.code not in SUPPORTED_G:
-            raise UnsupportedGCode(f"G{cmd.code} is not supported", cmd.line_no)
+        if code not in SUPPORTED_G:
+            raise UnsupportedGCode(f"G{code} is not supported", line_no)
 
-        s = _scale(units)
-        if cmd.code in (0, 1):
+        if code in (0, 1):
             target = _resolve_target(params, s, positioning_mode == "absolute",
                                      position, offset)
             delta_e = _extrusion_delta(params, s, extrusion_mode == "absolute",
                                        e_offset, extrusion_total)
-            feed = _feed(cmd, s, feed)
+            feed = _feed(params, line_no, s, feed)
             if target != position or delta_e != 0.0:
                 kind = "print" if delta_e > 0 else "travel"
-                segments.append(MotionSegment(position, target, feed, delta_e,
-                                              kind, cmd.line_no))
+                segments.append(_new(MotionSegment, (position, target, feed,
+                                                     delta_e, kind, line_no)))
             position = target
             extrusion_total += delta_e
-        elif cmd.code in (2, 3):
+        elif code in (2, 3):
             arc_segments = flatten_arc(cmd, InterpreterState(
                 position, extrusion_total, feed, positioning_mode,
                 extrusion_mode, units, offset, e_offset), chord_tol)
@@ -398,11 +429,11 @@ def interpret(commands: list[GcodeCommand],
             position = arc_segments[-1].end
             feed = arc_segments[-1].feed
             extrusion_total += delta_e
-        elif cmd.code == 20:
-            units = "inch"
-        elif cmd.code == 21:
-            units = "mm"
-        elif cmd.code == 28:
+        elif code == 20:
+            units, s = "inch", INCH_TO_MM
+        elif code == 21:
+            units, s = "mm", 1.0
+        elif code == 28:
             axes = [a for a in "XYZ" if a in params] or list("XYZ")
             x, y, z = position
             if "X" in axes:
@@ -413,14 +444,14 @@ def interpret(commands: list[GcodeCommand],
                 z = home[2]
             target = (x, y, z)
             if target != position:
-                segments.append(MotionSegment(position, target, feed, 0.0,
-                                              "travel", cmd.line_no))
+                segments.append(_new(MotionSegment, (position, target, feed,
+                                                     0.0, "travel", line_no)))
             position = target
-        elif cmd.code == 90:
+        elif code == 90:
             positioning_mode = "absolute"
-        elif cmd.code == 91:
+        elif code == 91:
             positioning_mode = "relative"
-        elif cmd.code == 92:
+        elif code == 92:
             ox, oy, oz = offset
             if "X" in params:
                 ox = position[0] - params["X"] * s

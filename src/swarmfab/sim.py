@@ -22,7 +22,9 @@ from .robot import (  # noqa: F401
     step_dynamics,
 )
 
-PROGRESS_EPS = 1e-6  # mm of setpoint-distance improvement that counts as progress
+# the drop in a robot's setpoint distance (mm), or in a move robot's heading
+# error (rad), that counts as progress
+PROGRESS_EPS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -232,11 +234,14 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
     tick_entry_time = 0.0
     last_best = None
     stall_clock = 0.0
+    # each move robot's last heading error, at its state's index
+    aim = [math.inf] * len(s)
     steps, checks, budget, is_barrier = enter(0)
     if synced and abs(s[ya] - s[yb]) > sync_tol:
         return rows, times, tick_of, wait, extruded, None
     while tick_idx < len(times_of):
         # pursue the current tick's setpoints
+        turning = False
         for (b, rotate, tx, ty, theta, track, cap, k_heading, k_distance,
              arrival_tol, angular_tol, actuator) in steps:
             x, y, heading = s[b], s[b + 1], s[b + 2]
@@ -261,6 +266,11 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
                     err = atan2(sin(err), cos(err))
                     if err == -pi:
                         err = pi
+                    # a move robot turning toward its target makes progress
+                    turn = abs(err)
+                    if turn < aim[b] - PROGRESS_EPS:
+                        turning = True
+                    aim[b] = turn
                     omega = k_heading * err
                     v = k_distance * distance
                     if cap < v:
@@ -302,8 +312,8 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
         if synced and abs(s[ya] - s[yb]) > sync_tol:
             break
 
-        # arrival, and the stall clock: not arrived and no robot improving
-        # toward its setpoint
+        # arrival, and the stall clock: not arrived, no robot improving
+        # toward its setpoint and no move robot turning toward it
         errors = []
         all_arrived = True
         for b, rotate, tx, ty, theta, tol in checks:
@@ -315,7 +325,8 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
         best = sum(errors)
         if all_arrived:
             stall_clock = 0.0
-        elif last_best is not None and best > last_best - PROGRESS_EPS:
+        elif (last_best is not None and best > last_best - PROGRESS_EPS
+              and not turning):
             stall_clock += dt_sim
         else:
             stall_clock = 0.0

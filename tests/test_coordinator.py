@@ -784,6 +784,16 @@ class TestPlanProgram:
         with pytest.raises(PlanError):
             coordinator.plan_program(segs, bridge_config)
 
+    def test_not_chained_names_first_break(self, bridge_config):
+        segs = [seg((100, 100, 0), (200, 100, 0), line=1),
+                seg((200, 100, 0), (250, 100, 0), line=2),
+                seg((251, 100, 0), (300, 100, 0), line=3),
+                seg((301, 100, 0), (350, 100, 0), line=4)]
+        with pytest.raises(PlanError) as err:
+            coordinator.plan_program(segs, bridge_config)
+        assert (str(err.value), err.value.line_no) == (
+            "segments not chained at line 3", 3)
+
     def test_times_strictly_increasing(self, bridge_config):
         plan = coordinator.plan_program(self.square(), bridge_config)
         times = [t.t for t in plan.ticks]

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -81,6 +82,48 @@ class TestParseProgram:
         cmds = gcode.parse_program(text)
         again = gcode.parse_program(gcode.serialize_program(cmds))
         assert again == cmds
+
+
+class TestRecords:
+    def test_default_params_not_shared(self):
+        for record in (gcode.GcodeCommand, gcode.MetadataEvent):
+            a, b = record(1, "G", 1), record(2, "G", 1)
+            a.params["X"] = 1.0
+            assert b.params == {} and a.params is not b.params
+            assert record(3, "G", 1).params == {}
+
+    def test_repr(self):
+        assert repr(gcode.GcodeCommand(3, "G", 1, {"X": 1.5})) == (
+            "GcodeCommand(line_no=3, letter='G', code=1, params={'X': 1.5}, "
+            "comment=None)")
+        assert repr(gcode.MetadataEvent(4, "M", 104, {"S": 200.0})) == (
+            "MetadataEvent(line_no=4, letter='M', code=104, "
+            "params={'S': 200.0})")
+        assert repr(gcode.MotionSegment((0.0, 0.0, 0.0), (3.0, 4.0, 0.0),
+                                        10.0, 0.0, "travel", 2)) == (
+            "MotionSegment(start=(0.0, 0.0, 0.0), end=(3.0, 4.0, 0.0), "
+            "feed=10.0, extrusion_delta=0.0, kind='travel', source_line=2)")
+
+    def test_equality_and_hash(self):
+        seg = gcode.MotionSegment((0.0, 0.0, 0.0), (3.0, 4.0, 0.0), 10.0,
+                                  0.0, "travel", 2)
+        assert seg.length == 5.0
+        assert seg == seg._replace(end=(3.0, 4.0, 0.0))
+        assert seg != seg._replace(source_line=3)
+        assert hash(seg) == hash(seg._replace())
+        cmd = gcode.GcodeCommand(1, "G", 1, {"X": 1.0})
+        assert cmd == gcode.GcodeCommand(1, "G", 1, {"X": 1.0})
+        assert cmd != cmd._replace(comment="c")
+        with pytest.raises(TypeError):  # params is a dict
+            hash(cmd)
+
+    def test_pickle_round_trip(self):
+        records = gcode.parse_program("G1 X1 Y-2.5 ; a\nM104 S200\n")
+        result = gcode.interpret(records)
+        for record in (*records, *result.segments, *result.events):
+            again = pickle.loads(pickle.dumps(record))
+            assert type(again) is type(record)
+            assert again == record and repr(again) == repr(record)
 
 
 class TestInterpret:

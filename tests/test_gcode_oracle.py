@@ -2,7 +2,8 @@
 per-character comment stripper and tokenizer, and an interpret that
 rebuilds its InterpreterState with one dataclasses.replace per line.
 parse_line and interpret must match them exactly, errors included (type,
-message and line)."""
+message and line), and so must parse_program and parse_line on each of the
+program's str.splitlines()."""
 
 import dataclasses
 import math
@@ -243,6 +244,21 @@ def same_lines(text):
                 == outcome(parse_line_oracle, line, line_no))
 
 
+def parse_program_oracle(text):
+    """parse_line on each of the program's lines, numbered from 1."""
+    commands = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        command = gcode.parse_line(line, line_no)
+        if command is not None:
+            commands.append(command)
+    return commands
+
+
+def same_program(text):
+    assert (outcome(gcode.parse_program, text)
+            == outcome(parse_program_oracle, text))
+
+
 def same_interpretation(commands, **kwargs):
     assert (outcome(gcode.interpret, commands, **kwargs)
             == outcome(interpret_oracle, commands, **kwargs))
@@ -255,7 +271,18 @@ EDGE_LINES = [
     "G1 X1e5", "G1 X1.e", "G" + "9" * 400, "  ", "G1 X1 (open",
     "G1 (a;b) X1", "G1 ;(x) y", "( ) G1 (c) X2", "G1 X1 ()", ";", "(",
     "G1 (un;closed", "(a)(b)G1", "G1 X1 ;  ", "G1 X\x0b1 (\u2028)",
+    "G12345678901234567", "G01", "G1.0", "G1X1", "G1  X1", "G1 X1 ", "g1 x1",
+    "G1 ı5", "M104 S200 P1", "G1 X1 Y2 X3", "G1 X.5 Y-0. Z+7",
+    # a near miss of the plain-line pattern, which must fail in linear time
+    "G1 " + " ".join(f"{c}{'1' * 30}.{'2' * 30}" for c in "XYZEFIJRSP")
+    + " ;c",
 ]
+
+# what str.splitlines splits a program at
+SEPARATORS = ["\n", "\r\n", "\r", "\x0b", "\x85", "\u2028"]
+# lines around each explicit line of a program: blank, comment and plain
+PROGRAM_LINES = ["; header", "", "G1 X1 Y2 F600", "  ", "(only) ", "G28",
+                 "M83 ; mode"]
 
 G_PROGRAMS = [
     "G20\nG91\nG1 X1 Y-1 E0.2 F120\nG21\nG90\nG1 X5 Z2 E1\nG92 X0 E0\n"
@@ -300,6 +327,35 @@ class TestParseLineOracle:
         @hypothesis.given(text=LINES)
         def check(text):
             same_lines(text)
+
+        check()
+
+
+class TestParseProgramOracle:
+    @pytest.mark.parametrize("sep", SEPARATORS,
+                             ids=["lf", "crlf", "cr", "vt", "nel", "ls"])
+    def test_separators(self, sep):
+        same_program(sep.join(PROGRAM_LINES))
+        same_program(sep.join(PROGRAM_LINES) + sep)
+        for text in EDGE_LINES:
+            same_program(sep.join([*PROGRAM_LINES, text, *PROGRAM_LINES]))
+
+    @pytest.mark.parametrize("name,program", [c[:2] for c in CORPUS],
+                             ids=[c[0] for c in CORPUS])
+    def test_acceptance_corpus(self, name, program):
+        same_program(program)
+
+    def test_random_programs_property(self):
+        hypothesis = pytest.importorskip("hypothesis")
+        st = pytest.importorskip("hypothesis.strategies")
+        from test_gcode_properties import LINES
+
+        @hypothesis.settings(max_examples=300, deadline=None)
+        @hypothesis.given(lines=st.lists(
+            st.tuples(LINES | st.sampled_from(EDGE_LINES + PROGRAM_LINES),
+                      st.sampled_from(SEPARATORS)), max_size=12))
+        def check(lines):
+            same_program("".join(line + sep for line, sep in lines))
 
         check()
 

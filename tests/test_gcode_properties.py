@@ -1,7 +1,6 @@
 """Property tests of the g-code parser: serialize/parse round trips, errors
 on malformed lines, and comments that change nothing but the comment."""
 
-import dataclasses
 import string
 
 import pytest
@@ -48,7 +47,7 @@ def outcome(text):
 @hypothesis.example(commands=[GcodeCommand(0, "G", 1, {"X": 1e-05,
                                                        "Y": 1.5e16})])
 def test_serialize_parse_round_trip(commands):
-    expected = [dataclasses.replace(c, line_no=i)
+    expected = [c._replace(line_no=i)
                 for i, c in enumerate(commands, start=1)]
     assert gcode.parse_program(gcode.serialize_program(commands)) == expected
 
@@ -72,6 +71,6 @@ def test_comments_change_only_the_comment(text, comment):
                     f"({comment}){text}"):
         got = outcome(variant)
         if isinstance(plain, GcodeCommand):
-            assert got == dataclasses.replace(plain, comment=comment)
+            assert got == plain._replace(comment=comment)
         else:
             assert got == plain

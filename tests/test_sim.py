@@ -20,6 +20,7 @@ from swarmfab.robot import (
     goto_controller,
     rotate_controller,
     step_dynamics,
+    wrap_angle,
 )
 
 from test_acceptance import CORPUS, HOME, three_layer_program
@@ -127,9 +128,11 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
     tick_entry_time = 0.0
     last_best = None
     stall_clock = 0.0
+    aim = {}  # each move robot's last heading error
     while tick_idx < len(ticks):
         tick = ticks[tick_idx]
         is_barrier = tick_idx in barriers
+        turning = False
         for rid in order:
             sp = tick.setpoints.get(rid)
             if sp is None:
@@ -139,6 +142,13 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
                 wheels = rotate_controller(
                     st, sp.theta - st.accumulated_rotation)
             else:
+                x, y, heading = st.pose
+                if math.hypot(sp.x - x, sp.y - y) >= st.params.arrival_tol:
+                    turn = abs(wrap_angle(math.atan2(sp.y - y, sp.x - x)
+                                          - heading))
+                    if turn < aim.get(rid, math.inf) - sim.PROGRESS_EPS:
+                        turning = True
+                    aim[rid] = turn
                 wheels = goto_controller(st, (sp.x, sp.y))
             st = step_dynamics(dataclasses.replace(st, wheel_speeds=wheels),
                                dt_sim)
@@ -158,7 +168,8 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
                    for rid, sp in tick.setpoints.items() if rid in states)
         if all_arrived:
             stall_clock = 0.0
-        elif last_best is not None and best > last_best - sim.PROGRESS_EPS:
+        elif (last_best is not None and best > last_best - sim.PROGRESS_EPS
+              and not turning):
             stall_clock += dt_sim
         else:
             stall_clock = 0.0
@@ -254,8 +265,8 @@ def plan_of(program, cfg, shift=(0.0, 0.0)):
     segments = gcode.interpret(gcode.parse_program(program),
                                home=HOME).segments
     dx, dy = shift
-    segments = [dataclasses.replace(
-        s, start=(s.start[0] + dx, s.start[1] + dy, s.start[2]),
+    segments = [s._replace(
+        start=(s.start[0] + dx, s.start[1] + dy, s.start[2]),
         end=(s.end[0] + dx, s.end[1] + dy, s.end[2])) for s in segments]
     return coordinator.plan_program(segments, cfg)
 
@@ -353,6 +364,16 @@ class TestRunOracle:
         result = same_run(stall_plan(cfg, 0.0), cfg)
         assert result == (StallTimeout,
                           "no progress for 2.0 s at plan tick 1 (t=2.02 s)", 2)
+
+    def test_turn_in_place_is_progress(self):
+        # the carriage turns in place to reverse at the barrier of line 2
+        # for longer than the stall timeout
+        doc = config.default_config_doc("bridge_xy")
+        doc["planning"]["stall_timeout"] = 0.05
+        cfg = config.parse_config(doc)
+        plan = plan_of("G1 X230 Y100 F600\nG1 X200 Y100\n", cfg)
+        assert plan.barriers
+        assert isinstance(same_run(plan, cfg), OracleRun)
 
 
 class TestNoise:
