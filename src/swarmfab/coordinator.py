@@ -294,16 +294,17 @@ class _Planner:
                          np.array(extrusion[:count], dtype=float),
                          durations), error
 
-    def clock(self, cols: _Segments, t0: float, first: int):
+    def clock(self, cols: _Segments):
         """The plan clock: when each segment starts, and the last one ends
-        (N + 1), and how many interior ticks each has, from tick `first` of
-        the first segment (0 or 1) and tick 1 of the others.  A segment too
+        (N + 1), from 0.0, and how many interior ticks each has, from tick
+        0 of the first segment and tick 1 of the others.  A segment too
         short to move the clock dwells one tick at its end.  Raises
         PlanError at the segment where the plan passes MAX_PLAN_TICKS
         ticks, before any tick is built."""
         dt = self.config.dt_plan
         with np.errstate(over="ignore"):
             ticks = np.maximum(1.0, np.ceil(cols.durations / dt - 1e-9))
+        t0, first = 0.0, 0
         times, interior = [t0], []
         for duration, n in zip(cols.durations.tolist(), ticks.tolist()):
             if t0 + duration == t0:
@@ -345,38 +346,35 @@ class _Planner:
                               len(kinds) - 1)
         return changed | (angle >= threshold)
 
-    def plan(self, columns, datum: tuple[float, float, float], *,
-             t0: float = 0.0, extrusion0: float = 0.0,
-             include_start: bool = True,
-             barriers: Optional[list[int]] = None) -> Plan:
+    def plan(self, columns, datum: tuple[float, float, float]) -> Plan:
         """Sample chained segments, as the columns of zip(*segments), into
-        ticks at the planning period.
+        ticks at the planning period, from t = 0.0 and the first segment's
+        start.
 
         Rotation targets are relative to `datum`.  The segment pass checks,
         solves and times every segment; the tick pass interpolates, checks
         and solves the interior ticks a block of segments at a time.  The
         error raised is the one a tick-by-tick planner meets first: it
         checks the first start, then each segment's end and its interior
-        ticks.  The index of the last tick of a segment is appended to
-        `barriers` when the next segment turns by at least the barrier
-        angle or changes kind.
+        ticks.  The plan's barriers are the indices of the last tick of
+        each segment whose next segment turns by at least the barrier
+        angle or changes kind, ascending because every segment adds a
+        tick.
         """
         cols, error = self.segments(columns)
         zero = self.machine.zero(datum)
-        first = 0 if include_start else 1
-        clock, interior = self.clock(cols, t0, first)
+        clock, interior = self.clock(cols)
         # the index of each segment's last tick
         ends_at = np.cumsum(interior + 1) - 1
-        if barriers is not None:
-            barriers += ends_at[:-1][self.turns(cols)].tolist()
+        barriers = ends_at[:-1][self.turns(cols)].tolist()
         # the tick columns, filled a block at a time
         ticks = [[None] * (ends_at[-1] + 1) for _ in range(4)]
+        extrusion = 0.0
         for a in range(0, len(interior), BLOCK_SEGMENTS):
             block = slice(a, a + BLOCK_SEGMENTS)
-            extrusion0 = self._ticks(
+            extrusion = self._ticks(
                 cols, block, interior[block], clock[a:a + BLOCK_SEGMENTS + 1],
-                extrusion0, zero, first if a == 0 else 1, ticks,
-                ends_at[a - 1] + 1 if a else 0)
+                extrusion, zero, ticks, ends_at[a - 1] + 1 if a else 0)
         if error is not None:
             raise error
         times, tools, totals, rows = ticks
@@ -387,23 +385,22 @@ class _Planner:
         printing = map("print".__eq__, kinds)
         extruding = list(chain.from_iterable(map(repeat, printing, counts)))
         source_line = list(chain.from_iterable(map(repeat, lines, counts)))
-        return Plan(self.config.morphology,
-                    [] if barriers is None else barriers, ids=self.ids,
+        return Plan(self.config.morphology, barriers, ids=self.ids,
                     kinds=self.machine.kinds, t=times, tool_target=tools,
                     extruding=extruding, extrusion_total=totals,
                     source_line=source_line, setpoints=rows)
 
     def _ticks(self, cols: _Segments, block: slice, interior, clock,
-               extrusion0: float, zero, first: int, ticks, at: int) -> float:
+               extrusion0: float, zero, ticks, at: int) -> float:
         """The tick pass over one block of segments: write the t, tool
         target, extrusion total and setpoint row of each of their ticks, the
         interior ones and then the end, to the `ticks` columns from row
         `at` on.  Returns the extrusion total after the block.
 
         `interior` and `clock` are the block's rows of the plan clock (the
-        clock with one more, for the end of its last segment), `extrusion0`
-        the extrusion total before it and `first` the first interior tick of
-        its first segment.
+        clock with one more, for the end of its last segment) and
+        `extrusion0` the extrusion total before it.  The plan's first
+        segment, at row 0, has its start as an interior tick.
         """
         n = len(interior)
         seg = np.repeat(np.arange(n), interior)
@@ -413,7 +410,8 @@ class _Planner:
         # tick i of a segment: i * dt of the way, as a fraction of its
         # duration, along it
         i = at_inner - (at_end - interior)[seg] + 1
-        i[:interior[0]] += first - 1
+        if at == 0:
+            i[:interior[0]] -= 1
         t = i * self.config.dt_plan
         frac = t / cols.durations[block][seg]
         starts = cols.starts[block][seg]
@@ -452,25 +450,6 @@ class _Planner:
         return extrusion[-1].item()
 
 
-def time_parameterize(seg: MotionSegment, config: MachineConfig) -> float:
-    """Feed- and actuator-limited duration of one segment."""
-    cols, _ = _Planner(config).segments(zip(seg))
-    return cols.durations.item()
-
-
-def plan_segment(seg: MotionSegment, config: MachineConfig, *,
-                 t0: float = 0.0,
-                 datum: Optional[tuple[float, float, float]] = None,
-                 extrusion0: float = 0.0,
-                 include_start: bool = True) -> list[PlanTick]:
-    """Sample one segment into setpoint ticks at the planning period;
-    rotation targets are relative to `datum`, by default the segment start.
-    """
-    return _Planner(config).plan(
-        zip(seg), seg.start if datum is None else datum, t0=t0,
-        extrusion0=extrusion0, include_start=include_start).ticks
-
-
 def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
     """Plan a chained segment list into one synchronized schedule."""
     planner = _Planner(config)
@@ -482,8 +461,7 @@ def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
         line = next(line for start, end, line
                     in zip(starts[1:], ends, lines[1:]) if start != end)
         raise PlanError(f"segments not chained at line {line}", line_no=line)
-    # ascending: every segment adds a tick
-    return planner.plan(columns, starts[0], barriers=[])
+    return planner.plan(columns, starts[0])
 
 
 # --- reconfiguration ---

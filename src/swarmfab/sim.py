@@ -11,7 +11,7 @@ import numpy as np
 
 from . import kinematics as kin
 from .coordinator import MachineConfig, Plan, active_robots, assign_roles
-from .errors import KinematicsFault, StallTimeout
+from .errors import KinematicsFault, SimError, StallTimeout
 from .gcode import MotionSegment
 # The simulator loop inlines these; they stay bound here, where the benchmark
 # tracer (perfbench/jobs.py) looks them up.
@@ -117,6 +117,11 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
     if not plan.t:
         return trace
 
+    # roles maps every robot of the roster
+    missing = [rid for rid in plan.ids if rid not in roles]
+    if missing:
+        raise SimError(f"plan robots not in the {config.morphology} config's "
+                       f"roster: {', '.join(missing)}")
     robots = {}
     for rid in plan.ids:
         p = config.robot_params(rid)
@@ -455,54 +460,38 @@ def _fmt(v: float) -> str:
     return f"{v:.6f}"
 
 
-def export_svg(source, *, workspace=None, include_travel: bool = True) -> str:
-    """Render print (solid) and travel (dashed) polylines grouped by layer z.
+def export_svg(trace: Trace) -> str:
+    """Render a Trace's print (solid) and travel (dashed) polylines grouped
+    by layer z.
 
-    `source` is a Trace or a list of MotionSegments.
+    The viewBox is the workspace of the trace's config, or the polylines'
+    extent when the trace has no config.
     """
-    if isinstance(source, Trace):
-        print_polys = _polylines(source, True)
-        travel_polys = _polylines(source, False)
-        if workspace is None and source.config is not None:
-            workspace = (source.config.workspace_min, source.config.workspace_max)
+    polys = {"print": _polylines(trace, True),
+             "travel": _polylines(trace, False)}
+    if trace.config is not None:
+        lo, hi = trace.config.workspace_min, trace.config.workspace_max
     else:
-        print_polys = _merge_chains(
-            [(seg.start[2], [seg.start, seg.end]) for seg in source
-             if seg.kind == "print"])
-        travel_polys = _merge_chains(
-            [(seg.start[2], [seg.start, seg.end]) for seg in source
-             if seg.kind == "travel"])
-
-    all_points = [p for _, poly in print_polys + travel_polys for p in poly]
-    if workspace is not None:
-        lo, hi = workspace
-        min_x, min_y = lo[0], lo[1]
-        max_x, max_y = hi[0], hi[1]
-    elif all_points:
-        min_x = min(p[0] for p in all_points)
-        max_x = max(p[0] for p in all_points)
-        min_y = min(p[1] for p in all_points)
-        max_y = max(p[1] for p in all_points)
-    else:
-        min_x = min_y = 0.0
-        max_x = max_y = 1.0
-    width = max(max_x - min_x, 1e-6)
-    height = max(max_y - min_y, 1e-6)
+        # the polylines' extent, or a unit square when there are none
+        xy = [p[:2] for kind_polys in polys.values() for _, poly in kind_polys
+              for p in poly] or [(0.0, 0.0), (1.0, 1.0)]
+        lo, hi = [min(c) for c in zip(*xy)], [max(c) for c in zip(*xy)]
+    width = max(hi[0] - lo[0], 1e-6)
+    height = max(hi[1] - lo[1], 1e-6)
 
     def layer_key(z):
         return round(z / Z_QUANTUM) * Z_QUANTUM
 
     layers: dict[float, dict[str, list]] = {}
-    for z, poly in print_polys:
-        layers.setdefault(layer_key(z), {"print": [], "travel": []})["print"].append(poly)
-    if include_travel:
-        for z, poly in travel_polys:
-            layers.setdefault(layer_key(z), {"print": [], "travel": []})["travel"].append(poly)
+    for kind, kind_polys in polys.items():
+        for z, poly in kind_polys:
+            layers.setdefault(layer_key(z),
+                              {"print": [], "travel": []})[kind].append(poly)
 
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(min_x)} {_fmt(min_y)} {_fmt(width)} {_fmt(height)}" '
+        f'viewBox="{_fmt(lo[0])} {_fmt(lo[1])} {_fmt(width)} {_fmt(height)}" '
         f'width="{_fmt(width)}mm" height="{_fmt(height)}mm">',
     ]
     for z in sorted(layers):
@@ -520,17 +509,6 @@ def export_svg(source, *, workspace=None, include_travel: bool = True) -> str:
         lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
-
-
-def _merge_chains(polys):
-    """Concatenate same-layer polylines whose endpoints coincide."""
-    merged = []
-    for z, poly in polys:
-        if merged and merged[-1][0] == z and merged[-1][1][-1] == poly[0]:
-            merged[-1][1].extend(poly[1:])
-        else:
-            merged.append((z, list(poly)))
-    return merged
 
 
 def _format_rows(fmt: str, values: np.ndarray) -> list[str]:

@@ -470,6 +470,9 @@ class TestThreeLayerPrint:
         svg = sim.export_svg(trace)
         groups = [l for l in svg.splitlines() if l.startswith("<g ")]
         assert len(groups) == 3
+        # one group per layer, in ascending z
+        zs = [float(g.split('"layer-z')[1].split('"')[0]) for g in groups]
+        assert zs == sorted(zs)
 
         commanded = sum(s.extrusion_delta for s in result.segments
                         if s.extrusion_delta > 0)

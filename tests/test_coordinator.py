@@ -31,10 +31,10 @@ def seg(start, end, feed=50.0, e=0.0, line=1):
 
 
 # --- oracle: the planner that checks and solves every point where it is
-# used: each segment endpoint in time_parameterize and again as a tick, each
-# start again as the previous segment's end, and the role maps once per tick
-# or segment.  plan_program, plan_segment and time_parameterize must match it
-# bit for bit, errors included. ---
+# used: each segment endpoint in time_parameterize_oracle and again as a
+# tick, each start again as the previous segment's end, and the role maps
+# once per tick or segment.  plan_program must match it bit for bit, errors
+# included. ---
 
 def omega_max_oracle(params):
     return 2.0 * params.max_wheel_speed / params.wheel_track
@@ -371,13 +371,9 @@ class TestPlannerOracle:
                                segments, cfg)
         assert plan.barriers
         assert any(s.length == 0.0 for s in segments)
-        for i, s in enumerate(segments[:300]):
-            same_outcome(coordinator.time_parameterize,
-                         time_parameterize_oracle, s, cfg)
-            same_outcome(coordinator.plan_segment, plan_segment_oracle, s, cfg)
-            same_outcome(coordinator.plan_segment, plan_segment_oracle, s,
-                         cfg, t0=3.25 * i, datum=cfg.home,
-                         extrusion0=0.5 * i, include_start=i % 2 == 0)
+        for s in segments[:300]:
+            same_outcome(coordinator.plan_program, plan_program_oracle, [s],
+                         cfg)
 
     @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
     def test_extrusion_in_place_first_and_last(self, morphology):
@@ -451,22 +447,24 @@ class TestPlannerOracle:
             wire2d_config)
         assert (message.startswith("segment endpoint (500.0, -100.0, 0.0)")
                 and reason == "OutsideBox" and line == 47)
-        same_outcome(coordinator.plan_segment, plan_segment_oracle,
-                     segments[-2], wire2d_config)
+        same_outcome(coordinator.plan_program, plan_program_oracle,
+                     [segments[-2]], wire2d_config)
 
     def test_interior_tick_outside(self):
         cfg = config.parse_config(TILTED_DOC)
         good = seg((200.0, 150.0, 300.0), MARGIN_GRAZER[0], line=6)
         grazer = seg(*MARGIN_GRAZER, feed=20.0, line=7)
-        for call, oracle, args in (
-                (coordinator.plan_program, plan_program_oracle,
-                 ([good, grazer], cfg)),
-                (coordinator.plan_segment, plan_segment_oracle,
-                 (grazer, cfg))):
-            _, message, reason, line = same_outcome(call, oracle, *args)
+        for segments in ([good, grazer], [grazer]):
+            _, message, reason, line = same_outcome(
+                coordinator.plan_program, plan_program_oracle, segments, cfg)
             assert (message.startswith("setpoint ")
                     and reason == "AboveAnchors" and line == 7)
-        assert coordinator.time_parameterize(grazer, cfg) > 0.0
+        # the grazer's ends are inside: with a plan period longer than the
+        # grazer it has no interior tick, and it plans
+        coarse = dataclasses.replace(cfg, dt_plan=100.0)
+        plan, _ = same_outcome(coordinator.plan_program, plan_program_oracle,
+                               [grazer], coarse)
+        assert plan.tool_target == list(MARGIN_GRAZER) and plan.t[-1] > 0.0
 
     def test_interior_tick_outside_before_a_later_endpoint(self):
         # the grazer's interior tick comes before the next segment's end,
@@ -487,15 +485,10 @@ class TestPlannerOracle:
         ("bridge_xy", (10, 100, 0), (200, 100, 0))])
     def test_datum_outside(self, morphology, start, end):
         cfg = config.default_config(morphology)
-        s = seg(start, end, line=4)
-        for call, oracle in (
-                (coordinator.plan_program, plan_program_oracle),
-                (coordinator.plan_segment, plan_segment_oracle),
-                (coordinator.time_parameterize, time_parameterize_oracle)):
-            _, message, reason, line = same_outcome(
-                call, oracle, [s] if oracle is plan_program_oracle else s,
-                cfg)
-            assert message.startswith("segment endpoint") and line == 4
+        _, message, reason, line = same_outcome(
+            coordinator.plan_program, plan_program_oracle,
+            [seg(start, end, line=4)], cfg)
+        assert message.startswith("segment endpoint") and line == 4
 
 
 def slow_roster_doc(morphology):
@@ -541,7 +534,6 @@ class TestTickBound:
                          for entry in doc["roster"]]
         cfg = config.parse_config(doc)
         s = seg(cfg.home, (cfg.home[0] + 10.0, cfg.home[1], 0.0), line=3)
-        assert coordinator.time_parameterize(s, cfg) == math.inf
         with pytest.raises(PlanError) as err:
             coordinator.plan_program([s], cfg)
         assert err.value.line_no == 3
@@ -655,8 +647,6 @@ class TestMachineConfig:
 SHORT_ROSTER_CALLS = {
     "plan_program": lambda s, cfg: coordinator.plan_program([s], cfg),
     "plan_program_empty": lambda s, cfg: coordinator.plan_program([], cfg),
-    "plan_segment": coordinator.plan_segment,
-    "time_parameterize": coordinator.time_parameterize,
     "initial_robot_positions":
         lambda s, cfg: coordinator.initial_robot_positions(cfg),
 }
@@ -681,42 +671,51 @@ class TestShortRoster:
         assert err.value.available == len(full.roster) - 1
 
 
+def duration(s, cfg):
+    """The planned duration of one segment."""
+    return coordinator.plan_program([s], cfg).t[-1]
+
+
 class TestTimeParameterize:
+    """A segment's feed- and actuator-limited duration, as plan_program
+    times it."""
+
     def test_feed_limited(self, bridge_config):
         s = seg((200, 100, 0), (300, 100, 0), feed=50.0)
-        assert coordinator.time_parameterize(s, bridge_config) == pytest.approx(2.0)
+        assert duration(s, bridge_config) == pytest.approx(2.0)
 
     def test_robot_limited(self, bridge_config):
         s = seg((200, 100, 0), (300, 100, 0), feed=500.0)
         cfg = config.parse_config({**config.default_config_doc("bridge_xy"),
                                    "limits": {"max_tool_speed": 500.0,
                                               "sync_tol": 1.0}})
-        assert coordinator.time_parameterize(s, cfg) == pytest.approx(100.0 / 115.0)
+        assert duration(s, cfg) == pytest.approx(100.0 / 115.0)
 
     def test_wire2d_spool_limit(self, wire2d_config):
         s = seg((300, -500, 0), (700, -200, 0), feed=1e6)
         cfg = config.parse_config({**config.default_config_doc("wire2d_wall"),
                                    "limits": {"max_tool_speed": 1e6,
                                               "sync_tol": 1.0}})
-        duration = coordinator.time_parameterize(s, cfg)
         geom = cfg.wire2d_geometry
         params = cfg.roster[0].params
         omega_max = 2 * params.max_wheel_speed / params.wheel_track
         l0 = kin.wire2d_ik((300, -500), geom)
         l1 = kin.wire2d_ik((700, -200), geom)
         needed = max(abs(a - b) for a, b in zip(l0, l1)) / (geom.spool_radius * omega_max)
-        assert duration == pytest.approx(needed)
+        assert duration(s, cfg) == pytest.approx(needed)
 
     def test_out_of_workspace(self, bridge_config):
         s = seg((200, 100, 0), (900, 100, 0))
         with pytest.raises(OutOfWorkspace):
-            coordinator.time_parameterize(s, bridge_config)
+            coordinator.plan_program([s], bridge_config)
 
 
 class TestPlanSegment:
+    """A segment's ticks, as plan_program samples it."""
+
     def test_tick_count_and_spacing(self, bridge_config):
         s = seg((200, 100, 0), (300, 100, 0), feed=50.0)
-        ticks = coordinator.plan_segment(s, bridge_config)
+        ticks = coordinator.plan_program([s], bridge_config).ticks
         assert len(ticks) == 21
         for a, b in zip(ticks, ticks[1:]):
             gap = math.dist(a.tool_target, b.tool_target)
@@ -725,14 +724,14 @@ class TestPlanSegment:
 
     def test_extrude_in_place_single_tick(self, bridge_config):
         s = seg((200, 100, 0), (200, 100, 0), e=2.0)
-        ticks = coordinator.plan_segment(s, bridge_config)
+        ticks = coordinator.plan_program([s], bridge_config).ticks
         assert len(ticks) == 1
         assert ticks[0].extruding
 
     def test_wire2d_setpoints_match_ik(self, wire2d_config):
         s = seg((400, -500, 0), (600, -300, 0), feed=30.0)
         roles = coordinator.assign_roles(wire2d_config)
-        ticks = coordinator.plan_segment(s, wire2d_config)
+        ticks = coordinator.plan_program([s], wire2d_config).ticks
         geom = wire2d_config.wire2d_geometry
         datum = kin.wire2d_ik((400, -500), geom)
         by_role = {role: rid for rid, role in roles.items()}
@@ -746,7 +745,7 @@ class TestPlanSegment:
 
     def test_bridge_y_equality(self, bridge_config):
         s = seg((100, 50, 0), (300, 400, 0), feed=40.0)
-        ticks = coordinator.plan_segment(s, bridge_config)
+        ticks = coordinator.plan_program([s], bridge_config).ticks
         for tick in ticks:
             ys = [sp.y for sp in tick.setpoints.values() if sp.kind == "move"]
             b1 = tick.setpoints["r1"]
@@ -876,8 +875,8 @@ class TestPlanColumns:
 
     @pytest.mark.parametrize("change", ["drop", "add", "kind", "order"])
     def test_from_ticks_rejects_other_robots(self, bridge_config, change):
-        ticks = coordinator.plan_segment(
-            seg((200, 100, 0), (210, 100, 0)), bridge_config)
+        ticks = coordinator.plan_program(
+            [seg((200, 100, 0), (210, 100, 0))], bridge_config).ticks
         setpoints = dict(ticks[1].setpoints)
         if change == "drop":
             del setpoints["r3"]

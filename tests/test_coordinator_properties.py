@@ -12,7 +12,6 @@ from swarmfab.gcode import MotionSegment  # noqa: E402
 from test_coordinator import (  # noqa: E402
     four_robot_config,
     plan_program_oracle,
-    plan_segment_oracle,
     same_outcome,
     serialize_command_stream_oracle,
 )
@@ -97,11 +96,6 @@ def test_out_of_workspace_matches_oracle(morphology, configs, data):
     segments = data.draw(chained_segments(morphology, widen=0.1, cfg=cfg))
     same_outcome(coordinator.plan_program, plan_program_oracle, segments,
                  cfg)
-    t0 = data.draw(st.sampled_from((0.0, 3.25)))
-    for s in segments:
-        same_outcome(coordinator.plan_segment, plan_segment_oracle, s, cfg,
-                     t0=t0, datum=cfg.home, extrusion0=0.5,
-                     include_start=False)
 
 
 ROSTER_ORDERS = st.none() | st.lists(

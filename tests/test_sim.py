@@ -11,6 +11,7 @@ from swarmfab.coordinator import Plan, PlanTick, Setpoint
 from swarmfab.errors import (
     KinematicsFault,
     NoIntersection,
+    SimError,
     StallTimeout,
     SwarmFabError,
 )
@@ -285,7 +286,7 @@ def noisy_config(morphology, noise):
 def home_setpoints(cfg):
     """Every robot's setpoint for the home tool point, relative to home."""
     home = cfg.home
-    return coordinator.plan_segment(seg(home, home), cfg)[0].setpoints
+    return coordinator.plan_program([seg(home, home)], cfg).ticks[0].setpoints
 
 
 def stall_plan(cfg, spool_theta):
@@ -474,6 +475,18 @@ class TestRun:
         with pytest.raises(ValueError):
             sim.run(plan, bridge_config, dt_sim=1.0)
 
+    @pytest.mark.parametrize("source,missing", [("bridge_xy", "r3"),
+                                                ("printer_bridge", "r3, r4")])
+    def test_plan_robots_missing_from_roster(self, wire2d_config, source,
+                                             missing):
+        # the plan into the wall plotter parks robots that its two-robot
+        # roster lacks
+        plan = coordinator.reconfigure(config.default_config(source),
+                                       wire2d_config)
+        with pytest.raises(SimError, match=f"wire2d_wall config's roster: "
+                                           f"{missing}$"):
+            sim.run(plan, wire2d_config)
+
 
 class TestMeasureFidelity:
     def sample(self, t, tool, extruding=True):
@@ -527,21 +540,15 @@ class TestExports:
         assert text.startswith("<?xml")
         assert "<svg" in text and "</svg>" in text
 
-    def test_square_segments_single_group(self):
-        pts = [(0, 0, 0), (10, 0, 0), (10, 10, 0), (0, 10, 0), (0, 0, 0)]
-        segs = [seg(a, b, e=1.0) for a, b in zip(pts, pts[1:])]
-        text = sim.export_svg(segs)
-        assert text.count("<g ") == 1
-        assert text.count("<polyline") == 1  # chained into one closed polyline
-
-    def test_two_layer_grouping(self):
-        segs = [seg((0, 0, 0), (10, 0, 0), e=1.0),
-                seg((10, 0, 0), (10, 0, 2), line=2),
-                seg((10, 0, 2), (0, 0, 2), e=1.0, line=3)]
-        text = sim.export_svg(segs, include_travel=False)
-        groups = [l for l in text.splitlines() if l.startswith("<g")]
-        assert len(groups) == 2
-        assert groups == sorted(groups)  # ascending z order
+    def test_svg_without_config_spans_its_polylines(self):
+        tips = np.array([[0, 0, 0], [10, 5, 0], [10, 5, 0], [-2, 8, 0]],
+                        dtype=float)
+        trace = sim.Trace(t=np.arange(4.0), tool_tip=tips,
+                          tool_target=np.zeros((4, 3)),
+                          extruding=np.array([True, True, False, False]))
+        text = sim.export_svg(trace)
+        assert 'viewBox="-2.000000 0.000000 12.000000 8.000000"' in text
+        assert text.count("<polyline") == 2
 
     def test_csv_shape_and_determinism(self, bridge_config,
                                        square_print_program):
