@@ -649,6 +649,9 @@ SHORT_ROSTER_CALLS = {
     "plan_program_empty": lambda s, cfg: coordinator.plan_program([], cfg),
     "initial_robot_positions":
         lambda s, cfg: coordinator.initial_robot_positions(cfg),
+    "assign_roles": lambda s, cfg: coordinator.assign_roles(cfg),
+    # a reconfiguration into the config itself checks its roster first
+    "reconfigure": lambda s, cfg: coordinator.reconfigure(cfg, cfg),
 }
 
 

@@ -540,6 +540,34 @@ class TestExports:
         assert text.startswith("<?xml")
         assert "<svg" in text and "</svg>" in text
 
+    def test_square_segments_single_group(self, bridge_config):
+        x, y, z = bridge_config.home
+        pts = [(x + dx, y + dy, z)
+               for dx, dy in [(0, 0), (10, 0), (10, 10), (0, 10), (0, 0)]]
+        segs = [seg(a, b, e=1.0) for a, b in zip(pts, pts[1:])]
+        trace = sim.run(coordinator.plan_program(segs, bridge_config),
+                        bridge_config, seed=0)
+        text = sim.export_svg(trace)
+        assert text.count("<g ") == 1
+        assert text.count("<polyline") == 1  # one closed print polyline
+
+    def test_two_layer_grouping(self, printer_bridge_config):
+        x, y, z = printer_bridge_config.home
+        segs = [seg((x, y, z), (x + 10, y, z), e=1.0),
+                seg((x + 10, y, z), (x + 10, y, z + 2), line=2),
+                seg((x + 10, y, z + 2), (x, y, z + 2), e=1.0, line=3)]
+        trace = sim.run(coordinator.plan_program(segs, printer_bridge_config),
+                        printer_bridge_config, seed=0)
+        text = sim.export_svg(trace)
+        groups = text.split("<g ")[1:]
+        zs = [float(g.split('"layer-z')[1].split('"')[0]) for g in groups]
+        assert zs == sorted(zs)  # ascending z order
+        # the two printed layers each get a group; the lift between them is
+        # travel only
+        printed = [gz for gz, g in zip(zs, groups)
+                   if 'stroke="#000000"' in g]
+        assert printed == [z, z + 2]
+
     def test_svg_without_config_spans_its_polylines(self):
         tips = np.array([[0, 0, 0], [10, 5, 0], [10, 5, 0], [-2, 8, 0]],
                         dtype=float)
