@@ -18,7 +18,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import kinematics as kin
-from . import machines
+from . import machines, text
 from .errors import InsufficientRobots, OutOfWorkspace, PlanError
 from .gcode import MotionSegment
 from .robot import RobotParams
@@ -298,30 +298,39 @@ class _Planner:
         """The plan clock: when each segment starts, and the last one ends
         (N + 1), from 0.0, and how many interior ticks each has, from tick
         0 of the first segment and tick 1 of the others.  A segment too
-        short to move the clock dwells one tick at its end.  Raises
-        PlanError at the segment where the plan passes MAX_PLAN_TICKS
-        ticks, before any tick is built."""
+        short to move the clock dwells one tick at its end; only a plan
+        that holds one walks its segments in a loop.  Raises PlanError at
+        the segment where the plan passes MAX_PLAN_TICKS ticks, before any
+        tick is built."""
         dt = self.config.dt_plan
+        durations = cols.durations
         with np.errstate(over="ignore"):
-            ticks = np.maximum(1.0, np.ceil(cols.durations / dt - 1e-9))
-        t0, first = 0.0, 0
-        times, interior = [t0], []
-        for duration, n in zip(cols.durations.tolist(), ticks.tolist()):
-            if t0 + duration == t0:
-                t0 += dt
-                n = first  # no interior ticks
-            else:
-                t0 += duration
-            times.append(t0)
-            interior.append(n - first)
-            first = 1
-        interior = np.array(interior)
+            ticks = np.maximum(1.0, np.ceil(durations / dt - 1e-9))
+            # np.cumsum adds in order, as the loop below does, so the times
+            # are the loop's up to the first segment too short to move them
+            times = np.concatenate(([0.0], np.cumsum(durations)))
+            still = (times[:-1] + durations == times[:-1]).any()
+        interior = ticks - 1.0
+        interior[0] += 1.0
+        if still:
+            t0, first = 0.0, 0
+            times, interior = [t0], []
+            for duration, n in zip(durations.tolist(), ticks.tolist()):
+                if t0 + duration == t0:
+                    t0 += dt
+                    n = first  # no interior ticks
+                else:
+                    t0 += duration
+                times.append(t0)
+                interior.append(n - first)
+                first = 1
+            times, interior = np.array(times), np.array(interior)
         passed = np.cumsum(interior + 1) > MAX_PLAN_TICKS
         if passed.any():
             line = cols.lines[passed.argmax()]
             raise PlanError(f"plan longer than {MAX_PLAN_TICKS} ticks of "
                             f"{dt} s", line_no=line)
-        return np.array(times), interior.astype(np.int64)
+        return times, interior.astype(np.int64)
 
     def turns(self, cols: _Segments) -> np.ndarray:
         """Whether each segment after the first turns by at least the
@@ -532,8 +541,10 @@ def serialize_command_stream(plan: Plan,
     """Byte-stable newline-delimited command records, one per robot per tick
     (in roster order, by default the plan's), then a stop record per robot.
 
-    Every tick's records come from one format, so the whole stream but the
-    stop records is formatted by one % call.
+    Every tick's records come from one template, so the stream is the rows
+    of one array, written by `text.rows`, and the stop records that of its
+    last row: the ticks' t, the setpoint columns the records print, and the
+    source line.
     """
     column = {rid: k for k, rid in enumerate(plan.ids)}
     order = [column[rid] for rid in
@@ -541,20 +552,46 @@ def serialize_command_stream(plan: Plan,
              if rid in column]
     if not plan.t or not order:
         return ""
-    # a tick's values are picked from (t, line, *setpoint row)
-    formats, picks = [], []
+    # the printed setpoint columns, each once, after t; the line comes last
+    printed: dict[int, int] = {}
+    template = []
     for k in order:
-        rid = plan.ids[k].replace("%", "%%")
         if plan.kinds[k] == "move":
-            formats.append(f"t=%.6f id={rid} op=move x=%.6f y=%.6f line=%s\n")
-            picks += (0, 2 + 3 * k, 3 + 3 * k, 1)
+            fields = (" op=move x=", 3 * k, " y=", 3 * k + 1)
         else:
-            formats.append(f"t=%.6f id={rid} op=rotate theta=%.6f line=%s\n")
-            picks += (0, 4 + 3 * k, 1)
-    values = chain.from_iterable(map(
-        operator.itemgetter(*picks),
-        map(operator.add, zip(plan.t, plan.source_line), plan.setpoints)))
-    t_end, line = plan.t[-1], plan.source_line[-1]
-    stops = [f"t={t_end:.6f} id={plan.ids[k]} op=stop line={line}\n"
-             for k in dict.fromkeys(order)]
-    return "".join(formats) * len(plan.t) % tuple(values) + "".join(stops)
+            fields = (" op=rotate theta=", 3 * k + 2)
+        template += ("t=", 0, f" id={plan.ids[k]}")
+        for item in fields:
+            if isinstance(item, int):
+                item = printed.setdefault(item, len(printed) + 1)
+            template.append(item)
+        template += (" line=", -1, "\n")
+    stops = [item for k in dict.fromkeys(order)
+             for item in ("t=", 0, f" id={plan.ids[k]} op=stop line=", -1,
+                          "\n")]
+    return text.rows(template, _StreamValues(plan, printed),
+                     whole=(len(printed) + 1,), tail=stops)
+
+
+class _StreamValues:
+    """The values of a plan's command stream, read from its columns a block
+    of ticks at a time: per tick its t, the setpoint columns `printed` maps
+    to their places, and its source line."""
+
+    def __init__(self, plan: Plan, printed: dict[int, int]):
+        self.plan, self.printed = plan, printed
+
+    def __len__(self) -> int:
+        return len(self.plan.t)
+
+    def __getitem__(self, ticks: slice) -> np.ndarray:
+        plan = self.plan
+        t = plan.t[ticks]
+        values = np.empty((len(t), len(self.printed) + 2))
+        values[:, 0] = t
+        values[:, -1] = plan.source_line[ticks]
+        rows = plan.setpoints[ticks]
+        for c, j in self.printed.items():
+            values[:, j] = np.fromiter(map(operator.itemgetter(c), rows),
+                                       float, len(t))
+        return values

@@ -10,6 +10,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kinematics as kin
+from . import text
 from .coordinator import MachineConfig, Plan, active_robots, assign_roles
 from .errors import KinematicsFault, SimError, StallTimeout
 from .gcode import MotionSegment
@@ -122,6 +123,11 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
     if missing:
         raise SimError(f"plan robots not in the {config.morphology} config's "
                        f"roster: {', '.join(missing)}")
+    # the machine's FK reads every active robot's column
+    lacking = [rid for rid in ids if rid not in plan.ids]
+    if lacking:
+        raise SimError(f"{config.morphology} config's active robots not in "
+                       f"the plan: {', '.join(lacking)}")
     robots = {}
     for rid in plan.ids:
         p = config.robot_params(rid)
@@ -444,7 +450,7 @@ Z_QUANTUM = 1e-6  # mm, layer grouping quantization
 
 def _polylines(trace: Trace, want_extruding: bool):
     """Maximal runs of at least two consecutive samples sharing the
-    extruding flag, as (layer z, tool-tip rows).
+    extruding flag, as (layer z, first sample, end sample).
 
     A run's layer z is the commanded target z of its first sample, which is
     exact; the FK tool-tip z jitters below the grouping quantum.
@@ -452,12 +458,8 @@ def _polylines(trace: Trace, want_extruding: bool):
     flags = np.concatenate(([False], trace.extruding == want_extruding,
                             [False]))
     edges = np.flatnonzero(flags[1:] != flags[:-1]).tolist()
-    return [(float(trace.tool_target[a, 2]), trace.tool_tip[a:b].tolist())
+    return [(float(trace.tool_target[a, 2]), a, b)
             for a, b in zip(edges[::2], edges[1::2]) if b - a >= 2]
-
-
-def _fmt(v: float) -> str:
-    return f"{v:.6f}"
 
 
 def export_svg(trace: Trace) -> str:
@@ -465,7 +467,8 @@ def export_svg(trace: Trace) -> str:
     by layer z.
 
     The viewBox is the workspace of the trace's config, or the polylines'
-    extent when the trace has no config.
+    extent when the trace has no config.  Every number is written by one
+    `text.rows` call.
     """
     polys = {"print": _polylines(trace, True),
              "travel": _polylines(trace, False)}
@@ -473,8 +476,9 @@ def export_svg(trace: Trace) -> str:
         lo, hi = trace.config.workspace_min, trace.config.workspace_max
     else:
         # the polylines' extent, or a unit square when there are none
-        xy = [p[:2] for kind_polys in polys.values() for _, poly in kind_polys
-              for p in poly] or [(0.0, 0.0), (1.0, 1.0)]
+        xy = [p for runs in polys.values() for _, a, b in runs
+              for p in trace.tool_tip[a:b, :2].tolist()]
+        xy = xy or [(0.0, 0.0), (1.0, 1.0)]
         lo, hi = [min(c) for c in zip(*xy)], [max(c) for c in zip(*xy)]
     width = max(hi[0] - lo[0], 1e-6)
     height = max(hi[1] - lo[1], 1e-6)
@@ -483,58 +487,61 @@ def export_svg(trace: Trace) -> str:
         return round(z / Z_QUANTUM) * Z_QUANTUM
 
     layers: dict[float, dict[str, list]] = {}
-    for kind, kind_polys in polys.items():
-        for z, poly in kind_polys:
+    for kind, runs in polys.items():
+        for z, a, b in runs:
             layers.setdefault(layer_key(z),
-                              {"print": [], "travel": []})[kind].append(poly)
-
+                              {"print": [], "travel": []})[kind].append((a, b))
+    zs = sorted(layers)
+    # two numbers a row: the viewBox corner and size, each layer's z (twice)
+    # and each sample's tool-tip x and y
+    head = np.array([lo[:2], (width, height), *((z, z) for z in zs)],
+                    dtype=float)
+    texts = text.rows(["", 0, ",", 1, "\n"],
+                      np.concatenate((head, trace.tool_tip[:, :2]))
+                      ).split("\n")
+    corner, size = texts[0].replace(",", " "), texts[1].split(",")
+    points = texts[2 + len(zs):]
     lines = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
-        f'viewBox="{_fmt(lo[0])} {_fmt(lo[1])} {_fmt(width)} {_fmt(height)}" '
-        f'width="{_fmt(width)}mm" height="{_fmt(height)}mm">',
+        f'viewBox="{corner} {size[0]} {size[1]}" '
+        f'width="{size[0]}mm" height="{size[1]}mm">',
     ]
-    for z in sorted(layers):
-        lines.append(f'<g id="layer-z{_fmt(z)}">')
-        for poly in layers[z]["travel"]:
-            pts = _svg_points(poly)
+    for i, z in enumerate(zs):
+        lines.append(f'<g id="layer-z{texts[2 + i].partition(",")[0]}">')
+        for a, b in layers[z]["travel"]:
             lines.append(
-                f'<polyline points="{pts}" fill="none" stroke="#999999" '
-                f'stroke-width="0.2" stroke-dasharray="2,2"/>')
-        for poly in layers[z]["print"]:
-            pts = _svg_points(poly)
+                f'<polyline points="{" ".join(points[a:b])}" fill="none" '
+                f'stroke="#999999" stroke-width="0.2" '
+                f'stroke-dasharray="2,2"/>')
+        for a, b in layers[z]["print"]:
             lines.append(
-                f'<polyline points="{pts}" fill="none" stroke="#000000" '
-                f'stroke-width="0.4"/>')
+                f'<polyline points="{" ".join(points[a:b])}" fill="none" '
+                f'stroke="#000000" stroke-width="0.4"/>')
         lines.append("</g>")
     lines.append("</svg>")
     return "\n".join(lines) + "\n"
 
 
-def _format_rows(fmt: str, values: np.ndarray) -> list[str]:
-    """`fmt % row` for every row of a 2-D array, by one % call."""
-    return ((fmt + "\n") * len(values) % tuple(values.ravel().tolist())
-            ).split("\n")[:-1]
-
-
-def _svg_points(poly) -> str:
-    """A polyline's "x,y" pairs, space-separated, one % call per point."""
-    return " ".join(["%.6f,%.6f" % (x, y) for x, y, _ in poly])
-
-
 def export_csv(trace: Trace) -> str:
-    """Flat per-robot per-sample table with fixed 6-decimal formatting."""
+    """Flat per-robot per-sample table with fixed 6-decimal formatting,
+    written by one `text.rows` call over a row per sample."""
+    header = "t,robot_id,x,y,heading,tool_x,tool_y,tool_z,extruding\n"
     ids = trace.robot_ids
-    heads = _format_rows("%.6f,", trace.t[:, None])
-    tips = np.empty((len(trace.t), 4))
-    tips[:, :3] = trace.tool_tip
-    tips[:, 3] = trace.extruding
-    tails = _format_rows(",%.6f,%.6f,%.6f,%d", tips)
-    poses = iter(_format_rows("%.6f,%.6f,%.6f", trace.poses.reshape(-1, 3)))
-    lines = ["t,robot_id,x,y,heading,tool_x,tool_y,tool_z,extruding"]
-    lines += [f"{head}{rid},{next(poses)}{tail}"
-              for head, tail in zip(heads, tails) for rid in ids]
-    return "\n".join(lines) + "\n"
+    if not ids:
+        return header
+    n = len(trace.t)
+    # a sample's t, each robot's pose, the tool tip and the extruding flag
+    values = np.concatenate((trace.t[:, None], trace.poses.reshape(n, -1),
+                             trace.tool_tip, trace.extruding[:, None]),
+                            axis=1)
+    tool = 1 + 3 * len(ids)
+    template = []
+    for k, rid in enumerate(ids):
+        template += (0, f",{rid},", 1 + 3 * k, ",", 2 + 3 * k, ",",
+                     3 + 3 * k, ",", tool, ",", tool + 1, ",", tool + 2, ",",
+                     tool + 3, "\n")
+    return text.rows(template, values, whole=(tool + 3,), head=header)
 
 
 @dataclass(frozen=True)

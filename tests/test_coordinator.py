@@ -500,6 +500,79 @@ def slow_roster_doc(morphology):
     return doc
 
 
+def clock_oracle(cols, dt):
+    """The plan clock as a loop over segments: the start times from 0.0,
+    and the interior ticks, of which a segment too short to move the clock
+    has none; it dwells one tick at its end."""
+    ticks = np.maximum(1.0, np.ceil(cols.durations / dt - 1e-9))
+    t0, first = 0.0, 0
+    times, interior = [t0], []
+    for duration, n in zip(cols.durations.tolist(), ticks.tolist()):
+        if t0 + duration == t0:
+            t0 += dt
+            n = first
+        else:
+            t0 += duration
+        times.append(t0)
+        interior.append(n - first)
+        first = 1
+    return np.array(times), np.array(interior).astype(np.int64)
+
+
+class TestPlanClock:
+    """The vectorized clock gives the loop's times and tick counts bit for
+    bit, both where np.cumsum serves and where a segment too short to move
+    the clock sends it to the loop."""
+
+    def same_clock(self, segments, cfg):
+        planner = coordinator._Planner(cfg)
+        cols, error = planner.segments(tuple(zip(*segments)))
+        assert error is None
+        times, interior = planner.clock(cols)
+        want_times, want_interior = clock_oracle(cols, cfg.dt_plan)
+        assert times.dtype == want_times.dtype
+        assert times.tobytes() == want_times.tobytes()
+        assert interior.tobytes() == want_interior.tobytes()
+        same_outcome(coordinator.plan_program, plan_program_oracle, segments,
+                     cfg)
+        return times, interior, cols.durations
+
+    @pytest.mark.parametrize("morphology", sorted(WALKS))
+    def test_random_walk(self, morphology):
+        # 140 moves come before the walk's first extrusion in place, so
+        # every segment moves the clock and np.cumsum gives the times
+        cfg = config.default_config(morphology)
+        segments = segments_of(random_walk_program(morphology, 9, 140),
+                               cfg.home)
+        times, _, durations = self.same_clock(segments, cfg)
+        assert times[1:].tobytes() == np.cumsum(durations).tobytes()
+        assert len(segments) > 100
+
+    def test_extrusion_only_segments(self):
+        # E-only moves take no time, so each dwells a tick at its end
+        cfg = config.default_config("bridge_xy")
+        a, b = (200.0, 100.0, 0.0), (230.0, 110.0, 0.0)
+        segments = [seg(a, b, e=1.0, line=1), seg(b, b, e=0.5, line=2),
+                    seg(b, b, e=0.5, line=3), seg(b, a, e=1.0, line=4),
+                    seg(a, a, e=0.2, line=5)]
+        times, interior, _ = self.same_clock(segments, cfg)
+        assert interior[[1, 2, 4]].tolist() == [0, 0, 0]
+        assert times[2] == times[1] + cfg.dt_plan
+
+    def test_tiny_segment_at_a_large_time(self):
+        # after 3e5 s, 1e-9 mm at 50 mm/s is too short to move the clock
+        doc = config.default_config_doc("bridge_xy")
+        doc["planning"]["dt_plan"] = 100.0
+        cfg = config.parse_config(doc)
+        a, b = (50.0, 100.0, 0.0), (350.0, 100.0, 0.0)
+        c = (350.0, 100.0 + 1e-9, 0.0)
+        segments = [seg(a, b, feed=0.001, line=1), seg(b, c, line=2),
+                    seg(c, a, line=3)]
+        times, interior, _ = self.same_clock(segments, cfg)
+        assert times[1] == 3e5 and times[2] == times[1] + 100.0
+        assert interior[1] == 0
+
+
 class TestTickBound:
     def test_too_many_ticks_raise_at_the_segment(self):
         from test_cli import SQUARE
@@ -961,16 +1034,33 @@ class TestSerializeCommandStream:
             assert (coordinator.serialize_command_stream(plan, order)
                     == serialize_command_stream_oracle(plan, order))
 
+    # robot ids holding % and other format characters, NUL, non-ASCII text
+    # and a lone surrogate stay literal
+    ODD_IDS = [("r%s", "100%", "{r}", "r 4"),
+               ("r\x00", "\x00", "rébus", "机器人\udc80")]
+
     @pytest.mark.parametrize("to", coordinator.MORPHOLOGIES)
     def test_reconfigure_matches_oracle(self, to):
-        # robot ids holding % and other format characters stay literal
-        ids = ("r%s", "100%", "{r}", "r 4")
-        plan = coordinator.reconfigure(four_robot_config("bridge_xy", ids),
-                                       four_robot_config(to, ids))
-        for order in (None, list(ids)):
+        for ids in self.ODD_IDS:
+            plan = coordinator.reconfigure(
+                four_robot_config("bridge_xy", ids),
+                four_robot_config(to, ids))
+            for order in (None, list(ids)):
+                text = coordinator.serialize_command_stream(plan, order)
+                assert text == serialize_command_stream_oracle(plan, order)
+            assert bool(text) == (to != "bridge_xy")
+
+    @pytest.mark.parametrize("ids", ODD_IDS)
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_odd_ids_match_oracle(self, morphology, ids):
+        cfg = four_robot_config(morphology, ids)
+        segments = segments_of(random_walk_program(morphology, 3, 60),
+                               cfg.home)
+        plan = coordinator.plan_program(segments, cfg)
+        for order in (None, list(ids)[::-1]):
             text = coordinator.serialize_command_stream(plan, order)
             assert text == serialize_command_stream_oracle(plan, order)
-        assert bool(text) == (to != "bridge_xy")
+        assert f"id={plan.ids[0]} op=" in text
 
     def test_byte_stable(self, bridge_config):
         segs = [seg((100, 100, 0), (200, 150, 0), feed=25.0)]

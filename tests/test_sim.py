@@ -487,6 +487,17 @@ class TestRun:
                                            f"{missing}$"):
             sim.run(plan, wire2d_config)
 
+    def test_config_robots_missing_from_plan(self, wire2d_config,
+                                             bridge_config):
+        # a wall-plotter plan has two robots; the bridge config's third
+        # active robot is not in it
+        segments = gcode.interpret(gcode.parse_program("G1 X510 Y-400 F600"),
+                                   home=wire2d_config.home).segments
+        plan = coordinator.plan_program(segments, wire2d_config)
+        with pytest.raises(SimError, match="bridge_xy config's active robots "
+                                           "not in the plan: r3$"):
+            sim.run(plan, bridge_config)
+
 
 class TestMeasureFidelity:
     def sample(self, t, tool, extruding=True):
@@ -526,6 +537,137 @@ class TestMeasureFidelity:
         report = sim.measure_fidelity(trace, res.segments)
         assert report.mean_deviation < 0.5
         assert report.max_deviation < 1.5
+
+
+# --- oracles: the exports as they were before swarmfab.text, each number
+# by Python's % or an f-string.  export_csv and export_svg must give the
+# same bytes. ---
+
+def _polylines_oracle(trace, want_extruding):
+    flags = np.concatenate(([False], trace.extruding == want_extruding,
+                            [False]))
+    edges = np.flatnonzero(flags[1:] != flags[:-1]).tolist()
+    return [(float(trace.tool_target[a, 2]), trace.tool_tip[a:b].tolist())
+            for a, b in zip(edges[::2], edges[1::2]) if b - a >= 2]
+
+
+def _fmt(v):
+    return f"{v:.6f}"
+
+
+def export_svg_oracle(trace):
+    polys = {"print": _polylines_oracle(trace, True),
+             "travel": _polylines_oracle(trace, False)}
+    if trace.config is not None:
+        lo, hi = trace.config.workspace_min, trace.config.workspace_max
+    else:
+        xy = [p[:2] for kind_polys in polys.values() for _, poly in kind_polys
+              for p in poly] or [(0.0, 0.0), (1.0, 1.0)]
+        lo, hi = [min(c) for c in zip(*xy)], [max(c) for c in zip(*xy)]
+    width = max(hi[0] - lo[0], 1e-6)
+    height = max(hi[1] - lo[1], 1e-6)
+
+    def layer_key(z):
+        return round(z / sim.Z_QUANTUM) * sim.Z_QUANTUM
+
+    layers = {}
+    for kind, kind_polys in polys.items():
+        for z, poly in kind_polys:
+            layers.setdefault(layer_key(z),
+                              {"print": [], "travel": []})[kind].append(poly)
+
+    def points(poly):
+        return " ".join(["%.6f,%.6f" % (x, y) for x, y, _ in poly])
+
+    lines = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
+        f'viewBox="{_fmt(lo[0])} {_fmt(lo[1])} {_fmt(width)} {_fmt(height)}" '
+        f'width="{_fmt(width)}mm" height="{_fmt(height)}mm">',
+    ]
+    for z in sorted(layers):
+        lines.append(f'<g id="layer-z{_fmt(z)}">')
+        for poly in layers[z]["travel"]:
+            lines.append(
+                f'<polyline points="{points(poly)}" fill="none" '
+                f'stroke="#999999" stroke-width="0.2" '
+                f'stroke-dasharray="2,2"/>')
+        for poly in layers[z]["print"]:
+            lines.append(
+                f'<polyline points="{points(poly)}" fill="none" '
+                f'stroke="#000000" stroke-width="0.4"/>')
+        lines.append("</g>")
+    lines.append("</svg>")
+    return "\n".join(lines) + "\n"
+
+
+def export_csv_oracle(trace):
+    def format_rows(fmt, values):
+        return ((fmt + "\n") * len(values)
+                % tuple(values.ravel().tolist())).split("\n")[:-1]
+
+    ids = trace.robot_ids
+    heads = format_rows("%.6f,", trace.t[:, None])
+    tips = np.empty((len(trace.t), 4))
+    tips[:, :3] = trace.tool_tip
+    tips[:, 3] = trace.extruding
+    tails = format_rows(",%.6f,%.6f,%.6f,%d", tips)
+    poses = iter(format_rows("%.6f,%.6f,%.6f", trace.poses.reshape(-1, 3)))
+    lines = ["t,robot_id,x,y,heading,tool_x,tool_y,tool_z,extruding"]
+    lines += [f"{head}{rid},{next(poses)}{tail}"
+              for head, tail in zip(heads, tails) for rid in ids]
+    return "\n".join(lines) + "\n"
+
+
+def awkward_trace(cfg=None):
+    """A hand-built trace of values a fixed-point shortcut could get wrong:
+    signed zeros, a negative value that prints as -0.000000, a tie, values
+    only Python's % prints, and nan and infinite tool tips."""
+    values = [-0.0, -4e-7, 0.0078125, 1e16, -2.5e-7, 123.4567895, 0.0,
+              -1e16]
+    n = len(values)
+    tips = np.array([values, values[::-1], values[3:] + values[:3]]).T
+    tips[2] = (math.nan, math.inf, 0.0)
+    tips[5] = (-math.inf, math.nan, math.nan)
+    poses = np.stack([tips, -tips[::-1]], axis=1)
+    return sim.Trace(config=cfg, robot_ids=("a\x00", "é"),
+                     t=np.array(values), poses=poses,
+                     rotations=np.zeros((n, 2)), tool_tip=tips,
+                     tool_target=np.zeros((n, 3)),
+                     extruding=np.array([True, True, True, False, False,
+                                         True, True, False]))
+
+
+class TestExportOracles:
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_simulated_trace(self, morphology):
+        cfg = config.default_config(morphology)
+        program = CORPUS[2][1] if morphology != "wire3d_printer" \
+            else three_layer_program()
+        trace = sim.run(plan_of(program, cfg,
+                                CORPUS_SHIFT.get(morphology, (0, 0))), cfg)
+        assert len(trace.t) > 100
+        assert sim.export_csv(trace) == export_csv_oracle(trace)
+        assert sim.export_svg(trace) == export_svg_oracle(trace)
+        trace.config = None  # the viewBox spans the polylines
+        assert sim.export_svg(trace) == export_svg_oracle(trace)
+
+    @pytest.mark.parametrize("with_config", [False, True])
+    def test_awkward_values(self, bridge_config, with_config):
+        trace = awkward_trace(bridge_config if with_config else None)
+        csv = sim.export_csv(trace)
+        assert csv == export_csv_oracle(trace)
+        lines = csv.splitlines()
+        assert lines[1].startswith("-0.000000,a\x00,-0.000000,")
+        assert lines[3].startswith("-0.000000,a\x00,")  # t = -4e-7
+        assert lines[5].startswith("0.007812,a\x00,")  # a tie, half-even
+        assert ",nan,inf,0.000000,1" in lines[5]
+        assert sim.export_svg(trace) == export_svg_oracle(trace)
+
+    def test_empty_trace(self, bridge_config):
+        for trace in (sim.Trace(), sim.Trace(config=bridge_config)):
+            assert sim.export_csv(trace) == export_csv_oracle(trace)
+            assert sim.export_svg(trace) == export_svg_oracle(trace)
 
 
 class TestExports:
