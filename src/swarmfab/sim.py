@@ -107,10 +107,10 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
     """
     if dt_sim is None:
         dt_sim = config.dt_sim
-    if dt_sim > config.dt_plan:
-        raise ValueError("dt_sim must not exceed dt_plan")
-    if dt_sim <= 0:
-        raise ValueError("dt must be positive")
+    # a nan step passes `>` and `<=` tests alike, and would never end a tick
+    if not 0 < dt_sim <= config.dt_plan:
+        raise ValueError("dt_sim must not exceed dt_plan"
+                         if dt_sim > config.dt_plan else "dt must be positive")
 
     trace = Trace(config=config)
     roles = assign_roles(config)
@@ -191,11 +191,19 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
     `robots` maps each of the plan's ids to its _Robot; each starts at the
     (x, y) of its first setpoint, and the y of the `synced` robots must stay
     within sync_tol of each other.  Robot state lives in one flat list, and
-    the controllers and dynamics of swarmfab.robot
-    (goto_controller, rotate_controller, step_dynamics) are inlined in their
-    operation order, so every pose is theirs bit for bit.  `noise`, if not
-    None, returns one position-noise draw: each robot's dynamics step adds
-    one to its x, then one to its y.
+    each robot takes the step of its kind, whose poses are those of the
+    controllers and dynamics of swarmfab.robot (goto_controller,
+    rotate_controller, step_dynamics) bit for bit.  A rotate robot's wheels
+    turn at -vr and vr, with vr finite, so its speed is +0.0: its step is
+    the rotation controller, the heading wrap and the rotation update.  A
+    move robot takes one sin and cos of its new heading for both its arc
+    and the wrap.  A robot inside its tolerance gets speed 0 and skips the
+    dynamics.  Adding a zero speed's +-0.0 keeps a coordinate unless it is
+    -0.0, so noise, or a -0.0 x or y, sends a robot through the dynamics;
+    a rotation starts at +0.0, so it is never -0.0.
+    `noise`, if not None, returns one position-noise draw: each robot's
+    dynamics step adds one to its x, then one to its y.  Each robot's
+    arrival error is taken after its step; they are summed in plan order.
 
     Returns the samples as flat rows (x, y, heading and accumulated rotation
     of each robot, ids sorted), their times and plan tick indices, the
@@ -208,31 +216,32 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
                                   math.pi)
     # robot k of the sorted ids has its state at s[4k:4k + 4]
     base = {rid: 4 * k for k, rid in enumerate(sorted(robots))}
-    # per robot, in plan order: its state, whether it rotates and where its
-    # (x, y, theta) sits in a setpoint row
-    column = {rid: (base[rid], kind == "rotate", 3 * k)
-              for k, (rid, kind) in enumerate(zip(plan.ids, plan.kinds))}
-    s = []
-    for rid in base:
-        j = column[rid][2]
-        s += (*plan.setpoints[0][j:j + 2], 0.0, 0.0)
+    # per robot, in id order: its state, its place p in plan order (its
+    # (x, y, theta) sits at 3p in a setpoint row), its kind and constants
+    s, step_of = [], []
+    for rid, b in base.items():
+        p, robot = plan.ids.index(rid), robots[rid]
+        x, y = plan.setpoints[0][3 * p:3 * p + 2]
+        s += (x, y, 0.0, 0.0)
+        rotate = plan.kinds[p] == "rotate"
+        # x and y stay as they are: neither moves, nor is a -0.0
+        spin = rotate and noise is None and all(
+            v or math.copysign(1.0, v) > 0.0 for v in (x, y))
+        step_of.append((b, p, 3 * p, rotate, spin,
+                        robot.angular_tol if rotate else robot.arrival_tol,
+                        robot.track, robot.cap, robot.k_heading,
+                        robot.k_distance, robot.actuator))
     ya, yb = ([base[rid] + 1 for rid in synced] if synced
               else (None, None))
-    check_of = [(b, rotate, j, robots[rid].angular_tol if rotate
-                 else robots[rid].arrival_tol)
-                for rid, (b, rotate, j) in column.items()]
-    step_of = [(*column[rid], robots[rid]) for rid in base]
 
     def enter(tick_idx):
-        """The constants of pursuing plan tick tick_idx: the steps of the
-        robots, in id order, and the arrival checks, in plan order."""
+        """The constants of pursuing plan tick tick_idx: each robot's step,
+        in id order."""
         row = plan.setpoints[tick_idx]
-        checks = [(b, rotate, *row[j:j + 3], tol)
-                  for b, rotate, j, tol in check_of]
-        steps = [(b, rotate, *row[j:j + 3], *constants)
-                 for b, rotate, j, constants in step_of]
+        steps = [(b, p, *row[j:j + 3], *constants)
+                 for b, p, j, *constants in step_of]
         t_prev = times_of[tick_idx - 1] if tick_idx > 0 else 0.0
-        return (steps, checks, max(times_of[tick_idx] - t_prev, 0.0),
+        return (steps, max(times_of[tick_idx] - t_prev, 0.0),
                 tick_idx in barriers)
 
     rows = s[:]
@@ -247,31 +256,43 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
     stall_clock = 0.0
     # each move robot's last heading error, at its state's index
     aim = [math.inf] * len(s)
-    steps, checks, budget, is_barrier = enter(0)
+    # each robot's arrival error, in plan order
+    errors = [0.0] * len(step_of)
+    steps, budget, is_barrier = enter(0)
     if synced and abs(s[ya] - s[yb]) > sync_tol:
         return rows, times, tick_of, wait, extruded, None
     while tick_idx < len(times_of):
         # pursue the current tick's setpoints
         turning = False
-        for (b, rotate, tx, ty, theta, track, cap, k_heading, k_distance,
-             arrival_tol, angular_tol, actuator) in steps:
-            x, y, heading = s[b], s[b + 1], s[b + 2]
+        all_arrived = True
+        for (b, p, tx, ty, theta, rotate, spin, tol, track, cap, k_heading,
+             k_distance, actuator) in steps:
+            heading = s[b + 2]
             if rotate:
                 remaining = theta - s[b + 3]
-                if abs(remaining) < angular_tol:
-                    vl = vr = 0.0
+                if abs(remaining) < tol:
+                    if spin:
+                        errors[p] = abs(remaining)
+                        continue
+                    omega = 0.0
                 else:
                     vr = k_heading * remaining * 0.5 * track
                     if not vr < cap:
                         vr = cap
                     if not vr > -cap:
                         vr = -cap
-                    vl = -vr
+                    omega = (vr + vr) / track
             else:
+                x, y = s[b], s[b + 1]
                 dx, dy = tx - x, ty - y
                 distance = hypot(dx, dy)
-                if distance < arrival_tol:
-                    vl = vr = 0.0
+                if distance < tol:
+                    # a zero x or y may be -0.0, which the step's + 0.0
+                    # would make +0.0
+                    if noise is None and x and y:
+                        errors[p] = distance
+                        continue
+                    v = omega = 0.0
                 else:
                     err = atan2(dy, dx) - heading
                     err = atan2(sin(err), cos(err))
@@ -297,25 +318,40 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
                         scale = cap / peak
                         vl *= scale
                         vr *= scale
-            v = 0.5 * (vl + vr)
-            omega = (vr - vl) / track
-            if abs(omega) < 1e-9:
-                x += v * cos(heading) * dt_sim
-                y += v * sin(heading) * dt_sim
+                    v = 0.5 * (vl + vr)
+                    omega = (vr - vl) / track
+            if spin:
+                if not abs(omega) < 1e-9:
+                    turned = heading + omega * dt_sim
+                    heading = atan2(sin(turned), cos(turned))
+                    if heading == -pi:
+                        heading = pi
+                    s[b + 2] = heading
             else:
-                turned = heading + omega * dt_sim
-                radius = v / omega
-                x += radius * (sin(turned) - sin(heading))
-                y -= radius * (cos(turned) - cos(heading))
-                heading = atan2(sin(turned), cos(turned))
-                if heading == -pi:
-                    heading = pi
-            if noise is not None:
-                x += noise()
-                y += noise()
-            s[b], s[b + 1], s[b + 2] = x, y, heading
+                if rotate:
+                    x, y, v = s[b], s[b + 1], 0.0
+                if abs(omega) < 1e-9:
+                    x += v * cos(heading) * dt_sim
+                    y += v * sin(heading) * dt_sim
+                else:
+                    turned = heading + omega * dt_sim
+                    sin_turned, cos_turned = sin(turned), cos(turned)
+                    radius = v / omega
+                    x += radius * (sin_turned - sin(heading))
+                    y -= radius * (cos_turned - cos(heading))
+                    heading = atan2(sin_turned, cos_turned)
+                    if heading == -pi:
+                        heading = pi
+                if noise is not None:
+                    x += noise()
+                    y += noise()
+                s[b], s[b + 1], s[b + 2] = x, y, heading
             if actuator:
                 s[b + 3] += omega * dt_sim
+            errors[p] = error = (abs(theta - s[b + 3]) if rotate
+                                 else hypot(tx - x, ty - y))
+            if not error < tol:
+                all_arrived = False
         t += dt_sim
         rows += s
         times.append(round(t, 9))
@@ -323,16 +359,8 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
         if synced and abs(s[ya] - s[yb]) > sync_tol:
             break
 
-        # arrival, and the stall clock: not arrived, no robot improving
-        # toward its setpoint and no move robot turning toward it
-        errors = []
-        all_arrived = True
-        for b, rotate, tx, ty, theta, tol in checks:
-            error = (abs(theta - s[b + 3]) if rotate
-                     else hypot(tx - s[b], ty - s[b + 1]))
-            errors.append(error)
-            if not error < tol:
-                all_arrived = False
+        # the stall clock: not arrived, no robot improving toward its
+        # setpoint and no move robot turning toward it
         best = sum(errors)
         if all_arrived:
             stall_clock = 0.0
@@ -366,7 +394,7 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
             last_best = None
             stall_clock = 0.0
             if tick_idx < len(times_of):
-                steps, checks, budget, is_barrier = enter(tick_idx)
+                steps, budget, is_barrier = enter(tick_idx)
     return rows, times, tick_of, wait, extruded, None
 
 

@@ -15,7 +15,8 @@ as computed in floats, the exact sum is below 0.5 too (0.5 is a float and
 rounding is monotone), so |P - q| <= |P - y| + |y - q| < 0.5: q is the
 integer nearest P, and not a tie, so its digits are the correctly rounded,
 half-even ones Python prints.  Where also y < 2**42, q has at most 13
-digits, and `fixed` finds them by exact arithmetic and table lookups.
+digits and is an exact int64, and `fixed` finds them by int64 arithmetic
+and table lookups.
 Every other value (nan, an infinity, a value at or past the cut, a product
 within 2**-51 * y of a tie) is printed by Python's own `%`.  The sign is
 the sign bit of v, as in Python, so -0.0 and -4e-7 print as -0.000000;
@@ -37,8 +38,10 @@ WIDTH = 16
 CHUNK_BYTES = 1 << 17
 
 _MINUS = ord("-")
-# 10, 100, ... 10**12: q has 1 + (how many of these are <= q) digits
-_TENS = np.array([10.0 ** i for i in range(1, 13)])
+# 10**7 ... 10**12: q has 7 + (how many of these are <= q) digits, or fewer
+_TENS = [10 ** i for i in range(7, 13)]
+
+
 def _words() -> np.ndarray:
     """The four-character words a field is made of, as uint32: entry g <
     10**4 is g in four digits, and entry 10**4 + 100 * a + b is the digit a,
@@ -66,9 +69,10 @@ def fixed(values: np.ndarray, whole=()):
 
     A field is the words (see _WORDS) q // 10**11, q // 10**7 % 10**4, the
     digit q // 10**6 % 10 with the point and q // 10**4 % 100, and
-    q % 10**4.  np.divmod finds them exactly: for integers 0 <= a < 2**53
-    and b = 10**3 or 10**4, fmod(a, b) is exact, and so are a - fmod(a, b),
-    a multiple of b below 2**53, and its quotient by b.
+    q % 10**4.  On the fast path q is an integer below 2**42, so its int64
+    cast is exact, and int64 floor division by 10**4 and 10**3 and
+    subtraction find the words exactly; comparisons with 10**7 ... 10**12
+    count its digits.
 
     A whole-number column is rounded by rint, which rounds half to even as
     `%.0f` does, printed with six decimals, and moved right over its point
@@ -87,19 +91,21 @@ def fixed(values: np.ndarray, whole=()):
         exact &= y < CUT
     slow = None if exact.all() else np.flatnonzero(~exact)
     if slow is not None:
+        # nan and inf do not cast to integers
         q.reshape(-1)[slow] = 0.0
-    index = np.empty(values.shape + (4,), dtype=np.intp)
-    low, _ = np.divmod(q, 1e4, out=(None, index[..., 3]), casting="unsafe")
-    middle, _ = np.divmod(low, 1e3, out=(None, index[..., 2]),
-                          casting="unsafe")
-    index[..., 2] += 10 ** 4
-    np.divmod(middle, 1e4, out=(index[..., 0], index[..., 1]),
-              casting="unsafe")
+    q = q.astype(np.int64)
+    index = np.empty(values.shape + (4,), dtype=np.int64)
+    low = q // 10 ** 4
+    np.subtract(q, low * 10 ** 4, out=index[..., 3])
+    middle = low // 10 ** 3
+    np.subtract(low, middle * 10 ** 3 - 10 ** 4, out=index[..., 2])
+    np.floor_divide(middle, 10 ** 4, out=index[..., 0])
+    np.subtract(middle, index[..., 0] * 10 ** 4, out=index[..., 1])
     chars = _WORDS.take(index).view(np.uint8)
     # the digits (at least seven) and the point, and the sign before them
-    lengths = np.searchsorted(_TENS, q, side="right")
-    np.maximum(lengths, 6, out=lengths)
-    lengths += 2
+    lengths = np.full(q.shape, 8, dtype=np.intp)
+    for ten in _TENS:
+        lengths += q >= ten
     neg = np.signbit(values)
     if slow is not None:
         neg &= exact

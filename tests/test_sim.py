@@ -79,7 +79,7 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
         dt_sim = cfg.dt_sim
     if dt_sim > cfg.dt_plan:
         raise ValueError("dt_sim must not exceed dt_plan")
-    if dt_sim <= 0:
+    if not dt_sim > 0:
         raise ValueError("dt must be positive")
     ticks = plan.ticks
     roles = coordinator.assign_roles(cfg)
@@ -366,6 +366,74 @@ class TestRunOracle:
         assert result == (StallTimeout,
                           "no progress for 2.0 s at plan tick 1 (t=2.02 s)", 2)
 
+    @pytest.mark.parametrize("key,index", [("anchors", 0), ("anchors", 1),
+                                           ("table_position", 0)])
+    def test_negative_zero_coordinate(self, key, index):
+        # a spool robot, or the settled table robot, at x or y = -0.0: its
+        # step adds +-0.0, which makes the coordinate +0.0 or keeps it
+        doc = config.default_config_doc("wire3d_printer")
+        point, rid = doc["geometry"][key], "r4"
+        if key == "anchors":
+            point, rid = point[0], "r1"
+        point[index] = -0.0
+        cfg = config.parse_config(doc)
+        result = same_run(plan_of(three_layer_program(), cfg), cfg)
+        assert math.copysign(1.0, result.samples[0].poses[rid][index]) < 0
+
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_plan_order_differs_from_id_order(self, noise):
+        # the errors are summed in plan order, the steps and the noise
+        # draws go in id order
+        doc = config.default_config_doc("wire3d_printer")
+        for entry, rid in zip(doc["roster"], ("s3", "s1", "s2", "t")):
+            entry["id"] = rid
+        doc["sim"]["noise_std"] = noise
+        cfg = config.parse_config(doc)
+        plan = plan_of(three_layer_program(), cfg)
+        assert plan.ids == ("s3", "s1", "s2", "t")
+        assert isinstance(same_run(plan, cfg, seed=2), OracleRun)
+
+    def test_errors_summed_in_plan_order(self):
+        # s3, first in plan order, is 5e9 rad from its target, where floats
+        # are ~1e-6 apart, about PROGRESS_EPS; s1 turns ~1e-8 rad a step and
+        # s2 rests 0.001 rad off its target.  The sum falls by one float
+        # step only every few dozen steps, at steps that depend on the order
+        # of the sum: summed in id order, the run stalls at t=0.99 s.
+        doc = config.default_config_doc("wire3d_printer")
+        for entry, rid in zip(doc["roster"], ("s3", "s1", "s2", "t")):
+            entry["id"] = rid
+        doc["roster"][0]["max_wheel_speed"] = 1e-9
+        doc["roster"][1]["max_wheel_speed"] = 1.3e-5
+        doc["planning"] = {"stall_timeout": 0.9}
+        cfg = config.parse_config(doc)
+        first = home_setpoints(cfg)
+        second = {rid: dataclasses.replace(sp, theta=theta) for (rid, sp),
+                  theta in zip(first.items(), (5e9, 1.0, 0.001, 0.0))}
+        ticks = [PlanTick(0.0, first, cfg.home, False, 0.0, 1),
+                 PlanTick(0.1, second, cfg.home, False, 0.0, 2)]
+        plan = Plan.from_ticks(ticks, [1], cfg.morphology)
+        assert plan.ids == ("s3", "s1", "s2", "t")
+        result = same_run(plan, cfg)
+        assert result == (StallTimeout,
+                          "no progress for 0.9 s at plan tick 1 (t=1.39 s)", 2)
+
+    def test_screw_among_move_robots(self):
+        cfg = config.default_config("printer_bridge")
+        plan = plan_of(three_layer_program(), cfg)
+        assert "rotate" in plan.kinds and "move" in plan.kinds
+        result = same_run(plan, cfg)
+        assert isinstance(result, OracleRun)
+        # the screw turned to each of the three layers
+        assert len({s.tool_tip[2] for s in result.samples}) > 3
+
+    def test_stall_after_a_robot_settles(self):
+        # spool 1 turns for ~0.7 s and settles; the table robot then
+        # stalls alone
+        cfg = slow_table_config()
+        result = same_run(stall_plan(cfg, -0.5), cfg)
+        assert result == (StallTimeout,
+                          "no progress for 2.0 s at plan tick 1 (t=2.68 s)", 2)
+
     def test_turn_in_place_is_progress(self):
         # the carriage turns in place to reverse at the barrier of line 2
         # for longer than the stall timeout
@@ -460,10 +528,11 @@ class TestRun:
         for x in trace.samples:
             assert math.dist(x.tool_tip, x.tool_target) <= bound + 5.0
 
-    @pytest.mark.parametrize("dt", [0.0, -1.0])
+    @pytest.mark.parametrize("dt", [0.0, -1.0, math.nan])
     @pytest.mark.parametrize("empty", [True, False])
     def test_non_positive_dt_sim_rejected(self, bridge_config, dt, empty):
-        # also for an empty plan, which runs no step
+        # also for an empty plan, which runs no step; a nan step would
+        # never end a plan tick
         plan = (coordinator.plan_program([], bridge_config) if empty
                 else dwell_plan(bridge_config, 0.1))
         for run in (sim.run, run_oracle):

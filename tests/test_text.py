@@ -9,6 +9,7 @@ hypothesis; test_text_properties.py draws arbitrary floats.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -92,6 +93,26 @@ def test_zeros_and_subnormals(whole):
     check(values, whole)
     assert printed([-0.0, -4e-7]) == ["-0.000000", "-0.000000"]
     assert printed([-0.0, -0.4], whole=True) == ["-0", "-0"]
+
+
+@pytest.mark.parametrize("whole", [False, True])
+def test_digit_count_edges(whole):
+    # q = |v| * 10**6 gains a digit at each power of ten, up to the 13
+    # digits of the fast path and past them
+    powers = np.array([float(f"1e{k - 6}") for k in range(14)])
+    check(neighbours(np.concatenate([powers, -powers])), whole)
+
+
+def test_python_values_among_fast_ones():
+    # nan and inf must not reach the integer cast, which would warn
+    values = np.array([[1.5, math.nan, -2.25], [math.inf, 3.0, -math.inf],
+                       [1e16, -0.0, 123456.789]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        chars, lengths = text.fixed(values)
+    got = [chars[i, j, chars.shape[2] - m:].tobytes().decode()
+           for (i, j), m in np.ndenumerate(lengths)]
+    assert got == expected(values.ravel())
 
 
 @pytest.mark.parametrize("whole", [False, True])
