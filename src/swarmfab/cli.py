@@ -109,7 +109,7 @@ def _write_plan(path, plan, machine) -> int:
     """Write a plan's command stream, in roster order, and its summary."""
     roster_order = [e.id for e in machine.roster]
     _write_text(path, coordinator.serialize_command_stream(plan, roster_order))
-    duration = plan.t[-1] if plan.t else 0.0
+    duration = plan.t[-1] if len(plan.t) else 0.0
     print(f"ticks={len(plan.t)} duration_s={duration:.6f} "
           f"barriers={len(plan.barriers)}")
     return EXIT_OK

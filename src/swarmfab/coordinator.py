@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass, field
-from itertools import chain, repeat
+from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -124,38 +124,60 @@ class PlanTick:
     source_line: int
 
 
-@dataclass(frozen=True)
+_COLUMNS = {"t": np.float64, "tool_target": np.float64, "extruding": np.bool_,
+            "extrusion_total": np.float64, "source_line": np.int64,
+            "setpoints": np.float64}
+
+
+@dataclass(frozen=True, eq=False)
 class Plan:
-    """A schedule as columns, one entry per tick.
+    """A schedule as numpy columns, one row per tick, converted on
+    construction to: `t` and `extrusion_total` float64 (n), `tool_target`
+    float64 (n x 3), `extruding` bool (n), `source_line` int64 (n) and
+    `setpoints` float64 (n x 3R, for the R robots of `ids`).
 
     `setpoints[n]` is tick n's setpoint row: the (x, y, theta) of robot
     `ids[k]` at 3k:3k + 3.  `kinds[k]` is that robot's setpoint kind for the
     whole plan: a move robot's row holds its target and theta 0.0, a rotate
-    robot's the spot it turns at and its target accumulated rotation.
-    """
+    robot's the spot it turns at and its target accumulated rotation.  `==`
+    compares columns by dtype, shape and bits, so -0.0 != 0.0."""
 
     morphology: str
     barriers: list[int] = field(default_factory=list)
     ids: tuple[str, ...] = ()
     kinds: tuple[str, ...] = ()
-    t: list[float] = field(default_factory=list)
-    tool_target: list[tuple[float, float, float]] = field(default_factory=list)
-    extruding: list[bool] = field(default_factory=list)
-    extrusion_total: list[float] = field(default_factory=list)
-    source_line: list[int] = field(default_factory=list)
-    setpoints: list[tuple[float, ...]] = field(default_factory=list)
+    t: np.ndarray = ()
+    tool_target: np.ndarray = ()
+    extruding: np.ndarray = ()
+    extrusion_total: np.ndarray = ()
+    source_line: np.ndarray = ()
+    setpoints: np.ndarray = ()
+
+    def __post_init__(self):
+        n = len(self.t)
+        shapes = {"tool_target": (n, 3), "setpoints": (n, 3 * len(self.ids))}
+        for name, dtype in _COLUMNS.items():
+            column = np.asarray(getattr(self, name), dtype)
+            object.__setattr__(self, name, column.reshape(shapes.get(name, n)))
+
+    def _key(self) -> list:
+        return [(v.dtype, v.shape, v.tobytes()) if isinstance(v, np.ndarray)
+                else v for v in vars(self).values()]
+
+    def __eq__(self, other):
+        return (self._key() == other._key() if isinstance(other, Plan)
+                else NotImplemented)
 
     @property
     def ticks(self) -> list[PlanTick]:
-        """The rows as PlanTicks, built on each access."""
+        """The rows as PlanTicks of Python floats, ints and bools, built on
+        each access."""
         robots = list(enumerate(zip(self.ids, self.kinds)))
         return [PlanTick(t, {rid: Setpoint(kind, *row[3 * k:3 * k + 3])
                              for k, (rid, kind) in robots},
-                         target, extruding, total, line)
+                         tuple(target), extruding, total, line)
                 for t, target, extruding, total, line, row
-                in zip(self.t, self.tool_target, self.extruding,
-                       self.extrusion_total, self.source_line,
-                       self.setpoints)]
+                in zip(*(getattr(self, name).tolist() for name in _COLUMNS))]
 
     @classmethod
     def from_ticks(cls, ticks: list[PlanTick], barriers: list[int],
@@ -176,7 +198,7 @@ class Plan:
                         for tick in ticks))
         return cls(morphology, list(barriers),
                    tuple(rid for rid, _ in robots),
-                   tuple(kind for _, kind in robots), *map(list, columns))
+                   tuple(kind for _, kind in robots), *columns)
 
 
 def active_robots(config: MachineConfig) -> list[str]:
@@ -205,23 +227,13 @@ def _points(tuples) -> np.ndarray:
                        3 * len(tuples)).reshape(-1, 3)
 
 
-def _column(values: np.ndarray):
-    """A column of floats as a list, or as a repeat of one float object if
-    every row holds the same float, down to the sign of a zero."""
-    bits = values.view(np.int64)
-    if len(bits) and (bits == bits[0]).all():
-        return repeat(values[0].item(), len(values))
-    return values.tolist()
-
-
 class _Segments(NamedTuple):
-    """Chained segments as columns, one row per segment: its kind, source
-    line and end tuple, its start and end (N x 3 each), the IK solution of
-    its end, its extrusion and its duration."""
+    """Chained segments as columns, one row per segment: its kind and
+    source line, its start and end (N x 3 each), the IK solution of its end,
+    its extrusion and its duration."""
 
     kinds: tuple[str, ...]
     lines: tuple[int, ...]
-    end_points: tuple[tuple[float, float, float], ...]
     starts: np.ndarray
     ends: np.ndarray
     end_sols: np.ndarray
@@ -270,8 +282,7 @@ class _Planner:
                              reason, "segment endpoint", lines[count])
             if not count:
                 raise error
-            kinds, lines = kinds[:count], lines[:count]
-            end_points, starts = end_points[:count], starts[:count]
+            kinds, lines, starts = kinds[:count], lines[:count], starts[:count]
         points = points[:count + 1]
         ends = points[1:]
         sols = self.machine.solve(points)
@@ -290,7 +301,7 @@ class _Planner:
                 durations = np.maximum(durations, np.divide(
                     np.abs(delta), limit, out=np.zeros_like(durations),
                     where=delta != 0.0))
-        return _Segments(kinds, lines, end_points, starts, ends, sols[1:],
+        return _Segments(kinds, lines, starts, ends, sols[1:],
                          np.array(extrusion[:count], dtype=float),
                          durations), error
 
@@ -376,8 +387,11 @@ class _Planner:
         # the index of each segment's last tick
         ends_at = np.cumsum(interior + 1) - 1
         barriers = ends_at[:-1][self.turns(cols)].tolist()
-        # the tick columns, filled a block at a time
-        ticks = [[None] * (ends_at[-1] + 1) for _ in range(4)]
+        # the t, tool target, extrusion total and setpoint columns, filled a
+        # block at a time
+        n = ends_at[-1] + 1
+        ticks = (np.empty(n), np.empty((n, 3)), np.empty(n),
+                 np.empty((n, 3 * len(self.ids))))
         extrusion = 0.0
         for a in range(0, len(interior), BLOCK_SEGMENTS):
             block = slice(a, a + BLOCK_SEGMENTS)
@@ -387,24 +401,19 @@ class _Planner:
         if error is not None:
             raise error
         times, tools, totals, rows = ticks
-        kinds, lines = cols.kinds, cols.lines
-        # the per-segment arrays go before the last two columns are built
-        del cols, clock, ends_at
-        counts = (interior + 1).tolist()
-        printing = map("print".__eq__, kinds)
-        extruding = list(chain.from_iterable(map(repeat, printing, counts)))
-        source_line = list(chain.from_iterable(map(repeat, lines, counts)))
-        return Plan(self.config.morphology, barriers, ids=self.ids,
-                    kinds=self.machine.kinds, t=times, tool_target=tools,
-                    extruding=extruding, extrusion_total=totals,
-                    source_line=source_line, setpoints=rows)
+        counts = interior + 1
+        printing = np.fromiter(map("print".__eq__, cols.kinds), bool)
+        return Plan(self.config.morphology, barriers, self.ids,
+                    self.machine.kinds, times, tools,
+                    np.repeat(printing, counts), totals,
+                    np.repeat(np.array(cols.lines, np.int64), counts), rows)
 
     def _ticks(self, cols: _Segments, block: slice, interior, clock,
                extrusion0: float, zero, ticks, at: int) -> float:
         """The tick pass over one block of segments: write the t, tool
         target, extrusion total and setpoint row of each of their ticks, the
-        interior ones and then the end, to the `ticks` columns from row
-        `at` on.  Returns the extrusion total after the block.
+        interior ones and then the end, to the `ticks` arrays from row `at`
+        on.  Returns the extrusion total after the block.
 
         `interior` and `clock` are the block's rows of the plan clock (the
         clock with one more, for the end of its last segment) and
@@ -430,32 +439,22 @@ class _Planner:
             raise _outside(tuple(inner[row].tolist()), reason, "setpoint",
                            cols.lines[block][seg[row]])
 
-        points = np.empty((len(at_inner) + n, 3))
+        # the block's rows of the columns; the tool targets are its points
+        times, points, totals, rows = (column[at:at + len(seg) + n]
+                                       for column in ticks)
         points[at_inner] = inner
         points[at_end] = cols.ends[block]
         sols = np.empty((len(points), cols.end_sols.shape[1]))
         sols[at_inner] = self.machine.solve(inner)
         sols[at_end] = cols.end_sols[block]
-        times = np.empty(len(points))
         times[at_inner] = clock[seg] + t
         times[at_end] = clock[1:]
         # the extrusion total before each segment, and after the last
         extrusion = np.cumsum(np.concatenate(([extrusion0],
                                               cols.extrusion[block])))
-        totals = np.empty(len(points))
         totals[at_inner] = extrusion[seg] + cols.extrusion[block][seg] * frac
         totals[at_end] = extrusion[1:]
-        # an end tick's tool target is its segment's end tuple
-        tools = list(zip(*map(_column, points.T)))
-        for k, end in zip(at_end.tolist(), cols.end_points[block]):
-            tools[k] = end
-
-        out = slice(at, at + len(points))
-        out_times, out_tools, out_totals, out_rows = ticks
-        out_times[out] = times.tolist()
-        out_tools[out] = tools
-        out_totals[out] = totals.tolist()
-        out_rows[out] = self.machine.setpoints(points, sols, zero)
+        self.machine.setpoints(points, sols, zero, out=rows)
         return extrusion[-1].item()
 
 
@@ -480,9 +479,9 @@ def initial_robot_positions(config: MachineConfig) -> dict[str, tuple[float, flo
     ids = active_robots(config)
     machine = config.machine
     home = np.array([config.home], dtype=float)
-    row, = machine.setpoints(home, machine.solve(home),
-                             machine.zero(config.home))
-    return {rid: row[3 * k:3 * k + 2] for k, rid in enumerate(ids)}
+    row = machine.setpoints(home, machine.solve(home),
+                            machine.zero(config.home))[0].tolist()
+    return {rid: tuple(row[3 * k:3 * k + 2]) for k, rid in enumerate(ids)}
 
 
 def default_parking(config: MachineConfig, count: int) -> list[tuple[float, float]]:
@@ -525,13 +524,10 @@ def reconfigure(from_config: MachineConfig, to_config: MachineConfig) -> Plan:
 
     # every robot moves to its spot, then dwells there for the swap
     spots = [*targets.values(), *parking]
-    row = tuple(v for x, y in spots for v in (x, y, 0.0))
-    home = to_config.home
-    return Plan(to_config.morphology, [0, 1], ids=(*targets, *parked),
-                kinds=("move",) * len(spots),
-                t=[0.0, to_config.swap_duration], tool_target=[home, home],
-                extruding=[False, False], extrusion_total=[0.0, 0.0],
-                source_line=[0, 0], setpoints=[row, row])
+    row = [v for x, y in spots for v in (x, y, 0.0)]
+    return Plan(to_config.morphology, [0, 1], (*targets, *parked),
+                ("move",) * len(spots), [0.0, to_config.swap_duration],
+                [to_config.home] * 2, [False] * 2, [0.0] * 2, [0, 0], [row] * 2)
 
 
 # --- command stream ---
@@ -550,7 +546,7 @@ def serialize_command_stream(plan: Plan,
     order = [column[rid] for rid in
              (plan.ids if roster_order is None else roster_order)
              if rid in column]
-    if not plan.t or not order:
+    if not len(plan.t) or not order:
         return ""
     # the printed setpoint columns, each once, after t; the line comes last
     printed: dict[int, int] = {}
@@ -585,13 +581,8 @@ class _StreamValues:
         return len(self.plan.t)
 
     def __getitem__(self, ticks: slice) -> np.ndarray:
+        # `printed` numbers its columns 1, 2, ... in the order it holds them
         plan = self.plan
-        t = plan.t[ticks]
-        values = np.empty((len(t), len(self.printed) + 2))
-        values[:, 0] = t
-        values[:, -1] = plan.source_line[ticks]
-        rows = plan.setpoints[ticks]
-        for c, j in self.printed.items():
-            values[:, j] = np.fromiter(map(operator.itemgetter(c), rows),
-                                       float, len(t))
-        return values
+        return np.column_stack((plan.t[ticks],
+                                plan.setpoints[ticks, list(self.printed)],
+                                plan.source_line[ticks]))

@@ -10,8 +10,9 @@ their IK solutions, an N x k array.  Its kernels are
   zero(datum)        what rotation targets are relative to: the datum's z
                      (bridge) or its wire lengths (wire)
   kinds              setpoint kind of each of `ids`, move or rotate
-  setpoints(points, sols, zero)  the setpoint row of every tool point: (x,
-                     y, theta) of each of `ids` (see coordinator.Plan)
+  setpoints(points, sols, zero, out=None)  the N x 3R setpoint rows of the
+                     tool points, (x, y, theta) of each of the R robots of
+                     `ids` (coordinator.Plan); in a C-contiguous `out` if given
   deltas(starts, ends, start_sols, end_sols)  travel of each actuated axis
                      over every segment, one array per axis
   reach(points)      (mask, reason) pairs of the rows out of reach, in the
@@ -30,7 +31,6 @@ kernels these use.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 
 import numpy as np
 
@@ -77,16 +77,18 @@ class Bridge:
     def zero(self, datum) -> float:
         return datum[2]
 
-    def setpoints(self, points, sols, zero) -> list[tuple]:
-        rail1_x = self.geom.rail1_x
-        rail2_x = rail1_x + self.geom.bridge_span
-        y1, y2 = sols[:, 1].tolist(), sols[:, 3].tolist()
-        columns = [repeat(rail1_x), y1, repeat(0.0), repeat(rail2_x), y2,
-                   repeat(0.0), *points[:, :2].T.tolist(), repeat(0.0)]
+    def setpoints(self, points, sols, zero, out=None) -> np.ndarray:
+        rows = np.empty((len(points), 3 * len(self.kinds))) if out is None \
+            else out
+        rows[:, 0] = self.geom.rail1_x
+        rows[:, 3] = self.geom.rail1_x + self.geom.bridge_span
+        rows[:, [1, 4]] = sols[:, [1, 3]]
+        rows[:, 6:8] = points[:, :2]
+        rows[:, 2:9:3] = 0.0
         if self.screw is not None:
-            theta = kin.leadscrew_delta(points[:, 2] - zero, self.screw)
-            columns += [*map(repeat, self.table_position), theta.tolist()]
-        return list(zip(*columns))
+            rows[:, 9:11] = self.table_position
+            rows[:, 11] = kin.leadscrew_delta(points[:, 2] - zero, self.screw)
+        return rows
 
     def deltas(self, starts, ends, start_sols, end_sols) -> list:
         dx, dy, dz = (ends - starts).T
@@ -152,13 +154,16 @@ class Wire:
     def zero(self, datum) -> tuple:
         return tuple(self.solve(np.array([datum], dtype=float))[0].tolist())
 
-    def setpoints(self, points, sols, zero) -> list[tuple]:
-        theta = kin.spool_delta(sols - np.asarray(zero),
-                                self.geom.spool_radius)
-        columns = []
-        for (x, y), spool in zip(self.spools, theta.T.tolist()):
-            columns += [repeat(x), repeat(y), spool]
-        return list(zip(*columns, *map(repeat, self.table)))
+    def setpoints(self, points, sols, zero, out=None) -> np.ndarray:
+        n, spools, robots = len(points), len(self.spools), len(self.kinds)
+        out = np.empty((n, 3 * robots)) if out is None else out
+        rows = out.reshape(n, robots, 3)
+        rows[:, :spools, :2] = self.spools
+        rows[:, :spools, 2] = kin.spool_delta(sols - np.asarray(zero),
+                                              self.geom.spool_radius)
+        if self.table:
+            rows[:, spools] = self.table
+        return out
 
     def deltas(self, starts, ends, start_sols, end_sols) -> list:
         return list((end_sols - start_sols).T)

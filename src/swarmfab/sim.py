@@ -112,11 +112,10 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
         raise ValueError("dt_sim must not exceed dt_plan"
                          if dt_sim > config.dt_plan else "dt must be positive")
 
-    trace = Trace(config=config)
     roles = assign_roles(config)
     ids = active_robots(config)
-    if not plan.t:
-        return trace
+    if not len(plan.t):
+        return Trace(config=config)
 
     # roles maps every robot of the roster
     missing = [rid for rid in plan.ids if rid not in roles]
@@ -134,42 +133,49 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
         robots[rid] = _Robot(p.wheel_track, p.max_wheel_speed, p.k_heading,
                              p.k_distance, p.arrival_tol, p.angular_tol,
                              roles[rid] in ACTUATOR_ROLES)
-    noise = None
-    if config.noise_std > 0:
-        noise = partial(np.random.default_rng(seed).normal, 0.0,
-                        config.noise_std * math.sqrt(dt_sim))
+    noise = (partial(np.random.default_rng(seed).normal, 0.0,
+                     config.noise_std * math.sqrt(dt_sim))
+             if config.noise_std > 0 else None)
     machine = config.machine
-    zero = machine.zero(plan.tool_target[0])
-    rows, times, tick_of, wait, extruded, stall = _drive(
+    zero = machine.zero(plan.tool_target[0].tolist())
+    rows, tick_of, wait, extruded, stall = _drive(
         plan, dt_sim, config.stall_timeout, robots, machine.synced(ids),
         config.sync_tol, noise)
 
     order = sorted(robots)
-    state = np.array(rows).reshape(len(times), len(order), 4)
     at = np.array(tick_of)
-    trace.robot_ids = tuple(order)
-    trace.barrier_wait_total = wait
-    trace.extruded_length = extruded
-    trace.t = np.array(times)
-    trace.poses = state[..., :3]
-    trace.rotations = state[..., 3]
-    trace.tool_target = np.array(plan.tool_target, dtype=float)[at]
-    trace.extruding = np.array(plan.extruding, dtype=bool)[at]
+    state = np.array(rows).reshape(len(at), len(order), 4)
     # a sample carries the extrusion total reached when its tick began
-    totals = plan.extrusion_total
-    trace.extrusion_total = np.array(totals[:1] + totals[:-1],
-                                     dtype=float)[at]
+    trace = Trace(config, wait, extruded, tuple(order),
+                  _sample_times(len(at), dt_sim), state[..., :3],
+                  state[..., 3], tool_target=plan.tool_target[at],
+                  extruding=plan.extruding[at],
+                  extrusion_total=plan.extrusion_total[np.maximum(at - 1, 0)])
     try:
         trace.tool_tip = machine.tool_tips(
             trace.poses, trace.rotations, [order.index(rid) for rid in ids],
             zero)
     except kin.BridgeSkewed as exc:
         # _drive stops at the first skewed sample: the last one
-        raise KinematicsFault(str(exc), line_no=plan.source_line[at[-1]]) \
-            from exc
+        raise KinematicsFault(str(exc),
+                              line_no=plan.source_line[at[-1]].item()) from exc
     if stall is not None:
         raise stall
     return trace
+
+
+def _sample_times(n: int, dt_sim: float) -> np.ndarray:
+    """The times of n samples dt_sim apart from 0.0, summed in order as
+    _drive's clock is, each as round(t, 9).  Where t * 1e9 is nearer its
+    rint than a half by more than its own rounding error, that rint over
+    1e9 is round's float; the other samples call round."""
+    t = np.cumsum(np.concatenate(([0.0], np.full(n - 1, dt_sim))))
+    scaled = t * 1e9
+    whole = np.rint(scaled)
+    times = whole / 1e9
+    near_half = ~(np.abs(scaled - whole) + np.spacing(scaled) < 0.5)
+    times[near_half] = [round(v, 9) for v in t[near_half].tolist()]
+    return times
 
 
 class _Robot(NamedTuple):
@@ -206,11 +212,14 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
     arrival error is taken after its step; they are summed in plan order.
 
     Returns the samples as flat rows (x, y, heading and accumulated rotation
-    of each robot, ids sorted), their times and plan tick indices, the
+    of each robot, ids sorted), their plan tick indices, the
     barrier wait, the extruded length, and the StallTimeout that ended the
     run, if one did.  The run also ends at the first skewed sample.
     """
-    times_of, source_lines = plan.t, plan.source_line
+    # the loop reads Python floats, ints and bools
+    times_of, source_lines, setpoints, extruding, totals = (
+        column.tolist() for column in (plan.t, plan.source_line, plan.setpoints,
+                                       plan.extruding, plan.extrusion_total))
     barriers = set(plan.barriers)
     sin, cos, atan2, hypot, pi = (math.sin, math.cos, math.atan2, math.hypot,
                                   math.pi)
@@ -221,7 +230,7 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
     s, step_of = [], []
     for rid, b in base.items():
         p, robot = plan.ids.index(rid), robots[rid]
-        x, y = plan.setpoints[0][3 * p:3 * p + 2]
+        x, y = setpoints[0][3 * p:3 * p + 2]
         s += (x, y, 0.0, 0.0)
         rotate = plan.kinds[p] == "rotate"
         # x and y stay as they are: neither moves, nor is a -0.0
@@ -237,7 +246,7 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
     def enter(tick_idx):
         """The constants of pursuing plan tick tick_idx: each robot's step,
         in id order."""
-        row = plan.setpoints[tick_idx]
+        row = setpoints[tick_idx]
         steps = [(b, p, *row[j:j + 3], *constants)
                  for b, p, j, *constants in step_of]
         t_prev = times_of[tick_idx - 1] if tick_idx > 0 else 0.0
@@ -245,22 +254,18 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
                 tick_idx in barriers)
 
     rows = s[:]
-    times = [0.0]
     tick_of = [0]
-    t = wait = extruded = 0.0
-    extruding, totals = plan.extruding, plan.extrusion_total
+    t = wait = extruded = tick_entry_time = stall_clock = 0.0
     extrusion_prev = totals[0]
     tick_idx = 0
-    tick_entry_time = 0.0
     last_best = None
-    stall_clock = 0.0
     # each move robot's last heading error, at its state's index
     aim = [math.inf] * len(s)
     # each robot's arrival error, in plan order
     errors = [0.0] * len(step_of)
     steps, budget, is_barrier = enter(0)
     if synced and abs(s[ya] - s[yb]) > sync_tol:
-        return rows, times, tick_of, wait, extruded, None
+        return rows, tick_of, wait, extruded, None
     while tick_idx < len(times_of):
         # pursue the current tick's setpoints
         turning = False
@@ -354,7 +359,6 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
                 all_arrived = False
         t += dt_sim
         rows += s
-        times.append(round(t, 9))
         tick_of.append(tick_idx)
         if synced and abs(s[ya] - s[yb]) > sync_tol:
             break
@@ -364,14 +368,14 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
         best = sum(errors)
         if all_arrived:
             stall_clock = 0.0
-        elif (last_best is not None and best > last_best - PROGRESS_EPS
+        elif (last_best is not None and last_best - best < PROGRESS_EPS
               and not turning):
             stall_clock += dt_sim
         else:
             stall_clock = 0.0
         last_best = best
         if stall_clock > stall_timeout:
-            return rows, times, tick_of, wait, extruded, StallTimeout(
+            return rows, tick_of, wait, extruded, StallTimeout(
                 f"no progress for {stall_timeout} s at plan tick "
                 f"{tick_idx} (t={t:.2f} s)", line_no=source_lines[tick_idx])
 
@@ -395,7 +399,7 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
             stall_clock = 0.0
             if tick_idx < len(times_of):
                 steps, budget, is_barrier = enter(tick_idx)
-    return rows, times, tick_of, wait, extruded, None
+    return rows, tick_of, wait, extruded, None
 
 
 # --- fidelity ---

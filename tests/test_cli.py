@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from swarmfab import cli, config, coordinator
+from swarmfab import cli, config, coordinator, gcode
 
 SQUARE = """G92 E0
 G1 X210 Y110 F1200
@@ -66,6 +66,23 @@ class TestPlan:
         assert code == 0
         assert "ticks=" in out and "barriers=" in out
         assert out_path.read_text().startswith("t=0.000000")
+
+    @pytest.mark.parametrize("ticks", [0, 1])
+    def test_summary_of_a_short_plan(self, tmp_path, capsys, ticks):
+        # an empty plan, and one of a single tick at t = 0.0
+        cfg = config.default_config("bridge_xy")
+        home = cfg.home
+        setpoints = coordinator.plan_program(
+            [gcode.MotionSegment(home, home, 50.0, 0.0, "travel", 1)],
+            cfg).ticks[0].setpoints
+        plan = coordinator.Plan.from_ticks(
+            [coordinator.PlanTick(0.0, setpoints, home, False, 0.0, 1)][:ticks],
+            [], cfg.morphology)
+        out_path = tmp_path / "stream.txt"
+        assert cli._write_plan(out_path, plan, cfg) == 0
+        assert capsys.readouterr().out == (f"ticks={ticks} "
+                                           f"duration_s=0.000000 barriers=0\n")
+        assert len(out_path.read_text().splitlines()) == 6 * ticks
 
     def test_workspace_violation_exit_5(self, workdir, capsys):
         far = workdir / "far.gcode"

@@ -169,7 +169,7 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
                    for rid, sp in tick.setpoints.items() if rid in states)
         if all_arrived:
             stall_clock = 0.0
-        elif (last_best is not None and best > last_best - sim.PROGRESS_EPS
+        elif (last_best is not None and last_best - best < sim.PROGRESS_EPS
               and not turning):
             stall_clock += dt_sim
         else:
@@ -394,21 +394,22 @@ class TestRunOracle:
         assert isinstance(same_run(plan, cfg, seed=2), OracleRun)
 
     def test_errors_summed_in_plan_order(self):
-        # s3, first in plan order, is 5e9 rad from its target, where floats
-        # are ~1e-6 apart, about PROGRESS_EPS; s1 turns ~1e-8 rad a step and
-        # s2 rests 0.001 rad off its target.  The sum falls by one float
-        # step only every few dozen steps, at steps that depend on the order
-        # of the sum: summed in id order, the run stalls at t=0.99 s.
+        # s3, first in plan order, is 1e10 rad from its target, where
+        # floats are ~1.9e-6 apart, just above PROGRESS_EPS; s1 turns ~2e-8
+        # rad a step and s2 rests 0.001 rad off its target.  The sum falls
+        # by one float step only every few dozen steps, at steps that depend
+        # on the order of the sum: summed in id order, the run stalls at
+        # t=1.67 s.
         doc = config.default_config_doc("wire3d_printer")
         for entry, rid in zip(doc["roster"], ("s3", "s1", "s2", "t")):
             entry["id"] = rid
         doc["roster"][0]["max_wheel_speed"] = 1e-9
-        doc["roster"][1]["max_wheel_speed"] = 1.3e-5
+        doc["roster"][1]["max_wheel_speed"] = 2.6e-5
         doc["planning"] = {"stall_timeout": 0.9}
         cfg = config.parse_config(doc)
         first = home_setpoints(cfg)
         second = {rid: dataclasses.replace(sp, theta=theta) for (rid, sp),
-                  theta in zip(first.items(), (5e9, 1.0, 0.001, 0.0))}
+                  theta in zip(first.items(), (1e10, 1.0, 0.001, 0.0))}
         ticks = [PlanTick(0.0, first, cfg.home, False, 0.0, 1),
                  PlanTick(0.1, second, cfg.home, False, 0.0, 2)]
         plan = Plan.from_ticks(ticks, [1], cfg.morphology)
@@ -434,6 +435,19 @@ class TestRunOracle:
         assert result == (StallTimeout,
                           "no progress for 2.0 s at plan tick 1 (t=2.68 s)", 2)
 
+    def test_stall_far_from_the_target(self):
+        # spool 1 is sent 1e16 rad away, where floats are 2 apart, at a
+        # 1e-6 mm/s wheel cap: the errors' sum never falls, and the barrier
+        # times out however far the target is
+        doc = config.default_config_doc("wire3d_printer")
+        for k in (0, 3):
+            doc["roster"][k]["max_wheel_speed"] = 1e-6
+        doc["planning"] = {"stall_timeout": 2.0}
+        cfg = config.parse_config(doc)
+        result = same_run(stall_plan(cfg, 1e16), cfg)
+        assert result == (StallTimeout,
+                          "no progress for 2.0 s at plan tick 1 (t=2.02 s)", 2)
+
     def test_turn_in_place_is_progress(self):
         # the carriage turns in place to reverse at the barrier of line 2
         # for longer than the stall timeout
@@ -443,6 +457,21 @@ class TestRunOracle:
         plan = plan_of("G1 X230 Y100 F600\nG1 X200 Y100\n", cfg)
         assert plan.barriers
         assert isinstance(same_run(plan, cfg), OracleRun)
+
+
+class TestSampleTimes:
+    # 5e-10 and 1.5e-9 put samples at t * 1e9 next to a half, where the
+    # rounding falls back to round
+    @pytest.mark.parametrize("dt", [0.01, 0.003, 0.1, 1 / 3, 7e-4, 5e-10,
+                                    1.5e-9, 0.0125])
+    def test_round_each_sample(self, dt):
+        n = 20_000
+        t, expected = 0.0, [0.0]
+        for _ in range(n - 1):
+            t += dt
+            expected.append(round(t, 9))
+        got = sim._sample_times(n, dt)
+        assert got.tobytes() == np.array(expected).tobytes()
 
 
 class TestNoise:
@@ -481,6 +510,13 @@ class TestRun:
         plan = coordinator.plan_program([], bridge_config)
         trace = sim.run(plan, bridge_config)
         assert trace.samples == []
+
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_one_tick_at_zero(self, morphology):
+        # a column of one 0.0 is not an empty plan
+        cfg = config.default_config(morphology)
+        result = same_run(dwell_plan(cfg, 0.0), cfg)
+        assert isinstance(result, OracleRun) and len(result.samples) >= 2
 
     def test_straight_print_deviation(self, bridge_config):
         s = seg((150, 100, 0), (250, 100, 0), e=2.0)
