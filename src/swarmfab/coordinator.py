@@ -454,7 +454,7 @@ class _Planner:
                                               cols.extrusion[block])))
         totals[at_inner] = extrusion[seg] + cols.extrusion[block][seg] * frac
         totals[at_end] = extrusion[1:]
-        self.machine.setpoints(points, sols, zero, out=rows)
+        rows[:] = self.machine.setpoints(points, sols, zero)
         return extrusion[-1].item()
 
 

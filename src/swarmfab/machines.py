@@ -10,9 +10,9 @@ their IK solutions, an N x k array.  Its kernels are
   zero(datum)        what rotation targets are relative to: the datum's z
                      (bridge) or its wire lengths (wire)
   kinds              setpoint kind of each of `ids`, move or rotate
-  setpoints(points, sols, zero, out=None)  the N x 3R setpoint rows of the
-                     tool points, (x, y, theta) of each of the R robots of
-                     `ids` (coordinator.Plan); in a C-contiguous `out` if given
+  setpoints(points, sols, zero)  the N x 3R setpoint rows of the tool
+                     points, (x, y, theta) of each of the R robots of `ids`
+                     (coordinator.Plan)
   deltas(starts, ends, start_sols, end_sols)  travel of each actuated axis
                      over every segment, one array per axis
   reach(points)      (mask, reason) pairs of the rows out of reach, in the
@@ -77,9 +77,8 @@ class Bridge:
     def zero(self, datum) -> float:
         return datum[2]
 
-    def setpoints(self, points, sols, zero, out=None) -> np.ndarray:
-        rows = np.empty((len(points), 3 * len(self.kinds))) if out is None \
-            else out
+    def setpoints(self, points, sols, zero) -> np.ndarray:
+        rows = np.empty((len(points), 3 * len(self.kinds)))
         rows[:, 0] = self.geom.rail1_x
         rows[:, 3] = self.geom.rail1_x + self.geom.bridge_span
         rows[:, [1, 4]] = sols[:, [1, 3]]
@@ -154,16 +153,15 @@ class Wire:
     def zero(self, datum) -> tuple:
         return tuple(self.solve(np.array([datum], dtype=float))[0].tolist())
 
-    def setpoints(self, points, sols, zero, out=None) -> np.ndarray:
+    def setpoints(self, points, sols, zero) -> np.ndarray:
         n, spools, robots = len(points), len(self.spools), len(self.kinds)
-        out = np.empty((n, 3 * robots)) if out is None else out
-        rows = out.reshape(n, robots, 3)
+        rows = np.empty((n, robots, 3))
         rows[:, :spools, :2] = self.spools
         rows[:, :spools, 2] = kin.spool_delta(sols - np.asarray(zero),
                                               self.geom.spool_radius)
         if self.table:
             rows[:, spools] = self.table
-        return out
+        return rows.reshape(n, 3 * robots)
 
     def deltas(self, starts, ends, start_sols, end_sols) -> list:
         return list((end_sols - start_sols).T)

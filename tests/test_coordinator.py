@@ -653,14 +653,15 @@ class TestTickBound:
 
 
 def test_plan_peak_memory_near_what_the_plan_keeps():
-    """The planner works in blocks: while it plans, it holds the Plan it
-    returns, its arrays of one row per segment and the temporaries of one
-    block of segments.  The Plan's numpy columns keep about 100 B a tick,
-    and the per-segment arrays of this walk (1.4 ticks a segment) weigh
-    about as much: planning peaks at about 2.2 times what the Plan keeps,
-    and at 2.7 times with the whole plan in one block."""
+    """The planner works in blocks of BLOCK_SEGMENTS segments: while it
+    plans, it holds the Plan it returns, about 150 B a segment of arrays of
+    one row per segment (its points, IK solutions, durations and clock, and
+    the caller's segment columns) and the temporaries of one block, about
+    as much again a segment of the block, never those of the whole plan.
+    The walk spans eight blocks: planned in one block, it peaks at 2.2 MB
+    over what the Plan keeps, against 1.1 MB block by block."""
     cfg = config.default_config("wire2d_wall")
-    segments = segments_of(random_walk_program("wire2d_wall", 4, 2000),
+    segments = segments_of(random_walk_program("wire2d_wall", 4, 6000),
                            cfg.home)
     coordinator.plan_program(segments[:10], cfg)  # numpy's first-call caches
     tracemalloc.start()
@@ -669,8 +670,9 @@ def test_plan_peak_memory_near_what_the_plan_keeps():
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(plan.t) > 3000
-    assert peak <= 2.5 * kept
+    assert len(segments) > 7 * coordinator.BLOCK_SEGMENTS
+    assert len(plan.t) > 10000
+    assert peak - kept <= 200 * (len(segments) + coordinator.BLOCK_SEGMENTS)
 
 
 class TestAssignRoles:
