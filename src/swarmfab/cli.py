@@ -1,8 +1,11 @@
 """Command-line driver: parse -> interpret -> plan -> simulate -> export.
 
-Exit codes: 0 ok, 1 usage, 2 g-code parse, 3 IO, 4 config,
-5 kinematics/workspace/roster, 6 stall timeout.
-Diagnostics go to stderr, data to stdout, so output can be piped.
+Diagnostics go to stderr, data to stdout, so output can be piped.  Exit
+codes: 0 ok, 1 usage; `main` maps every other error, in one place, to the
+code of the first class in EXIT_CODES it is an instance of: 2 g-code,
+4 config, 3 I/O, 6 stall timeout, 5 any other (kinematics, workspace,
+plan, roster, simulation).  Such an error prints one `error:` line and no
+traceback.
 """
 
 from __future__ import annotations
@@ -13,22 +16,19 @@ import sys
 from . import config as cfgmod
 from . import coordinator, gcode, sim
 from .coordinator import MORPHOLOGIES, REQUIRED_ROBOTS
-from .errors import (
-    ConfigError,
-    GcodeError,
-    KinematicsError,
-    PlanError,
-    SimError,
-    StallTimeout,
-)
+from .errors import ConfigError, GcodeError, StallTimeout, SwarmFabError
 
 EXIT_OK = 0
 EXIT_USAGE = 1
-EXIT_PARSE = 2
-EXIT_IO = 3
-EXIT_CONFIG = 4
-EXIT_KINEMATICS = 5
-EXIT_STALL = 6
+
+# (error class, exit code), first match wins
+EXIT_CODES = (
+    (GcodeError, 2),
+    (ConfigError, 4),
+    (OSError, 3),
+    (StallTimeout, 6),
+    (SwarmFabError, 5),
+)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -38,62 +38,25 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
-def _read_text(path: str) -> str:
+def _program(path: str, home=(0.0, 0.0, 0.0)) -> gcode.InterpretResult:
+    """The interpreted g-code file at path, which must be UTF-8 text."""
+    with open(path, "rb") as fh:
+        data = fh.read()
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return fh.read()
-    except OSError as exc:
-        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise GcodeError("not UTF-8 text",
+                         data.count(b"\n", 0, exc.start) + 1) from exc
+    return gcode.interpret(gcode.parse_program(text), home=home)
 
 
 def _write_text(path: str, text: str) -> None:
-    try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-    except OSError as exc:
-        print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-
-
-def _load_segments(gcode_path: str, home=(0.0, 0.0, 0.0)):
-    text = _read_text(gcode_path)
-    try:
-        commands = gcode.parse_program(text)
-        return gcode.interpret(commands, home=home)
-    except GcodeError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_PARSE)
-
-
-def _load_config(config_path: str):
-    try:
-        return cfgmod.load_config(config_path)
-    except ConfigError as exc:
-        print(f"error: config {config_path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_CONFIG)
-    except OSError as exc:
-        print(f"error: cannot read {config_path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_IO)
-
-
-def _print_error(exc) -> None:
-    """The error, with the g-code line it names, if any."""
-    line = getattr(exc, "line_no", None)
-    loc = f" (g-code line {line})" if line else ""
-    print(f"error: {exc}{loc}", file=sys.stderr)
-
-
-def _plan_or_exit(segments, machine):
-    try:
-        return coordinator.plan_program(segments, machine)
-    except (KinematicsError, PlanError) as exc:
-        _print_error(exc)
-        raise SystemExit(EXIT_KINEMATICS)
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(text)
 
 
 def cmd_parse(args) -> int:
-    result = _load_segments(args.gcode)
+    result = _program(args.gcode)
     for seg in result.segments:
         print(f"{seg.kind} ({seg.start[0]:.3f},{seg.start[1]:.3f},"
               f"{seg.start[2]:.3f})->({seg.end[0]:.3f},{seg.end[1]:.3f},"
@@ -116,28 +79,21 @@ def _write_plan(path, plan, machine) -> int:
 
 
 def cmd_plan(args) -> int:
-    machine = _load_config(args.config)
-    result = _load_segments(args.gcode, home=machine.home)
-    return _write_plan(args.out, _plan_or_exit(result.segments, machine),
+    machine = cfgmod.load_config(args.config)
+    segments = _program(args.gcode, home=machine.home).segments
+    return _write_plan(args.out, coordinator.plan_program(segments, machine),
                        machine)
 
 
 def cmd_simulate(args) -> int:
-    machine = _load_config(args.config)
+    machine = cfgmod.load_config(args.config)
     if args.dt is not None and not 0 < args.dt <= machine.dt_plan:
         print(f"error: --dt must be in (0, dt_plan={machine.dt_plan}]",
               file=sys.stderr)
         return EXIT_USAGE
-    result = _load_segments(args.gcode, home=machine.home)
-    plan = _plan_or_exit(result.segments, machine)
-    try:
-        trace = sim.run(plan, machine, dt_sim=args.dt, seed=args.seed)
-    except StallTimeout as exc:
-        _print_error(exc)
-        return EXIT_STALL
-    except (SimError, KinematicsError) as exc:
-        _print_error(exc)
-        return EXIT_KINEMATICS
+    segments = _program(args.gcode, home=machine.home).segments
+    plan = coordinator.plan_program(segments, machine)
+    trace = sim.run(plan, machine, dt_sim=args.dt, seed=args.seed)
 
     for event in sim.overlap_diagnostic(trace, machine):
         print(f"warning: overlap t={event.t:.3f} {event.robot_a}/"
@@ -152,7 +108,7 @@ def cmd_simulate(args) -> int:
         _write_text(args.stream,
                     coordinator.serialize_command_stream(plan, roster_order))
     if args.report:
-        report = sim.measure_fidelity(trace, result.segments)
+        report = sim.measure_fidelity(trace, segments)
         print(f"max_deviation_mm={report.max_deviation:.6f}")
         print(f"mean_deviation_mm={report.mean_deviation:.6f}")
         print(f"total_print_length_mm={report.total_print_length:.6f}")
@@ -168,28 +124,16 @@ def cmd_machines(args) -> int:
         for morphology in MORPHOLOGIES:
             print(f"{morphology} robots={REQUIRED_ROBOTS[morphology]}")
         return EXIT_OK
-    # init
-    if args.morphology not in MORPHOLOGIES:
-        print(f"error: unknown morphology {args.morphology!r}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        cfgmod.write_default_config(args.morphology, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_IO
+    cfgmod.write_default_config(args.morphology, args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_reconfigure(args) -> int:
-    config_a = _load_config(args.config_a)
-    config_b = _load_config(args.config_b)
-    try:
-        plan = coordinator.reconfigure(config_a, config_b)
-    except (PlanError, KinematicsError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_KINEMATICS
-    return _write_plan(args.out, plan, config_b)
+    config_a = cfgmod.load_config(args.config_a)
+    config_b = cfgmod.load_config(args.config_b)
+    return _write_plan(args.out, coordinator.reconfigure(config_a, config_b),
+                       config_b)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -224,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     m = msub.add_parser("list")
     m.set_defaults(func=cmd_machines, action="list")
     m = msub.add_parser("init")
-    m.add_argument("morphology")
+    m.add_argument("morphology", choices=MORPHOLOGIES)
     m.add_argument("out")
     m.set_defaults(func=cmd_machines, action="init")
 
@@ -244,6 +188,13 @@ def main(argv=None) -> int:
         return args.func(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except (SwarmFabError, OSError) as exc:
+        message = str(exc)
+        line = getattr(exc, "line_no", None)
+        if line and not isinstance(exc, GcodeError):  # its text has the line
+            message += f" (g-code line {line})"
+        print(f"error: {message}", file=sys.stderr)
+        return next(code for cls, code in EXIT_CODES if isinstance(exc, cls))
 
 
 if __name__ == "__main__":

@@ -80,10 +80,19 @@ def _numbers(obj: dict, block: str, where: str, other=(),
             for key in keys if key in obj}
 
 
+def _finite(value) -> bool:
+    """Whether a JSON number is a finite float: an int too large for a
+    float is not."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def _number(value, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number")
-    if not math.isfinite(value):
+    if not _finite(value):
         raise ConfigError(f"{where} must be finite")
     return float(value)
 
@@ -91,7 +100,7 @@ def _number(value, where: str) -> float:
 def _point(value, n: int, where: str) -> tuple:
     if (not isinstance(value, list) or len(value) != n
             or any(isinstance(v, bool) or not isinstance(v, (int, float))
-                   or not math.isfinite(v) for v in value)):
+                   or not _finite(v) for v in value)):
         raise ConfigError(f"{where} must be a list of {n} finite numbers")
     return tuple(float(v) for v in value)
 
@@ -176,12 +185,17 @@ def parse_config(doc: Any) -> MachineConfig:
 
 
 def load_config(path: str) -> MachineConfig:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
+    """The config in the JSON file at path; every ConfigError it raises
+    names the path."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
             doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
-    return parse_config(doc)
+        except ValueError as exc:  # not UTF-8 text, or not JSON
+            raise ConfigError(f"config {path}: invalid JSON: {exc}") from exc
+    try:
+        return parse_config(doc)
+    except ConfigError as exc:
+        raise ConfigError(f"config {path}: {exc}") from exc
 
 
 def _scaffold(cls, block: str, **values) -> dict:

@@ -251,20 +251,26 @@ class _Planner:
         self.ids = tuple(active_robots(config))
         self.limits = self.machine.limits([e.params for e in config.roster])
 
-    def segments(self, columns):
-        """The segment pass: check every endpoint, the first segment's start
-        and then each end, then solve and time the segments before the
-        first endpoint outside the workspace.  `columns` are the
-        MotionSegment fields of chained segments, as zip(*segments) gives
-        them.
+    def segments(self, segments: list[MotionSegment]):
+        """The segment pass: check that the segments are chained, and every
+        endpoint, the first segment's start and then each end, then solve
+        and time the segments before the first endpoint outside the
+        workspace.
 
         Returns (columns, error): the _Segments of those segments, and the
         OutOfWorkspace of the first endpoint outside, or None; raises that
-        error if no segment comes before it.  IK is solved only for the
-        endpoints inside; a point inside the workspace is inside the reach
-        of its IK, so the IK raises nothing here.
+        error if no segment comes before it, and PlanError at the first
+        segment that does not start where the one before ends.  IK is
+        solved only for the endpoints inside; a point inside the workspace
+        is inside the reach of its IK, so the IK raises nothing here.
         """
-        start_points, end_points, feeds, extrusion, kinds, lines = columns
+        start_points, end_points, feeds, extrusion, kinds, lines = zip(
+            *segments)
+        if start_points[1:] != end_points[:-1]:
+            line = next(line for start, end, line in zip(
+                start_points[1:], end_points, lines[1:]) if start != end)
+            raise PlanError(f"segments not chained at line {line}",
+                            line_no=line)
         # each MotionSegment.length
         lengths = np.fromiter(map(math.dist, start_points, end_points), float,
                               len(lines))
@@ -366,23 +372,22 @@ class _Planner:
                               len(kinds) - 1)
         return changed | (angle >= threshold)
 
-    def plan(self, columns, datum: tuple[float, float, float]) -> Plan:
-        """Sample chained segments, as the columns of zip(*segments), into
-        ticks at the planning period, from t = 0.0 and the first segment's
-        start.
+    def plan(self, segments: list[MotionSegment]) -> Plan:
+        """Sample chained segments into ticks at the planning period, from
+        t = 0.0 and the first segment's start.
 
-        Rotation targets are relative to `datum`.  The segment pass checks,
-        solves and times every segment; the tick pass interpolates, checks
-        and solves the interior ticks a block of segments at a time.  The
-        error raised is the one a tick-by-tick planner meets first: it
+        Rotation targets are relative to that start.  The segment pass
+        checks, solves and times every segment; the tick pass interpolates,
+        checks and solves the interior ticks a block of segments at a time.
+        The error raised is the one a tick-by-tick planner meets first: it
         checks the first start, then each segment's end and its interior
         ticks.  The plan's barriers are the indices of the last tick of
         each segment whose next segment turns by at least the barrier
         angle or changes kind, ascending because every segment adds a
         tick.
         """
-        cols, error = self.segments(columns)
-        zero = self.machine.zero(datum)
+        cols, error = self.segments(segments)
+        zero = self.machine.zero(segments[0].start)
         clock, interior = self.clock(cols)
         # the index of each segment's last tick
         ends_at = np.cumsum(interior + 1) - 1
@@ -463,13 +468,7 @@ def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
     planner = _Planner(config)
     if not segments:
         return Plan(config.morphology)
-    columns = tuple(zip(*segments))
-    starts, ends, lines = columns[0], columns[1], columns[5]
-    if starts[1:] != ends[:-1]:
-        line = next(line for start, end, line
-                    in zip(starts[1:], ends, lines[1:]) if start != end)
-        raise PlanError(f"segments not chained at line {line}", line_no=line)
-    return planner.plan(columns, starts[0])
+    return planner.plan(segments)
 
 
 # --- reconfiguration ---

@@ -2,17 +2,21 @@
 
 
 class SwarmFabError(Exception):
-    """Base class for all package errors."""
+    """Base class for all package errors; `line_no` is the g-code line the
+    error is at, if any."""
+
+    def __init__(self, message, line_no=None):
+        self.line_no = line_no
+        super().__init__(message)
 
 
 # --- g-code parsing / interpretation ---
 
 class GcodeError(SwarmFabError):
     def __init__(self, message, line_no=None):
-        self.line_no = line_no
         if line_no is not None:
             message = f"line {line_no}: {message}"
-        super().__init__(message)
+        super().__init__(message, line_no)
 
 
 class UnknownWord(GcodeError):
@@ -48,8 +52,7 @@ class KinematicsError(SwarmFabError):
 class OutOfWorkspace(KinematicsError):
     def __init__(self, message, reason=None, line_no=None):
         self.reason = reason
-        self.line_no = line_no
-        super().__init__(message)
+        super().__init__(message, line_no)
 
 
 class BridgeSkewed(KinematicsError):
@@ -71,9 +74,7 @@ class IllConditioned(KinematicsError):
 # --- planning ---
 
 class PlanError(SwarmFabError):
-    def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        super().__init__(message)
+    pass
 
 
 class InsufficientRobots(PlanError):
@@ -89,9 +90,7 @@ class InsufficientRobots(PlanError):
 # --- simulation ---
 
 class SimError(SwarmFabError):
-    def __init__(self, message, line_no=None):
-        self.line_no = line_no
-        super().__init__(message)
+    pass
 
 
 class StallTimeout(SimError):

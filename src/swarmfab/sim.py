@@ -451,9 +451,8 @@ def measure_fidelity(trace: Trace,
 
     Each extruding sample is charged to its nearest print segment (the first
     one on exact ties); `per_segment_deviation` is the worst charge per segment.
+    An empty trace deviates by 0.0 and lasts 0.0 s.
     """
-    if not len(trace.t):
-        raise ValueError("trace is empty")
     print_segments = [s for s in segments if s.kind == "print"]
     tips = trace.tool_tip[trace.extruding]
     per_segment = np.zeros(len(print_segments))
@@ -470,7 +469,7 @@ def measure_fidelity(trace: Trace,
         total_print_length=sum(s.length for s in print_segments),
         total_travel_length=sum(s.length for s in segments
                                 if s.kind == "travel"),
-        simulated_duration=float(trace.t[-1]),
+        simulated_duration=float(trace.t[-1]) if len(trace.t) else 0.0,
         barrier_wait_total=trace.barrier_wait_total,
     )
 

@@ -57,6 +57,12 @@ class TestParse:
         assert code == 2
         assert "line 2: feed must be positive" in err
 
+    def test_not_utf8_cites_line(self, workdir, capsys):
+        bad = workdir / "bad.gcode"
+        bad.write_bytes(b"G28\nG1 X1 ; caf\xe9\nG1 X2\n")
+        code, out, err = run_cli(["parse", bad], capsys)
+        assert (code, out, err) == (2, "", "error: line 2: not UTF-8 text\n")
+
 
 class TestPlan:
     def test_writes_stream_and_summary(self, workdir, capsys):
@@ -152,6 +158,18 @@ class TestSimulate:
         assert code == 0
         assert "max_deviation_mm=" in out
         assert "extruded_length_mm=4.000000" in out
+
+    def test_report_of_an_empty_program(self, workdir, capsys):
+        # no motion: an empty plan, trace and report
+        (workdir / "empty.gcode").write_text("G21\nG90\n")
+        code, out, err = run_cli(["simulate", workdir / "empty.gcode",
+                                  workdir / "bridge.json", "--report"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "max_deviation_mm=0.000000", "mean_deviation_mm=0.000000",
+            "total_print_length_mm=0.000000",
+            "total_travel_length_mm=0.000000", "simulated_duration_s=0.000000",
+            "barrier_wait_total_s=0.000000", "extruded_length_mm=0.000000"]
 
     def test_deterministic_outputs(self, workdir, capsys):
         for tag in ("a", "b"):
@@ -287,3 +305,61 @@ class TestUsage:
 
     def test_unknown_command(self, capsys):
         assert cli.main(["frobnicate"]) == 1
+
+
+def _config_with(workdir, name, morphology, edit):
+    doc = config.default_config_doc(morphology)
+    edit(doc)
+    (workdir / name).write_text(json.dumps(doc))
+    return workdir / name
+
+
+def _stalling_job(workdir):
+    # the stall of TestSimulate.test_stall_cites_line
+    (workdir / "nudge.gcode").write_text("G1 X201 Y120 Z50 F600\n")
+
+    def slow(doc):
+        doc["roster"][0]["max_wheel_speed"] = 1e-3
+        doc["planning"]["stall_timeout"] = 0.05
+    return ["simulate", workdir / "nudge.gcode",
+            _config_with(workdir, "slow.json", "wire3d_printer", slow)]
+
+
+def _write(path, data: bytes):
+    path.write_bytes(data)
+    return path
+
+
+# each exit code, from an input that gives it; the first four are inputs
+# that once ended in a Python traceback
+EXIT_CASES = {
+    "empty_report": (0, lambda w: [
+        "simulate", _write(w / "empty.gcode", b"G21\nG90\n"),
+        w / "bridge.json", "--report"]),
+    "gcode_not_utf8": (2, lambda w: [
+        "parse", _write(w / "bad.gcode", b"G1 X1 F600\n\xff\n")]),
+    "config_not_utf8": (4, lambda w: [
+        "plan", w / "square.gcode",
+        _write(w / "bad.json", b'{"v": 1, "\xff": 0}'), w / "s.txt"]),
+    "config_number_overflow": (4, lambda w: [
+        "plan", w / "square.gcode",
+        _config_with(w, "big.json", "bridge_xy",
+                     lambda doc: doc["limits"].update(sync_tol=10 ** 400)),
+        w / "s.txt"]),
+    "unknown_morphology": (1, lambda w: [
+        "machines", "init", "bogus", w / "x.json"]),
+    "missing_file": (3, lambda w: ["parse", w / "nope.gcode"]),
+    "outside_workspace": (5, lambda w: [
+        "plan", _write(w / "far.gcode", b"G1 X9999 F1200\n"),
+        w / "bridge.json", w / "s.txt"]),
+    "stall": (6, _stalling_job),
+}
+
+
+@pytest.mark.parametrize("case", EXIT_CASES)
+def test_exit_code_matrix(workdir, capsys, case):
+    want, argv = EXIT_CASES[case]
+    code, _, err = run_cli(argv(workdir), capsys)
+    assert code == want
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert len(errors) == (1 if want else 0)

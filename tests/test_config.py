@@ -196,3 +196,34 @@ class TestFiles:
         path.write_text("{not json")
         with pytest.raises(ConfigError, match="invalid JSON"):
             config.load_config(str(path))
+
+    def test_not_utf8(self, tmp_path):
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"v": 1, "morphology": "bridge_\xff"}')
+        with pytest.raises(ConfigError, match="bad.json: invalid JSON"):
+            config.load_config(str(path))
+
+    def test_errors_name_the_file_once(self, tmp_path):
+        path = tmp_path / "typo.json"
+        doc = config.default_config_doc("bridge_xy")
+        doc["typo_key"] = True
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError) as err:
+            config.load_config(str(path))
+        assert str(err.value) == (f"config {path}: unknown key(s) in config: "
+                                  f"['typo_key']")
+
+    @pytest.mark.parametrize("edit,message", [
+        (lambda doc: doc["limits"].update(sync_tol=10 ** 400),
+         "limits.sync_tol must be finite"),
+        (lambda doc: doc.update(home=[200, 10 ** 400, 0]),
+         "home must be a list of 3 finite numbers"),
+    ], ids=["number", "point"])
+    def test_int_too_large_for_a_float(self, tmp_path, edit, message):
+        # json reads 1 and 400 zeros as an int, which no float holds
+        path = tmp_path / "big.json"
+        doc = config.default_config_doc("bridge_xy")
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ConfigError, match=message):
+            config.load_config(str(path))

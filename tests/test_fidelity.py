@@ -139,6 +139,15 @@ class TestKernelEdgeCases:
         assert report.per_segment_deviation == [0.0]
         assert report.max_deviation == report.mean_deviation == 0.0
 
+    def test_empty_trace(self):
+        # no sample: no deviation and no time; the lengths are the segments'
+        segments = [seg((0, 0, 0), (3, 4, 0)), seg((3, 4, 0), (3, 4, 2), e=0.0)]
+        report = sim.measure_fidelity(sim.Trace(), segments)
+        assert report == sim.FidelityReport(
+            max_deviation=0.0, mean_deviation=0.0, per_segment_deviation=[0.0],
+            total_print_length=5.0, total_travel_length=2.0,
+            simulated_duration=0.0, barrier_wait_total=0.0)
+
     @pytest.mark.parametrize("n_segments,n_samples", [(70, 200), (4101, 3)])
     def test_more_pairs_than_one_chunk(self, n_segments, n_samples):
         rng = np.random.default_rng(n_segments)
