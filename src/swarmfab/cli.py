@@ -5,12 +5,14 @@ codes: 0 ok, 1 usage; `main` maps every other error, in one place, to the
 code of the first class in EXIT_CODES it is an instance of: 2 g-code,
 4 config, 3 I/O, 6 stall timeout, 5 any other (kinematics, workspace,
 plan, roster, simulation).  Such an error prints one `error:` line and no
-traceback.
+traceback.  A reader that closes stdout early (`swarmfab parse job.gcode |
+head`) ends the run quietly with exit 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import config as cfgmod
@@ -185,9 +187,18 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return code
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    except BrokenPipeError:
+        # the reader of stdout is gone: stdout's last flush at exit goes to
+        # the null device, and the exit is quiet
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, sys.stdout.fileno())
+        os.close(null)
+        return EXIT_OK
     except (SwarmFabError, OSError) as exc:
         message = str(exc)
         line = getattr(exc, "line_no", None)

@@ -134,8 +134,6 @@ def parse_config(doc: Any) -> MachineConfig:
     _require_keys(ws, {"min", "max"}, {"min", "max"}, "workspace")
     ws_min = _point(ws["min"], 3, "workspace.min")
     ws_max = _point(ws["max"], 3, "workspace.max")
-    if any(lo > hi for lo, hi in zip(ws_min, ws_max)):
-        raise ConfigError("workspace.min must be <= workspace.max componentwise")
 
     kwargs: dict[str, Any] = {}
     for block in ("limits", "planning", "sim"):
@@ -144,8 +142,6 @@ def parse_config(doc: Any) -> MachineConfig:
     attr, cls, block, other = _GEOMETRY[morphology]
     geo = doc["geometry"]
     values = _numbers(geo, block, "geometry", other, _required(cls))
-    if "workspace_margin" in values and values["workspace_margin"] < 0:
-        raise ConfigError("geometry.workspace_margin must not be negative")
     if "screw" in other and "screw" not in geo:
         raise ConfigError("printer_bridge geometry needs a screw block")
     if "anchors" in other:

@@ -89,6 +89,10 @@ class MachineConfig:
             raise ValueError("noise_std must not be negative")
         if not 0 <= self.barrier_angle_deg <= 180:
             raise ValueError("barrier_angle_deg must be in [0, 180]")
+        if not all(lo <= hi for lo, hi in zip(self.workspace_min,
+                                              self.workspace_max)):
+            raise ValueError("workspace_min must be <= workspace_max "
+                             "componentwise")
         ids = [entry.id for entry in self.roster]
         duplicates = sorted({rid for rid in ids if ids.count(rid) > 1})
         if duplicates:
@@ -98,12 +102,6 @@ class MachineConfig:
                   if self.morphology in ("bridge_xy", "printer_bridge")
                   else machines.Wire)
         object.__setattr__(self, "machine", family(self))
-
-    def robot_params(self, robot_id: str) -> RobotParams:
-        for entry in self.roster:
-            if entry.id == robot_id:
-                return entry.params
-        raise KeyError(robot_id)
 
 
 @dataclass(frozen=True)
@@ -564,24 +562,7 @@ def serialize_command_stream(plan: Plan,
     stops = [item for k in dict.fromkeys(order)
              for item in ("t=", 0, f" id={plan.ids[k]} op=stop line=", -1,
                           "\n")]
-    return text.rows(template, _StreamValues(plan, printed),
-                     whole=(len(printed) + 1,), tail=stops)
-
-
-class _StreamValues:
-    """The values of a plan's command stream, read from its columns a block
-    of ticks at a time: per tick its t, the setpoint columns `printed` maps
-    to their places, and its source line."""
-
-    def __init__(self, plan: Plan, printed: dict[int, int]):
-        self.plan, self.printed = plan, printed
-
-    def __len__(self) -> int:
-        return len(self.plan.t)
-
-    def __getitem__(self, ticks: slice) -> np.ndarray:
-        # `printed` numbers its columns 1, 2, ... in the order it holds them
-        plan = self.plan
-        return np.column_stack((plan.t[ticks],
-                                plan.setpoints[ticks, list(self.printed)],
-                                plan.source_line[ticks]))
+    # `printed` numbers its columns 1, 2, ... in the order it holds them
+    values = np.column_stack((plan.t, plan.setpoints[:, list(printed)],
+                              plan.source_line))
+    return text.rows(template, values, whole=(len(printed) + 1,), tail=stops)

@@ -102,6 +102,8 @@ class WireGeometry2D:
             raise ValueError("anchors must be distinct")
         if self.spool_radius <= 0:
             raise ValueError("spool_radius must be positive")
+        if not self.workspace_margin >= 0:
+            raise ValueError("workspace_margin must not be negative")
         m = self.workspace_margin
         object.__setattr__(self, "reach", (min(a1[1], a2[1]) - m,
                                            min(a1[0], a2[0]) + m,
@@ -142,6 +144,8 @@ class WireGeometry3D:
             raise ValueError("exactly three anchors required")
         if self.spool_radius <= 0:
             raise ValueError("spool_radius must be positive")
+        if not self.workspace_margin >= 0:
+            raise ValueError("workspace_margin must not be negative")
         a = np.asarray(self.anchors, dtype=float)
         normal = np.cross(a[1] - a[0], a[2] - a[0])
         length = np.linalg.norm(normal)

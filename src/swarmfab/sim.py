@@ -5,19 +5,17 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import partial
-from typing import NamedTuple
 
 import numpy as np
 
 from . import kinematics as kin
 from . import text
-from .coordinator import MachineConfig, Plan, active_robots, assign_roles
+from .coordinator import MachineConfig, Plan, active_robots
 from .errors import KinematicsFault, SimError, StallTimeout
 from .gcode import MotionSegment
 # The simulator loop inlines these; they stay bound here, where the benchmark
 # tracer (perfbench/jobs.py) looks them up.
 from .robot import (  # noqa: F401
-    ACTUATOR_ROLES,
     goto_controller,
     rotate_controller,
     step_dynamics,
@@ -112,13 +110,12 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
         raise ValueError("dt_sim must not exceed dt_plan"
                          if dt_sim > config.dt_plan else "dt must be positive")
 
-    roles = assign_roles(config)
+    params = {entry.id: entry.params for entry in config.roster}
     ids = active_robots(config)
     if not len(plan.t):
         return Trace(config=config)
 
-    # roles maps every robot of the roster
-    missing = [rid for rid in plan.ids if rid not in roles]
+    missing = [rid for rid in plan.ids if rid not in params]
     if missing:
         raise SimError(f"plan robots not in the {config.morphology} config's "
                        f"roster: {', '.join(missing)}")
@@ -127,22 +124,16 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
     if lacking:
         raise SimError(f"{config.morphology} config's active robots not in "
                        f"the plan: {', '.join(lacking)}")
-    robots = {}
-    for rid in plan.ids:
-        p = config.robot_params(rid)
-        robots[rid] = _Robot(p.wheel_track, p.max_wheel_speed, p.k_heading,
-                             p.k_distance, p.arrival_tol, p.angular_tol,
-                             roles[rid] in ACTUATOR_ROLES)
     noise = (partial(np.random.default_rng(seed).normal, 0.0,
                      config.noise_std * math.sqrt(dt_sim))
              if config.noise_std > 0 else None)
     machine = config.machine
     zero = machine.zero(plan.tool_target[0].tolist())
     rows, tick_of, wait, extruded, stall = _drive(
-        plan, dt_sim, config.stall_timeout, robots, machine.synced(ids),
+        plan, dt_sim, config.stall_timeout, params, machine.synced(ids),
         config.sync_tol, noise)
 
-    order = sorted(robots)
+    order = sorted(plan.ids)
     at = np.array(tick_of)
     state = np.array(rows).reshape(len(at), len(order), 4)
     # a sample carries the extrusion total reached when its tick began
@@ -178,35 +169,24 @@ def _sample_times(n: int, dt_sim: float) -> np.ndarray:
     return times
 
 
-class _Robot(NamedTuple):
-    """A robot's constants, in the order _drive unpacks them."""
-
-    track: float
-    cap: float  # wheel speed
-    k_heading: float
-    k_distance: float
-    arrival_tol: float
-    angular_tol: float
-    actuator: bool  # accumulates its rotation
-
-
-def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
+def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
            synced: tuple, sync_tol: float, noise):
     """Step the robots through the plan's ticks, sampling after every step.
 
-    `robots` maps each of the plan's ids to its _Robot; each starts at the
-    (x, y) of its first setpoint, and the y of the `synced` robots must stay
-    within sync_tol of each other.  Robot state lives in one flat list, and
-    each robot takes the step of its kind, whose poses are those of the
-    controllers and dynamics of swarmfab.robot (goto_controller,
-    rotate_controller, step_dynamics) bit for bit.  A rotate robot's wheels
-    turn at -vr and vr, with vr finite, so its speed is +0.0: its step is
-    the rotation controller, the heading wrap and the rotation update.  A
-    move robot takes one sin and cos of its new heading for both its arc
-    and the wrap.  A robot inside its tolerance gets speed 0 and skips the
-    dynamics.  Adding a zero speed's +-0.0 keeps a coordinate unless it is
-    -0.0, so noise, or a -0.0 x or y, sends a robot through the dynamics;
-    a rotation starts at +0.0, so it is never -0.0.
+    `params` maps each of the plan's ids to its RobotParams; each robot
+    starts at the (x, y) of its first setpoint, and the y of the `synced`
+    robots must stay within sync_tol of each other.  Robot state lives in
+    one flat list, and each robot takes the step of its plan kind, whose
+    poses are those of the controllers and dynamics of swarmfab.robot
+    (goto_controller, rotate_controller, step_dynamics) bit for bit.  A
+    rotate robot's wheels turn at -vr and vr, with vr finite, so its speed
+    is +0.0: its step is the rotation controller, the heading wrap and the
+    rotation update.  A move robot's rotation stays 0.0; it takes one sin
+    and cos of its new heading for both its arc and the wrap.  A robot
+    inside its tolerance gets speed 0 and skips the dynamics.  Adding a
+    zero speed's +-0.0 keeps a coordinate unless it is -0.0, so noise, or a
+    -0.0 x or y, sends a robot through the dynamics; a rotation starts at
+    +0.0, so it is never -0.0.
     `noise`, if not None, returns one position-noise draw: each robot's
     dynamics step adds one to its x, then one to its y.  Each robot's
     arrival error is taken after its step; they are summed in plan order.
@@ -224,12 +204,12 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
     sin, cos, atan2, hypot, pi = (math.sin, math.cos, math.atan2, math.hypot,
                                   math.pi)
     # robot k of the sorted ids has its state at s[4k:4k + 4]
-    base = {rid: 4 * k for k, rid in enumerate(sorted(robots))}
+    base = {rid: 4 * k for k, rid in enumerate(sorted(plan.ids))}
     # per robot, in id order: its state, its place p in plan order (its
     # (x, y, theta) sits at 3p in a setpoint row), its kind and constants
     s, step_of = [], []
     for rid, b in base.items():
-        p, robot = plan.ids.index(rid), robots[rid]
+        p, robot = plan.ids.index(rid), params[rid]
         x, y = setpoints[0][3 * p:3 * p + 2]
         s += (x, y, 0.0, 0.0)
         rotate = plan.kinds[p] == "rotate"
@@ -238,8 +218,8 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
             v or math.copysign(1.0, v) > 0.0 for v in (x, y))
         step_of.append((b, p, 3 * p, rotate, spin,
                         robot.angular_tol if rotate else robot.arrival_tol,
-                        robot.track, robot.cap, robot.k_heading,
-                        robot.k_distance, robot.actuator))
+                        robot.wheel_track, robot.max_wheel_speed,
+                        robot.k_heading, robot.k_distance))
     ya, yb = ([base[rid] + 1 for rid in synced] if synced
               else (None, None))
 
@@ -271,7 +251,7 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
         turning = False
         all_arrived = True
         for (b, p, tx, ty, theta, rotate, spin, tol, track, cap, k_heading,
-             k_distance, actuator) in steps:
+             k_distance) in steps:
             heading = s[b + 2]
             if rotate:
                 remaining = theta - s[b + 3]
@@ -351,7 +331,7 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, robots: dict,
                     x += noise()
                     y += noise()
                 s[b], s[b + 1], s[b + 2] = x, y, heading
-            if actuator:
+            if rotate:
                 s[b + 3] += omega * dt_sim
             errors[p] = error = (abs(theta - s[b + 3]) if rotate
                                  else hypot(tx - x, ty - y))

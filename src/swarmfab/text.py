@@ -134,9 +134,7 @@ def fixed(values: np.ndarray, whole=()):
 
 def rows(template, values, whole=(), head: str = "", tail=()) -> str:
     """`head`, then every row of an n x k float array through one template,
-    then the last row through `tail`, as text.  `values` may also be any
-    sequence whose slices are such arrays, so that the rows can be read a
-    chunk at a time.
+    then the last row through `tail`, as text.
 
     A template is a sequence of strings, copied as they are, and column
     indices of `values`, whose value is printed with six decimals, or as a

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import swarmfab
 from swarmfab import cli, config, coordinator, gcode
 
 SQUARE = """G92 E0
@@ -363,3 +367,23 @@ def test_exit_code_matrix(workdir, capsys, case):
     assert code == want
     errors = [line for line in err.splitlines() if line.startswith("error: ")]
     assert len(errors) == (1 if want else 0)
+
+
+def test_closed_pipe_exits_quietly(tmp_path):
+    # `swarmfab parse big.gcode | head -1`: the reader takes one line of
+    # ~1.6 MB and closes the pipe under the writer
+    path = tmp_path / "big.gcode"
+    path.write_text("".join(f"G1 X{i % 100} Y{i // 100} F600\n"
+                            for i in range(20_000)))
+    src = os.path.dirname(os.path.dirname(swarmfab.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.Popen([sys.executable, "-m", "swarmfab.cli", "parse",
+                             str(path)], stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=env)
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert first.startswith(b"travel ")
+    assert err == b""

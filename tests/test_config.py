@@ -1,5 +1,6 @@
 import copy
 import json
+import re
 
 import pytest
 
@@ -92,6 +93,51 @@ class TestParseConfig:
         cfg = config.parse_config(doc)
         assert cfg.roster[0].params.max_wheel_speed == 42.0
         assert cfg.roster[1].params.max_wheel_speed == 115.0
+
+
+# one edit per ConfigError that no other test reaches: (morphology of the
+# scaffold, its edit, the message)
+CONFIG_ERRORS = {
+    "block_not_an_object": ("bridge_xy", lambda doc: doc.update(limits=[]),
+                            "limits must be an object"),
+    "missing_key": ("bridge_xy", lambda doc: doc.pop("workspace"),
+                    "missing key(s) in config: ['workspace']"),
+    "empty_roster": ("bridge_xy", lambda doc: doc.update(roster=[]),
+                     "roster must be a non-empty list"),
+    "roster_not_a_list": ("bridge_xy",
+                          lambda doc: doc.update(roster={"id": "r1"}),
+                          "roster must be a non-empty list"),
+    "empty_id": ("bridge_xy", lambda doc: doc["roster"][0].update(id=""),
+                 "roster[0].id must be a non-empty string"),
+    "robot_params": ("bridge_xy",
+                     lambda doc: doc["roster"][1].update(wheel_track=0),
+                     "roster[1]: wheel_track, max_wheel_speed, body_radius "
+                     "must be positive"),
+    "inverted_workspace": ("bridge_xy",
+                           lambda doc: doc["workspace"].update(
+                               min=[30.0, 600.0, 0.0]),
+                           "workspace_min must be <= workspace_max "
+                           "componentwise"),
+    "no_screw": ("printer_bridge", lambda doc: doc["geometry"].pop("screw"),
+                 "printer_bridge geometry needs a screw block"),
+    "geometry_range": ("bridge_xy",
+                       lambda doc: doc["geometry"].update(bridge_span=0),
+                       "geometry: bridge_span must be positive"),
+    "parking_not_a_list": ("bridge_xy",
+                           lambda doc: doc.update(parking={"x": 0}),
+                           "parking must be a list of [x, y] points"),
+    "unknown_scaffold": ("bogus", None, "unknown morphology 'bogus'"),
+}
+
+
+@pytest.mark.parametrize("morphology,edit,message", CONFIG_ERRORS.values(),
+                         ids=CONFIG_ERRORS)
+def test_config_error(morphology, edit, message):
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}$") as err:
+        doc = config.default_config_doc(morphology)
+        edit(doc)
+        config.parse_config(doc)
+    assert type(err.value) is ConfigError
 
 
 def settings(doc):

@@ -44,7 +44,8 @@ def axis_times_oracle(seg, cfg, roles):
     dx = seg.end[0] - seg.start[0]
     dy = seg.end[1] - seg.start[1]
     dz = seg.end[2] - seg.start[2]
-    by_role = {role: cfg.robot_params(rid) for rid, role in roles.items()
+    params = {entry.id: entry.params for entry in cfg.roster}
+    by_role = {role: params[rid] for rid, role in roles.items()
                if role != "idle"}
     times = []
     morph = cfg.morphology
@@ -721,6 +722,17 @@ class TestMachineConfig:
         with pytest.raises(ValueError, match="duplicate robot ids in roster: "
                                              "r1$"):
             dataclasses.replace(cfg, roster=(r1, r1) + cfg.roster[2:])
+
+    @pytest.mark.parametrize("axis", range(3))
+    def test_inverted_workspace_rejected(self, axis):
+        cfg = config.default_config("printer_bridge")
+        lo = list(cfg.workspace_min)
+        lo[axis] = cfg.workspace_max[axis] + 1.0
+        with pytest.raises(ValueError, match="^workspace_min must be <= "
+                                             "workspace_max componentwise$"):
+            dataclasses.replace(cfg, workspace_min=tuple(lo))
+        lo[axis] = cfg.workspace_max[axis]
+        assert dataclasses.replace(cfg, workspace_min=tuple(lo))
 
     @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
     def test_machine_is_derived(self, morphology):

@@ -250,9 +250,11 @@ class TestWire2D:
         assert l2 == pytest.approx(l1, abs=1e-12)
 
     def test_under_anchor_corner(self):
+        # the lateral cone is open, so the nearest point to the corner
+        # that a margin of 0 admits lies a hair inside it
         geom = kin.WireGeometry2D(anchors=((0.0, 0.0), (1000.0, 0.0)),
-                                  spool_radius=20.0, workspace_margin=-1e-9)
-        l1, l2 = kin.wire2d_ik((0.0, -300.0), geom)
+                                  spool_radius=20.0, workspace_margin=0.0)
+        l1, l2 = kin.wire2d_ik((1e-9, -300.0), geom)
         assert l1 == pytest.approx(300.0)
         assert l2 == pytest.approx(math.sqrt(1000.0**2 + 300.0**2))
 
@@ -576,6 +578,16 @@ class TestFkRows:
             kin.bridge_fk_rows(b1, b2, offset, BRIDGE, sync_tol=1.0)
         skew = abs(b1[7, 1] - b2[7, 1])
         assert str(exc.value) == f"bridge skew {skew:.4f} mm exceeds 1.0 mm"
+
+
+@pytest.mark.parametrize("geom", [WIRE2D, WIRE3D])
+def test_negative_workspace_margin_rejected(geom):
+    # a negative margin admits points at or above the anchors, where the
+    # IK fails without a g-code line
+    with pytest.raises(ValueError, match="^workspace_margin must not be "
+                                         "negative$"):
+        dataclasses.replace(geom, workspace_margin=-20.0)
+    assert dataclasses.replace(geom, workspace_margin=0.0).workspace_margin == 0
 
 
 class TestDerivedGeometryConstants:

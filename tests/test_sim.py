@@ -17,6 +17,7 @@ from swarmfab.errors import (
 )
 from swarmfab.gcode import MotionSegment
 from swarmfab.robot import (
+    ACTUATOR_ROLES,
     RobotState,
     goto_controller,
     rotate_controller,
@@ -83,12 +84,16 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
         raise ValueError("dt must be positive")
     ticks = plan.ticks
     roles = coordinator.assign_roles(cfg)
+    params = {entry.id: entry.params for entry in cfg.roster}
     states = {}
     if ticks:
+        # only a rotate robot keeps its actuator role, and so accumulates
+        # its rotation in step_dynamics: a transition plan moves robots
+        # whose role in cfg is a spool's, and they wind nothing
         for rid, sp in ticks[0].setpoints.items():
+            role = roles[rid] if sp.kind == "rotate" else "idle"
             states[rid] = RobotState(id=rid, pose=(sp.x, sp.y, 0.0),
-                                     role=roles[rid],
-                                     params=cfg.robot_params(rid))
+                                     role=role, params=params[rid])
     ids = coordinator.active_robots(cfg)
     rng = np.random.default_rng(seed) if cfg.noise_std > 0 else None
     samples = []
@@ -448,6 +453,17 @@ class TestRunOracle:
         assert result == (StallTimeout,
                           "no progress for 2.0 s at plan tick 1 (t=2.02 s)", 2)
 
+    def test_noisy_transition(self):
+        # the robots of a transition plan move to their spots; none winds a
+        # spool, so the tool stays at home
+        cfg = noisy_config("wire3d_printer", 0.5)
+        plan = coordinator.reconfigure(config.default_config("printer_bridge"),
+                                       cfg)
+        result = same_run(plan, cfg)
+        assert isinstance(result, OracleRun)
+        assert {s.tool_tip for s in result.samples} == {
+            result.samples[0].tool_tip}
+
     def test_turn_in_place_is_progress(self):
         # the carriage turns in place to reverse at the barrier of line 2
         # for longer than the stall timeout
@@ -506,6 +522,29 @@ class TestNoise:
 
 
 class TestRun:
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_rotate_kind_is_the_actuator_role(self, morphology):
+        # sim.run accumulates the rotation of rotate-kind robots, and
+        # step_dynamics that of actuator roles: the two must name the same
+        # robots of every planned job
+        cfg = config.default_config(morphology)
+        assert cfg.machine.kinds == tuple(
+            "rotate" if role in ACTUATOR_ROLES else "move"
+            for role in coordinator.ROLE_SEQUENCE[morphology])
+
+    @pytest.mark.parametrize("noise", [0.5, 2.0])
+    def test_transition_winds_no_spool(self, noise):
+        # the spool robots of the target machine drive to their spots as
+        # move robots; their wheels must not read as wire paid out
+        cfg = noisy_config("wire3d_printer", noise)
+        plan = coordinator.reconfigure(config.default_config("printer_bridge"),
+                                       cfg)
+        assert set(plan.kinds) == {"move"}
+        trace = sim.run(plan, cfg, seed=0)
+        assert len(trace.t) > 1
+        assert not trace.rotations.any()
+        assert (trace.tool_tip == trace.tool_tip[0]).all()
+
     def test_empty_plan(self, bridge_config):
         plan = coordinator.plan_program([], bridge_config)
         trace = sim.run(plan, bridge_config)
