@@ -12,6 +12,7 @@ head`) ends the run quietly with exit 0.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 
@@ -47,8 +48,10 @@ def _program(path: str, home=(0.0, 0.0, 0.0)) -> gcode.InterpretResult:
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
-        raise GcodeError("not UTF-8 text",
-                         data.count(b"\n", 0, exc.start) + 1) from exc
+        # numbered as parse_program numbers lines: the lines of the text
+        # before the bad byte, and one more holding it
+        prefix = data[:exc.start].decode("utf-8") + "?"
+        raise GcodeError("not UTF-8 text", len(prefix.splitlines())) from exc
     return gcode.interpret(gcode.parse_program(text), home=home)
 
 
@@ -183,10 +186,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# one parser per process: building it costs about a millisecond a call
+_parser = functools.lru_cache(maxsize=None)(build_parser)
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         code = args.func(args)
         sys.stdout.flush()  # a closed pipe raises here, not at exit
         return code

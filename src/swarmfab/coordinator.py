@@ -10,9 +10,7 @@ arrive before the plan clock advances.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, field
-from itertools import chain
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -20,7 +18,7 @@ import numpy as np
 from . import kinematics as kin
 from . import machines, text
 from .errors import InsufficientRobots, OutOfWorkspace, PlanError
-from .gcode import MotionSegment
+from .gcode import Segments
 from .robot import RobotParams
 
 MORPHOLOGIES = ("bridge_xy", "wire2d_wall", "wire3d_printer", "printer_bridge")
@@ -219,19 +217,13 @@ def _outside(point, reason: str, what: str, line_no: int) -> OutOfWorkspace:
                           reason=reason, line_no=line_no)
 
 
-def _points(tuples) -> np.ndarray:
-    """The N x 3 array of N 3-tuples."""
-    return np.fromiter(chain.from_iterable(tuples), float,
-                       3 * len(tuples)).reshape(-1, 3)
-
-
 class _Segments(NamedTuple):
     """Chained segments as columns, one row per segment: its kind and
     source line, its start and end (N x 3 each), the IK solution of its end,
     its extrusion and its duration."""
 
-    kinds: tuple[str, ...]
-    lines: tuple[int, ...]
+    kinds: np.ndarray
+    lines: np.ndarray
     starts: np.ndarray
     ends: np.ndarray
     end_sols: np.ndarray
@@ -249,48 +241,42 @@ class _Planner:
         self.ids = tuple(active_robots(config))
         self.limits = self.machine.limits([e.params for e in config.roster])
 
-    def segments(self, segments: list[MotionSegment]):
-        """The segment pass: check that the segments are chained, and every
-        endpoint, the first segment's start and then each end, then solve
-        and time the segments before the first endpoint outside the
-        workspace.
+    def segments(self, segments):
+        """The segment pass over a Segments (or MotionSegment records):
+        check that the segments are chained, and every endpoint, the first
+        segment's start and then each end, then solve and time the segments
+        before the first endpoint outside the workspace.
 
         Returns (columns, error): the _Segments of those segments, and the
         OutOfWorkspace of the first endpoint outside, or None; raises that
         error if no segment comes before it, and PlanError at the first
-        segment that does not start where the one before ends.  IK is
-        solved only for the endpoints inside; a point inside the workspace
-        is inside the reach of its IK, so the IK raises nothing here.
+        segment that does not start where the one before ends (by value, or
+        by bits for a nan).  IK is solved only for the endpoints inside; a
+        point inside the workspace is inside the reach of its IK, so the IK
+        raises nothing here.
         """
-        start_points, end_points, feeds, extrusion, kinds, lines = zip(
-            *segments)
-        if start_points[1:] != end_points[:-1]:
-            line = next(line for start, end, line in zip(
-                start_points[1:], end_points, lines[1:]) if start != end)
+        segs = Segments.of(segments)
+        starts, ends, lines = segs.starts, segs.ends, segs.line
+        a, b = starts[1:], ends[:-1]
+        broken = ((a != b) & (a.view(np.int64) != b.view(np.int64))).any(1)
+        if broken.any():
+            line = lines[1:][broken.argmax()].item()
             raise PlanError(f"segments not chained at line {line}",
                             line_no=line)
-        # each MotionSegment.length
-        lengths = np.fromiter(map(math.dist, start_points, end_points), float,
-                              len(lines))
-        points = _points([start_points[0], *end_points])
-        starts = _points(start_points)
-        # a segment starts where the one before ends, unless a zero there
-        # has the other sign: keep one copy of the points then
-        if (starts.view(np.int64) == points[:-1].view(np.int64)).all():
-            starts = points[:-1]
+        lengths = segs.lengths()
+        points = np.concatenate((starts[:1], ends))
         row, reason = kin.workspace_contains_rows(self.config, points)
         count = max(row - 1, 0)
         error = None
         if reason:
-            error = _outside(end_points[count] if row else start_points[0],
-                             reason, "segment endpoint", lines[count])
+            error = _outside(tuple(points[row].tolist()), reason,
+                             "segment endpoint", lines[count].item())
             if not count:
                 raise error
-            kinds, lines, starts = kinds[:count], lines[:count], starts[:count]
         points = points[:count + 1]
         ends = points[1:]
         sols = self.machine.solve(points)
-        lengths, feeds = lengths[:count], np.array(feeds[:count], dtype=float)
+        lengths, feeds = lengths[:count], segs.feed[:count]
         # feed- and actuator-limited, and inf if too long for a float; what
         # does not travel takes no time, even at a feed or speed limit of
         # 0.0
@@ -300,13 +286,13 @@ class _Planner:
                           where=lengths != 0.0),
                 lengths / self.config.max_tool_speed)
             for delta, limit in zip(
-                    self.machine.deltas(starts, ends, sols[:-1], sols[1:]),
-                    self.limits):
+                    self.machine.deltas(starts[:count], ends, sols[:-1],
+                                        sols[1:]), self.limits):
                 durations = np.maximum(durations, np.divide(
                     np.abs(delta), limit, out=np.zeros_like(durations),
                     where=delta != 0.0))
-        return _Segments(kinds, lines, starts, ends, sols[1:],
-                         np.array(extrusion[:count], dtype=float),
+        return _Segments(segs.kind[:count], lines[:count], starts[:count],
+                         ends, sols[1:], segs.extrusion[:count],
                          durations), error
 
     def clock(self, cols: _Segments):
@@ -342,7 +328,7 @@ class _Planner:
             times, interior = np.array(times), np.array(interior)
         passed = np.cumsum(interior + 1) > MAX_PLAN_TICKS
         if passed.any():
-            line = cols.lines[passed.argmax()]
+            line = cols.lines[passed.argmax()].item()
             raise PlanError(f"plan longer than {MAX_PLAN_TICKS} ticks of "
                             f"{dt} s", line_no=line)
         return times, interior.astype(np.int64)
@@ -365,12 +351,9 @@ class _Planner:
         angle = np.fromiter(map(math.acos, cosang.tolist()), float,
                             len(cosang))
         threshold = math.radians(self.config.barrier_angle_deg) - 1e-9
-        kinds = cols.kinds
-        changed = np.fromiter(map(operator.ne, kinds, kinds[1:]), bool,
-                              len(kinds) - 1)
-        return changed | (angle >= threshold)
+        return (cols.kinds[1:] != cols.kinds[:-1]) | (angle >= threshold)
 
-    def plan(self, segments: list[MotionSegment]) -> Plan:
+    def plan(self, segments: Segments) -> Plan:
         """Sample chained segments into ticks at the planning period, from
         t = 0.0 and the first segment's start.
 
@@ -385,7 +368,7 @@ class _Planner:
         tick.
         """
         cols, error = self.segments(segments)
-        zero = self.machine.zero(segments[0].start)
+        zero = self.machine.zero(tuple(segments.starts[0].tolist()))
         clock, interior = self.clock(cols)
         # the index of each segment's last tick
         ends_at = np.cumsum(interior + 1) - 1
@@ -405,11 +388,10 @@ class _Planner:
             raise error
         times, tools, totals, rows = ticks
         counts = interior + 1
-        printing = np.fromiter(map("print".__eq__, cols.kinds), bool)
         return Plan(self.config.morphology, barriers, self.ids,
                     self.machine.kinds, times, tools,
-                    np.repeat(printing, counts), totals,
-                    np.repeat(np.array(cols.lines, np.int64), counts), rows)
+                    np.repeat(cols.kinds == "print", counts), totals,
+                    np.repeat(cols.lines, counts), rows)
 
     def _ticks(self, cols: _Segments, block: slice, interior, clock,
                extrusion0: float, zero, ticks, at: int) -> float:
@@ -440,7 +422,7 @@ class _Planner:
         row, reason = kin.workspace_contains_rows(self.config, inner)
         if reason:
             raise _outside(tuple(inner[row].tolist()), reason, "setpoint",
-                           cols.lines[block][seg[row]])
+                           cols.lines[block][seg[row]].item())
 
         # the block's rows of the columns; the tool targets are its points
         times, points, totals, rows = (column[at:at + len(seg) + n]
@@ -461,12 +443,13 @@ class _Planner:
         return extrusion[-1].item()
 
 
-def plan_program(segments: list[MotionSegment], config: MachineConfig) -> Plan:
-    """Plan a chained segment list into one synchronized schedule."""
+def plan_program(segments, config: MachineConfig) -> Plan:
+    """Plan chained segments (a Segments, or MotionSegment records) into one
+    synchronized schedule."""
     planner = _Planner(config)
     if not segments:
         return Plan(config.morphology)
-    return planner.plan(segments)
+    return planner.plan(Segments.of(segments))
 
 
 # --- reconfiguration ---

@@ -5,15 +5,22 @@ G2/G3 arcs (XY plane, I/J or R form), G20/G21 units, G28 home, G90/G91
 positioning mode, G92 datum rebind, M82/M83 extrusion mode.  All other
 M codes pass through as metadata events.  Feed words are mm/min in the
 source and mm/s internally.
+
+Both stages work on columns: `parse_program` gives a program's commands as
+`Commands`, and `interpret` its motion segments as `Segments`, which read
+as sequences of `GcodeCommand` and `MotionSegment` records.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import count
-from typing import NamedTuple, Optional
+from itertools import chain
+from typing import Callable, NamedTuple, Optional
+
+import numpy as np
 
 from .errors import (
     DegenerateArc,
@@ -39,11 +46,26 @@ _COMMENT_RE = re.compile(r";(.*)|\(([^)]*)\)?")
 # one word: a letter (any non-space character; parse_line checks it) and
 # the number that follows it, if any
 _WORD_RE = re.compile(r"\s*(\S)([+-]?(?:\d+\.?\d*|\.\d+))?")
-# a plain line: an upper-case G or M word, then parameter words, each after
-# one space, with ASCII numbers and no comment.  A number's digits split
-# only one way, so a near miss fails in linear time.
-_PLAIN_RE = re.compile(
-    r"[GM][0-9]+(?: [XYZEFIJRSP][+-]?(?:[0-9]+(?:\.[0-9]*)?|\.[0-9]+))*")
+# up to 64 plain lines, each ended by "\n": an upper-case G or M word, then
+# parameter words, each after one space, with ASCII numbers and no comment.
+# A number's digits split only one way, so a near miss fails in linear
+# time; the bound keeps the matcher's memory small (unbounded, it holds
+# ~60 bytes per character matched).
+_PLAIN_LINES_RE = re.compile(
+    r"(?:[GM]\d+(?: [XYZEFIJRSP][+-]?(?:\d+(?:\.\d*)?|\.\d+))*\n){0,64}",
+    re.ASCII)
+
+_PARAM_ORDER = "XYZEFIJRSP"
+# the parameters' columns in Commands, and over the ASCII of plain lines,
+# each word letter as its column (G and M after the parameters), and each
+# word letter as a space
+_COLUMN_ORDER = "XYZFEIJRSP"
+_COLUMNS = bytes.maketrans(b"XYZFEIJRSPGM", bytes(range(12)))
+_SPACES = bytes.maketrans(b"XYZFEIJRSPGM", b" " * 12)
+# a segment's kind, by whether it extrudes
+_KINDS = np.array(["travel", "print"])
+# rows of math.dist per block in Segments.lengths
+_LENGTH_ROWS = 1024
 
 # builds a record from the tuple of its fields, without a __new__ call
 _new = tuple.__new__
@@ -121,9 +143,111 @@ class MotionSegment(NamedTuple):
         return math.dist(self.start, self.end)
 
 
+class _Rows(Sequence):
+    """Rows that read as records, built on each access; `==` and repr are
+    those of the list of the records."""
+
+    __hash__ = None
+
+    def __eq__(self, other):
+        return (list(self) == list(other) if isinstance(other, Sequence)
+                else NotImplemented)
+
+    def __repr__(self):
+        return repr(list(self))
+
+
+class Commands(_Rows):
+    """Parsed commands as columns, one row per command in line order:
+    `line` (int64), `m` (bool: an M word, else a G word), `code` (float64;
+    nan for a code no G or M word has), and the parameters in XYZFEIJRSP
+    column order, `values` (N x 10 float64, 0.0 where absent) and
+    `present` (N x 10 bool).  A row reads as its GcodeCommand, which
+    `record(i)` builds; a slice as a list of them."""
+
+    def __init__(self, line, m, code, values, present,
+                 record: Callable[[int], GcodeCommand]):
+        self.line, self.m, self.code = line, m, code
+        self.values, self.present, self.record = values, present, record
+
+    @classmethod
+    def of(cls, commands) -> Commands:
+        """The Commands of GcodeCommand records (a Commands is its own)."""
+        if isinstance(commands, Commands):
+            return commands
+        records = list(commands)
+        params = [c.params for c in records]
+        code = np.array([c.code for c in records], float)
+        code[(code < 0) | (code != np.floor(code))] = np.nan
+        return cls(np.array([c.line_no for c in records], np.int64),
+                   np.array([c.letter == "M" for c in records], bool), code,
+                   np.array([[p.get(k, 0.0) for k in _COLUMN_ORDER]
+                             for p in params], float).reshape(-1, 10),
+                   np.array([[k in p for k in _COLUMN_ORDER]
+                             for p in params], bool).reshape(-1, 10),
+                   records.__getitem__)
+
+    def __len__(self):
+        return len(self.line)
+
+    def __getitem__(self, i):
+        rows = range(len(self))[i]
+        return list(map(self.record, rows)) if isinstance(i, slice) else (
+            self.record(rows))
+
+
+class Segments(_Rows):
+    """Motion segments as columns, one row per segment: `starts` and `ends`
+    (N x 3 float64), `feed` and `extrusion` (float64), `kind` (str) and
+    `line` (int64), MotionSegment's fields.  A row reads as its
+    MotionSegment, built on each access; a slice or an index array as the
+    Segments of its rows."""
+
+    def __init__(self, starts, ends, feed, extrusion, kind, line):
+        self.starts, self.ends, self.feed = starts, ends, feed
+        self.extrusion, self.kind, self.line = extrusion, kind, line
+
+    @classmethod
+    def of(cls, segments) -> Segments:
+        """The Segments of MotionSegment records (a Segments is its own)."""
+        if isinstance(segments, Segments):
+            return segments
+        starts, ends, feed, extrusion, kind, line = (
+            tuple(zip(*segments)) or ((),) * 6)
+        return cls(np.array(starts, float).reshape(-1, 3),
+                   np.array(ends, float).reshape(-1, 3),
+                   np.array(feed, float), np.array(extrusion, float),
+                   np.array(kind, str), np.array(line, np.int64))
+
+    def __len__(self):
+        return len(self.line)
+
+    def __getitem__(self, i):
+        columns = (self.starts[i], self.ends[i], self.feed[i],
+                   self.extrusion[i], self.kind[i], self.line[i])
+        if not isinstance(i, (int, np.integer)):
+            return Segments(*columns)
+        start, end, *rest = (column.tolist() for column in columns)
+        return MotionSegment(tuple(start), tuple(end), *rest)
+
+    def __iter__(self):
+        return map(MotionSegment._make, zip(
+            map(tuple, self.starts.tolist()), map(tuple, self.ends.tolist()),
+            self.feed.tolist(), self.extrusion.tolist(), self.kind.tolist(),
+            self.line.tolist()))
+
+    def lengths(self) -> np.ndarray:
+        """Each row's MotionSegment.length: math.dist, a block at a time."""
+        blocks = range(0, len(self), _LENGTH_ROWS)
+        return np.fromiter(chain.from_iterable(
+            map(math.dist, self.starts[a:a + _LENGTH_ROWS].tolist(),
+                self.ends[a:a + _LENGTH_ROWS].tolist()) for a in blocks),
+            float, len(self))
+
+
 @dataclass(frozen=True)
 class InterpretResult:
-    segments: list[MotionSegment]
+    segments: Segments
     events: list[MetadataEvent]
     final_state: InterpreterState
 
@@ -148,15 +272,6 @@ def _code(letter: str, number: str, line_no: int) -> int:
 
 def parse_line(text: str, line_no: int = 1) -> Optional[GcodeCommand]:
     """Parse one source line; returns None for blank or comment-only lines."""
-    if _PLAIN_RE.fullmatch(text):
-        words = text.split(" ")
-        params = {word[0]: float(word[1:]) for word in words[1:]}
-        # a duplicate word goes to the tokenizer, which names it
-        if len(params) == len(words) - 1:
-            letter = text[0]
-            return _new(GcodeCommand, (line_no, letter,
-                                       _code(letter, words[0][1:], line_no),
-                                       params, None))
     if "\n" in text or "\r" in text:
         raise GcodeError("parse_line expects a single line", line_no)
     code_text, comment = _strip_comments(text)
@@ -190,13 +305,61 @@ def parse_line(text: str, line_no: int = 1) -> Optional[GcodeCommand]:
     return GcodeCommand(line_no, letter, code, params, comment)
 
 
-def parse_program(text: str) -> list[GcodeCommand]:
-    """Parse a whole program; skips blank/comment lines, aborts on first error."""
-    # a command is a non-empty tuple, so filter drops just the Nones
-    return list(filter(None, map(parse_line, text.splitlines(), count(1))))
+def parse_program(text: str) -> Commands:
+    """Parse a whole program into Commands, skipping blank and comment
+    lines; the first error in line order aborts it.  No record is built
+    per command.
 
-
-_PARAM_ORDER = "XYZEFIJRSP"
+    A regular expression finds the runs of plain lines, whose words are
+    then split in one pass: a word's letter gives its column, and float()
+    of its number its value.  Every other line goes through parse_line, in
+    line order, and so does a plain line with a duplicate word or a code
+    too large for a float, which it rejects."""
+    lines = text.splitlines()
+    joined = "\n".join([*lines, ""])  # each line ended by "\n"
+    plain = np.zeros(len(lines), bool)
+    runs, others, at, no = [], [], 0, 0  # `no` lines before `at`
+    while at < len(joined):
+        end = _PLAIN_LINES_RE.match(joined, at).end()
+        if end > at:
+            count = joined.count("\n", at, end)
+            runs.append(joined[at:end])
+            plain[no:no + count] = True
+            no, at = no + count, end
+        else:  # a line that is not plain: its number, from 1
+            no, at = no + 1, joined.index("\n", at) + 1
+            others.append(no)
+    data = "".join(runs).encode()
+    letters = np.frombuffer(data.translate(_COLUMNS, b" \n+-.0123456789"),
+                            np.uint8)
+    numbers = np.fromiter(map(float, data.translate(_SPACES).decode().split()),
+                          float, len(letters))
+    # each word's row (a G or M word starts one) and column, G and M last
+    row, line = (letters >= 10).cumsum() - 1, plain.nonzero()[0] + 1
+    values, present = np.zeros((len(line), 12)), np.zeros((len(line), 12),
+                                                          bool)
+    values[row, letters] = numbers
+    present[row, letters] = True
+    code, stop = values[:, 10] + values[:, 11], len(lines) + 1
+    bad = np.isinf(code)  # a code too large for a float, or a duplicate word
+    if np.count_nonzero(present) < len(row) or bad.any():
+        bad |= present.sum(1) < np.bincount(row, minlength=len(line))
+        stop = line[bad.argmax()].item()
+    others = [no for no in others if no < stop]
+    extra = list(filter(None, map(parse_line, [lines[no - 1] for no in others],
+                                  others)))
+    if stop <= len(lines):
+        parse_line(lines[stop - 1], stop)  # raises
+    columns = (line, present[:, 11], code, values[:, :10], present[:, :10])
+    if extra:
+        more = Commands.of(extra)
+        order = np.argsort(np.concatenate((line, more.line)))
+        columns = [np.concatenate((mine, theirs))[order] for mine, theirs
+                   in zip(columns, (more.line, more.m, more.code, more.values,
+                                    more.present))]
+    numbered = columns[0].tolist()
+    return Commands(*columns, lambda i: parse_line(lines[numbered[i] - 1],
+                                                   numbered[i]))
 
 
 def _positional(value: float) -> str:
@@ -224,49 +387,8 @@ def serialize_program(commands: list[GcodeCommand]) -> str:
     return "\n".join(serialize_command(c) for c in commands) + "\n"
 
 
-# The modal-state helpers take the state's fields, so that interpret can
-# keep them in locals; `s` is the unit scale (_scale).
-
 def _scale(units: str) -> float:
     return INCH_TO_MM if units == "inch" else 1.0
-
-
-def _resolve_target(params: dict[str, float], s: float, absolute: bool,
-                    position, offset) -> tuple[float, float, float]:
-    x, y, z = position
-    if absolute:
-        if "X" in params:
-            x = params["X"] * s + offset[0]
-        if "Y" in params:
-            y = params["Y"] * s + offset[1]
-        if "Z" in params:
-            z = params["Z"] * s + offset[2]
-    else:
-        x += params.get("X", 0.0) * s
-        y += params.get("Y", 0.0) * s
-        z += params.get("Z", 0.0) * s
-    return (x, y, z)
-
-
-def _extrusion_delta(params: dict[str, float], s: float, absolute: bool,
-                     e_offset: float, extrusion_total: float) -> float:
-    if "E" not in params:
-        return 0.0
-    e = params["E"] * s
-    if absolute:
-        return e + e_offset - extrusion_total
-    return e
-
-
-def _feed(params: dict[str, float], line_no: int, s: float,
-          feed: float) -> float:
-    """The feed in mm/s for a command: its F word, or the modal feed."""
-    if "F" not in params:
-        return feed
-    f = params["F"] * s / 60.0  # mm/min -> mm/s
-    if f <= 0:
-        raise GcodeError("feed must be positive", line_no)
-    return f
 
 
 def _segment_count(theta: float, radius: float, chord_tol: float) -> int:
@@ -288,38 +410,41 @@ def _segment_count(theta: float, radius: float, chord_tol: float) -> int:
 def flatten_arc(cmd: GcodeCommand, state: InterpreterState,
                 chord_tol: float) -> list[MotionSegment]:
     """Flatten a G2/G3 arc into chords within chord_tol of the true circle."""
+    return list(interpret([cmd], state, chord_tol=chord_tol).segments)
+
+
+def _arc(clockwise: bool, ij, r, line_no: int, s: float, start, end,
+         chord_tol: float) -> tuple:
+    """The geometry of a G2/G3 arc from start to end, of I/J words ij (a
+    pair, or None) or an R word r (or None), in units of scale s: its
+    centre, radius, start angle, signed sweep and chord count."""
     if chord_tol <= 0:
         raise ValueError("chord_tol must be positive")
-    clockwise = cmd.code == 2
-    s = _scale(state.units)
-    start = state.position
-    end = _resolve_target(cmd.params, s, state.positioning_mode == "absolute",
-                          start, state.offset)
     sx, sy = start[0], start[1]
     ex, ey = end[0], end[1]
 
-    if "I" in cmd.params or "J" in cmd.params:
-        cx = sx + cmd.params.get("I", 0.0) * s
-        cy = sy + cmd.params.get("J", 0.0) * s
+    if ij is not None:
+        cx = sx + ij[0] * s
+        cy = sy + ij[1] * s
         r0 = math.hypot(sx - cx, sy - cy)
         r1 = math.hypot(ex - cx, ey - cy)
         if r0 <= 0:
-            raise DegenerateArc("arc radius is zero", cmd.line_no)
+            raise DegenerateArc("arc radius is zero", line_no)
         if abs(r0 - r1) > 1e-6 * r0:
             raise InconsistentArc(
-                f"start/end radii differ: {r0:.9g} vs {r1:.9g}", cmd.line_no
+                f"start/end radii differ: {r0:.9g} vs {r1:.9g}", line_no
             )
         radius = 0.5 * (r0 + r1)
-    elif "R" in cmd.params:
-        r_signed = cmd.params["R"] * s
+    elif r is not None:
+        r_signed = r * s
         radius = abs(r_signed)
         if radius <= 0:
-            raise DegenerateArc("arc radius must be positive", cmd.line_no)
+            raise DegenerateArc("arc radius must be positive", line_no)
         q = math.hypot(ex - sx, ey - sy)
         if q < 1e-12:
-            raise DegenerateArc("R-form arc with coincident endpoints", cmd.line_no)
+            raise DegenerateArc("R-form arc with coincident endpoints", line_no)
         if radius < q / 2 - 1e-9:
-            raise InconsistentArc("radius smaller than half the chord", cmd.line_no)
+            raise InconsistentArc("radius smaller than half the chord", line_no)
         h = math.sqrt(max(0.0, radius * radius - (q / 2) ** 2))
         mx, my = (sx + ex) / 2, (sy + ey) / 2
         px, py = -(ey - sy) / q, (ex - sx) / q
@@ -335,7 +460,7 @@ def flatten_arc(cmd: GcodeCommand, state: InterpreterState,
             best = (mx + h * px, my + h * py)
         cx, cy = best
     else:
-        raise GcodeError("arc needs I/J or R", cmd.line_no)
+        raise GcodeError("arc needs I/J or R", line_no)
 
     theta = _arc_sweep(sx, sy, ex, ey, cx, cy, clockwise)
     if theta < 1e-12:
@@ -343,28 +468,32 @@ def flatten_arc(cmd: GcodeCommand, state: InterpreterState,
 
     n = _segment_count(theta, radius, chord_tol)
     a0 = math.atan2(sy - cy, sx - cx)
-    direction = -1.0 if clockwise else 1.0
-    e_total = _extrusion_delta(cmd.params, s,
-                               state.extrusion_mode == "absolute",
-                               state.e_offset, state.extrusion_total)
-    feed = _feed(cmd.params, cmd.line_no, s, state.feed)
-    kind = "print" if e_total > 0 else "travel"
+    return cx, cy, radius, a0, -theta if clockwise else theta, n
 
-    segments = []
-    prev = start
-    prev_e = 0.0
-    for i in range(1, n + 1):
-        if i == n:
-            pt = end  # endpoints exact
-        else:
-            a = a0 + direction * theta * i / n
-            pt = (cx + radius * math.cos(a), cy + radius * math.sin(a),
-                  start[2] + (end[2] - start[2]) * i / n)
-        cum_e = e_total * i / n
-        segments.append(_new(MotionSegment, (prev, pt, feed, cum_e - prev_e,
-                                             kind, cmd.line_no)))
-        prev, prev_e = pt, cum_e
-    return segments
+
+def _chord_columns(arcs, starts, ends, e_totals):
+    """The chords of arcs of _arc geometry from starts to ends (K x 3),
+    extruding e_totals: the points between each arc's chords, in rows, and
+    the extrusion of each chord.  The same arithmetic, in the same order,
+    as a loop over chords i = 1..n: the point at angle a0 + sweep * i / n,
+    and the extrusion total e * i / n less the one before."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        arcs = np.column_stack((np.array(arcs, float).reshape(-1, 6),
+                                starts[:, 2], ends[:, 2] - starts[:, 2],
+                                e_totals))
+        counts = arcs[:, 5].astype(np.intp)
+        cx, cy, radius, a0, turn, n, z, dz, e = arcs.repeat(counts, axis=0).T
+        i = np.arange(len(n)) - (counts.cumsum() - counts).repeat(counts) + 1.
+        total = e * i / n
+        before = np.concatenate(([0.0], total[:-1]))
+        before[i == 1] = 0.0
+        inner = i < n
+        angle = (a0 + turn * i / n)[inner].tolist()
+        cos = np.fromiter(map(math.cos, angle), float, len(angle))
+        sin = np.fromiter(map(math.sin, angle), float, len(angle))
+        return np.column_stack((cx[inner] + radius[inner] * cos,
+                                cy[inner] + radius[inner] * sin,
+                                (z + dz * i / n)[inner])), total - before
 
 
 def _arc_sweep(sx, sy, ex, ey, cx, cy, clockwise: bool) -> float:
@@ -378,94 +507,187 @@ def _arc_sweep(sx, sy, ex, ey, cx, cy, clockwise: bool) -> float:
     return sweep
 
 
-def interpret(commands: list[GcodeCommand],
-              initial: Optional[InterpreterState] = None,
+def _fill(array, at, a: int) -> None:
+    """Fill the len(at) rows of a 2-d array after row a forward, in place,
+    per column: where `at` is False, a row takes the value of the row
+    before it."""
+    index = np.where(at, np.arange(a + 1, a + 1 + len(at))[:, None], a)
+    np.maximum.accumulate(index, axis=0, out=index)
+    array[a + 1:a + 1 + len(at)] = array[index, np.arange(at.shape[1])]
+
+
+def interpret(commands, initial: Optional[InterpreterState] = None,
               home: tuple[float, float, float] = (0.0, 0.0, 0.0),
               chord_tol: float = 0.05) -> InterpretResult:
-    """Execute parsed commands into a chained list of MotionSegments."""
+    """Execute parsed commands (Commands, or GcodeCommand records) into a
+    chained Segments table; the first error in line order is raised.
+
+    The modal commands run in one scalar pass.  The moves (G0-G3, G28) are
+    columns: a forward fill gives the feeds and absolute targets, and a
+    running sum the relative targets and relative extrusion, adding in
+    order as a loop over the moves would.  Absolute extrusion (M82) is such
+    a loop, as each delta depends on the total before it.
+    """
+    t = Commands.of(commands)
     state = initial if initial is not None else InterpreterState(position=home)
-    # the modal state lives in locals, in InterpreterState's field order
-    (position, extrusion_total, feed, positioning_mode, extrusion_mode, units,
-     offset, e_offset) = (state.position, state.extrusion_total, state.feed,
-                          state.positioning_mode, state.extrusion_mode,
-                          state.units, state.offset, state.e_offset)
-    segments: list[MotionSegment] = []
-    events: list[MetadataEvent] = []
+    moving = ~t.m & ((t.code <= 3) | (t.code == 28))
+    mv, other = moving.nonzero()[0], (~moving).nonzero()[0]
+    n, error = len(mv), len(t.line)  # the moves j, and the first error row
 
-    s = _scale(units)
-    for cmd in commands:
-        line_no, letter, code, params, _ = cmd
-        if letter == "M":
-            if code == 82:
-                extrusion_mode = "absolute"
-            elif code == 83:
-                extrusion_mode = "relative"
+    # the modal pass: the unit scale and extrusion mode from each move on,
+    # and the G90, G91 and G92 before each move
+    units, positioning, extruding = (state.units, state.positioning_mode,
+                                     state.extrusion_mode)
+    modes, marks, events, resets = [(_scale(units), extruding)], [0], [], []
+    for k, (i, is_m, c) in enumerate(zip(other.tolist(), t.m[other].tolist(),
+                                         t.code[other].tolist())):
+        if is_m and c in (82, 83):
+            extruding = "absolute" if c == 82 else "relative"
+        elif is_m:
+            record = t.record(i)
+            events.append(MetadataEvent(record.line_no, "M", record.code,
+                                        dict(record.params)))
+        elif c not in SUPPORTED_G:
+            error = i
+            break
+        elif c in (20, 21):
+            units = "inch" if c == 20 else "mm"
+        else:  # a G92, or a G90 or G91 that changes the mode
+            if c == 92 or (c == 90) != (positioning == "absolute"):
+                resets.append((i - k, c, _scale(units),
+                               t.record(i).params if c == 92 else None))
+            positioning = {90: "absolute", 91: "relative"}.get(c, positioning)
+        modes.append((_scale(units), extruding))
+        marks.append(i - k)
+    modes = [(s, e == "absolute") for s, e in modes]
+    scale, e_absolute = modes[-1]  # for every move, or for each:
+    if marks[-1]:
+        scale, e_absolute = np.array(modes).repeat(
+            [b - a for a, b in zip(marks, [*marks[1:], n])], axis=0).T
+        scale = scale[:, None]
+    code = t.code[mv]
+    special = (code >= 2).nonzero()[0].tolist()
+    homes = [j for j, c in zip(special, code[special].tolist()) if c == 28]
+    arcs = [j for j in special if j not in homes]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # X Y Z F E in mm, and F in mm/s; a G28 reads only its record
+        words = t.values.take(mv, 0)[:, :5] * scale
+        at = t.present.take(mv, 0)[:, :5]
+        words[:, 3] /= 60.0
+        if homes:
+            words[homes], at[homes] = 0.0, False
+        e = words[:, 4]
+        bad = (at[:, 3] & (words[:, 3] <= 0)).nonzero()[0]
+        feed_error = len(bad) > 0 and mv[bad[0]] < error
+        error = mv[bad[0]].item() if feed_error else error
+
+        # the extrusion total before each move and at the end, and the delta
+        # of each move, which the loop computes for absolute extrusion, and
+        # for a G28, which leaves the total as it is (even a -0.0)
+        absolute_e = at[:, 4] & (e_absolute != 0)
+        looped = bool(homes) or absolute_e.any()
+        totals = [state.extrusion_total]
+        if looped:
+            deltas, absolute_e = e.tolist(), absolute_e.tolist()
+        else:
+            totals = np.add.accumulate(np.concatenate((totals, e))).tolist()
+        still, e_offset = set(homes), state.e_offset
+        for j, c, s, params in [*resets, (n, None, 1.0, None)]:
+            for q in range(len(totals) - 1, j):
+                if absolute_e[q]:
+                    deltas[q] = deltas[q] + e_offset - totals[q]
+                totals.append(totals[q] if q in still
+                              else totals[q] + deltas[q])
+            if c == 92 and ("E" in params or not params):  # bare: reads 0
+                e_offset = totals[j] - params.get("E", 0.0) * s
+        e = np.array(deltas) if looped else e
+
+        # the position and feed after each move, a run of moves between
+        # resets at a time; a G28 is a move, and a reset comes before its
+        # move.  An absolute target, and a feed, holds until the next
+        pos = np.empty((n + 1, 4))
+        pos[0] = (*state.position, state.feed)
+        absolute = state.positioning_mode == "absolute"
+        offset, a, relative, homed = state.offset, 0, [], []
+        bounds = [*resets, (n, None, 1.0, None)]
+        if homes:
+            bounds = sorted([*bounds, *((j, 28, 1.0, None) for j in homes)],
+                            key=lambda bound: bound[0])
+        for j, c, s, params in bounds:
+            if a < j and absolute:  # (a feed plus 0.0 is itself, or an error)
+                np.add(words[a:j, :4], (*offset, 0.0), out=pos[a + 1:j + 1])
+                _fill(pos, at[a:j, :4], a)
+            elif a < j:  # every axis of a relative move adds its step
+                pos[a + 1:j + 1, :3] = np.add.accumulate(
+                    np.concatenate(([pos[a, :3]], words[a:j, :3])))[1:]
+                pos[a + 1:j + 1, 3] = words[a:j, 3]
+                _fill(pos[:, 3:], at[a:j, 3:4], a)
+                relative.append(slice(a, j))
+            if c is None:
+                break
+            here, a = tuple(pos[j, :3].tolist()), j
+            if c == 28:
+                params, a = t.record(mv[j]).params, j + 1
+                axes = [k for k in range(3) if "XYZ"[k] in params] or range(3)
+                pos[a] = [*(home[k] if k in axes else here[k]
+                            for k in range(3)), pos[j, 3]]
+                if tuple(pos[a, :3].tolist()) != here:
+                    homed.append(j)
+            elif c == 92:  # a bare G92 makes every axis read 0
+                offset = tuple(here[k] - params[x] * s if x in params
+                               else offset[k] if params else here[k]
+                               for k, x in enumerate("XYZ"))
             else:
-                events.append(MetadataEvent(line_no, "M", code, dict(params)))
-            continue
+                absolute = c == 90
 
-        if code not in SUPPORTED_G:
-            raise UnsupportedGCode(f"G{code} is not supported", line_no)
+        # the arcs up to the first error, and then the error
+        arc, geometry = np.array(arcs, np.intp), []
+        if arcs:
+            rows = mv[arc][:np.searchsorted(mv[arc], error, "right")]
+            geometry = [_arc(c == 2, v[5:7] if p[5] or p[6] else None,
+                             v[7] if p[7] else None, line, s, start, end,
+                             chord_tol)
+                        for c, v, p, line, s, start, end in zip(
+                            t.code[rows].tolist(), t.values[rows].tolist(),
+                            t.present[rows].tolist(), t.line[rows].tolist(),
+                            np.broadcast_to(scale, (n, 1))[arc, 0].tolist(),
+                            map(tuple, pos[arc, :3].tolist()),
+                            map(tuple, pos[arc + 1, :3].tolist()))]
+        if error < len(t.line):
+            record = t.record(error)
+            if feed_error:
+                raise GcodeError("feed must be positive", record.line_no)
+            raise UnsupportedGCode(f"G{record.code} is not supported",
+                                   record.line_no)
 
-        if code in (0, 1):
-            target = _resolve_target(params, s, positioning_mode == "absolute",
-                                     position, offset)
-            delta_e = _extrusion_delta(params, s, extrusion_mode == "absolute",
-                                       e_offset, extrusion_total)
-            feed = _feed(params, line_no, s, feed)
-            if target != position or delta_e != 0.0:
-                kind = "print" if delta_e > 0 else "travel"
-                segments.append(_new(MotionSegment, (position, target, feed,
-                                                     delta_e, kind, line_no)))
-            position = target
-            extrusion_total += delta_e
-        elif code in (2, 3):
-            arc_segments = flatten_arc(cmd, InterpreterState(
-                position, extrusion_total, feed, positioning_mode,
-                extrusion_mode, units, offset, e_offset), chord_tol)
-            delta_e = _extrusion_delta(params, s, extrusion_mode == "absolute",
-                                       e_offset, extrusion_total)
-            segments.extend(arc_segments)
-            position = arc_segments[-1].end
-            feed = arc_segments[-1].feed
-            extrusion_total += delta_e
-        elif code == 20:
-            units, s = "inch", INCH_TO_MM
-        elif code == 21:
-            units, s = "mm", 1.0
-        elif code == 28:
-            axes = [a for a in "XYZ" if a in params] or list("XYZ")
-            x, y, z = position
-            if "X" in axes:
-                x = home[0]
-            if "Y" in axes:
-                y = home[1]
-            if "Z" in axes:
-                z = home[2]
-            target = (x, y, z)
-            if target != position:
-                segments.append(_new(MotionSegment, (position, target, feed,
-                                                     0.0, "travel", line_no)))
-            position = target
-        elif code == 90:
-            positioning_mode = "absolute"
-        elif code == 91:
-            positioning_mode = "relative"
-        elif code == 92:
-            ox, oy, oz = offset
-            if "X" in params:
-                ox = position[0] - params["X"] * s
-            if "Y" in params:
-                oy = position[1] - params["Y"] * s
-            if "Z" in params:
-                oz = position[2] - params["Z"] * s
-            if "E" in params:
-                e_offset = extrusion_total - params["E"] * s
-            if not params:  # bare G92: all logical coordinates become 0
-                ox, oy, oz = position
-                e_offset = extrusion_total
-            offset = (ox, oy, oz)
-
-    final = InterpreterState(position, extrusion_total, feed, positioning_mode,
-                             extrusion_mode, units, offset, e_offset)
+        # a segment for each move that moves or extrudes, for each G28 that
+        # moves, and for each chord of each arc
+        touched = at[:, :3].copy() if relative else at[:, :3]
+        for run in relative:  # the axes each move sets
+            touched[run] = True
+        changed = (pos[1:, :3] != pos[:-1, :3]) & touched
+        keep = changed[:, 0] | changed[:, 1] | changed[:, 2] | (e != 0.0)
+        if homed or arcs:
+            keep[homed] = keep[arcs] = True
+    take = keep.nonzero()[0]
+    if arcs:
+        reps = keep.astype(np.intp)
+        reps[arcs] = [arc[-1] for arc in geometry]
+        take = take.repeat(reps[take])
+    elif len(take) == n:  # every move: views, not copies
+        take = slice(None)
+    before, after, extrusion = pos[:-1][take], pos[1:][take], e[take]
+    kinds = _KINDS[(extrusion > 0).view(np.int8)]
+    if arcs:  # a chord after an arc's first starts where the one before ends
+        chord = np.zeros(n, bool)
+        chord[arcs] = True
+        inner, extrusion[chord[take]] = _chord_columns(
+            geometry, pos[arc], pos[arc + 1], e[arc])
+        later = (take[1:] == take[:-1]).nonzero()[0] + 1
+        before[later, :3] = after[later - 1, :3] = inner
+    segments = Segments(before[:, :3], after[:, :3], after[:, 3], extrusion,
+                        kinds, t.line[mv[take]])
+    final = InterpreterState(tuple(pos[n, :3].tolist()), totals[n],
+                             pos[n, 3].item(), positioning, extruding, units,
+                             offset, e_offset)
     return InterpretResult(segments=segments, events=events, final_state=final)

@@ -12,7 +12,7 @@ from . import kinematics as kin
 from . import text
 from .coordinator import MachineConfig, Plan, active_robots
 from .errors import KinematicsFault, SimError, StallTimeout
-from .gcode import MotionSegment
+from .gcode import Segments
 # The simulator loop inlines these; they stay bound here, where the benchmark
 # tracer (perfbench/jobs.py) looks them up.
 from .robot import (  # noqa: F401
@@ -389,8 +389,9 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
 CHUNK_PAIRS = 4096
 
 
-def _segment_distances(points, segments: list[MotionSegment]):
-    """Nearest segment and its distance for every point.
+def _segment_distances(points, segments):
+    """Nearest segment (of a Segments, or MotionSegment records) and its
+    distance for every point.
 
     Returns `(nearest, distance)`: for each point, the index of the closest
     segment (the lowest index on exact ties, as `np.argmin` picks) and the
@@ -399,8 +400,9 @@ def _segment_distances(points, segments: list[MotionSegment]):
     least one), so memory does not grow with the number of points.
     """
     points = np.asarray(points, dtype=float)
-    a = np.array([s.start for s in segments], dtype=float)
-    ab = np.array([s.end for s in segments], dtype=float) - a
+    segments = Segments.of(segments)
+    a = segments.starts
+    ab = segments.ends - a
     denom = kin._dot(ab, ab)
     # 0 / 1 gives s = 0 on a zero-length segment, so its distance is |ap|
     denom = np.where(denom == 0.0, 1.0, denom)
@@ -418,24 +420,27 @@ def _segment_distances(points, segments: list[MotionSegment]):
     return nearest, distance
 
 
-def point_polyline_distance(p, segments: list[MotionSegment]) -> float:
+def point_polyline_distance(p, segments) -> float:
     if not segments:
         raise ValueError("no segments")
     _, distance = _segment_distances([p], segments)
     return float(distance[0])
 
 
-def measure_fidelity(trace: Trace,
-                     segments: list[MotionSegment]) -> FidelityReport:
-    """Deviation of extruding samples from the commanded print polyline.
+def measure_fidelity(trace: Trace, segments) -> FidelityReport:
+    """Deviation of extruding samples from the commanded print polyline of
+    segments (a Segments, or MotionSegment records).
 
     Each extruding sample is charged to its nearest print segment (the first
     one on exact ties); `per_segment_deviation` is the worst charge per segment.
     An empty trace deviates by 0.0 and lasts 0.0 s.
     """
-    print_segments = [s for s in segments if s.kind == "print"]
+    segments = Segments.of(segments)
+    printing = segments.kind == "print"
+    print_segments = segments[printing]
     tips = trace.tool_tip[trace.extruding]
     per_segment = np.zeros(len(print_segments))
+    lengths = segments.lengths()
     max_dev = mean_dev = 0.0
     if len(tips) and print_segments:
         nearest, deviations = _segment_distances(tips, print_segments)
@@ -446,9 +451,9 @@ def measure_fidelity(trace: Trace,
         max_deviation=max_dev,
         mean_deviation=mean_dev,
         per_segment_deviation=per_segment.tolist(),
-        total_print_length=sum(s.length for s in print_segments),
-        total_travel_length=sum(s.length for s in segments
-                                if s.kind == "travel"),
+        # the lengths' sum in order, as MotionSegment.length added one by one
+        total_print_length=sum(lengths[printing].tolist()),
+        total_travel_length=sum(lengths[segments.kind == "travel"].tolist()),
         simulated_duration=float(trace.t[-1]) if len(trace.t) else 0.0,
         barrier_wait_total=trace.barrier_wait_total,
     )

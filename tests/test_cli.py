@@ -387,3 +387,55 @@ def test_closed_pipe_exits_quietly(tmp_path):
     assert proc.wait(timeout=60) == 0
     assert first.startswith(b"travel ")
     assert err == b""
+
+
+def _fresh_cli(argv, cwd):
+    """A `swarmfab` run in a new interpreter: (exit code, stdout, stderr)."""
+    src = os.path.dirname(os.path.dirname(swarmfab.__file__))
+    proc = subprocess.run([sys.executable, "-m", "swarmfab.cli",
+                           *map(str, argv)], capture_output=True, text=True,
+                          cwd=cwd, env={**os.environ, "PYTHONPATH": src},
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_one_parser_per_process_answers_as_a_fresh_one(workdir, capsys):
+    """main builds its parser once; a usage error, then plan, then simulate
+    in one process give the exit code, output and files of a fresh run."""
+    calls = [
+        ["plan", workdir / "square.gcode"],
+        ["plan", workdir / "square.gcode", workdir / "bridge.json",
+         workdir / "stream.txt"],
+        ["simulate", workdir / "square.gcode", workdir / "bridge.json",
+         "--report", "--csv", workdir / "trace.csv"],
+    ]
+    here = []
+    for argv in calls:
+        here.append(run_cli(argv, capsys))
+        here.append({name: (workdir / name).read_bytes()
+                     for name in ("stream.txt", "trace.csv")
+                     if (workdir / name).exists()})
+    assert cli._parser() is cli._parser()
+    for name in ("stream.txt", "trace.csv"):
+        (workdir / name).unlink()
+    fresh = []
+    for argv in calls:
+        fresh.append(_fresh_cli(argv, workdir))
+        fresh.append({name: (workdir / name).read_bytes()
+                      for name in ("stream.txt", "trace.csv")
+                      if (workdir / name).exists()})
+    assert here == fresh
+    assert [result[0] for result in here[::2]] == [1, 0, 0]
+
+
+@pytest.mark.parametrize("sep", [b"\r", b"\r\n", "\u2028".encode()],
+                         ids=["cr", "crlf", "ls"])
+def test_not_utf8_line_numbered_as_other_errors(workdir, capsys, sep):
+    lines = [b"G1 X1 F600", b"G1 X2", b"\xff", b""]
+    bad = _write(workdir / "bad.gcode", sep.join(lines))
+    code, _, err = run_cli(["parse", bad], capsys)
+    assert (code, err) == (2, "error: line 3: not UTF-8 text\n")
+    lines[2] = b"G7"
+    other = _write(workdir / "g7.gcode", sep.join(lines))
+    code, _, err = run_cli(["parse", other], capsys)
+    assert (code, err) == (2, "error: line 3: G7 is not supported\n")

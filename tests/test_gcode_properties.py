@@ -64,8 +64,8 @@ def test_malformed_lines_raise_gcode_errors(text):
 @hypothesis.given(text=LINES.filter(lambda t: ";" not in t and "(" not in t),
                   comment=COMMENTS.filter(lambda c: ")" not in c))
 def test_comments_change_only_the_comment(text, comment):
-    """Lines without `;` or `(` take parse_line's fast path; with a comment
-    appended or prepended they take the full scan, and must parse the same."""
+    """A line without `;` or `(`, with a comment appended or prepended,
+    parses the same but for the comment."""
     plain = outcome(text)
     for variant in (f"{text};{comment}", f"{text} ({comment})",
                     f"({comment}){text}"):
