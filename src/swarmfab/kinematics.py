@@ -391,10 +391,10 @@ def wire3d_ik(p: tuple[float, float, float],
 # rounding is most likely to show in p + step where J is near singular (p
 # near the anchor plane) or a coordinate of p nearly cancels against the
 # step: rows with |det J| below GN_SOLVE_MIN_DET, or a coordinate smaller
-# than GN_SOLVE_MIN_RATIO times the step, take lstsq one by one.  In a
-# million random rows, solve and lstsq differed in no sum beyond a ratio of
-# 1e6.  The agreement is measured, not proven; the tests and the seed-0
-# output digests check it.
+# than GN_SOLVE_MIN_RATIO times the step, or a sum at a rounding midpoint,
+# take lstsq one by one.  In a million random rows, solve and lstsq differed
+# in no sum beyond a ratio of 1e6.  The agreement is measured, not proven;
+# the tests and the seed-0 output digests check it.
 GN_SOLVE_MIN_DET = 1e-4
 GN_SOLVE_MIN_RATIO = 1e9
 
@@ -449,7 +449,15 @@ def wire3d_fk_rows(lengths, geom: WireGeometry3D) -> np.ndarray:
                                        neg_r[solved, :, None])[..., 0]
     close = (np.abs(p[rows]).min(axis=1)
              < GN_SOLVE_MIN_RATIO * np.abs(step).max(axis=1))
-    for k in np.flatnonzero(~solved | close):
+    # p + step within a hair of a rounding midpoint (its TwoSum error against
+    # half the spacing) rounds by the step's last bits: lstsq's, not solve's
+    q = p[rows]
+    total = q + step
+    late = total - q
+    error = (q - (total - late)) + (step - late)
+    tie = (np.abs(np.abs(error) - 0.5 * np.abs(np.spacing(total)))
+           <= 2.0**-40 * np.abs(step)).any(axis=1)
+    for k in np.flatnonzero(~solved | close | tie):
         step[k] = np.linalg.lstsq(jac[k], neg_r[k], rcond=None)[0]
     p[rows] += step
     return p

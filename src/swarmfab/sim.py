@@ -384,46 +384,98 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
 
 # --- fidelity ---
 
-# (point, segment) pairs per broadcast block in _segment_distances.  Bounds the
-# kernel's temporaries (~100 B per pair) independently of the sample count.
+# (point, segment) pairs evaluated per block in _segment_distances.  Bounds
+# the kernel's temporaries (~100 B per pair) independently of the sample count.
 CHUNK_PAIRS = 4096
+# consecutive points that share one bounding box in _segment_distances
+RUN = 16
 
 
-def _segment_distances(points, segments):
-    """Nearest segment (of a Segments, or MotionSegment records) and its
-    distance for every point.
+def _segment_distances(points, starts, ends):
+    """Nearest segment and its distance for every point (N x 3), of the
+    segments from `starts` to `ends` (two M x 3 arrays, M >= 1).
 
     Returns `(nearest, distance)`: for each point, the index of the closest
     segment (the lowest index on exact ties, as `np.argmin` picks) and the
     distance to it.  A zero-length segment scores as the distance to its start.
-    Points are processed in blocks of CHUNK_PAIRS // len(segments) points (at
-    least one), so memory does not grow with the number of points.
+
+    Bit for bit the result of evaluating every (point, segment) pair, but
+    only a few are.  Each run of RUN consecutive points gets a bounding box;
+    its points' distances to the segment whose box is nearest (the seed)
+    bound their minima.  Only the seed and the segments whose boxes lie
+    within that bound plus a slack are evaluated.  The formula's rounding is
+    absolute, a few ulps of the coordinates, so the slack is 2**-40 of the
+    largest one; a comparison that cannot decide (nan, or coordinates that
+    may overflow) keeps the segment.  Runs are boxed CHUNK_PAIRS // M at a
+    time and their candidates evaluated about CHUNK_PAIRS pairs (one run's
+    at least) at a time, so memory does not grow with the number of points.
     """
-    points = np.asarray(points, dtype=float)
-    segments = Segments.of(segments)
-    a = segments.starts
-    ab = segments.ends - a
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    a = np.asarray(starts, dtype=float).reshape(-1, 3)
+    b = np.asarray(ends, dtype=float).reshape(-1, 3)
+    ab = b - a
     denom = kin._dot(ab, ab)
     # 0 / 1 gives s = 0 on a zero-length segment, so its distance is |ap|
     denom = np.where(denom == 0.0, 1.0, denom)
-    nearest = np.empty(len(points), dtype=np.intp)
-    distance = np.empty(len(points))
-    rows = max(1, CHUNK_PAIRS // len(a))
-    for lo in range(0, len(points), rows):
-        ap = points[lo:lo + rows, None, :] - a
-        s = np.clip(kin._dot(ap, ab) / denom, 0.0, 1.0)
-        d = ap - s[..., None] * ab
-        dist = np.sqrt(kin._dot(d, d))
-        i = np.argmin(dist, axis=1)
-        nearest[lo:lo + rows] = i
-        distance[lo:lo + rows] = dist[np.arange(len(i)), i]
-    return nearest, distance
+
+    def dist(p, j):
+        """Distance of each point of p (..., 3) to its segment of j."""
+        ap = p - a[j]
+        s = np.clip(kin._dot(ap, ab[j]) / denom[j], 0.0, 1.0)
+        d = ap - s[..., None] * ab[j]
+        return np.sqrt(kin._dot(d, d))
+
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    seg_scale = np.maximum(np.abs(lo).max(), np.abs(hi).max())
+    n, runs = len(points), -(-len(points) // RUN)
+    nearest = np.empty(runs * RUN, dtype=np.intp)
+    distance = np.empty(runs * RUN)
+    per = max(1, CHUNK_PAIRS // len(a))
+    for r0 in range(0, runs, per):
+        # the block's runs, the last one padded with its last point
+        rows = np.arange(r0 * RUN, min(r0 + per, runs) * RUN)
+        block = points[np.minimum(rows, n - 1)].reshape(-1, RUN, 3)
+        gap = np.maximum(lo - block.max(1)[:, None],
+                         block.min(1)[:, None] - hi)
+        gap = np.maximum(gap, 0.0)
+        gap = np.sqrt(kin._dot(gap, gap))
+        seed = np.argmin(gap, axis=1)
+        scale = np.maximum(np.abs(block).max((1, 2)), seg_scale)
+        slack = np.where(scale < 2.0**500, scale * 2.0**-40 + 2.0**-500,
+                         np.inf)
+        bound = dist(block, seed[:, None]).max(1) + slack
+        keep = ~(gap > bound[:, None])
+        # the seed always, so that every run has a pair for reduceat
+        keep[np.arange(len(seed)), seed] = True
+        run, j = np.nonzero(keep)
+        # each run's first (run, candidate) pair, and the end of the last
+        start = np.searchsorted(run, np.arange(len(block) + 1))
+        # whole runs in groups of about CHUNK_PAIRS (point, candidate) pairs
+        cuts = [0, len(block)]
+        if len(j) * RUN > CHUNK_PAIRS:
+            group = (start[1:] * RUN - 1) // CHUNK_PAIRS
+            cuts[1:1] = (np.flatnonzero(np.diff(group)) + 1).tolist()
+        for g0, g1 in zip(cuts, cuts[1:]):
+            k0, k1 = int(start[g0]), int(start[g1])
+            d = dist(block[run[k0:k1]], j[k0:k1, None])
+            at = start[g0:g1] - k0
+            least = np.minimum.reduceat(d, at, axis=0)
+            # each point's first pair at its minimum, or first nan: argmin's
+            first = (d == least[run[k0:k1] - g0]) | np.isnan(d)
+            pair = np.arange(k1 - k0)[:, None]
+            pos = np.minimum.reduceat(np.where(first, pair, k1 - k0), at,
+                                      axis=0)
+            out = slice((r0 + g0) * RUN, (r0 + g1) * RUN)
+            nearest[out] = j[k0 + pos].ravel()
+            distance[out] = np.take_along_axis(d, pos, 0).ravel()
+    return nearest[:n], distance[:n]
 
 
 def point_polyline_distance(p, segments) -> float:
+    segments = Segments.of(segments)
     if not segments:
         raise ValueError("no segments")
-    _, distance = _segment_distances([p], segments)
+    _, distance = _segment_distances([p], segments.starts, segments.ends)
     return float(distance[0])
 
 
@@ -443,7 +495,8 @@ def measure_fidelity(trace: Trace, segments) -> FidelityReport:
     lengths = segments.lengths()
     max_dev = mean_dev = 0.0
     if len(tips) and print_segments:
-        nearest, deviations = _segment_distances(tips, print_segments)
+        nearest, deviations = _segment_distances(
+            tips, print_segments.starts, print_segments.ends)
         np.maximum.at(per_segment, nearest, deviations)
         max_dev = float(deviations.max())
         mean_dev = float(np.mean(deviations))

@@ -2,14 +2,18 @@
 
 `point_segment_distance` and `reference_fidelity` are the per-pair loop that
 scored fidelity before `sim._segment_distances` replaced it; they are the
-oracle.  Every comparison is exact: the kernel must reproduce the oracle's
+oracle.  `segment_distances_oracle` is the all-pairs broadcast the kernel
+prunes.  Every comparison is exact: the kernel must reproduce the oracle's
 floats bit for bit, and its first-minimum tie-break.
 """
+
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from swarmfab import coordinator, gcode, sim
+from swarmfab import kinematics as kin
 from swarmfab.gcode import MotionSegment
 
 from test_acceptance import CORPUS, WIRE2D_SQUARE, three_layer_program
@@ -24,6 +28,37 @@ def point_segment_distance(p, a, b) -> float:
         return float(np.linalg.norm(ap))
     s = min(1.0, max(0.0, float(ap @ ab) / denom))
     return float(np.linalg.norm(ap - s * ab))
+
+
+def segment_distances_oracle(points, starts, ends):
+    """`sim._segment_distances` evaluated on every (point, segment) pair."""
+    points = np.asarray(points, dtype=float).reshape(-1, 3)
+    a = np.asarray(starts, dtype=float).reshape(-1, 3)
+    ab = np.asarray(ends, dtype=float).reshape(-1, 3) - a
+    denom = kin._dot(ab, ab)
+    denom = np.where(denom == 0.0, 1.0, denom)
+    nearest = np.empty(len(points), dtype=np.intp)
+    distance = np.empty(len(points))
+    rows = max(1, 4096 // len(a))
+    for lo in range(0, len(points), rows):
+        ap = points[lo:lo + rows, None, :] - a
+        s = np.clip(kin._dot(ap, ab) / denom, 0.0, 1.0)
+        d = ap - s[..., None] * ab
+        dist = np.sqrt(kin._dot(d, d))
+        i = np.argmin(dist, axis=1)
+        nearest[lo:lo + rows] = i
+        distance[lo:lo + rows] = dist[np.arange(len(i)), i]
+    return nearest, distance
+
+
+def assert_kernel_matches_oracle(points, starts, ends):
+    nearest, distance = sim._segment_distances(points, starts, ends)
+    expected_nearest, expected_distance = segment_distances_oracle(
+        points, starts, ends)
+    assert nearest.dtype == expected_nearest.dtype
+    np.testing.assert_array_equal(nearest, expected_nearest)
+    # bit for bit, nan included
+    assert distance.tobytes() == expected_distance.tobytes()
 
 
 def reference_fidelity(trace, segments) -> sim.FidelityReport:
@@ -172,3 +207,87 @@ class TestPointPolylineDistance:
     def test_no_segments_rejected(self):
         with pytest.raises(ValueError):
             sim.point_polyline_distance((0, 0, 0), [])
+
+    @pytest.mark.parametrize("p", [(np.nan, 1, 0), (np.inf, 0, 0),
+                                   (-np.inf, 5, 0)])
+    @pytest.mark.parametrize("corners", [[(0, 0, 0), (10, 0, 0), (10, 10, 0)],
+                                         [(0, 0, 0), (10, 10, 10)]])
+    def test_nonfinite_point_as_oracle(self, p, corners):
+        # An inf point is inf from the diagonal segment, and inf * 0 = nan
+        # from an axis-parallel one; np.argmin picks a nan as the minimum.
+        segments = [seg(a, b) for a, b in zip(corners, corners[1:])]
+        with np.errstate(invalid="ignore"):
+            _, expected = segment_distances_oracle(
+                [p], [s.start for s in segments], [s.end for s in segments])
+            got = sim.point_polyline_distance(p, segments)
+        np.testing.assert_array_equal([got], expected)
+
+
+def polyline(rng, n_segments):
+    """A random-walk polyline, as (starts, ends)."""
+    corners = np.cumsum(rng.normal(0.0, 5.0, (n_segments + 1, 3)), axis=0)
+    return corners[:-1], corners[1:]
+
+
+def walk(rng, starts, ends, n_points, noise):
+    """Points along the segments in order, with normal noise."""
+    t = np.sort(rng.uniform(0, len(starts), n_points))
+    k = np.minimum(t.astype(int), len(starts) - 1)
+    points = starts[k] + (t - k)[:, None] * (ends[k] - starts[k])
+    return points + rng.normal(0.0, noise, points.shape)
+
+
+class TestBoundedSearch:
+    def test_absolute_slack_keeps_the_seed(self):
+        # The formula puts the origin at 0.0 from this segment, whose box is
+        # 2.2e-16 away: the seed's own bound is below its box distance.
+        start, end = (0.0, 0.0, 3.0), (0.0, 0.0, 2.220446049250313e-16)
+        assert_kernel_matches_oracle([(0, 0, 0)], [start], [end])
+        # With a nearer-boxed point segment as the seed (bound 1e-16), the
+        # segment at 0.0 must still be evaluated.
+        starts = [start, (0.0, 0.0, 1e-16)]
+        ends = [end, (0.0, 0.0, 1e-16)]
+        assert_kernel_matches_oracle([(0, 0, 0)], starts, ends)
+        nearest, distance = sim._segment_distances([(0, 0, 0)], starts, ends)
+        assert nearest.tolist() == [0] and distance.tolist() == [0.0]
+
+    def test_overflow_keeps_every_segment(self):
+        # The far segment's distance overflows to inf / inf = nan, which
+        # np.argmin takes as the minimum: no finite slack may prune it.
+        starts = [(1.0, 0.0, 0.0), (1e300, 1e300, 0.0)]
+        ends = [(2.0, 0.0, 0.0), (1.5e300, 1e300, 0.0)]
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert_kernel_matches_oracle([(0, 0, 0)], starts, ends)
+            nearest, _ = sim._segment_distances([(0, 0, 0)], starts, ends)
+        assert nearest.tolist() == [1]
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 4096])
+    @pytest.mark.parametrize("noise", [0.1, 5.0, 100.0])
+    def test_blocks_and_groups_match_oracle(self, monkeypatch, chunk, noise):
+        # small budgets split the runs into many blocks, and wide noise
+        # prunes little, so the candidates of a block split into groups
+        monkeypatch.setattr(sim, "CHUNK_PAIRS", chunk)
+        rng = np.random.default_rng(chunk)
+        starts, ends = polyline(rng, 60)
+        points = walk(rng, starts, ends, 203, noise)
+        assert_kernel_matches_oracle(points, starts, ends)
+
+    def test_peak_memory_flat_in_points(self):
+        # README: memory does not grow with the length of the trace.  The
+        # kernel's peak beyond the arrays it returns, at 2,000 and at 20,000
+        # points along the same segments.
+        rng = np.random.default_rng(5)
+        starts, ends = polyline(rng, 100)
+        working = []
+        for n in (2000, 20000):
+            points = walk(rng, starts, ends, n, 0.5)
+            tracemalloc.start()
+            try:
+                tracemalloc.reset_peak()
+                result = sim._segment_distances(points, starts, ends)
+                kept, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            del result
+            working.append(peak - kept)
+        assert working[1] <= 1.25 * working[0] + 65536
