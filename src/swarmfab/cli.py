@@ -41,6 +41,14 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(EXIT_USAGE)
 
 
+def _seed(text: str) -> int:
+    """A --seed value: a non-negative integer, as numpy's generators take."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(
+            f"invalid seed: {text!r} (a non-negative integer)")
+    return int(text)
+
+
 def _program(path: str, home=(0.0, 0.0, 0.0)) -> gcode.InterpretResult:
     """The interpreted g-code file at path, which must be UTF-8 text."""
     with open(path, "rb") as fh:
@@ -163,7 +171,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", default=None, help="write trace CSV here")
     p.add_argument("--stream", default=None, help="write command stream here")
     p.add_argument("--dt", type=float, default=None, help="sim step seconds")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--report", action="store_true",
                    help="print fidelity summary key=value lines")
     p.set_defaults(func=cmd_simulate)

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import chain
@@ -461,6 +462,8 @@ def _arc(clockwise: bool, ij, r, line_no: int, s: float, start, end,
         cx, cy = best
     else:
         raise GcodeError("arc needs I/J or R", line_no)
+    if not all(map(math.isfinite, (cx, cy, radius, *start, *end))):
+        raise DegenerateArc("arc is not finite", line_no)
 
     theta = _arc_sweep(sx, sy, ex, ey, cx, cy, clockwise)
     if theta < 1e-12:
@@ -522,172 +525,132 @@ def interpret(commands, initial: Optional[InterpreterState] = None,
     """Execute parsed commands (Commands, or GcodeCommand records) into a
     chained Segments table; the first error in line order is raised.
 
-    The modal commands run in one scalar pass.  The moves (G0-G3, G28) are
-    columns: a forward fill gives the feeds and absolute targets, and a
+    One loop runs over the rows that are neither moves (G0-G3) nor M
+    events, each a scalar step as in a loop over the records.  The rows
+    between two such rows are a run, interpreted as columns in the run's
+    modes: a forward fill gives the feeds and absolute targets, and a
     running sum the relative targets and relative extrusion, adding in
     order as a loop over the moves would.  Absolute extrusion (M82) is such
-    a loop, as each delta depends on the total before it.
+    a loop, as each delta depends on the total before it.  An M event in a
+    run sets no word and adds -0.0, which leaves every sum as it is.
     """
     t = Commands.of(commands)
     state = initial if initial is not None else InterpreterState(position=home)
-    moving = ~t.m & ((t.code <= 3) | (t.code == 28))
-    mv, other = moving.nonzero()[0], (~moving).nonzero()[0]
-    n, error = len(mv), len(t.line)  # the moves j, and the first error row
-
-    # the modal pass: the unit scale and extrusion mode from each move on,
-    # and the G90, G91 and G92 before each move
+    n = len(t.line)
+    # the position and feed after each row (pos[0]: before the first), the
+    # extrusion of each row, and the axes it sets
+    pos, e, touched = np.empty((n + 1, 4)), np.zeros(n), np.zeros((n, 3), bool)
+    here = (*state.position, state.feed)
+    total, offset, e_offset = (state.extrusion_total, state.offset,
+                               state.e_offset)
     units, positioning, extruding = (state.units, state.positioning_mode,
                                      state.extrusion_mode)
-    modes, marks, events, resets = [(_scale(units), extruding)], [0], [], []
-    for k, (i, is_m, c) in enumerate(zip(other.tolist(), t.m[other].tolist(),
-                                         t.code[other].tolist())):
-        if is_m and c in (82, 83):
-            extruding = "absolute" if c == 82 else "relative"
-        elif is_m:
-            record = t.record(i)
-            events.append(MetadataEvent(record.line_no, "M", record.code,
-                                        dict(record.params)))
-        elif c not in SUPPORTED_G:
-            error = i
-            break
-        elif c in (20, 21):
-            units = "inch" if c == 20 else "mm"
-        else:  # a G92, or a G90 or G91 that changes the mode
-            if c == 92 or (c == 90) != (positioning == "absolute"):
-                resets.append((i - k, c, _scale(units),
-                               t.record(i).params if c == 92 else None))
-            positioning = {90: "absolute", 91: "relative"}.get(c, positioning)
-        modes.append((_scale(units), extruding))
-        marks.append(i - k)
-    modes = [(s, e == "absolute") for s, e in modes]
-    scale, e_absolute = modes[-1]  # for every move, or for each:
-    if marks[-1]:
-        scale, e_absolute = np.array(modes).repeat(
-            [b - a for a, b in zip(marks, [*marks[1:], n])], axis=0).T
-        scale = scale[:, None]
-    code = t.code[mv]
-    special = (code >= 2).nonzero()[0].tolist()
-    homes = [j for j, c in zip(special, code[special].tolist()) if c == 28]
-    arcs = [j for j in special if j not in homes]
+    arcs, geometry, a = [], [], 0
+    event = t.m & (t.code != 82) & (t.code != 83)
+    steps = (~event & (t.m | ~(t.code <= 3))).nonzero()[0].tolist()
+    arc_rows = (~t.m & (t.code >= 2) & (t.code <= 3)).nonzero()[0].tolist()
     with np.errstate(over="ignore", invalid="ignore"):
-        # X Y Z F E in mm, and F in mm/s; a G28 reads only its record
-        words = t.values.take(mv, 0)[:, :5] * scale
-        at = t.present.take(mv, 0)[:, :5]
-        words[:, 3] /= 60.0
-        if homes:
-            words[homes], at[homes] = 0.0, False
-        e = words[:, 4]
-        bad = (at[:, 3] & (words[:, 3] <= 0)).nonzero()[0]
-        feed_error = len(bad) > 0 and mv[bad[0]] < error
-        error = mv[bad[0]].item() if feed_error else error
-
-        # the extrusion total before each move and at the end, and the delta
-        # of each move, which the loop computes for absolute extrusion, and
-        # for a G28, which leaves the total as it is (even a -0.0)
-        absolute_e = at[:, 4] & (e_absolute != 0)
-        looped = bool(homes) or absolute_e.any()
-        totals = [state.extrusion_total]
-        if looped:
-            deltas, absolute_e = e.tolist(), absolute_e.tolist()
-        else:
-            totals = np.add.accumulate(np.concatenate((totals, e))).tolist()
-        still, e_offset = set(homes), state.e_offset
-        for j, c, s, params in [*resets, (n, None, 1.0, None)]:
-            for q in range(len(totals) - 1, j):
-                if absolute_e[q]:
-                    deltas[q] = deltas[q] + e_offset - totals[q]
-                totals.append(totals[q] if q in still
-                              else totals[q] + deltas[q])
-            if c == 92 and ("E" in params or not params):  # bare: reads 0
-                e_offset = totals[j] - params.get("E", 0.0) * s
-        e = np.array(deltas) if looped else e
-
-        # the position and feed after each move, a run of moves between
-        # resets at a time; a G28 is a move, and a reset comes before its
-        # move.  An absolute target, and a feed, holds until the next
-        pos = np.empty((n + 1, 4))
-        pos[0] = (*state.position, state.feed)
-        absolute = state.positioning_mode == "absolute"
-        offset, a, relative, homed = state.offset, 0, [], []
-        bounds = [*resets, (n, None, 1.0, None)]
-        if homes:
-            bounds = sorted([*bounds, *((j, 28, 1.0, None) for j in homes)],
-                            key=lambda bound: bound[0])
-        for j, c, s, params in bounds:
-            if a < j and absolute:  # (a feed plus 0.0 is itself, or an error)
-                np.add(words[a:j, :4], (*offset, 0.0), out=pos[a + 1:j + 1])
-                _fill(pos, at[a:j, :4], a)
-            elif a < j:  # every axis of a relative move adds its step
-                pos[a + 1:j + 1, :3] = np.add.accumulate(
-                    np.concatenate(([pos[a, :3]], words[a:j, :3])))[1:]
-                pos[a + 1:j + 1, 3] = words[a:j, 3]
-                _fill(pos[:, 3:], at[a:j, 3:4], a)
-                relative.append(slice(a, j))
-            if c is None:
+        for i in [*steps, n]:
+            # the run of rows a..i-1, if it has a move, in XYZFE columns
+            if a < i and (moves := ~event[a:i]).any():
+                s = _scale(units)
+                words, at = t.values[a:i, :5] * s, t.present[a:i, :5]
+                words[:, 3] /= 60.0
+                if not moves.all():  # an M event sets nothing, adds -0.0
+                    at = at & moves[:, None]
+                    words[~moves] = -0.0
+                pos[a] = here
+                if positioning == "absolute":  # a feed + 0.0: itself, or bad
+                    np.add(words[:, :4], (*offset, 0.0), out=pos[a + 1:i + 1])
+                    _fill(pos, at[:, :4], a)
+                    touched[a:i] = at[:, :3]
+                else:  # every axis of a relative move adds its step
+                    pos[a + 1:i + 1] = words[:, :4]
+                    np.add.accumulate(pos[a:i + 1, :3], 0,
+                                      out=pos[a:i + 1, :3])
+                    _fill(pos[:, 3:], at[:, 3:4], a)
+                    touched[a:i] = moves[:, None]
+                here, deltas = tuple(pos[i].tolist()), words[:, 4]
+                if extruding == "absolute" and at[:, 4].any():
+                    deltas = deltas.tolist()
+                    for q, has in enumerate(at[:, 4].tolist()):
+                        if has:
+                            deltas[q] = deltas[q] + e_offset - total
+                        total = total + deltas[q]
+                else:
+                    total = np.add.accumulate(
+                        np.concatenate(([total], deltas)))[-1].item()
+                e[a:i] = deltas
+                # the run's new arcs, up to its first bad feed; then that error
+                bad = (at[:, 3] & (words[:, 3] <= 0)).nonzero()[0]
+                stop = a + bad[0] + 1 if len(bad) else i
+                rows = arc_rows[len(arcs):bisect_left(arc_rows, stop)]
+                if rows:
+                    geometry += [
+                        _arc(c == 2, v[5:7] if p[5] or p[6] else None,
+                             v[7] if p[7] else None, line, s, start, end,
+                             chord_tol)
+                        for c, v, p, line, start, end in zip(
+                            t.code[rows].tolist(), t.values[rows].tolist(),
+                            t.present[rows].tolist(), t.line[rows].tolist(),
+                            map(tuple, pos[rows, :3].tolist()),
+                            map(tuple, pos[1:][rows, :3].tolist()))]
+                    arcs += rows
+                if len(bad):
+                    raise GcodeError("feed must be positive",
+                                     t.line[stop - 1].item())
+            if i == n:
                 break
-            here, a = tuple(pos[j, :3].tolist()), j
-            if c == 28:
-                params, a = t.record(mv[j]).params, j + 1
-                axes = [k for k in range(3) if "XYZ"[k] in params] or range(3)
-                pos[a] = [*(home[k] if k in axes else here[k]
-                            for k in range(3)), pos[j, 3]]
-                if tuple(pos[a, :3].tolist()) != here:
-                    homed.append(j)
-            elif c == 92:  # a bare G92 makes every axis read 0
+            a, c = i + 1, t.code[i].item()
+            if t.m[i]:  # M82 or M83
+                extruding = "absolute" if c == 82 else "relative"
+            elif c not in SUPPORTED_G:
+                record = t.record(i)
+                raise UnsupportedGCode(f"G{record.code} is not supported",
+                                       record.line_no)
+            elif c in (20, 21):
+                units = "inch" if c == 20 else "mm"
+            elif c in (90, 91):
+                positioning = "absolute" if c == 90 else "relative"
+            elif c == 92:  # a bare G92 makes every axis, and E, read 0
+                params, s = t.record(i).params, _scale(units)
                 offset = tuple(here[k] - params[x] * s if x in params
                                else offset[k] if params else here[k]
                                for k, x in enumerate("XYZ"))
-            else:
-                absolute = c == 90
-
-        # the arcs up to the first error, and then the error
-        arc, geometry = np.array(arcs, np.intp), []
-        if arcs:
-            rows = mv[arc][:np.searchsorted(mv[arc], error, "right")]
-            geometry = [_arc(c == 2, v[5:7] if p[5] or p[6] else None,
-                             v[7] if p[7] else None, line, s, start, end,
-                             chord_tol)
-                        for c, v, p, line, s, start, end in zip(
-                            t.code[rows].tolist(), t.values[rows].tolist(),
-                            t.present[rows].tolist(), t.line[rows].tolist(),
-                            np.broadcast_to(scale, (n, 1))[arc, 0].tolist(),
-                            map(tuple, pos[arc, :3].tolist()),
-                            map(tuple, pos[arc + 1, :3].tolist()))]
-        if error < len(t.line):
-            record = t.record(error)
-            if feed_error:
-                raise GcodeError("feed must be positive", record.line_no)
-            raise UnsupportedGCode(f"G{record.code} is not supported",
-                                   record.line_no)
+                if "E" in params or not params:
+                    e_offset = total - params.get("E", 0.0) * s
+            else:  # a G28 moves the axes it names, or every axis, home
+                named = t.present[i, :3]
+                touched[i] = named if named.any() else True
+                pos[i] = pos[i + 1] = here
+                pos[i + 1, :3] = np.where(touched[i], home, here[:3])
+                here = tuple(pos[i + 1].tolist())
 
         # a segment for each move that moves or extrudes, for each G28 that
         # moves, and for each chord of each arc
-        touched = at[:, :3].copy() if relative else at[:, :3]
-        for run in relative:  # the axes each move sets
-            touched[run] = True
         changed = (pos[1:, :3] != pos[:-1, :3]) & touched
         keep = changed[:, 0] | changed[:, 1] | changed[:, 2] | (e != 0.0)
-        if homed or arcs:
-            keep[homed] = keep[arcs] = True
+        keep[arcs] = True
     take = keep.nonzero()[0]
     if arcs:
         reps = keep.astype(np.intp)
         reps[arcs] = [arc[-1] for arc in geometry]
         take = take.repeat(reps[take])
-    elif len(take) == n:  # every move: views, not copies
+    elif len(take) == n:  # every row: views, not copies
         take = slice(None)
     before, after, extrusion = pos[:-1][take], pos[1:][take], e[take]
     kinds = _KINDS[(extrusion > 0).view(np.int8)]
     if arcs:  # a chord after an arc's first starts where the one before ends
-        chord = np.zeros(n, bool)
-        chord[arcs] = True
+        arc, chord = np.array(arcs, np.intp), np.zeros(n, bool)
+        chord[arc] = True
         inner, extrusion[chord[take]] = _chord_columns(
             geometry, pos[arc], pos[arc + 1], e[arc])
         later = (take[1:] == take[:-1]).nonzero()[0] + 1
         before[later, :3] = after[later - 1, :3] = inner
     segments = Segments(before[:, :3], after[:, :3], after[:, 3], extrusion,
-                        kinds, t.line[mv[take]])
-    final = InterpreterState(tuple(pos[n, :3].tolist()), totals[n],
-                             pos[n, 3].item(), positioning, extruding, units,
-                             offset, e_offset)
+                        kinds, t.line[take])
+    events = [MetadataEvent(r.line_no, "M", r.code, dict(r.params))
+              for r in map(t.record, event.nonzero()[0].tolist())]
+    final = InterpreterState(here[:3], total, here[3], positioning, extruding,
+                             units, offset, e_offset)
     return InterpretResult(segments=segments, events=events, final_state=final)

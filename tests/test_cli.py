@@ -61,6 +61,15 @@ class TestParse:
         assert code == 2
         assert "line 2: feed must be positive" in err
 
+    @pytest.mark.parametrize("arc", ["G2 X10 Y0 R" + "9" * 400,
+                                     "G2 X0 Y0 I" + "9" * 400 + " J0"],
+                             ids=["R", "IJ"])
+    def test_arc_not_finite_cites_line(self, workdir, capsys, arc):
+        bad = workdir / "arc.gcode"
+        bad.write_text(f"G1 X1 F600\n{arc}\n")
+        code, out, err = run_cli(["parse", bad], capsys)
+        assert (code, out, err) == (2, "", "error: line 2: arc is not finite\n")
+
     def test_not_utf8_cites_line(self, workdir, capsys):
         bad = workdir / "bad.gcode"
         bad.write_bytes(b"G28\nG1 X1 ; caf\xe9\nG1 X2\n")
@@ -233,6 +242,19 @@ class TestSimulate:
                                 workdir / "bad.json"], capsys)
         assert code == 4
         assert "dt_sim" in err and "--dt" not in err
+
+    def test_negative_seed_usage_error(self, workdir, capsys):
+        doc = config.default_config_doc("bridge_xy")
+        doc["sim"]["noise_std"] = 0.5
+        (workdir / "noisy.json").write_text(json.dumps(doc))
+        for cfg in ("bridge.json", "noisy.json"):
+            code, out, err = run_cli(["simulate", workdir / "square.gcode",
+                                      workdir / cfg, "--seed", -1], capsys)
+            assert (code, out) == (1, "")
+            *usage, last = err.splitlines()
+            assert usage[0].startswith("usage: swarmfab simulate")
+            assert last == ("error: argument --seed: invalid seed: '-1' "
+                            "(a non-negative integer)")
 
     def test_dt_larger_than_plan_usage_error(self, workdir, capsys):
         code, _, _ = run_cli(["simulate", workdir / "square.gcode",

@@ -277,6 +277,15 @@ class TestFlattenArc:
         with pytest.raises(DegenerateArc):
             gcode.flatten_arc(cmd, _arc_state(), chord_tol=0.05)
 
+    @pytest.mark.parametrize("arc", ["G2 X10 Y0 R" + "9" * 400,
+                                     "G2 X0 Y0 I" + "9" * 400 + " J0"],
+                             ids=["R", "IJ"])
+    def test_arc_not_finite(self, arc):
+        with pytest.raises(DegenerateArc) as err:
+            gcode.interpret(gcode.parse_program(f"G1 X1 F600\n{arc}\n"))
+        assert (str(err.value), err.value.line_no) == (
+            "line 2: arc is not finite", 2)
+
     def test_random_arcs_respect_bound(self):
         rng = np.random.default_rng(42)
         for _ in range(100):

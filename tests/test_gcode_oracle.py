@@ -27,6 +27,7 @@ from test_acceptance import CORPUS, HOME
 from test_coordinator import WALKS, random_walk_program
 
 NUMBER_RE = re.compile(r"[+-]?(?:\d+\.?\d*|\.\d+)")
+INF = "9" * 400  # a number word that overflows to inf
 
 
 def strip_comments_oracle(text):
@@ -229,13 +230,14 @@ def interpret_oracle(commands, initial=None, home=(0.0, 0.0, 0.0),
 
 
 def outcome(fn, *args, **kwargs):
-    """A call's value and repr (every float's bits, -0.0 included), or the
-    type, message and line of its g-code error."""
+    """A call's repr (every float's bits, -0.0 included, and a nan equal to
+    a nan, which == is not), or the type, message and line of its g-code
+    error."""
     try:
         value = fn(*args, **kwargs)
     except GcodeError as exc:
         return (type(exc), str(exc), exc.line_no)
-    return value, repr(value)
+    return repr(value)
 
 
 def same_lines(text):
@@ -291,6 +293,14 @@ G_PROGRAMS = [
     "G3 X0 Y0 R5 E2\nG91\nG2 X0 Y0 I-2 J0\n",
     "G20\nG1 X1 E0.5 F60\nG92 X2 Y1 Z1 E1\nG1 X3 E2\n",
     "G1 X1 F0\n", "G17\n", "G1 X1\nG2 X1 Y0 I0 J0\n", "G2 X5 Y5\n",
+    # M events with axis, feed and extrusion words among the moves
+    "G91\nG1 X1 E1 F600\nM92 X80 Y-0. E93 F-5\nG1 Y1\nM206 X-0. Z9\nG90\n"
+    "M117 Z3 F0\nG1 X2\nM82\nG1 E2\nM3 E9\nG1 E3\nM5\n",
+    # a G28 whose axes are home, beside an axis at nan: no segment
+    f"G1 X{INF}\nG92 X{INF}\nG1 X1\nG28 Y0\n",
+    f"G91\nG1 X{INF}\nG1 X-{INF}\nG90\nG28 Y0\n",
+    # an M event among relative moves, beside an axis at nan: no segment
+    f"G91\nG1 X{INF}\nG1 X-{INF}\nM3\nG1 Y1\n",
 ]
 
 
@@ -368,6 +378,16 @@ class TestInterpretOracle:
                             .replace(InterpreterState(), units="inch",
                                      positioning_mode="relative",
                                      feed=math.pi))
+
+    def test_m_events_keep_negative_zeros(self):
+        """An M event among relative moves leaves a -0.0 coordinate and
+        extrusion total as they are."""
+        initial = InterpreterState(position=(-0.0, -0.0, -0.0),
+                                   extrusion_total=-0.0,
+                                   positioning_mode="relative",
+                                   extrusion_mode="relative")
+        program = "G1 X-0. E-0.\nM3\nM104 S1 X1 E1\nG90\nG1 Y-0.\nM5\n"
+        same_interpretation(gcode.parse_program(program), initial=initial)
 
     @pytest.mark.parametrize("name,program", [c[:2] for c in CORPUS],
                              ids=[c[0] for c in CORPUS])

@@ -67,8 +67,8 @@ def program_of(rng, lines, error=False):
 def result(fn, *args, **kwargs):
     try:
         return repr(fn(*args, **kwargs))
-    except (GcodeError, ValueError) as exc:  # ValueError: an arc of inf
-        return (type(exc), str(exc), getattr(exc, "line_no", None))
+    except GcodeError as exc:
+        return (type(exc), str(exc), exc.line_no)
 
 
 def pipeline(parse, interpret, text, **kwargs):
