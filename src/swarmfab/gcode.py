@@ -65,7 +65,7 @@ _COLUMNS = bytes.maketrans(b"XYZFEIJRSPGM", bytes(range(12)))
 _SPACES = bytes.maketrans(b"XYZFEIJRSPGM", b" " * 12)
 # a segment's kind, by whether it extrudes
 _KINDS = np.array(["travel", "print"])
-# rows of math.dist per block in Segments.lengths
+# rows per block in Segments.lengths
 _LENGTH_ROWS = 1024
 
 # builds a record from the tuple of its fields, without a __new__ call
@@ -238,12 +238,16 @@ class Segments(_Rows):
             self.line.tolist()))
 
     def lengths(self) -> np.ndarray:
-        """Each row's MotionSegment.length: math.dist, a block at a time."""
+        """Each row's MotionSegment.length, a block at a time: math.hypot
+        of the row's differences, which is math.dist of its endpoints (both
+        take the same norm of the same differences), from one float list
+        per column and no list per row."""
         blocks = range(0, len(self), _LENGTH_ROWS)
-        return np.fromiter(chain.from_iterable(
-            map(math.dist, self.starts[a:a + _LENGTH_ROWS].tolist(),
-                self.ends[a:a + _LENGTH_ROWS].tolist()) for a in blocks),
-            float, len(self))
+        with np.errstate(over="ignore", invalid="ignore"):
+            return np.fromiter(chain.from_iterable(
+                map(math.hypot, *(self.starts[a:a + _LENGTH_ROWS]
+                                  - self.ends[a:a + _LENGTH_ROWS]).T.tolist())
+                for a in blocks), float, len(self))
 
 
 @dataclass(frozen=True)
@@ -414,15 +418,14 @@ def flatten_arc(cmd: GcodeCommand, state: InterpreterState,
     return list(interpret([cmd], state, chord_tol=chord_tol).segments)
 
 
-def _arc(clockwise: bool, ij, r, line_no: int, s: float, start, end,
-         chord_tol: float) -> tuple:
-    """The geometry of a G2/G3 arc from start to end, of I/J words ij (a
-    pair, or None) or an R word r (or None), in units of scale s: its
-    centre, radius, start angle, signed sweep and chord count."""
+def _arc(clockwise: bool, ij, r, line_no: int, s: float, sx, sy, sz,
+         ex, ey, ez, chord_tol: float) -> tuple:
+    """The geometry of a G2/G3 arc from (sx, sy, sz) to (ex, ey, ez), of
+    I/J words ij (a pair, or None) or an R word r (or None), in units of
+    scale s: its centre, radius, start angle, signed sweep and chord
+    count."""
     if chord_tol <= 0:
         raise ValueError("chord_tol must be positive")
-    sx, sy = start[0], start[1]
-    ex, ey = end[0], end[1]
 
     if ij is not None:
         cx = sx + ij[0] * s
@@ -462,7 +465,7 @@ def _arc(clockwise: bool, ij, r, line_no: int, s: float, start, end,
         cx, cy = best
     else:
         raise GcodeError("arc needs I/J or R", line_no)
-    if not all(map(math.isfinite, (cx, cy, radius, *start, *end))):
+    if not all(map(math.isfinite, (cx, cy, radius, sx, sy, sz, ex, ey, ez))):
         raise DegenerateArc("arc is not finite", line_no)
 
     theta = _arc_sweep(sx, sy, ex, ey, cx, cy, clockwise)
@@ -475,11 +478,12 @@ def _arc(clockwise: bool, ij, r, line_no: int, s: float, start, end,
 
 
 def _chord_columns(arcs, starts, ends, e_totals):
-    """The chords of arcs of _arc geometry from starts to ends (K x 3),
-    extruding e_totals: the points between each arc's chords, in rows, and
-    the extrusion of each chord.  The same arithmetic, in the same order,
-    as a loop over chords i = 1..n: the point at angle a0 + sweep * i / n,
-    and the extrusion total e * i / n less the one before."""
+    """The chords of arcs of _arc geometry (six values an arc, in one flat
+    list) from starts to ends (K x 3), extruding e_totals: the points
+    between each arc's chords, in rows, and the extrusion of each chord.
+    The same arithmetic, in the same order, as a loop over chords i =
+    1..n: the point at angle a0 + sweep * i / n, and the extrusion total
+    e * i / n less the one before."""
     with np.errstate(over="ignore", invalid="ignore"):
         arcs = np.column_stack((np.array(arcs, float).reshape(-1, 6),
                                 starts[:, 2], ends[:, 2] - starts[:, 2],
@@ -545,6 +549,7 @@ def interpret(commands, initial: Optional[InterpreterState] = None,
                                state.e_offset)
     units, positioning, extruding = (state.units, state.positioning_mode,
                                      state.extrusion_mode)
+    # the rows of the arcs, and their _arc geometry in one flat list
     arcs, geometry, a = [], [], 0
     event = t.m & (t.code != 82) & (t.code != 83)
     steps = (~event & (t.m | ~(t.code <= 3))).nonzero()[0].tolist()
@@ -585,16 +590,19 @@ def interpret(commands, initial: Optional[InterpreterState] = None,
                 bad = (at[:, 3] & (words[:, 3] <= 0)).nonzero()[0]
                 stop = a + bad[0] + 1 if len(bad) else i
                 rows = arc_rows[len(arcs):bisect_left(arc_rows, stop)]
-                if rows:
-                    geometry += [
-                        _arc(c == 2, v[5:7] if p[5] or p[6] else None,
-                             v[7] if p[7] else None, line, s, start, end,
-                             chord_tol)
-                        for c, v, p, line, start, end in zip(
-                            t.code[rows].tolist(), t.values[rows].tolist(),
-                            t.present[rows].tolist(), t.line[rows].tolist(),
-                            map(tuple, pos[rows, :3].tolist()),
-                            map(tuple, pos[1:][rows, :3].tolist()))]
+                if rows:  # from 1-D columns, with no list per arc
+                    has = t.present[rows, 5:8]
+                    for (cw, di, dj, radius, ij, has_r, line,
+                         sx, sy, sz, ex, ey, ez) in zip(
+                            (t.code[rows] == 2).tolist(),
+                            *t.values[rows, 5:8].T.tolist(),
+                            (has[:, 0] | has[:, 1]).tolist(),
+                            has[:, 2].tolist(), t.line[rows].tolist(),
+                            *pos[rows, :3].T.tolist(),
+                            *pos[1:][rows, :3].T.tolist()):
+                        geometry += _arc(cw, (di, dj) if ij else None,
+                                         radius if has_r else None, line, s,
+                                         sx, sy, sz, ex, ey, ez, chord_tol)
                     arcs += rows
                 if len(bad):
                     raise GcodeError("feed must be positive",
@@ -634,7 +642,7 @@ def interpret(commands, initial: Optional[InterpreterState] = None,
     take = keep.nonzero()[0]
     if arcs:
         reps = keep.astype(np.intp)
-        reps[arcs] = [arc[-1] for arc in geometry]
+        reps[arcs] = geometry[5::6]
         take = take.repeat(reps[take])
     elif len(take) == n:  # every row: views, not copies
         take = slice(None)

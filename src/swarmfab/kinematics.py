@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, fields
-from itertools import repeat
 from typing import NamedTuple
 
 import numpy as np
@@ -278,13 +277,15 @@ def wire2d_ik_rows(points, geom: WireGeometry2D) -> np.ndarray:
                           f"{geom.workspace_margin}")
     if reason:
         raise Unreachable(f"point x={x[row]:.3f} outside lateral cone")
-    # math.dist per row: np.hypot, or the root of the summed squares, can
-    # round the distance differently
-    x, z = x.tolist(), z.tolist()
+    # math.hypot of the differences to each anchor, which is math.dist to
+    # it; np.hypot, or the root of the summed squares, can round the
+    # distance differently
     lengths = np.empty((len(P), 2))
-    for k, anchor in enumerate(geom.anchors):
-        lengths[:, k] = np.fromiter(
-            map(math.dist, zip(x, z), repeat(anchor)), float, len(x))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, (ax, az) in enumerate(geom.anchors):
+            lengths[:, k] = np.fromiter(
+                map(math.hypot, (x - ax).tolist(), (z - az).tolist()), float,
+                len(x))
     return lengths
 
 

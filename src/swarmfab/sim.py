@@ -24,6 +24,10 @@ from .robot import (  # noqa: F401
 # the drop in a robot's setpoint distance (mm), or in a move robot's heading
 # error (rad), that counts as progress
 PROGRESS_EPS = 1e-6
+# The most samples a run may take: about 1 GB at the ~510 B per sample that
+# a four-robot run holds at its peak.  A slow feed or a small dt_sim would
+# otherwise ask for a run too long to hold.
+MAX_SAMPLES = 2_000_000
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,11 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
     plan (see _drive).  An FK error is raised for its sample even when the
     run stalls later; a skewed bridge stops the run at once and raises
     KinematicsFault with the g-code line of the sample's plan tick.
+
+    A run takes about one sample per dt_sim of plan time and barrier wait.
+    SimError is raised, with the g-code line of the plan tick, before the
+    run if the plan alone takes it past MAX_SAMPLES, and during it at the
+    barrier wait that does.
     """
     if dt_sim is None:
         dt_sim = config.dt_sim
@@ -127,9 +136,15 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
     noise = (partial(np.random.default_rng(seed).normal, 0.0,
                      config.noise_std * math.sqrt(dt_sim))
              if config.noise_std > 0 else None)
+    horizon = MAX_SAMPLES * dt_sim
+    if plan.t[-1] > horizon:
+        tick = np.searchsorted(plan.t, horizon, side="right")
+        raise SimError(f"run longer than {MAX_SAMPLES} samples of {dt_sim} s "
+                       f"at plan tick {tick} (t={plan.t[tick]:.2f} s)",
+                       line_no=plan.source_line[tick].item())
     machine = config.machine
     zero = machine.zero(plan.tool_target[0].tolist())
-    rows, tick_of, wait, extruded, stall = _drive(
+    rows, tick_of, wait, extruded, stop = _drive(
         plan, dt_sim, config.stall_timeout, params, machine.synced(ids),
         config.sync_tol, noise)
 
@@ -150,8 +165,8 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
         # _drive stops at the first skewed sample: the last one
         raise KinematicsFault(str(exc),
                               line_no=plan.source_line[at[-1]].item()) from exc
-    if stall is not None:
-        raise stall
+    if stop is not None:
+        raise stop
     return trace
 
 
@@ -193,14 +208,17 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
 
     Returns the samples as flat rows (x, y, heading and accumulated rotation
     of each robot, ids sorted), their plan tick indices, the
-    barrier wait, the extruded length, and the StallTimeout that ended the
-    run, if one did.  The run also ends at the first skewed sample.
+    barrier wait, the extruded length, and the SimError that ended the
+    run, if one did: a StallTimeout, or the barrier wait after which the
+    clock and the plan time still ahead pass MAX_SAMPLES samples.  The run
+    also ends at the first skewed sample.
     """
     # the loop reads Python floats, ints and bools
     times_of, source_lines, setpoints, extruding, totals = (
         column.tolist() for column in (plan.t, plan.source_line, plan.setpoints,
                                        plan.extruding, plan.extrusion_total))
     barriers = set(plan.barriers)
+    horizon = MAX_SAMPLES * dt_sim
     sin, cos, atan2, hypot, pi = (math.sin, math.cos, math.atan2, math.hypot,
                                   math.pi)
     # robot k of the sorted ids has its state at s[4k:4k + 4]
@@ -364,6 +382,11 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
         if is_barrier:
             if deadline_met and not all_arrived:
                 wait += dt_sim
+                if t + times_of[-1] - times_of[tick_idx] > horizon:
+                    return rows, tick_of, wait, extruded, SimError(
+                        f"barrier waits take the run past {MAX_SAMPLES} "
+                        f"samples of {dt_sim} s at plan tick {tick_idx} "
+                        f"(t={t:.2f} s)", line_no=source_lines[tick_idx])
             advance = deadline_met and all_arrived
         else:
             advance = deadline_met

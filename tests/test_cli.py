@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
 import swarmfab
-from swarmfab import cli, config, coordinator, gcode
+from swarmfab import cli, config, coordinator, gcode, sim
 
 SQUARE = """G92 E0
 G1 X210 Y110 F1200
@@ -233,6 +234,23 @@ class TestSimulate:
         code, _, err = run_cli(["simulate", workdir / "reverse.gcode",
                                 workdir / "short.json"], capsys)
         assert (code, err) == (0, "")
+
+    def test_sample_cap_exit_5(self, workdir, capsys):
+        # one move at F1 plans 10,807 s: more than sim.MAX_SAMPLES samples
+        # of 0.001 s, refused before the first step
+        (workdir / "slow.gcode").write_text(
+            "G21\nG90\nM83\nG92 E0\nG1 X200 Y280.125 F1\n")
+        config.write_default_config("printer_bridge",
+                                    str(workdir / "printer.json"))
+        start = time.perf_counter()
+        code, out, err = run_cli(["simulate", workdir / "slow.gcode",
+                                  workdir / "printer.json", "--dt", 0.001],
+                                 capsys)
+        assert time.perf_counter() - start < 1.0
+        assert (code, out) == (5, "")
+        assert err == (f"error: run longer than {sim.MAX_SAMPLES} samples of "
+                       f"0.001 s at plan tick 20001 (t=2000.10 s) "
+                       f"(g-code line 5)\n")
 
     def test_config_dt_sim_out_of_range(self, workdir, capsys):
         doc = config.default_config_doc("bridge_xy")

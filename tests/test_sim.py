@@ -614,6 +614,32 @@ class TestRun:
             with pytest.raises(ValueError, match="dt must be positive"):
                 run(plan, bridge_config, dt_sim=dt)
 
+    def test_sample_cap_before_the_run(self, wire3d_config, monkeypatch):
+        # a plan whose 0.1 s passes five samples of 0.01 s runs no step
+        monkeypatch.setattr(sim, "MAX_SAMPLES", 5)
+        monkeypatch.setattr(sim, "_drive", None)
+        with pytest.raises(SimError, match=r"^run longer than 5 samples of "
+                                           r"0\.01 s at plan tick 1 "
+                                           r"\(t=0\.10 s\)$") as err:
+            sim.run(stall_plan(wire3d_config, 0.0), wire3d_config)
+        assert err.value.line_no == 2
+
+    def test_sample_cap_at_a_barrier_wait(self, wire3d_config, monkeypatch):
+        # the table robot drives 50 mm to the barrier at tick 1 of a 0.1 s
+        # plan: the run takes its steps (229) waiting there, and stops at a
+        # wait past a cap below them
+        plan = stall_plan(wire3d_config, 0.0)
+        steps = len(sim.run(plan, wire3d_config).t) - 1
+        assert steps > 200
+        monkeypatch.setattr(sim, "MAX_SAMPLES", steps)
+        assert len(sim.run(plan, wire3d_config).t) == steps + 1
+        monkeypatch.setattr(sim, "MAX_SAMPLES", 100)
+        with pytest.raises(SimError, match="^barrier waits take the run past "
+                                           "100 samples of 0.01 s at plan "
+                                           "tick 1 ") as err:
+            sim.run(plan, wire3d_config)
+        assert err.value.line_no == 2
+
     def test_dt_sim_larger_than_plan_rejected(self, bridge_config):
         plan = coordinator.plan_program([], bridge_config)
         with pytest.raises(ValueError):
