@@ -203,7 +203,7 @@ def bridge_ik_rows(tools, geom: BridgeGeometry) -> np.ndarray:
     positions and the carriage offset along the bridge: N x 5 columns
     (bridge1 x, y, bridge2 x, y, offset).  Raises for the first row beyond
     the carriage travel."""
-    T = np.asarray(tools, dtype=float)
+    T = np.asarray(tools, dtype=float).reshape(-1, 2)
     x, y = T[:, 0], T[:, 1]
     outside = np.flatnonzero(_carriage_outside(x, geom))
     if len(outside):
@@ -234,8 +234,8 @@ def bridge_fk_rows(bridge1, bridge2, carriage_offset, geom: BridgeGeometry,
     """Tool (x, y) (N x 2) from every row of the two bridge robot positions
     (N x 2 each) and the carriage offset (N).  Raises for the first row
     whose bridge is skewed beyond sync_tol."""
-    b1 = np.asarray(bridge1, dtype=float)
-    b2 = np.asarray(bridge2, dtype=float)
+    b1 = np.asarray(bridge1, dtype=float).reshape(-1, 2)
+    b2 = np.asarray(bridge2, dtype=float).reshape(-1, 2)
     skew = np.abs(b1[:, 1] - b2[:, 1])
     skewed = np.flatnonzero(skew > sync_tol)
     if len(skewed):
@@ -269,7 +269,7 @@ def _wire2d_reach(x, z, geom: WireGeometry2D) -> list:
 def wire2d_ik_rows(points, geom: WireGeometry2D) -> np.ndarray:
     """Wire lengths (N x 2) to reach every row of wall points (x, z)
     (N x 2).  Raises for the first row out of reach."""
-    P = np.asarray(points, dtype=float)
+    P = np.asarray(points, dtype=float).reshape(-1, 2)
     x, z = P[:, 0], P[:, 1]
     row, reason = _first(_wire2d_reach(x, z, geom))
     if reason == "AboveAnchors":
@@ -326,7 +326,7 @@ def wire2d_fk_rows(lengths, geom: WireGeometry2D) -> np.ndarray:
     """Wall point from every row of wire lengths (N x 2): two-circle
     intersection, lower branch.  Raises the error of the first row that
     has one."""
-    L = np.asarray(lengths, dtype=float)
+    L = np.asarray(lengths, dtype=float).reshape(-1, 2)
     L1, L2 = L[:, 0], L[:, 1]
     a1, d, u, n = geom.frame
     a = (L1 * L1 - L2 * L2 + d * d) / (2 * d)
@@ -373,7 +373,7 @@ def _depth(geom: WireGeometry3D, points) -> np.ndarray:
 def wire3d_ik_rows(points, geom: WireGeometry3D) -> np.ndarray:
     """Wire lengths (N x 3) to reach every row of 3-D points (N x 3) below
     the anchor plane.  Raises for the first row that is not below it."""
-    P = np.asarray(points, dtype=float)
+    P = np.asarray(points, dtype=float).reshape(-1, 3)
     if (_depth(geom, P) <= 0).any():
         raise Unreachable("point not below the anchor plane")
     diff = P[:, None, :] - geom.anchor_array
@@ -414,7 +414,7 @@ def wire3d_fk_rows(lengths, geom: WireGeometry3D) -> np.ndarray:
     if area < MIN_ANCHOR_TRIANGLE_AREA:
         raise IllConditioned("anchor triangle area below threshold")
 
-    L = np.asarray(lengths, dtype=float)
+    L = np.asarray(lengths, dtype=float).reshape(-1, 3)
     L1, L2, L3 = L[:, 0], L[:, 1], L[:, 2]
     x = (L1 * L1 - L2 * L2 + d * d) / (2 * d)
     y = (L1 * L1 - L3 * L3 + i * i + j * j - 2 * i * x) / (2 * j)

@@ -24,9 +24,10 @@ from .robot import (  # noqa: F401
 # the drop in a robot's setpoint distance (mm), or in a move robot's heading
 # error (rad), that counts as progress
 PROGRESS_EPS = 1e-6
-# The most samples a run may take: about 1 GB at the ~510 B per sample that
-# a four-robot run holds at its peak.  A slow feed or a small dt_sim would
-# otherwise ask for a run too long to hold.
+# The most samples a run may take: 0.5 to 1.5 GB at the bytes per sample a
+# run holds at its peak, ~270 (wire2d_wall), ~385 (bridge_xy), ~450
+# (printer_bridge) or ~725 (wire3d_printer).  A slow feed or a small dt_sim
+# would otherwise ask for a run too long to hold.
 MAX_SAMPLES = 2_000_000
 
 
@@ -144,13 +145,16 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
                        line_no=plan.source_line[tick].item())
     machine = config.machine
     zero = machine.zero(plan.tool_target[0].tolist())
-    rows, tick_of, wait, extruded, stop = _drive(
-        plan, dt_sim, config.stall_timeout, params, machine.synced(ids),
-        config.sync_tol, noise)
-
     order = sorted(plan.ids)
-    at = np.array(tick_of)
-    state = np.array(rows).reshape(len(at), len(order), 4)
+    cols, counts, wait, extruded, stop = _drive(
+        plan, dt_sim, config.stall_timeout, params,
+        [order.index(rid) for rid in machine.synced(ids)], config.sync_tol,
+        noise)
+    at = np.repeat(np.arange(len(counts)), counts)
+    state = np.empty((len(at), len(order), 4))
+    for k in range(len(order)):
+        # each column is freed once it is copied
+        state[:, k] = np.asarray(cols.pop(0), dtype=float).reshape(-1, 4)
     # a sample carries the extrusion total reached when its tick began
     trace = Trace(config, wait, extruded, tuple(order),
                   _sample_times(len(at), dt_sim), state[..., :3],
@@ -189,29 +193,27 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
     """Step the robots through the plan's ticks, sampling after every step.
 
     `params` maps each of the plan's ids to its RobotParams; each robot
-    starts at the (x, y) of its first setpoint, and the y of the `synced`
-    robots must stay within sync_tol of each other.  Robot state lives in
-    one flat list, and each robot takes the step of its plan kind, whose
-    poses are those of the controllers and dynamics of swarmfab.robot
-    (goto_controller, rotate_controller, step_dynamics) bit for bit.  A
-    rotate robot's wheels turn at -vr and vr, with vr finite, so its speed
-    is +0.0: its step is the rotation controller, the heading wrap and the
-    rotation update.  A move robot's rotation stays 0.0; it takes one sin
-    and cos of its new heading for both its arc and the wrap.  A robot
-    inside its tolerance gets speed 0 and skips the dynamics.  Adding a
-    zero speed's +-0.0 keeps a coordinate unless it is -0.0, so noise, or a
-    -0.0 x or y, sends a robot through the dynamics; a rotation starts at
-    +0.0, so it is never -0.0.
-    `noise`, if not None, returns one position-noise draw: each robot's
-    dynamics step adds one to its x, then one to its y.  Each robot's
-    arrival error is taken after its step; they are summed in plan order.
+    starts at the (x, y) of its first setpoint, and the y of the robots at
+    the `synced` indices (ids sorted) must stay within sync_tol.  Each
+    robot in id order takes all of a tick's steps in one loop (walk), with
+    the poses of swarmfab.robot's controllers and dynamics bit for bit.
+    The robots couple in four places, settled once the tick's robots have
+    been stepped.  The barrier: with noise off, a robot inside its
+    tolerance keeps its pose for the rest of the tick, so a barrier tick
+    ends at the later of its deadline and the last arrival.  The stall
+    clock restarts at every tick and cannot pass stall_timeout within
+    `calm` steps; a longer tick, a noisy barrier tick, and (from its first
+    step again) a barrier wait past `calm` go one step at a time, summing
+    the arrival errors in plan order after each.  The noise: each robot
+    draws x, then y, at every step, in id order, as one rng.normal of shape
+    (steps, robots, 2) does.  The sync check: the run ends at the first
+    skewed sample.
 
-    Returns the samples as flat rows (x, y, heading and accumulated rotation
-    of each robot, ids sorted), their plan tick indices, the
-    barrier wait, the extruded length, and the SimError that ended the
-    run, if one did: a StallTimeout, or the barrier wait after which the
-    clock and the plan time still ahead pass MAX_SAMPLES samples.  The run
-    also ends at the first skewed sample.
+    Returns each robot's column (x, y, heading and accumulated rotation of
+    every sample), each plan tick's number of samples, the barrier wait,
+    the extruded length, and the SimError that ended the run, if one did:
+    a StallTimeout, or the barrier wait after which the clock and the plan
+    time still ahead pass MAX_SAMPLES samples.
     """
     # the loop reads Python floats, ints and bools
     times_of, source_lines, setpoints, extruding, totals = (
@@ -219,190 +221,225 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
                                        plan.extruding, plan.extrusion_total))
     barriers = set(plan.barriers)
     horizon = MAX_SAMPLES * dt_sim
-    sin, cos, atan2, hypot, pi = (math.sin, math.cos, math.atan2, math.hypot,
-                                  math.pi)
-    # robot k of the sorted ids has its state at s[4k:4k + 4]
-    base = {rid: 4 * k for k, rid in enumerate(sorted(plan.ids))}
-    # per robot, in id order: its state, its place p in plan order (its
+    sin, cos, atan2, hypot, pi, minus_pi = (
+        math.sin, math.cos, math.atan2, math.hypot, math.pi, -math.pi)
+    # per robot, in id order: its index k, its place p in plan order (its
     # (x, y, theta) sits at 3p in a setpoint row), its kind and constants
-    s, step_of = [], []
-    for rid, b in base.items():
+    cols, robots = [], []
+    for k, rid in enumerate(sorted(plan.ids)):
         p, robot = plan.ids.index(rid), params[rid]
         x, y = setpoints[0][3 * p:3 * p + 2]
-        s += (x, y, 0.0, 0.0)
+        cols.append([x, y, 0.0, 0.0])
         rotate = plan.kinds[p] == "rotate"
         # x and y stay as they are: neither moves, nor is a -0.0
         spin = rotate and noise is None and all(
             v or math.copysign(1.0, v) > 0.0 for v in (x, y))
-        step_of.append((b, p, 3 * p, rotate, spin,
-                        robot.angular_tol if rotate else robot.arrival_tol,
-                        robot.wheel_track, robot.max_wheel_speed,
-                        robot.k_heading, robot.k_distance))
-    ya, yb = ([base[rid] + 1 for rid in synced] if synced
-              else (None, None))
+        robots.append((k, p, rotate, spin,
+                       robot.angular_tol if rotate else robot.arrival_tol,
+                       robot.wheel_track, robot.max_wheel_speed,
+                       robot.k_heading, robot.k_distance))
+    # each move robot's last heading error; each robot's error, plan order
+    aims = [math.inf] * len(robots)
+    errors = [0.0] * len(robots)
+    # calm - 1 steps, summed in order, stay within stall_timeout
+    calm = stall_timeout / dt_sim * (1.0 - 1e-6) + 1.0
 
-    def enter(tick_idx):
-        """The constants of pursuing plan tick tick_idx: each robot's step,
-        in id order."""
-        row = setpoints[tick_idx]
-        steps = [(b, p, *row[j:j + 3], *constants)
-                 for b, p, j, *constants in step_of]
-        t_prev = times_of[tick_idx - 1] if tick_idx > 0 else 0.0
-        return (steps, max(times_of[tick_idx] - t_prev, 0.0),
-                tick_idx in barriers)
-
-    rows = s[:]
-    tick_of = [0]
-    t = wait = extruded = tick_entry_time = stall_clock = 0.0
-    extrusion_prev = totals[0]
-    tick_idx = 0
-    last_best = None
-    # each move robot's last heading error, at its state's index
-    aim = [math.inf] * len(s)
-    # each robot's arrival error, in plan order
-    errors = [0.0] * len(step_of)
-    steps, budget, is_barrier = enter(0)
-    if synced and abs(s[ya] - s[yb]) > sync_tol:
-        return rows, tick_of, wait, extruded, None
-    while tick_idx < len(times_of):
-        # pursue the current tick's setpoints
-        turning = False
-        all_arrived = True
-        for (b, p, tx, ty, theta, rotate, spin, tol, track, cap, k_heading,
-             k_distance) in steps:
-            heading = s[b + 2]
+    def walk(robot, row, least, most, draws):
+        """Step `robot` `least` times toward its setpoint in `row`, then on
+        until it arrives, `most` times in all; draws[i][k] is robot k's
+        (x, y) noise at step i.  Returns the steps taken, the arrival error
+        after them, and whether a step turned the robot toward its target.
+        A rotate robot's speed is +0.0, and a `spin` one skips the x and y
+        update; a move robot's rotation stays 0.0.  Inside its tolerance a
+        robot gets speed 0, whose +-0.0 keeps a coordinate unless it is
+        -0.0; with noise off, its pose then holds."""
+        k, p, rotate, spin, tol, track, cap, k_heading, k_distance = robot
+        col = cols[k]
+        append = col.append
+        x, y, heading, rotation = col[-4:]
+        tx, ty, theta = row[3 * p:3 * p + 3]
+        aim, turning, taken = aims[k], False, most
+        # a rotate robot's speed stays 0.0
+        low, half, copies, v = -cap, 0.5 * track, draws is None, 0.0
+        for i in range(most):
             if rotate:
-                remaining = theta - s[b + 3]
-                if abs(remaining) < tol:
-                    if spin:
-                        errors[p] = abs(remaining)
-                        continue
-                    omega = 0.0
-                else:
-                    vr = k_heading * remaining * 0.5 * track
-                    if not vr < cap:
-                        vr = cap
-                    if not vr > -cap:
-                        vr = -cap
-                    omega = (vr + vr) / track
+                remaining = theta - rotation
+                settled = -tol < remaining < tol
             else:
-                x, y = s[b], s[b + 1]
                 dx, dy = tx - x, ty - y
                 distance = hypot(dx, dy)
-                if distance < tol:
-                    # a zero x or y may be -0.0, which the step's + 0.0
-                    # would make +0.0
-                    if noise is None and x and y:
-                        errors[p] = distance
-                        continue
-                    v = omega = 0.0
-                else:
-                    err = atan2(dy, dx) - heading
-                    err = atan2(sin(err), cos(err))
-                    if err == -pi:
-                        err = pi
-                    # a move robot turning toward its target makes progress
-                    turn = abs(err)
-                    if turn < aim[b] - PROGRESS_EPS:
-                        turning = True
-                    aim[b] = turn
-                    omega = k_heading * err
-                    v = k_distance * distance
-                    if cap < v:
-                        v = cap
-                    c = cos(err)
-                    v *= c if c > 0.0 else 0.0
-                    half = 0.5 * track
-                    vl, vr = v - omega * half, v + omega * half
-                    peak = abs(vl)
-                    if abs(vr) > peak:
-                        peak = abs(vr)
-                    if peak > cap:
-                        scale = cap / peak
-                        vl *= scale
-                        vr *= scale
-                    v = 0.5 * (vl + vr)
-                    omega = (vr - vl) / track
-            if spin:
-                if not abs(omega) < 1e-9:
-                    turned = heading + omega * dt_sim
-                    heading = atan2(sin(turned), cos(turned))
-                    if heading == -pi:
-                        heading = pi
-                    s[b + 2] = heading
+                settled = distance < tol
+            if settled:
+                if i >= least:
+                    taken = i
+                    break
+                v = omega = 0.0
+            elif rotate:
+                vr = k_heading * remaining * 0.5 * track
+                if not vr < cap:
+                    vr = cap
+                if not vr > low:
+                    vr = low
+                omega = (vr + vr) / track
             else:
-                if rotate:
-                    x, y, v = s[b], s[b + 1], 0.0
-                if abs(omega) < 1e-9:
-                    x += v * cos(heading) * dt_sim
-                    y += v * sin(heading) * dt_sim
-                else:
-                    turned = heading + omega * dt_sim
-                    sin_turned, cos_turned = sin(turned), cos(turned)
+                err = atan2(dy, dx) - heading
+                err = atan2(sin(err), cos(err))
+                if err == minus_pi:
+                    err = pi
+                # a move robot turning toward its target makes progress
+                turn = abs(err)
+                if turn < aim - PROGRESS_EPS:
+                    turning = True
+                aim = turn
+                omega = k_heading * err
+                v = k_distance * distance
+                if cap < v:
+                    v = cap
+                c = cos(err)
+                v *= c if c > 0.0 else 0.0
+                vl, vr = v - omega * half, v + omega * half
+                peak = abs(vl)
+                if abs(vr) > peak:
+                    peak = abs(vr)
+                if peak > cap:
+                    scale = cap / peak
+                    vl *= scale
+                    vr *= scale
+                v = 0.5 * (vl + vr)
+                omega = (vr - vl) / track
+            if not -1e-9 < omega < 1e-9:
+                turned = heading + omega * dt_sim
+                sin_turned, cos_turned = sin(turned), cos(turned)
+                if not spin:
                     radius = v / omega
                     x += radius * (sin_turned - sin(heading))
                     y -= radius * (cos_turned - cos(heading))
-                    heading = atan2(sin_turned, cos_turned)
-                    if heading == -pi:
-                        heading = pi
-                if noise is not None:
-                    x += noise()
-                    y += noise()
-                s[b], s[b + 1], s[b + 2] = x, y, heading
+                heading = atan2(sin_turned, cos_turned)
+                if heading == minus_pi:
+                    heading = pi
+            elif not spin:
+                x += v * cos(heading) * dt_sim
+                y += v * sin(heading) * dt_sim
+            if not copies:
+                nx, ny = draws[i][k]
+                x += nx
+                y += ny
             if rotate:
-                s[b + 3] += omega * dt_sim
-            errors[p] = error = (abs(theta - s[b + 3]) if rotate
-                                 else hypot(tx - x, ty - y))
-            if not error < tol:
-                all_arrived = False
-        t += dt_sim
-        rows += s
-        tick_of.append(tick_idx)
-        if synced and abs(s[ya] - s[yb]) > sync_tol:
-            break
+                rotation += omega * dt_sim
+            append(x)
+            append(y)
+            append(heading)
+            append(rotation)
+            if settled and copies:
+                # the pose holds, and the robot has arrived
+                col += (x, y, heading, rotation) * (least - i - 1)
+                taken = least
+                break
+        aims[k] = aim
+        return taken, (abs(theta - rotation) if rotate
+                       else hypot(tx - x, ty - y)), turning
 
-        # the stall clock: not arrived, no robot improving toward its
-        # setpoint and no move robot turning toward it
-        best = sum(errors)
-        if all_arrived:
-            stall_clock = 0.0
-        elif (last_best is not None and last_best - best < PROGRESS_EPS
-              and not turning):
-            stall_clock += dt_sim
-        else:
-            stall_clock = 0.0
-        last_best = best
-        if stall_clock > stall_timeout:
-            return rows, tick_of, wait, extruded, StallTimeout(
-                f"no progress for {stall_timeout} s at plan tick "
-                f"{tick_idx} (t={t:.2f} s)", line_no=source_lines[tick_idx])
+    def capped(tick_idx, clock):
+        """The SimError of a wait at `clock` that passes MAX_SAMPLES."""
+        if clock + times_of[-1] - times_of[tick_idx] > horizon:
+            return SimError(f"barrier waits take the run past {MAX_SAMPLES} "
+                            f"samples of {dt_sim} s at plan tick {tick_idx} "
+                            f"(t={clock:.2f} s)",
+                            line_no=source_lines[tick_idx])
 
-        # advance the plan clock
-        deadline_met = t - tick_entry_time >= budget - 1e-12
-        if is_barrier:
-            if deadline_met and not all_arrived:
+    t = wait = extruded = t_prev = 0.0
+    extrusion_prev = totals[0]
+    counts = [1] + [0] * (len(times_of) - 1)
+    done = 1  # the samples taken
+    ya, yb = (cols[k] for k in synced) if synced else (None, None)
+    stop = skewed = None
+    for tick_idx, row in enumerate(setpoints):
+        need = max(times_of[tick_idx] - t_prev, 0.0) - 1e-12
+        is_barrier = tick_idx in barriers
+        # the steps to the deadline
+        clock, steps = t + dt_sim, 1
+        while not clock - t >= need:
+            clock, steps = clock + dt_sim, steps + 1
+        stepwise = steps > calm or is_barrier and noise is not None
+        if not stepwise and not is_barrier:
+            draws = (noise(size=(steps, len(robots), 2)).tolist()
+                     if noise is not None else None)
+            for robot in robots:
+                walk(robot, row, steps, steps, draws)
+        elif not stepwise:
+            before = aims[:], wait
+            most = int(min(calm, steps + MAX_SAMPLES))
+            walked = [walk(robot, row, steps, most, None) for robot in robots]
+            last = max(n for n, _, _ in walked)
+            arrived = all(error < robot[4]
+                          for (_, error, _), robot in zip(walked, robots))
+            for (n, _, _), robot in zip(walked, robots):
+                if n < last:
+                    walk(robot, row, last - n, last - n, None)
+            # the wait: each step from the deadline on before the last
+            # robot arrives
+            while steps < last or not arrived:
                 wait += dt_sim
-                if t + times_of[-1] - times_of[tick_idx] > horizon:
-                    return rows, tick_of, wait, extruded, SimError(
-                        f"barrier waits take the run past {MAX_SAMPLES} "
-                        f"samples of {dt_sim} s at plan tick {tick_idx} "
-                        f"(t={t:.2f} s)", line_no=source_lines[tick_idx])
-            advance = deadline_met and all_arrived
-        else:
-            advance = deadline_met
-        if advance:
-            if extruding[tick_idx]:
-                gained = totals[tick_idx] - extrusion_prev
-                if gained > 0:
-                    extruded += gained
-            extrusion_prev = totals[tick_idx]
-            tick_idx += 1
-            tick_entry_time = t
-            last_best = None
-            stall_clock = 0.0
-            if tick_idx < len(times_of):
-                steps, budget, is_barrier = enter(tick_idx)
-    return rows, tick_of, wait, extruded, None
+                stop = capped(tick_idx, clock)
+                if stop is not None:
+                    break
+                if steps == last:
+                    # a robot out after `calm` steps: the tick step by step
+                    for col in cols:
+                        del col[4 * done:]
+                    (aims[:], wait), stepwise = before, True
+                    break
+                clock, steps = clock + dt_sim, steps + 1
+        if stepwise:
+            clock, steps, last_best, stall_clock = t, 0, math.inf, 0.0
+            while stop is None:
+                draws = (noise(size=(1, len(robots), 2)).tolist()
+                         if noise is not None else None)
+                turning, all_arrived = False, True
+                for robot in robots:
+                    _, error, turned = walk(robot, row, 1, 1, draws)
+                    errors[robot[1]] = error
+                    turning = turning or turned
+                    all_arrived = all_arrived and error < robot[4]
+                clock, steps = clock + dt_sim, steps + 1
+                # the stall clock: not arrived, no robot improving toward
+                # its setpoint and no move robot turning toward it
+                best = sum(errors)
+                stalled = (not all_arrived and not turning
+                           and last_best - best < PROGRESS_EPS)
+                stall_clock = stall_clock + dt_sim if stalled else 0.0
+                last_best = best
+                if stall_clock > stall_timeout:
+                    stop = StallTimeout(
+                        f"no progress for {stall_timeout} s at plan tick "
+                        f"{tick_idx} (t={clock:.2f} s)",
+                        line_no=source_lines[tick_idx])
+                elif is_barrier and not all_arrived and clock - t >= need:
+                    wait += dt_sim
+                    stop = capped(tick_idx, clock)
+                elif clock - t >= need:
+                    break
+        if synced:
+            # the tick's samples, and at tick 0 the first one
+            for j in range(4 * done + 1 if tick_idx else 1,
+                           4 * (done + steps), 4):
+                if abs(ya[j] - yb[j]) > sync_tol:
+                    steps, stop, skewed = j // 4 + 1 - done, None, True
+                    break
+        counts[tick_idx] += steps
+        done += steps
+        if stop is not None or skewed:
+            # the run ends at the step that stopped it
+            for col in cols:
+                del col[4 * done:]
+            break
+        t = clock
+        if extruding[tick_idx]:
+            gained = totals[tick_idx] - extrusion_prev
+            if gained > 0:
+                extruded += gained
+        t_prev, extrusion_prev = times_of[tick_idx], totals[tick_idx]
+    return cols, counts, wait, extruded, stop
 
 
 # --- fidelity ---

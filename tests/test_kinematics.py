@@ -580,6 +580,28 @@ class TestFkRows:
         assert str(exc.value) == f"bridge skew {skew:.4f} mm exceeds 1.0 mm"
 
 
+# each row kernel: (its input width, the kernel, its output width)
+EMPTY_ROW_KERNELS = {
+    "bridge_ik": (2, lambda rows: kin.bridge_ik_rows(rows, BRIDGE), 5),
+    "bridge_fk": (2, lambda rows: kin.bridge_fk_rows(rows, rows, [], BRIDGE),
+                  2),
+    "wire2d_ik": (2, lambda rows: kin.wire2d_ik_rows(rows, WIRE2D), 2),
+    "wire2d_fk": (2, lambda rows: kin.wire2d_fk_rows(rows, WIRE2D), 2),
+    "wire3d_ik": (3, lambda rows: kin.wire3d_ik_rows(rows, WIRE3D), 3),
+    "wire3d_fk": (3, lambda rows: kin.wire3d_fk_rows(rows, WIRE3D), 3),
+}
+
+
+@pytest.mark.parametrize("name", EMPTY_ROW_KERNELS)
+@pytest.mark.parametrize("empty", ["list", "array"])
+def test_row_kernel_of_no_rows(name, empty):
+    # an empty point list is an empty table, not a 1-D array
+    width, kernel, out = EMPTY_ROW_KERNELS[name]
+    rows = [] if empty == "list" else np.empty((0, width))
+    got = kernel(rows)
+    assert (got.dtype, got.shape) == (np.float64, (0, out))
+
+
 @pytest.mark.parametrize("geom", [WIRE2D, WIRE3D])
 def test_negative_workspace_margin_rejected(geom):
     # a negative margin admits points at or above the anchors, where the

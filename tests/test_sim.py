@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -464,6 +465,84 @@ class TestRunOracle:
         assert {s.tool_tip for s in result.samples} == {
             result.samples[0].tool_tip}
 
+    @pytest.mark.parametrize("timeout,t", [(0.03, 0.06), (0.085, 0.11)])
+    def test_stall_inside_a_tick(self, timeout, t):
+        # a stall timeout shorter than the 0.1 s plan tick, which is no
+        # barrier: the table robot stalls within it, or at its last step
+        doc = config.default_config_doc("wire3d_printer")
+        doc["roster"][3]["max_wheel_speed"] = 1e-6
+        doc["planning"] = {"stall_timeout": timeout}
+        cfg = config.parse_config(doc)
+        plan = Plan.from_ticks(stall_plan(cfg, 0.0).ticks, [], cfg.morphology)
+        result = same_run(plan, cfg)
+        assert result == (StallTimeout, f"no progress for {timeout} s at "
+                                        f"plan tick 1 (t={t:.2f} s)", 2)
+
+    def test_barrier_wait_longer_than_the_stall_timeout(self):
+        # the table robot drives 50 mm to the barrier for ~2.2 s, making
+        # progress at every step, past a 0.5 s stall timeout
+        doc = config.default_config_doc("wire3d_printer")
+        doc["planning"] = {"stall_timeout": 0.5}
+        cfg = config.parse_config(doc)
+        result = same_run(stall_plan(cfg, 0.0), cfg)
+        assert isinstance(result, OracleRun)
+        assert result.barrier_wait_total > 2.0
+
+    def test_noisy_arrival_at_a_barrier(self):
+        # spool 1 turns for ~0.7 s while the table robot moves 1 mm and
+        # hovers at its tolerance: the table robot arrives before spool 1
+        # or after it, and may arrive and leave its tolerance again
+        cfg = noisy_config("wire3d_printer", 0.5)
+        ids = coordinator.active_robots(cfg)
+        first = home_setpoints(cfg)
+        second = dict(first)
+        second[ids[0]] = dataclasses.replace(first[ids[0]], theta=-0.5)
+        second[ids[1]] = dataclasses.replace(first[ids[1]], theta=0.2)
+        table = first[ids[3]]
+        second[ids[3]] = Setpoint("move", table.x + 1.0, table.y)
+        plan = Plan.from_ticks([PlanTick(0.0, first, cfg.home, False, 0.0, 1),
+                                PlanTick(0.1, second, cfg.home, False, 0.0, 2)],
+                               [1], cfg.morphology)
+        flips = []
+        for seed in (0, 2, 4):
+            result = same_run(plan, cfg, seed=seed)
+            inside = [math.dist(s.poses[ids[3]][:2], (table.x + 1.0, table.y))
+                      < cfg.roster[3].params.arrival_tol
+                      for s in result.samples]
+            flips.append(sum(a != b for a, b in zip(inside, inside[1:])))
+        assert flips[0] == 1 and max(flips) > 2
+
+    @pytest.mark.parametrize("seconds", [0.5, 0.11])
+    def test_bridge_skew_inside_a_tick(self, seconds):
+        # rail robot r2 is slower than r1: sent 30 mm along the rails, the
+        # bridge skews past sync_tol at the 11th step of the tick, which
+        # takes 50 steps, or 11 before the next tick
+        doc = config.default_config_doc("bridge_xy")
+        doc["roster"][1]["max_wheel_speed"] = 20.0
+        cfg = config.parse_config(doc)
+        first = home_setpoints(cfg)
+        second = {rid: dataclasses.replace(sp, y=sp.y + 30.0)
+                  for rid, sp in first.items()}
+        plan = Plan.from_ticks(
+            [PlanTick(0.0, first, cfg.home, False, 0.0, 1),
+             PlanTick(seconds, second, cfg.home, False, 0.0, 2),
+             PlanTick(1.0, second, cfg.home, False, 0.0, 3)],
+            [], cfg.morphology)
+        result = same_run(plan, cfg)
+        assert result == (KinematicsFault,
+                          "bridge skew 1.0660 mm exceeds 1.0 mm", 2)
+
+    def test_bridge_skewed_at_the_start(self):
+        # the rails start 2 mm apart: the run ends at its first sample
+        cfg = config.default_config("bridge_xy")
+        first = home_setpoints(cfg)
+        first["r2"] = dataclasses.replace(first["r2"], y=first["r2"].y + 2.0)
+        plan = Plan.from_ticks([PlanTick(0.5, first, cfg.home, False, 0.0, 4)],
+                               [], cfg.morphology)
+        result = same_run(plan, cfg)
+        assert result == (KinematicsFault,
+                          "bridge skew 2.0000 mm exceeds 1.0 mm", 4)
+
     def test_turn_in_place_is_progress(self):
         # the carriage turns in place to reverse at the barrier of line 2
         # for longer than the stall timeout
@@ -639,6 +718,20 @@ class TestRun:
                                            "tick 1 ") as err:
             sim.run(plan, wire3d_config)
         assert err.value.line_no == 2
+
+    def test_peak_memory_per_sample(self, wire3d_config):
+        # a four-robot wire3d run peaks at ~725 B per sample (README), in
+        # the FK after the robots' columns are freed; 10% above that fails
+        plan = plan_of(three_layer_program(), wire3d_config)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = sim.run(plan, wire3d_config, dt_sim=0.001)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.t) > 20_000
+        assert peak / len(trace.t) < 1.1 * 725
 
     def test_dt_sim_larger_than_plan_rejected(self, bridge_config):
         plan = coordinator.plan_program([], bridge_config)
