@@ -81,10 +81,17 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
+def _stream(plan, machine) -> str:
+    """A plan's command stream: the machine's robots in roster order, then
+    the plan's others (robots a reconfiguration parks) in plan order."""
+    roster = [e.id for e in machine.roster]
+    return coordinator.serialize_command_stream(
+        plan, roster + [rid for rid in plan.ids if rid not in roster])
+
+
 def _write_plan(path, plan, machine) -> int:
-    """Write a plan's command stream, in roster order, and its summary."""
-    roster_order = [e.id for e in machine.roster]
-    _write_text(path, coordinator.serialize_command_stream(plan, roster_order))
+    """Write a plan's command stream and its summary."""
+    _write_text(path, _stream(plan, machine))
     duration = plan.t[-1] if len(plan.t) else 0.0
     print(f"ticks={len(plan.t)} duration_s={duration:.6f} "
           f"barriers={len(plan.barriers)}")
@@ -117,9 +124,7 @@ def cmd_simulate(args) -> int:
     if args.csv:
         _write_text(args.csv, sim.export_csv(trace))
     if args.stream:
-        roster_order = [e.id for e in machine.roster]
-        _write_text(args.stream,
-                    coordinator.serialize_command_stream(plan, roster_order))
+        _write_text(args.stream, _stream(plan, machine))
     if args.report:
         report = sim.measure_fidelity(trace, segments)
         print(f"max_deviation_mm={report.max_deviation:.6f}")

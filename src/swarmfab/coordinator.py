@@ -38,8 +38,8 @@ REQUIRED_ROBOTS = {m: len(seq) for m, seq in ROLE_SEQUENCE.items()}
 # dt_plan: a near-zero speed limit would otherwise ask for a plan too long
 # to build.
 MAX_PLAN_TICKS = 1_000_000
-# segments per block of the planner's tick pass
-BLOCK_SEGMENTS = 1024
+# interior ticks per block of the planner's tick pass
+BLOCK_TICKS = 4096
 
 
 @dataclass(frozen=True)
@@ -358,89 +358,64 @@ class _Planner:
         t = 0.0 and the first segment's start.
 
         Rotation targets are relative to that start.  The segment pass
-        checks, solves and times every segment; the tick pass interpolates,
-        checks and solves the interior ticks a block of segments at a time.
-        The error raised is the one a tick-by-tick planner meets first: it
-        checks the first start, then each segment's end and its interior
-        ticks.  The plan's barriers are the indices of the last tick of
-        each segment whose next segment turns by at least the barrier
-        angle or changes kind, ascending because every segment adds a
-        tick.
+        checks, solves and times every segment, and its columns give every
+        segment's end tick at once.  The tick pass then interpolates,
+        checks and solves the interior ticks, BLOCK_TICKS at a time: tick i
+        of a segment lies i * dt_plan of the way along it, as a fraction of
+        its duration, where the plan's first tick, at its start, is tick 0
+        of the first segment, and the end tick of a segment is tick 0 of
+        the next.  The error raised is the one a tick-by-tick planner meets
+        first: it checks the first start, then each segment's end and its
+        interior ticks.  The plan's barriers are the indices of the last
+        tick of each segment whose next segment turns by at least the
+        barrier angle or changes kind, ascending because every segment adds
+        a tick.
         """
         cols, error = self.segments(segments)
         zero = self.machine.zero(tuple(segments.starts[0].tolist()))
         clock, interior = self.clock(cols)
-        # the index of each segment's last tick
-        ends_at = np.cumsum(interior + 1) - 1
+        # inner_ends[s] counts the interior ticks up to segment s's end;
+        # marks[s] is the tick segment s counts its ticks from, and
+        # marks[s + 1] its end tick
+        inner_ends = np.cumsum(interior)
+        marks = np.concatenate(([0], inner_ends + np.arange(len(interior))))
+        ends_at = marks[1:]
         barriers = ends_at[:-1][self.turns(cols)].tolist()
-        # the t, tool target, extrusion total and setpoint columns, filled a
-        # block at a time
         n = ends_at[-1] + 1
-        ticks = (np.empty(n), np.empty((n, 3)), np.empty(n),
-                 np.empty((n, 3 * len(self.ids))))
-        extrusion = 0.0
-        for a in range(0, len(interior), BLOCK_SEGMENTS):
-            block = slice(a, a + BLOCK_SEGMENTS)
-            extrusion = self._ticks(
-                cols, block, interior[block], clock[a:a + BLOCK_SEGMENTS + 1],
-                extrusion, zero, ticks, ends_at[a - 1] + 1 if a else 0)
+        times, points, totals = np.empty(n), np.empty((n, 3)), np.empty(n)
+        rows = np.empty((n, 3 * len(self.ids)))
+        # the extrusion total before each segment, and after the last
+        extrusion = np.cumsum(np.concatenate(([0.0], cols.extrusion)))
+        times[ends_at] = clock[1:]
+        points[ends_at] = cols.ends
+        totals[ends_at] = extrusion[1:]
+        rows[ends_at] = self.machine.setpoints(cols.ends, cols.end_sols, zero)
+        # the plan's interior tick k, of segment s, is its tick k + s, after
+        # the end ticks of the segments before
+        for a in range(0, inner_ends[-1], BLOCK_TICKS):
+            k = np.arange(a, min(a + BLOCK_TICKS, inner_ends[-1]))
+            seg = np.searchsorted(inner_ends, k, "right")
+            at = k + seg
+            t = (at - marks[seg]) * self.config.dt_plan
+            frac = t / cols.durations[seg]
+            starts = cols.starts[seg]
+            inner = starts + (cols.ends[seg] - starts) * frac[:, None]
+            row, reason = kin.workspace_contains_rows(self.config, inner)
+            if reason:
+                raise _outside(tuple(inner[row].tolist()), reason, "setpoint",
+                               cols.lines[seg[row]].item())
+            times[at] = clock[seg] + t
+            points[at] = inner
+            totals[at] = extrusion[seg] + cols.extrusion[seg] * frac
+            rows[at] = self.machine.setpoints(
+                inner, self.machine.solve(inner), zero)
         if error is not None:
             raise error
-        times, tools, totals, rows = ticks
         counts = interior + 1
         return Plan(self.config.morphology, barriers, self.ids,
-                    self.machine.kinds, times, tools,
+                    self.machine.kinds, times, points,
                     np.repeat(cols.kinds == "print", counts), totals,
                     np.repeat(cols.lines, counts), rows)
-
-    def _ticks(self, cols: _Segments, block: slice, interior, clock,
-               extrusion0: float, zero, ticks, at: int) -> float:
-        """The tick pass over one block of segments: write the t, tool
-        target, extrusion total and setpoint row of each of their ticks, the
-        interior ones and then the end, to the `ticks` arrays from row `at`
-        on.  Returns the extrusion total after the block.
-
-        `interior` and `clock` are the block's rows of the plan clock (the
-        clock with one more, for the end of its last segment) and
-        `extrusion0` the extrusion total before it.  The plan's first
-        segment, at row 0, has its start as an interior tick.
-        """
-        n = len(interior)
-        seg = np.repeat(np.arange(n), interior)
-        # where each interior tick and each end goes in the block's ticks
-        at_inner = np.arange(len(seg)) + seg
-        at_end = np.cumsum(interior) + np.arange(n)
-        # tick i of a segment: i * dt of the way, as a fraction of its
-        # duration, along it
-        i = at_inner - (at_end - interior)[seg] + 1
-        if at == 0:
-            i[:interior[0]] -= 1
-        t = i * self.config.dt_plan
-        frac = t / cols.durations[block][seg]
-        starts = cols.starts[block][seg]
-        inner = starts + (cols.ends[block][seg] - starts) * frac[:, None]
-        row, reason = kin.workspace_contains_rows(self.config, inner)
-        if reason:
-            raise _outside(tuple(inner[row].tolist()), reason, "setpoint",
-                           cols.lines[block][seg[row]].item())
-
-        # the block's rows of the columns; the tool targets are its points
-        times, points, totals, rows = (column[at:at + len(seg) + n]
-                                       for column in ticks)
-        points[at_inner] = inner
-        points[at_end] = cols.ends[block]
-        sols = np.empty((len(points), cols.end_sols.shape[1]))
-        sols[at_inner] = self.machine.solve(inner)
-        sols[at_end] = cols.end_sols[block]
-        times[at_inner] = clock[seg] + t
-        times[at_end] = clock[1:]
-        # the extrusion total before each segment, and after the last
-        extrusion = np.cumsum(np.concatenate(([extrusion0],
-                                              cols.extrusion[block])))
-        totals[at_inner] = extrusion[seg] + cols.extrusion[block][seg] * frac
-        totals[at_end] = extrusion[1:]
-        rows[:] = self.machine.setpoints(points, sols, zero)
-        return extrusion[-1].item()
 
 
 def plan_program(segments, config: MachineConfig) -> Plan:

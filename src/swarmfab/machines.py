@@ -23,7 +23,9 @@ their IK solutions, an N x k array.  Its kernels are
                      of each of `ids`
 where `ids` are coordinator.active_robots(config).  The planner calls
 `reach` (through kin.workspace_contains_rows), `solve` and `setpoints` once
-per block of ticks, and `deltas` once per plan; the one-point kinematics
+on the segments' endpoints and once per block of interior ticks, and
+`deltas` once per plan; the wire machines' `tool_tips` runs the FK a block
+of FK_BLOCK_ROWS rows at a time; the one-point kinematics
 functions (bridge_ik, workspace_contains, ...) are one-row calls of the
 kernels these use.
 """
@@ -36,6 +38,9 @@ import numpy as np
 
 from . import kinematics as kin
 from .robot import RobotParams
+
+# rows per block of the wire machines' FK
+FK_BLOCK_ROWS = 4096
 
 
 def _omega_max(params: RobotParams) -> float:
@@ -177,10 +182,16 @@ class Wire:
         return ()
 
     def tool_tips(self, poses, rotations, cols, zero) -> np.ndarray:
-        lengths = (np.asarray(zero) + self.geom.spool_radius
-                   * rotations[:, cols[:len(self.spools)]])
-        if self.planar:
-            tips = np.zeros((len(poses), 3))
-            tips[:, :2] = kin.wire2d_fk_rows(lengths, self.geom)
-            return tips
-        return kin.wire3d_fk_rows(lengths, self.geom)
+        # the wall plotter's FK gives (x, y), the printer's (x, y, z)
+        fk, dims = ((kin.wire2d_fk_rows, 2) if self.planar
+                    else (kin.wire3d_fk_rows, 3))
+        spools = cols[:len(self.spools)]
+        tips = np.zeros((len(poses), 3))
+        # FK_BLOCK_ROWS rows at a time bound the FK's temporaries; the rows
+        # are independent, so the first failing row still raises first
+        for a in range(0, len(poses), FK_BLOCK_ROWS):
+            block = slice(a, a + FK_BLOCK_ROWS)
+            lengths = (np.asarray(zero) + self.geom.spool_radius
+                       * rotations[block, spools])
+            tips[block, :dims] = fk(lengths, self.geom)
+        return tips

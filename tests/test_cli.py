@@ -314,6 +314,23 @@ class TestReconfigure:
         assert code == 0
         assert out_path.read_text().strip() != ""
 
+    def test_parked_robots_in_stream(self, workdir, capsys):
+        # bridge_xy -> wire2d_wall: r1 and r2 become the spools and r3,
+        # which the wall plotter's roster lacks, parks; its records follow
+        # the roster's robots
+        config.write_default_config("wire2d_wall", str(workdir / "wall.json"))
+        out_path = workdir / "trans.txt"
+        code, _, _ = run_cli(["reconfigure", workdir / "bridge.json",
+                              workdir / "wall.json", out_path], capsys)
+        assert code == 0
+        records = [line.split(" line=")[0].split(" ", 1)[1]
+                   for line in out_path.read_text().splitlines()]
+        parked = "id=r3 op=move x=150.000000 y=-750.000000"
+        assert records == [
+            "id=r1 op=move x=0.000000 y=0.000000",
+            "id=r2 op=move x=1000.000000 y=0.000000", parked] * 2 + [
+            "id=r1 op=stop", "id=r2 op=stop", "id=r3 op=stop"]
+
     def test_identical_configs_empty_stream(self, workdir, capsys):
         out_path = workdir / "trans.txt"
         code, _, _ = run_cli(["reconfigure", workdir / "bridge.json",

@@ -653,28 +653,92 @@ class TestTickBound:
         assert err.value.line_no == 4
 
 
-def test_plan_peak_memory_near_what_the_plan_keeps():
-    """The planner works in blocks of BLOCK_SEGMENTS segments: while it
-    plans, it holds the Plan it returns, about 120 B a segment of arrays of
-    one row per segment (its points, IK solutions, durations and clock) and
-    the temporaries of one block, about as much again a segment of the
-    block, never those of the whole plan.  The segments' columns, which the
-    segment pass transposes, go when that pass ends.  The walk spans eight
-    blocks: planned in one block, it peaks at 2.0 MB over what the Plan
-    keeps, against 0.84 MB block by block."""
-    cfg = config.default_config("wire2d_wall")
-    segments = segments_of(random_walk_program("wire2d_wall", 4, 6000),
-                           cfg.home)
-    coordinator.plan_program(segments[:10], cfg)  # numpy's first-call caches
+def plan_peak_over_kept(segments, cfg):
+    """What planning the segments holds at its peak beyond the Plan it
+    returns (tracemalloc), and the Plan."""
+    coordinator.plan_program(segments[:2], cfg)  # numpy's first-call caches
     tracemalloc.start()
     try:
         plan = coordinator.plan_program(segments, cfg)
         kept, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert len(segments) > 7 * coordinator.BLOCK_SEGMENTS
-    assert len(plan.t) > 10000
-    assert peak - kept <= 200 * (len(segments) + coordinator.BLOCK_SEGMENTS)
+    return peak - kept, plan
+
+
+def test_plan_peak_memory_near_what_the_plan_keeps():
+    """While it plans, the planner holds the Plan it returns and about 90 B
+    a segment of arrays of one row per segment (its points, IK solutions,
+    durations, clock and tick marks).  On top of these it writes every
+    segment's end tick at once, with about 80 B a segment of setpoint
+    temporaries, and then the interior ticks BLOCK_TICKS at a time, with
+    about 190 B a tick of the block, never those of the whole plan.  The
+    segments' columns, which the segment pass transposes, go when that
+    pass ends.  At a 0.02 s plan period the walk spans eight blocks of
+    interior ticks: planned in one block, it peaks at 5.7 MB over what the
+    Plan keeps, against 1.1 MB block by block."""
+    cfg = dataclasses.replace(config.default_config("wire2d_wall"),
+                              dt_plan=0.02)
+    segments = segments_of(random_walk_program("wire2d_wall", 4, 6000),
+                           cfg.home)
+    over, plan = plan_peak_over_kept(segments, cfg)
+    assert len(plan.t) - len(segments) > 7 * coordinator.BLOCK_TICKS
+    assert over <= max(170 * len(segments),
+                       100 * len(segments) + 200 * coordinator.BLOCK_TICKS)
+
+
+def test_plan_peak_memory_of_a_few_long_segments():
+    # three segments of 80,525 ticks: only one block of ticks at a time is
+    # held beyond the 7.8 MB Plan
+    cfg = config.default_config("wire2d_wall")
+    segments = segments_of("G1 X300 Y-300 F600\nG1 X700 Y-300 F3\n"
+                           "G1 X700 Y-600 F600\n", cfg.home)
+    over, plan = plan_peak_over_kept(segments, cfg)
+    assert len(segments) == 3 and len(plan.t) == 80_525
+    assert over <= 3_000_000
+
+
+class TestBlockTicks:
+    """The tick pass gives the same plan, and the same error, whatever the
+    size of its blocks."""
+
+    @staticmethod
+    def outcome(segments, cfg, monkeypatch, block_ticks):
+        monkeypatch.setattr(coordinator, "BLOCK_TICKS", block_ticks)
+        try:
+            return coordinator.plan_program(segments, cfg)
+        except SwarmFabError as exc:
+            return type(exc), str(exc), exc.line_no
+
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_walks(self, morphology, monkeypatch):
+        cfg = config.default_config(morphology)
+        for seed in range(3):
+            segments = segments_of(random_walk_program(morphology, seed, 40),
+                                   cfg.home)
+            whole = self.outcome(segments, cfg, monkeypatch, 10**9)
+            assert len(whole.t) > 7
+            for block_ticks in (1, 2, 7, len(whole.t) + 1):
+                assert self.outcome(segments, cfg, monkeypatch,
+                                    block_ticks) == whole
+
+    def test_interior_tick_outside_on_every_block_edge(self, monkeypatch):
+        # block sizes up to the interior tick count put the grazer's tick
+        # outside on each position of a block, the edges included
+        cfg = config.parse_config(TILTED_DOC)
+        good = seg((200.0, 150.0, 300.0), MARGIN_GRAZER[0], line=6)
+        grazer = seg(*MARGIN_GRAZER, feed=20.0, line=7)
+        away = seg(MARGIN_GRAZER[1], (900.0, 0.0, 0.0), line=8)
+        segments = [good, grazer, away]
+        error = self.outcome(segments, cfg, monkeypatch, 10**9)
+        assert (error[0] is OutOfWorkspace
+                and error[1].startswith("setpoint ") and error[2] == 7)
+        planner = coordinator._Planner(cfg)
+        cols, _ = planner.segments(gcode.Segments.of(segments[:2]))
+        interior = planner.clock(cols)[1].sum()
+        for block_ticks in range(1, interior + 2):
+            assert self.outcome(segments, cfg, monkeypatch,
+                                block_ticks) == error
 
 
 class TestAssignRoles:

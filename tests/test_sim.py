@@ -720,8 +720,8 @@ class TestRun:
         assert err.value.line_no == 2
 
     def test_peak_memory_per_sample(self, wire3d_config):
-        # a four-robot wire3d run peaks at ~725 B per sample (README), in
-        # the FK after the robots' columns are freed; 10% above that fails
+        # a four-robot wire3d run peaks at ~428 B per sample (README), after
+        # the robots' columns are freed; 10% above that fails
         plan = plan_of(three_layer_program(), wire3d_config)
         tracemalloc.start()
         try:
@@ -731,7 +731,7 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert len(trace.t) > 20_000
-        assert peak / len(trace.t) < 1.1 * 725
+        assert peak / len(trace.t) < 1.1 * 428
 
     def test_dt_sim_larger_than_plan_rejected(self, bridge_config):
         plan = coordinator.plan_program([], bridge_config)
