@@ -38,7 +38,7 @@ REQUIRED_ROBOTS = {m: len(seq) for m, seq in ROLE_SEQUENCE.items()}
 # dt_plan: a near-zero speed limit would otherwise ask for a plan too long
 # to build.
 MAX_PLAN_TICKS = 1_000_000
-# interior ticks per block of the planner's tick pass
+# ticks per block of the planner's tick pass: end ticks, then interior ones
 BLOCK_TICKS = 4096
 
 
@@ -358,18 +358,18 @@ class _Planner:
         t = 0.0 and the first segment's start.
 
         Rotation targets are relative to that start.  The segment pass
-        checks, solves and times every segment, and its columns give every
-        segment's end tick at once.  The tick pass then interpolates,
-        checks and solves the interior ticks, BLOCK_TICKS at a time: tick i
-        of a segment lies i * dt_plan of the way along it, as a fraction of
-        its duration, where the plan's first tick, at its start, is tick 0
-        of the first segment, and the end tick of a segment is tick 0 of
-        the next.  The error raised is the one a tick-by-tick planner meets
-        first: it checks the first start, then each segment's end and its
-        interior ticks.  The plan's barriers are the indices of the last
-        tick of each segment whose next segment turns by at least the
-        barrier angle or changes kind, ascending because every segment adds
-        a tick.
+        checks, solves and times every segment, and its columns give the
+        segments' end ticks, written BLOCK_TICKS at a time.  The tick pass
+        then interpolates, checks and solves the interior ticks, BLOCK_TICKS
+        at a time: tick i of a segment lies i * dt_plan of the way along
+        it, as a fraction of its duration, where the plan's first tick, at
+        its start, is tick 0 of the first segment, and the end tick of a
+        segment is tick 0 of the next.  The error raised is the one a
+        tick-by-tick planner meets first: it checks the first start, then
+        each segment's end and its interior ticks.  The plan's barriers are
+        the indices of the last tick of each segment whose next segment
+        turns by at least the barrier angle or changes kind, ascending
+        because every segment adds a tick.
         """
         cols, error = self.segments(segments)
         zero = self.machine.zero(tuple(segments.starts[0].tolist()))
@@ -389,7 +389,10 @@ class _Planner:
         times[ends_at] = clock[1:]
         points[ends_at] = cols.ends
         totals[ends_at] = extrusion[1:]
-        rows[ends_at] = self.machine.setpoints(cols.ends, cols.end_sols, zero)
+        for a in range(0, len(ends_at), BLOCK_TICKS):
+            s = slice(a, a + BLOCK_TICKS)
+            rows[ends_at[s]] = self.machine.setpoints(
+                cols.ends[s], cols.end_sols[s], zero)
         # the plan's interior tick k, of segment s, is its tick k + s, after
         # the end ticks of the segments before
         for a in range(0, inner_ends[-1], BLOCK_TICKS):

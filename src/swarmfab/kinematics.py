@@ -119,6 +119,13 @@ class WireGeometry2D:
             tuple(a1.tolist()), d, tuple(u.tolist()), tuple(n.tolist())))
 
 
+def _cross(a: np.ndarray, b: np.ndarray) -> tuple[float, float, float]:
+    """np.cross of two 3-vectors, from the same float products and
+    differences, without its broadcasting set-up."""
+    (a0, a1, a2), (b0, b1, b2) = a.tolist(), b.tolist()
+    return a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+
+
 @dataclass(frozen=True)
 class WireGeometry3D:
     """Three non-collinear wire anchors in 3-D.
@@ -146,7 +153,7 @@ class WireGeometry3D:
         if not self.workspace_margin >= 0:
             raise ValueError("workspace_margin must not be negative")
         a = np.asarray(self.anchors, dtype=float)
-        normal = np.cross(a[1] - a[0], a[2] - a[0])
+        normal = np.array(_cross(a[1] - a[0], a[2] - a[0]))
         length = np.linalg.norm(normal)
         if 0.5 * length <= MIN_ANCHOR_TRIANGLE_AREA:
             raise ValueError("anchor triangle is degenerate")
@@ -161,14 +168,14 @@ class WireGeometry3D:
         ey = v - i * ex
         j = np.linalg.norm(ey)
         ey = ey / j
-        ez = np.cross(ex, ey)
+        ez = _cross(ex, ey)
         a.setflags(write=False)
         n.setflags(write=False)
         object.__setattr__(self, "anchor_array", a)
         object.__setattr__(self, "down_normal", n)
         object.__setattr__(self, "frame", Wire3DFrame(
-            tuple(ex.tolist()), tuple(ey.tolist()), tuple(ez.tolist()),
-            float(d), i, float(j)))
+            tuple(ex.tolist()), tuple(ey.tolist()), ez, float(d), i,
+            float(j)))
 
 
 @dataclass(frozen=True)

@@ -666,25 +666,28 @@ def plan_peak_over_kept(segments, cfg):
     return peak - kept, plan
 
 
-def test_plan_peak_memory_near_what_the_plan_keeps():
+def test_plan_peak_memory_near_what_the_plan_keeps(monkeypatch):
     """While it plans, the planner holds the Plan it returns and about 90 B
     a segment of arrays of one row per segment (its points, IK solutions,
-    durations, clock and tick marks).  On top of these it writes every
-    segment's end tick at once, with about 80 B a segment of setpoint
-    temporaries, and then the interior ticks BLOCK_TICKS at a time, with
-    about 190 B a tick of the block, never those of the whole plan.  The
-    segments' columns, which the segment pass transposes, go when that
-    pass ends.  At a 0.02 s plan period the walk spans eight blocks of
-    interior ticks: planned in one block, it peaks at 5.7 MB over what the
-    Plan keeps, against 1.1 MB block by block."""
+    durations, clock and tick marks).  On top of these it writes the
+    segments' end ticks, and then their interior ticks, BLOCK_TICKS at a
+    time, with about 80 B a segment and 190 B a tick of the block of
+    setpoint temporaries, never those of the whole plan.  The segments'
+    columns, which the segment pass transposes, go when that pass ends.
+    At a 0.02 s plan period the walk spans eight blocks of interior ticks:
+    planned in one block, it peaks at 5.7 MB over what the Plan keeps,
+    against 1.1 MB block by block; in blocks of 256 ticks it peaks at
+    0.71 MB, and at 0.88 MB if its end ticks are written all at once."""
     cfg = dataclasses.replace(config.default_config("wire2d_wall"),
                               dt_plan=0.02)
     segments = segments_of(random_walk_program("wire2d_wall", 4, 6000),
                            cfg.home)
-    over, plan = plan_peak_over_kept(segments, cfg)
-    assert len(plan.t) - len(segments) > 7 * coordinator.BLOCK_TICKS
-    assert over <= max(170 * len(segments),
-                       100 * len(segments) + 200 * coordinator.BLOCK_TICKS)
+    blocks = coordinator.BLOCK_TICKS
+    for block_ticks in (blocks, 256):
+        monkeypatch.setattr(coordinator, "BLOCK_TICKS", block_ticks)
+        over, plan = plan_peak_over_kept(segments, cfg)
+        assert over <= 100 * len(segments) + 200 * block_ticks
+    assert len(plan.t) - len(segments) > 7 * blocks
 
 
 def test_plan_peak_memory_of_a_few_long_segments():

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import itertools
 import math
 import pickle
 
@@ -670,6 +671,37 @@ class TestDerivedGeometryConstants:
                               (twin.down_normal, geom.down_normal)):
                 assert not arr.flags.writeable
                 assert np.array_equal(arr, orig)
+
+    def test_cross_products_match_np_cross(self):
+        # the geometry writes its two cross products out; np.cross takes
+        # the same float products and differences, so the down normal and
+        # the frame keep their bits, signed zeros included
+        rng = np.random.default_rng(20261020)
+        cases = [rng.uniform(-1e3, 1e3, (3, 3)) for _ in range(300)]
+        cases += [rng.integers(-3, 4, (3, 3)) * 100.0 for _ in range(300)]
+        # flat anchor triangles whose other coordinates are zeros of either
+        # sign
+        for z in itertools.product([0.0, -0.0], repeat=6):
+            cases.append(np.array([[z[0], z[1], z[2]], [400.0, z[3], z[4]],
+                                   [z[5], 350.0, -0.0]]))
+            cases.append(np.array([[z[0], 0.0, z[1]], [z[2], 0.0, 400.0],
+                                   [350.0, z[3], z[4]]]))
+        checked = 0
+        for anchors in cases:
+            try:
+                geom = kin.WireGeometry3D(anchors=tuple(
+                    map(tuple, anchors.tolist())), spool_radius=20.0)
+            except ValueError:  # a degenerate triangle
+                continue
+            normal = _down_normal(geom)
+            assert geom.down_normal.tobytes() == normal.tobytes()
+            _, ex, ey, ez, d, i, j = _wire3d_frame(geom)
+            frame = kin.Wire3DFrame(tuple(ex.tolist()), tuple(ey.tolist()),
+                                    tuple(ez.tolist()), float(d), i, float(j))
+            # repr shows every float's bits
+            assert repr(geom.frame) == repr(frame)
+            checked += 1
+        assert checked > 600
 
     def test_replace_derives_afresh(self):
         moved = dataclasses.replace(WIRE3D, anchors=EQUILATERAL.anchors)

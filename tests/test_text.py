@@ -5,7 +5,8 @@ Every value `swarmfab.text` prints must be the text '%.6f' % v gives, or
 values where a shortcut is most likely to go wrong: ties, the neighbours
 of ties and of integers, signed zeros, subnormals, the cut of the fast
 path, and the values only Python's own % prints.  These tests need no
-hypothesis; test_text_properties.py draws arbitrary floats.
+hypothesis; test_text_properties.py draws arbitrary floats, and
+test_text_rows_properties.py arbitrary templates.
 """
 
 import math
@@ -197,10 +198,52 @@ class TestRows:
             f"t={t:.6f} x={x:.6f} y={y:.6f} id=\x00é\n"
             for t, x, y in values.tolist()) + f"end {values[-1, 0]:.6f}"
 
-    def test_wide_values_grow_the_buffer(self):
-        # fields of 316 characters overflow the room made for fields of
-        # WIDTH, so the buffer grows while it is written
+    def test_one_row(self):
+        values = np.array([[-1.5, 42.0, 1e20]])
+        template = ["t=", 0, " n=", 1, " big=", 2, " t=", 0, "\n"]
+        assert text.rows(template, values, whole=(1,), head="# h\n",
+                         tail=["end ", 1, ",", 0]) == (
+            "# h\nt=-1.500000 n=42 big=100000000000000000000.000000 "
+            "t=-1.500000\nend 42,-1.500000")
+
+    def test_slow_value_in_a_middle_chunk_only(self, monkeypatch):
+        # a value wider than a field widens the fields of its chunk alone;
+        # the chunks after it are laid out in fields of WIDTH again
+        values = RNG.normal(0.0, 100.0, (60, 2))
+        values[31, 1] = -1e20
+        values[::7, 0] = -values[::7, 0]
+        template = ["a=", 0, " b=", 1, " id=é\x00\n"]
+        sizes = []
+        fixed = text.fixed
+
+        def counted(chunk, whole=()):
+            sizes.append(len(chunk))
+            return fixed(chunk, whole)
+
+        monkeypatch.setattr(text, "fixed", counted)
+        monkeypatch.setattr(text, "CHUNK_BYTES", 3000)
+        got = text.rows(template, values, whole=(0,), tail=["|", 1])
+        edges = np.cumsum(sizes)
+        assert len(sizes) >= 3 and edges[0] <= 31 < edges[-2]
+        assert got == "".join(f"a={a:.0f} b={b:.6f} id=é\x00\n"
+                              for a, b in values.tolist()) + \
+            f"|{values[-1, 1]:.6f}"
+
+    def test_wide_values_grow_the_buffer(self, monkeypatch):
+        # the buffer is sized by the first chunk, of short rows; the values
+        # of over 300 characters in the later chunks, which only Python
+        # prints, widen their fields past it
         values = np.full((40, 2), -1e308)
+        values[:10] = 0.5
         values[::3, 1] = 0.5
+        put, grown = text._put, []
+
+        def spied(out, at, data):
+            grown.append(at + len(data) > len(out))
+            return put(out, at, data)
+
+        monkeypatch.setattr(text, "_put", spied)
+        monkeypatch.setattr(text, "CHUNK_BYTES", 3000)
         want = "".join(f"{a:.6f}|{b:.0f}\n" for a, b in values.tolist())
         assert text.rows(["", 0, "|", 1, "\n"], values, whole=(1,)) == want
+        assert any(grown) and len(grown) > 3
