@@ -3,19 +3,21 @@
 Unknown keys are rejected everywhere to catch typos early.  All numbers
 must be finite.  The document maps 1:1 onto coordinator.MachineConfig: a
 key left out takes the default of the field it names, and a value out of
-that field's range is rejected.
+that field's range is rejected.  machines.SPECS declares the geometry
+block of each morphology, and its scaffold.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
 from typing import Any
 
-from . import kinematics as kin
-from .coordinator import MORPHOLOGIES, REQUIRED_ROBOTS, MachineConfig, RosterEntry
+from .coordinator import MORPHOLOGIES, MachineConfig, RosterEntry
 from .errors import ConfigError
+from .machines import SPECS, Part
 from .robot import RobotParams
 
 SCHEMA_VERSION = 1
@@ -30,22 +32,6 @@ _NUMBERS = {
                  "stall_timeout"),
     "sim": ("dt_sim", "noise_std"),
     "roster": ("wheel_track", "max_wheel_speed", "body_radius"),
-    "screw": ("pitch", "direction", "z_min", "z_max"),
-    "bridge": ("rail1_x", "bridge_span", "carriage_min", "carriage_max",
-               "bridge_height"),
-    "wire": ("spool_radius", "workspace_margin"),
-}
-
-# morphology -> the MachineConfig field of its geometry, the geometry class,
-# its numbers, and its other geometry keys
-_GEOMETRY = {
-    "bridge_xy": ("bridge_geometry", kin.BridgeGeometry, "bridge", ()),
-    "wire2d_wall": ("wire2d_geometry", kin.WireGeometry2D, "wire",
-                    ("anchors",)),
-    "wire3d_printer": ("wire3d_geometry", kin.WireGeometry3D, "wire",
-                       ("anchors", "table_position")),
-    "printer_bridge": ("bridge_geometry", kin.BridgeGeometry, "bridge",
-                       ("screw", "table_position")),
 }
 
 _TOP_KEYS = {"v", "morphology", "geometry", "roster", "workspace", "limits",
@@ -70,11 +56,10 @@ def _required(cls) -> set:
             and f.default_factory is dataclasses.MISSING}
 
 
-def _numbers(obj: dict, block: str, where: str, other=(),
+def _numbers(obj: dict, keys, where: str, other=(),
              required=frozenset()) -> dict:
-    """The numbers obj sets among the keys of block, by key, once obj is
-    checked to set no key but those and `other`, and every required one."""
-    keys = _NUMBERS[block]
+    """The numbers obj sets among `keys`, by key, once obj is checked to set
+    no key but those and `other`, and every required one."""
     _require_keys(obj, {*keys, *other}, set(required), where)
     return {key: _number(obj[key], f"{where}.{key}")
             for key in keys if key in obj}
@@ -105,6 +90,36 @@ def _point(value, n: int, where: str) -> tuple:
     return tuple(float(v) for v in value)
 
 
+def _part(morphology: str, part: Part, obj, where: str) -> dict:
+    """The MachineConfig fields that obj, the block of a machines.Part,
+    sets: the part's, those of its nested blocks, and table_position."""
+    numbers = [key for key, value in part.keys.items()
+               if not isinstance(value, (list, Part))]
+    values = _numbers(obj, numbers, where, part.keys, _required(part.cls))
+    fields = {}
+    for key, value in part.keys.items():
+        if isinstance(value, Part):
+            if key not in obj:
+                raise ConfigError(f"{morphology} geometry needs a {key} "
+                                  f"block")
+            fields.update(_part(morphology, value, obj[key],
+                                f"{where}.{key}"))
+        elif key == "anchors":
+            n = len(value)
+            if not isinstance(obj[key], list) or len(obj[key]) != n:
+                raise ConfigError(f"geometry needs exactly {n} anchors")
+            values[key] = tuple(_point(a, len(value[0]),
+                                       f"geometry.anchors[{i}]")
+                                for i, a in enumerate(obj[key]))
+        elif key == "table_position" and key in obj:
+            fields[key] = _point(obj[key], 2, f"{where}.{key}")
+    try:
+        fields[part.field] = part.cls(**values)
+    except ValueError as exc:
+        raise ConfigError(f"geometry: {exc}") from exc
+    return fields
+
+
 def parse_config(doc: Any) -> MachineConfig:
     """Validate a parsed JSON document into a MachineConfig."""
     _require_keys(doc, _TOP_KEYS,
@@ -121,7 +136,7 @@ def parse_config(doc: Any) -> MachineConfig:
         raise ConfigError("roster must be a non-empty list")
     for i, entry in enumerate(doc["roster"]):
         where = f"roster[{i}]"
-        params = _numbers(entry, "roster", where, ("id",), {"id"})
+        params = _numbers(entry, _NUMBERS["roster"], where, ("id",), {"id"})
         if not isinstance(entry["id"], str) or not entry["id"]:
             raise ConfigError(f"{where}.id must be a non-empty string")
         try:
@@ -137,32 +152,10 @@ def parse_config(doc: Any) -> MachineConfig:
 
     kwargs: dict[str, Any] = {}
     for block in ("limits", "planning", "sim"):
-        kwargs.update(_numbers(doc.get(block, {}), block, block))
+        kwargs.update(_numbers(doc.get(block, {}), _NUMBERS[block], block))
 
-    attr, cls, block, other = _GEOMETRY[morphology]
-    geo = doc["geometry"]
-    values = _numbers(geo, block, "geometry", other, _required(cls))
-    if "screw" in other and "screw" not in geo:
-        raise ConfigError("printer_bridge geometry needs a screw block")
-    if "anchors" in other:
-        n = 2 if morphology == "wire2d_wall" else 3
-        anchors = geo["anchors"]
-        if not isinstance(anchors, list) or len(anchors) != n:
-            raise ConfigError(f"geometry needs exactly {n} anchors")
-        values["anchors"] = tuple(_point(a, n, f"geometry.anchors[{i}]")
-                                  for i, a in enumerate(anchors))
-    try:
-        kwargs[attr] = cls(**values)
-        if "screw" in other:
-            kwargs["lead_screw"] = kin.LeadScrew(**_numbers(
-                geo["screw"], "screw", "geometry.screw",
-                required=_required(kin.LeadScrew)))
-    except ValueError as exc:
-        raise ConfigError(f"geometry: {exc}") from exc
-
-    if "table_position" in geo:
-        kwargs["table_position"] = _point(geo["table_position"], 2,
-                                          "geometry.table_position")
+    kwargs.update(_part(morphology, SPECS[morphology].geometry,
+                        doc["geometry"], "geometry"))
 
     if "home" in doc:
         kwargs["home"] = _point(doc["home"], 3, "home")
@@ -194,60 +187,39 @@ def load_config(path: str) -> MachineConfig:
         raise ConfigError(f"config {path}: {exc}") from exc
 
 
-def _scaffold(cls, block: str, **values) -> dict:
-    """Every key of block: its value in `values`, or the default of cls."""
+def _scaffold(cls, keys: dict) -> dict:
+    """Each of keys with its scaffold value: the default of cls for None,
+    and the scaffold of a nested Part."""
     defaults = {f.name: f.default for f in dataclasses.fields(cls)}
-    return {key: values.get(key, defaults[key]) for key in _NUMBERS[block]}
+    doc = {}
+    for key, value in keys.items():
+        if value is None:
+            value = defaults[key]
+        elif isinstance(value, Part):
+            value = _scaffold(value.cls, value.keys)
+        doc[key] = value
+    return doc
 
 
 def default_config_doc(morphology: str) -> dict:
-    """A valid scaffold config document for a morphology."""
+    """A valid scaffold config document for a morphology: every key it may
+    set but roster params and parking, with the value machines.SPECS gives
+    it or the default of the field it sets."""
     if morphology not in MORPHOLOGIES:
         raise ConfigError(f"unknown morphology {morphology!r}")
-    n = REQUIRED_ROBOTS[morphology]
-    roster = [{"id": f"r{i + 1}"} for i in range(n)]
-    doc: dict[str, Any] = {
+    spec = SPECS[morphology]
+    doc = {
         "v": SCHEMA_VERSION,
         "morphology": morphology,
-        "roster": roster,
-        **{block: _scaffold(MachineConfig, block)
+        "roster": [{"id": f"r{i + 1}"} for i in range(len(spec.roles))],
+        **{block: _scaffold(MachineConfig, dict.fromkeys(_NUMBERS[block]))
            for block in ("limits", "planning", "sim")},
+        "geometry": _scaffold(spec.geometry.cls, spec.geometry.keys),
+        "workspace": dict(zip(("min", "max"), spec.workspace)),
+        "home": spec.home,
     }
-    bridge = _scaffold(kin.BridgeGeometry, "bridge", bridge_span=400.0,
-                       carriage_min=30.0, carriage_max=370.0)
-    if morphology == "bridge_xy":
-        doc["geometry"] = bridge
-        doc["workspace"] = {"min": [30.0, 0.0, 0.0],
-                            "max": [370.0, 500.0, 0.0]}
-        doc["home"] = [200.0, 100.0, 0.0]
-    elif morphology == "wire2d_wall":
-        doc["geometry"] = {
-            "anchors": [[0.0, 0.0], [1000.0, 0.0]],
-            **_scaffold(kin.WireGeometry2D, "wire", spool_radius=20.0),
-        }
-        doc["workspace"] = {"min": [150.0, -750.0, 0.0],
-                            "max": [850.0, -150.0, 0.0]}
-        doc["home"] = [500.0, -400.0, 0.0]
-    elif morphology == "wire3d_printer":
-        doc["geometry"] = {
-            "anchors": [[0.0, 0.0, 500.0], [400.0, 0.0, 500.0],
-                        [200.0, 350.0, 500.0]],
-            **_scaffold(kin.WireGeometry3D, "wire", spool_radius=20.0),
-            "table_position": [200.0, 120.0],
-        }
-        doc["workspace"] = {"min": [80.0, 60.0, 0.0],
-                            "max": [320.0, 260.0, 350.0]}
-        doc["home"] = [200.0, 120.0, 50.0]
-    else:  # printer_bridge
-        doc["geometry"] = {
-            **bridge,
-            "screw": _scaffold(kin.LeadScrew, "screw", pitch=8.0),
-            "table_position": [200.0, -60.0],
-        }
-        doc["workspace"] = {"min": [30.0, 0.0, 0.0],
-                            "max": [370.0, 500.0, 200.0]}
-        doc["home"] = [200.0, 100.0, 0.0]
-    return doc
+    # the document is the caller's to edit, and SPECS's lists are not
+    return copy.deepcopy(doc)
 
 
 def default_config(morphology: str) -> MachineConfig:

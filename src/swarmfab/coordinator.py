@@ -21,16 +21,10 @@ from .errors import InsufficientRobots, OutOfWorkspace, PlanError
 from .gcode import Segments
 from .robot import RobotParams
 
-MORPHOLOGIES = ("bridge_xy", "wire2d_wall", "wire3d_printer", "printer_bridge")
+# the morphologies and their roles, as machines.SPECS declares them
+MORPHOLOGIES = tuple(machines.SPECS)
 
-ROLE_SEQUENCE = {
-    "bridge_xy": ("bridge_left", "bridge_right", "carriage"),
-    "wire2d_wall": ("extruder_spool_1", "extruder_spool_2"),
-    "wire3d_printer": ("extruder_spool_1", "extruder_spool_2",
-                       "extruder_spool_3", "table"),
-    # the 4th robot carries the part table on a lead-screw elevator
-    "printer_bridge": ("bridge_left", "bridge_right", "carriage", "leadscrew"),
-}
+ROLE_SEQUENCE = {m: spec.roles for m, spec in machines.SPECS.items()}
 
 REQUIRED_ROBOTS = {m: len(seq) for m, seq in ROLE_SEQUENCE.items()}
 
@@ -96,10 +90,7 @@ class MachineConfig:
         if duplicates:
             raise ValueError(f"duplicate robot ids in roster: "
                              f"{', '.join(duplicates)}")
-        family = (machines.Bridge
-                  if self.morphology in ("bridge_xy", "printer_bridge")
-                  else machines.Wire)
-        object.__setattr__(self, "machine", family(self))
+        object.__setattr__(self, "machine", machines.build(self))
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,7 @@
-"""The mechanics of each morphology family, as row kernels.
+"""The morphologies, each declared once in SPECS, and the mechanics of
+their families as row kernels.  The morphology names and roles of
+coordinator, the kinds of a machine's robots, and config's geometry keys
+and scaffolds all derive from SPECS.
 
 A machine is built once per MachineConfig (as `config.machine`) and works on
 rows: `points` is an N x 3 array of tool points, one per row, and `sols`
@@ -33,11 +36,12 @@ kernels these use.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
 from . import kinematics as kin
-from .robot import RobotParams
+from .robot import ACTUATOR_ROLES, RobotParams
 
 # rows per block of the wire machines' FK
 FK_BLOCK_ROWS = 4096
@@ -55,26 +59,19 @@ def _required(config, name: str):
 
 
 class Bridge:
-    """bridge_xy, and printer_bridge with its lead screw: two rail robots
-    carry the bridge (y), the carriage rides it (x) and the 4th robot turns
-    the screw (z).  An IK solution is the bridge decomposition (see
-    kin.bridge_ik_rows)."""
+    """A bridge plotter, and a bridge printer given a lead screw: two rail
+    robots carry the bridge (y), the carriage rides it (x) and the 4th
+    robot turns the screw (z).  An IK solution is the bridge decomposition
+    (see kin.bridge_ik_rows)."""
 
-    def __init__(self, config):
-        self.geom = _required(config, "bridge_geometry")
-        self.screw = (_required(config, "lead_screw")
-                      if config.morphology == "printer_bridge" else None)
+    def __init__(self, config, kinds, geom, screw=None):
+        self.geom, self.screw, self.kinds = geom, screw, kinds
         self.sync_tol = config.sync_tol
         self.table_position = config.table_position
-        self.kinds = ("move",) * 3
-        if self.screw is not None:
-            self.kinds += ("rotate",)
 
     def limits(self, params: list[RobotParams]) -> list[float]:
-        limits = [p.max_wheel_speed for p in params[:3]]
-        if self.screw is not None:
-            limits.append(_omega_max(params[3]))
-        return limits
+        return [p.max_wheel_speed if kind == "move" else _omega_max(p)
+                for p, kind in zip(params, self.kinds)]
 
     def solve(self, points) -> np.ndarray:
         return kin.bridge_ik_rows(points[:, :2], self.geom)
@@ -131,20 +128,17 @@ class Bridge:
 
 
 class Wire:
-    """wire2d_wall, and wire3d_printer with its table robot: one spool robot
-    per wire anchor sets the wire lengths.  An IK solution is the row of
-    wire lengths; the wall plotter works in the plane z = 0."""
+    """A planar wall plotter on 2 wires, and a 3-wire printer with its table
+    robot: one spool robot per wire anchor sets the wire lengths.  An IK
+    solution is the row of wire lengths; the wall plotter works in the
+    plane z = 0."""
 
-    def __init__(self, config):
-        self.planar = config.morphology == "wire2d_wall"
-        self.geom = _required(config, "wire2d_geometry" if self.planar
-                              else "wire3d_geometry")
-        self.spools = [(a[0], a[1]) for a in self.geom.anchors]
-        self.kinds = ("rotate",) * len(self.spools)
-        # the 3-wire table robot holds one setpoint for the whole plan
-        self.table = () if self.planar else (*config.table_position, 0.0)
-        if not self.planar:
-            self.kinds += ("move",)
+    def __init__(self, config, kinds, geom):
+        self.geom, self.kinds = geom, kinds
+        self.planar = isinstance(geom, kin.WireGeometry2D)
+        self.spools = [(a[0], a[1]) for a in geom.anchors]
+        # a table robot, after the spools, holds one setpoint for the plan
+        self.table = (*config.table_position, 0.0)
 
     def limits(self, params: list[RobotParams]) -> list[float]:
         return [self.geom.spool_radius * _omega_max(p)
@@ -164,8 +158,7 @@ class Wire:
         rows[:, :spools, :2] = self.spools
         rows[:, :spools, 2] = kin.spool_delta(sols - np.asarray(zero),
                                               self.geom.spool_radius)
-        if self.table:
-            rows[:, spools] = self.table
+        rows[:, spools:] = self.table
         return rows.reshape(n, 3 * robots)
 
     def deltas(self, starts, ends, start_sols, end_sols) -> list:
@@ -195,3 +188,77 @@ class Wire:
                        * rotations[block, spools])
             tips[block, :dims] = fk(lengths, self.geom)
         return tips
+
+
+class Part(NamedTuple):
+    """A MachineConfig field of a machine's geometry, its class, and the
+    keys of the JSON block that sets it, each with its scaffold value: None
+    for the default of cls, or the Part of a nested block."""
+
+    field: str
+    cls: type
+    keys: dict
+
+
+class Morphology(NamedTuple):
+    """A machine: a roster of roles on the mechanism of one family."""
+
+    roles: tuple[str, ...]  # of its active robots, in roster order
+    family: type  # gets the fields of `geometry`, and tells its variant
+    geometry: Part
+    workspace: tuple[list, list]  # the scaffold's min and max
+    home: list  # the scaffold's
+
+
+_BRIDGE = {"rail1_x": None, "bridge_span": 400.0, "carriage_min": 30.0,
+           "carriage_max": 370.0}
+_WIRE = {"spool_radius": 20.0, "workspace_margin": None}
+
+# Every morphology, in the order `swarmfab machines list` prints them.  A
+# geometry block's keys are those of its Part, in scaffold order; a nested
+# block is required; table_position is where the table robot stands; and a
+# config's anchors match the scaffold's in count and in numbers per anchor.
+SPECS = {
+    "bridge_xy": Morphology(
+        ("bridge_left", "bridge_right", "carriage"), Bridge,
+        Part("bridge_geometry", kin.BridgeGeometry,
+             {**_BRIDGE, "bridge_height": None}),
+        ([30.0, 0.0, 0.0], [370.0, 500.0, 0.0]), [200.0, 100.0, 0.0]),
+    "wire2d_wall": Morphology(
+        ("extruder_spool_1", "extruder_spool_2"), Wire,
+        Part("wire2d_geometry", kin.WireGeometry2D,
+             {"anchors": [[0.0, 0.0], [1000.0, 0.0]], **_WIRE}),
+        ([150.0, -750.0, 0.0], [850.0, -150.0, 0.0]), [500.0, -400.0, 0.0]),
+    "wire3d_printer": Morphology(
+        ("extruder_spool_1", "extruder_spool_2", "extruder_spool_3", "table"),
+        Wire,
+        Part("wire3d_geometry", kin.WireGeometry3D, {
+            "anchors": [[0.0, 0.0, 500.0], [400.0, 0.0, 500.0],
+                        [200.0, 350.0, 500.0]],
+            **_WIRE, "table_position": [200.0, 120.0]}),
+        ([80.0, 60.0, 0.0], [320.0, 260.0, 350.0]), [200.0, 120.0, 50.0]),
+    # the 4th robot carries the part table on a lead-screw elevator; the
+    # screw sets z, so the bridge has no bridge_height
+    "printer_bridge": Morphology(
+        ("bridge_left", "bridge_right", "carriage", "leadscrew"), Bridge,
+        Part("bridge_geometry", kin.BridgeGeometry, {
+            **_BRIDGE,
+            "screw": Part("lead_screw", kin.LeadScrew, {
+                "pitch": 8.0, "direction": None, "z_min": None,
+                "z_max": None}),
+            "table_position": [200.0, -60.0]}),
+        ([30.0, 0.0, 0.0], [370.0, 500.0, 200.0]), [200.0, 100.0, 0.0]),
+}
+
+
+def build(config):
+    """The machine of a MachineConfig: its morphology's family, given the
+    kind of each robot (rotate for robot.ACTUATOR_ROLES, else move) and the
+    value of each field of its geometry, nested ones last."""
+    spec = SPECS[config.morphology]
+    kinds = tuple("rotate" if role in ACTUATOR_ROLES else "move"
+                  for role in spec.roles)
+    parts = [spec.geometry, *(value for value in spec.geometry.keys.values()
+                              if isinstance(value, Part))]
+    return spec.family(config, kinds,
+                       *[_required(config, part.field) for part in parts])

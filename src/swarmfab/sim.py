@@ -24,9 +24,9 @@ from .robot import (  # noqa: F401
 # the drop in a robot's setpoint distance (mm), or in a move robot's heading
 # error (rad), that counts as progress
 PROGRESS_EPS = 1e-6
-# The most samples a run may take: 0.5 to 1.5 GB at the bytes per sample a
-# run holds at its peak, ~270 (wire2d_wall), ~385 (bridge_xy), ~450
-# (printer_bridge) or ~725 (wire3d_printer).  A slow feed or a small dt_sim
+# The most samples a run may take: 0.5 to 0.9 GB at the bytes per sample a
+# run holds at its peak, ~270 (wire2d_wall), ~385 (bridge_xy), ~428
+# (wire3d_printer) or ~450 (printer_bridge).  A slow feed or a small dt_sim
 # would otherwise ask for a run too long to hold.
 MAX_SAMPLES = 2_000_000
 

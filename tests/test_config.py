@@ -4,7 +4,7 @@ import re
 
 import pytest
 
-from swarmfab import config
+from swarmfab import cli, config
 from swarmfab.coordinator import MORPHOLOGIES
 from swarmfab.errors import ConfigError
 
@@ -273,3 +273,84 @@ class TestFiles:
         path.write_text(json.dumps(doc))
         with pytest.raises(ConfigError, match=message):
             config.load_config(str(path))
+
+
+# The scaffold of each morphology, key order included.  printer_bridge's
+# geometry has no bridge_height: its lead screw sets z.
+_BLOCKS = ('"limits": {"max_tool_speed": 50.0, "sync_tol": 1.0}, '
+           '"planning": {"dt_plan": 0.1, "swap_duration": 10.0, '
+           '"barrier_angle_deg": 90.0, "stall_timeout": 10.0}, '
+           '"sim": {"dt_sim": 0.01, "noise_std": 0.0}')
+_BRIDGE = ('"rail1_x": 0.0, "bridge_span": 400.0, "carriage_min": 30.0, '
+           '"carriage_max": 370.0')
+SCAFFOLDS = {
+    "bridge_xy": (
+        '{"v": 1, "morphology": "bridge_xy", "roster": [{"id": "r1"}, '
+        '{"id": "r2"}, {"id": "r3"}], ' + _BLOCKS + ', "geometry": {'
+        + _BRIDGE + ', "bridge_height": 0.0}, "workspace": {"min": '
+        '[30.0, 0.0, 0.0], "max": [370.0, 500.0, 0.0]}, "home": '
+        '[200.0, 100.0, 0.0]}'),
+    "wire2d_wall": (
+        '{"v": 1, "morphology": "wire2d_wall", "roster": [{"id": "r1"}, '
+        '{"id": "r2"}], ' + _BLOCKS + ', "geometry": {"anchors": '
+        '[[0.0, 0.0], [1000.0, 0.0]], "spool_radius": 20.0, '
+        '"workspace_margin": 10.0}, "workspace": {"min": [150.0, -750.0, '
+        '0.0], "max": [850.0, -150.0, 0.0]}, "home": [500.0, -400.0, 0.0]}'),
+    "wire3d_printer": (
+        '{"v": 1, "morphology": "wire3d_printer", "roster": [{"id": "r1"}, '
+        '{"id": "r2"}, {"id": "r3"}, {"id": "r4"}], ' + _BLOCKS
+        + ', "geometry": {"anchors": [[0.0, 0.0, 500.0], [400.0, 0.0, '
+        '500.0], [200.0, 350.0, 500.0]], "spool_radius": 20.0, '
+        '"workspace_margin": 10.0, "table_position": [200.0, 120.0]}, '
+        '"workspace": {"min": [80.0, 60.0, 0.0], "max": [320.0, 260.0, '
+        '350.0]}, "home": [200.0, 120.0, 50.0]}'),
+    "printer_bridge": (
+        '{"v": 1, "morphology": "printer_bridge", "roster": [{"id": "r1"}, '
+        '{"id": "r2"}, {"id": "r3"}, {"id": "r4"}], ' + _BLOCKS
+        + ', "geometry": {' + _BRIDGE + ', "screw": {"pitch": 8.0, '
+        '"direction": 1, "z_min": 0.0, "z_max": 200.0}, "table_position": '
+        '[200.0, -60.0]}, "workspace": {"min": [30.0, 0.0, 0.0], "max": '
+        '[370.0, 500.0, 200.0]}, "home": [200.0, 100.0, 0.0]}'),
+}
+
+
+class TestScaffolds:
+    def test_every_morphology_is_pinned(self):
+        assert tuple(SCAFFOLDS) == MORPHOLOGIES
+
+    @pytest.mark.parametrize("morphology", MORPHOLOGIES)
+    def test_scaffold_document(self, morphology):
+        doc = config.default_config_doc(morphology)
+        assert json.dumps(doc) == SCAFFOLDS[morphology]
+        # each call hands out a document of its own
+        doc["geometry"].clear()
+        assert json.dumps(config.default_config_doc(morphology)) == \
+            SCAFFOLDS[morphology]
+
+    @pytest.mark.parametrize("morphology", MORPHOLOGIES)
+    def test_machines_init_writes_the_scaffold(self, morphology, tmp_path,
+                                              capsys):
+        path = tmp_path / "m.json"
+        assert cli.main(["machines", "init", morphology, str(path)]) == 0
+        capsys.readouterr()
+        expected = json.dumps(json.loads(SCAFFOLDS[morphology]), indent=2)
+        assert path.read_bytes() == (expected + "\n").encode()
+
+    def test_printer_bridge_rejects_bridge_height(self, tmp_path, capsys):
+        # the lead screw sets z, so nothing would read the key
+        doc = config.default_config_doc("printer_bridge")
+        doc["geometry"]["bridge_height"] = 77.0
+        with pytest.raises(ConfigError, match=r"^unknown key\(s\) in "
+                                              r"geometry: \['bridge_height'\]$"):
+            config.parse_config(doc)
+        path = tmp_path / "m.json"
+        path.write_text(json.dumps(doc))
+        (tmp_path / "job.gcode").write_text("G1 X200 Y100 F600\n")
+        code = cli.main(["plan", str(tmp_path / "job.gcode"), str(path),
+                         str(tmp_path / "s.txt")])
+        assert code == 4
+        assert "bridge_height" in capsys.readouterr().err
+        # the bridge plotter keeps the key
+        doc = config.default_config_doc("bridge_xy")
+        doc["geometry"]["bridge_height"] = 77.0
+        assert config.parse_config(doc).bridge_geometry.bridge_height == 77.0
