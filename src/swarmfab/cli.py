@@ -82,11 +82,9 @@ def cmd_parse(args) -> int:
 
 
 def _stream(plan, machine) -> str:
-    """A plan's command stream: the machine's robots in roster order, then
-    the plan's others (robots a reconfiguration parks) in plan order."""
-    roster = [e.id for e in machine.roster]
+    """A plan's command stream, the machine's robots in roster order."""
     return coordinator.serialize_command_stream(
-        plan, roster + [rid for rid in plan.ids if rid not in roster])
+        plan, [e.id for e in machine.roster])
 
 
 def _write_plan(path, plan, machine) -> int:

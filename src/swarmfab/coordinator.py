@@ -483,8 +483,10 @@ def reconfigure(from_config: MachineConfig, to_config: MachineConfig) -> Plan:
 
 def serialize_command_stream(plan: Plan,
                              roster_order: Optional[list[str]] = None) -> str:
-    """Byte-stable newline-delimited command records, one per robot per tick
-    (in roster order, by default the plan's), then a stop record per robot.
+    """Byte-stable newline-delimited command records, one per robot per tick,
+    then a stop record per robot.  The robots go in roster order: each
+    robot of `roster_order` that the plan has, once, then the plan's other
+    robots (those a reconfiguration parks, say) in plan order.
 
     Every tick's records come from one template, so the stream is the rows
     of one array, written by `text.rows`, and the stop records that of its
@@ -492,9 +494,8 @@ def serialize_command_stream(plan: Plan,
     source line.
     """
     column = {rid: k for k, rid in enumerate(plan.ids)}
-    order = [column[rid] for rid in
-             (plan.ids if roster_order is None else roster_order)
-             if rid in column]
+    order = list(dict.fromkeys([column[rid] for rid in roster_order or ()
+                                if rid in column] + list(column.values())))
     if not len(plan.t) or not order:
         return ""
     # the printed setpoint columns, each once, after t; the line comes last
@@ -511,7 +512,7 @@ def serialize_command_stream(plan: Plan,
                 item = printed.setdefault(item, len(printed) + 1)
             template.append(item)
         template += (" line=", -1, "\n")
-    stops = [item for k in dict.fromkeys(order)
+    stops = [item for k in order
              for item in ("t=", 0, f" id={plan.ids[k]} op=stop line=", -1,
                           "\n")]
     # `printed` numbers its columns 1, 2, ... in the order it holds them

@@ -240,14 +240,16 @@ def bridge_fk_rows(bridge1, bridge2, carriage_offset, geom: BridgeGeometry,
                    sync_tol: float = 1.0) -> np.ndarray:
     """Tool (x, y) (N x 2) from every row of the two bridge robot positions
     (N x 2 each) and the carriage offset (N).  Raises for the first row
-    whose bridge is skewed beyond sync_tol."""
+    whose bridge is skewed beyond sync_tol, with that row as its `row`."""
     b1 = np.asarray(bridge1, dtype=float).reshape(-1, 2)
     b2 = np.asarray(bridge2, dtype=float).reshape(-1, 2)
     skew = np.abs(b1[:, 1] - b2[:, 1])
     skewed = np.flatnonzero(skew > sync_tol)
     if len(skewed):
-        raise BridgeSkewed(f"bridge skew {skew[skewed[0]]:.4f} mm "
-                           f"exceeds {sync_tol} mm")
+        error = BridgeSkewed(f"bridge skew {skew[skewed[0]]:.4f} mm "
+                             f"exceeds {sync_tol} mm")
+        error.row = int(skewed[0])
+        raise error
     tool = np.empty((len(b1), 2))
     tool[:, 0] = b1[:, 0] + np.asarray(carriage_offset, dtype=float)
     tool[:, 1] = 0.5 * (b1[:, 1] + b2[:, 1])
@@ -317,9 +319,10 @@ def _first(checks) -> tuple:
 
 def _raise_first(checks) -> None:
     """Raise the error of the first row that fails a check of `checks`,
-    (mask, error) pairs as for _first."""
-    _, error = _first(checks)
+    (mask, error) pairs as for _first, with that row as its `row`."""
+    row, error = _first(checks)
     if error:
+        error.row = row
         raise error
 
 

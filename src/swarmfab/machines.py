@@ -20,10 +20,12 @@ their IK solutions, an N x k array.  Its kernels are
                      over every segment, one array per axis
   reach(points)      (mask, reason) pairs of the rows out of reach, in the
                      order a point is tested (see kin.workspace_contains_rows)
-  synced(ids)        the robots whose y must agree within sync_tol
   tool_tips(poses, rotations, cols, zero)  FK of every row of pose (N x R x
                      3) and rotation (N x R) columns; `cols` holds the column
-                     of each of `ids`
+                     of each of `ids`.  The one check of a pose: raises the
+                     KinematicsError of the first row that has one (rails
+                     skewed past sync_tol, wires that do not meet), with
+                     that row as its `row`
 where `ids` are coordinator.active_robots(config).  The planner calls
 `reach` (through kin.workspace_contains_rows), `solve` and `setpoints` once
 on the segments' endpoints and once per block of interior ticks, and
@@ -41,6 +43,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kinematics as kin
+from .errors import KinematicsError
 from .robot import ACTUATOR_ROLES, RobotParams
 
 # rows per block of the wire machines' FK
@@ -110,9 +113,6 @@ class Bridge:
                            "ZTravel"))
         return checks
 
-    def synced(self, ids) -> tuple:
-        return (ids[0], ids[1])
-
     def tool_tips(self, poses, rotations, cols, zero) -> np.ndarray:
         geom, screw = self.geom, self.screw
         tips = np.empty((len(poses), 3))
@@ -171,9 +171,6 @@ class Wire:
         return [(kin._depth(self.geom, points) <= self.geom.workspace_margin,
                  "AboveAnchors")]
 
-    def synced(self, ids) -> tuple:
-        return ()
-
     def tool_tips(self, poses, rotations, cols, zero) -> np.ndarray:
         # the wall plotter's FK gives (x, y), the printer's (x, y, z)
         fk, dims = ((kin.wire2d_fk_rows, 2) if self.planar
@@ -186,7 +183,11 @@ class Wire:
             block = slice(a, a + FK_BLOCK_ROWS)
             lengths = (np.asarray(zero) + self.geom.spool_radius
                        * rotations[block, spools])
-            tips[block, :dims] = fk(lengths, self.geom)
+            try:
+                tips[block, :dims] = fk(lengths, self.geom)
+            except KinematicsError as exc:
+                exc.row += a
+                raise
         return tips
 
 

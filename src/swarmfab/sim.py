@@ -11,7 +11,7 @@ import numpy as np
 from . import kinematics as kin
 from . import text
 from .coordinator import MachineConfig, Plan, active_robots
-from .errors import KinematicsFault, SimError, StallTimeout
+from .errors import KinematicsError, KinematicsFault, SimError, StallTimeout
 from .gcode import Segments
 # The simulator loop inlines these; they stay bound here, where the benchmark
 # tracer (perfbench/jobs.py) looks them up.
@@ -104,9 +104,11 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
 
     The tool tip does not feed back into control, so the machine's FK runs
     once, on all samples, after the robots have been stepped through the
-    plan (see _drive).  An FK error is raised for its sample even when the
-    run stalls later; a skewed bridge stops the run at once and raises
-    KinematicsFault with the g-code line of the sample's plan tick.
+    plan (see _drive), and is the one check of each sample.  The FK error
+    of the first faulty sample is raised, with the g-code line of the
+    sample's plan tick, even when the run stalls later; a skewed bridge
+    raises KinematicsFault.  A run whose bridge skews has stepped the rest
+    of its plan, up to its stall, by then.
 
     A run takes about one sample per dt_sim of plan time and barrier wait.
     SimError is raised, with the g-code line of the plan tick, before the
@@ -147,9 +149,7 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
     zero = machine.zero(plan.tool_target[0].tolist())
     order = sorted(plan.ids)
     cols, counts, wait, extruded, stop = _drive(
-        plan, dt_sim, config.stall_timeout, params,
-        [order.index(rid) for rid in machine.synced(ids)], config.sync_tol,
-        noise)
+        plan, dt_sim, config.stall_timeout, params, noise)
     at = np.repeat(np.arange(len(counts)), counts)
     state = np.empty((len(at), len(order), 4))
     for k in range(len(order)):
@@ -165,10 +165,11 @@ def run(plan: Plan, config: MachineConfig, dt_sim: float | None = None,
         trace.tool_tip = machine.tool_tips(
             trace.poses, trace.rotations, [order.index(rid) for rid in ids],
             zero)
-    except kin.BridgeSkewed as exc:
-        # _drive stops at the first skewed sample: the last one
-        raise KinematicsFault(str(exc),
-                              line_no=plan.source_line[at[-1]].item()) from exc
+    except KinematicsError as exc:
+        exc.line_no = plan.source_line[at[exc.row]].item()
+        if isinstance(exc, kin.BridgeSkewed):
+            raise KinematicsFault(str(exc), line_no=exc.line_no) from exc
+        raise
     if stop is not None:
         raise stop
     return trace
@@ -189,25 +190,23 @@ def _sample_times(n: int, dt_sim: float) -> np.ndarray:
 
 
 def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
-           synced: tuple, sync_tol: float, noise):
+           noise):
     """Step the robots through the plan's ticks, sampling after every step.
 
     `params` maps each of the plan's ids to its RobotParams; each robot
-    starts at the (x, y) of its first setpoint, and the y of the robots at
-    the `synced` indices (ids sorted) must stay within sync_tol.  Each
-    robot in id order takes all of a tick's steps in one loop (walk), with
-    the poses of swarmfab.robot's controllers and dynamics bit for bit.
-    The robots couple in four places, settled once the tick's robots have
-    been stepped.  The barrier: with noise off, a robot inside its
-    tolerance keeps its pose for the rest of the tick, so a barrier tick
-    ends at the later of its deadline and the last arrival.  The stall
-    clock restarts at every tick and cannot pass stall_timeout within
-    `calm` steps; a longer tick, a noisy barrier tick, and (from its first
-    step again) a barrier wait past `calm` go one step at a time, summing
-    the arrival errors in plan order after each.  The noise: each robot
-    draws x, then y, at every step, in id order, as one rng.normal of shape
-    (steps, robots, 2) does.  The sync check: the run ends at the first
-    skewed sample.
+    starts at the (x, y) of its first setpoint.  Each robot in id order
+    takes all of a tick's steps in one loop (walk), with the poses of
+    swarmfab.robot's controllers and dynamics bit for bit.  The robots
+    couple in three places, settled once the tick's robots have been
+    stepped.  The barrier: with noise off, a robot inside its tolerance
+    keeps its pose for the rest of the tick, so a barrier tick ends at the
+    later of its deadline and the last arrival.  The stall clock restarts
+    at every tick and cannot pass stall_timeout within `calm` steps; a
+    longer tick, a noisy barrier tick, and (from its first step again) a
+    barrier wait past `calm` go one step at a time, summing the arrival
+    errors in plan order after each.  The noise: each robot draws x, then
+    y, at every step, in id order, as one rng.normal of shape (steps,
+    robots, 2) does.
 
     Returns each robot's column (x, y, heading and accumulated rotation of
     every sample), each plan tick's number of samples, the barrier wait,
@@ -351,8 +350,7 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
     extrusion_prev = totals[0]
     counts = [1] + [0] * (len(times_of) - 1)
     done = 1  # the samples taken
-    ya, yb = (cols[k] for k in synced) if synced else (None, None)
-    stop = skewed = None
+    stop = None
     for tick_idx, row in enumerate(setpoints):
         need = max(times_of[tick_idx] - t_prev, 0.0) - 1e-12
         is_barrier = tick_idx in barriers
@@ -419,16 +417,9 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
                     stop = capped(tick_idx, clock)
                 elif clock - t >= need:
                     break
-        if synced:
-            # the tick's samples, and at tick 0 the first one
-            for j in range(4 * done + 1 if tick_idx else 1,
-                           4 * (done + steps), 4):
-                if abs(ya[j] - yb[j]) > sync_tol:
-                    steps, stop, skewed = j // 4 + 1 - done, None, True
-                    break
         counts[tick_idx] += steps
         done += steps
-        if stop is not None or skewed:
+        if stop is not None:
             # the run ends at the step that stopped it
             for col in cols:
                 del col[4 * done:]

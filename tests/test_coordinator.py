@@ -233,12 +233,13 @@ def plan_program_oracle(segments, cfg):
 
 def serialize_command_stream_oracle(plan, roster_order=None):
     """The serializer before the columnar plan: one f-string per record,
-    from the PlanTicks of the plan's ticks view."""
+    from the PlanTicks of the plan's ticks view.  The robots of
+    roster_order the plan has go first, each once, then its others."""
     lines = []
     seen_order = []
     ticks = plan.ticks
     for tick in ticks:
-        ids = roster_order if roster_order is not None else list(tick.setpoints)
+        ids = dict.fromkeys([*(roster_order or ()), *tick.setpoints])
         for rid in ids:
             if rid not in tick.setpoints:
                 continue

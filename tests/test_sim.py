@@ -6,10 +6,11 @@ from typing import NamedTuple
 import numpy as np
 import pytest
 
-from swarmfab import config, coordinator, gcode, sim
+from swarmfab import config, coordinator, gcode, machines, sim
 from swarmfab import kinematics as kin
 from swarmfab.coordinator import Plan, PlanTick, Setpoint
 from swarmfab.errors import (
+    KinematicsError,
     KinematicsFault,
     NoIntersection,
     SimError,
@@ -109,8 +110,11 @@ def run_oracle(plan, cfg, dt_sim=None, seed=0):
     def record(t, tick, extrusion_total):
         try:
             tool = tool_tip_oracle(cfg, states, ids, zero)
-        except kin.BridgeSkewed as exc:
-            raise KinematicsFault(str(exc), line_no=tick.source_line) from exc
+        except KinematicsError as exc:
+            exc.line_no = tick.source_line
+            if isinstance(exc, kin.BridgeSkewed):
+                raise KinematicsFault(str(exc), line_no=exc.line_no) from exc
+            raise
         samples.append(sim.TraceSample(
             t=round(t, 9),
             poses={rid: states[rid].pose for rid in order},
@@ -364,7 +368,19 @@ class TestRunOracle:
     def test_wire_fk_fault_before_stall(self):
         cfg = slow_table_config()
         result = same_run(stall_plan(cfg, -20.0), cfg)
-        assert result[0] is NoIntersection
+        assert result == (NoIntersection, "spheres do not intersect", 2)
+
+    def test_wire_fk_fault_in_a_later_block(self):
+        # the rows past the FK's first block of rows cite their own lines:
+        # spool 1 winds in after a 50 s dwell, 5000 samples
+        cfg = config.default_config("wire3d_printer")
+        dwell = stall_plan(cfg, -20.0).ticks
+        ticks = [dwell[0], dataclasses.replace(dwell[0], t=50.0, source_line=2),
+                 dataclasses.replace(dwell[1], t=60.0, source_line=3)]
+        plan = Plan.from_ticks(ticks, [], cfg.morphology)
+        assert 50.0 / cfg.dt_sim > machines.FK_BLOCK_ROWS
+        result = same_run(plan, cfg)
+        assert result == (NoIntersection, "spheres do not intersect", 3)
 
     def test_stall(self):
         cfg = slow_table_config()
