@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -208,217 +208,184 @@ def _outside(point, reason: str, what: str, line_no: int) -> OutOfWorkspace:
                           reason=reason, line_no=line_no)
 
 
-class _Segments(NamedTuple):
-    """Chained segments as columns, one row per segment: its kind and
-    source line, its start and end (N x 3 each), the IK solution of its end,
-    its extrusion and its duration."""
+def _segment_pass(config: MachineConfig, segs: Segments):
+    """The segment pass over a Segments: check that the segments are
+    chained, and every endpoint, the first segment's start and then each
+    end, then solve and time the segments before the first endpoint
+    outside the workspace.
 
-    kinds: np.ndarray
-    lines: np.ndarray
-    starts: np.ndarray
-    ends: np.ndarray
-    end_sols: np.ndarray
-    extrusion: np.ndarray
-    durations: np.ndarray
-
-
-class _Planner:
-    """A config's planning constants, built once: the active robot ids and
-    the speed limit of each actuated axis."""
-
-    def __init__(self, config: MachineConfig):
-        self.config = config
-        self.machine = config.machine
-        self.ids = tuple(active_robots(config))
-        self.limits = self.machine.limits([e.params for e in config.roster])
-
-    def segments(self, segments):
-        """The segment pass over a Segments (or MotionSegment records):
-        check that the segments are chained, and every endpoint, the first
-        segment's start and then each end, then solve and time the segments
-        before the first endpoint outside the workspace.
-
-        Returns (columns, error): the _Segments of those segments, and the
-        OutOfWorkspace of the first endpoint outside, or None; raises that
-        error if no segment comes before it, and PlanError at the first
-        segment that does not start where the one before ends (by value, or
-        by bits for a nan).  IK is solved only for the endpoints inside; a
-        point inside the workspace is inside the reach of its IK, so the IK
-        raises nothing here.
-        """
-        segs = Segments.of(segments)
-        starts, ends, lines = segs.starts, segs.ends, segs.line
-        a, b = starts[1:], ends[:-1]
-        broken = ((a != b) & (a.view(np.int64) != b.view(np.int64))).any(1)
-        if broken.any():
-            line = lines[1:][broken.argmax()].item()
-            raise PlanError(f"segments not chained at line {line}",
-                            line_no=line)
-        lengths = segs.lengths()
-        points = np.concatenate((starts[:1], ends))
-        row, reason = kin.workspace_contains_rows(self.config, points)
-        count = max(row - 1, 0)
-        error = None
-        if reason:
-            error = _outside(tuple(points[row].tolist()), reason,
-                             "segment endpoint", lines[count].item())
-            if not count:
-                raise error
-        points = points[:count + 1]
-        ends = points[1:]
-        sols = self.machine.solve(points)
-        lengths, feeds = lengths[:count], segs.feed[:count]
-        # feed- and actuator-limited, and inf if too long for a float; what
-        # does not travel takes no time, even at a feed or speed limit of
-        # 0.0
-        with np.errstate(over="ignore", divide="ignore"):
-            durations = np.maximum(
-                np.divide(lengths, feeds, out=np.zeros_like(lengths),
-                          where=lengths != 0.0),
-                lengths / self.config.max_tool_speed)
-            for delta, limit in zip(
-                    self.machine.deltas(starts[:count], ends, sols[:-1],
-                                        sols[1:]), self.limits):
-                durations = np.maximum(durations, np.divide(
-                    np.abs(delta), limit, out=np.zeros_like(durations),
-                    where=delta != 0.0))
-        return _Segments(segs.kind[:count], lines[:count], starts[:count],
-                         ends, sols[1:], segs.extrusion[:count],
-                         durations), error
-
-    def clock(self, cols: _Segments):
-        """The plan clock: when each segment starts, and the last one ends
-        (N + 1), from 0.0, and how many interior ticks each has, from tick
-        0 of the first segment and tick 1 of the others.  A segment too
-        short to move the clock dwells one tick at its end; only a plan
-        that holds one walks its segments in a loop.  Raises PlanError at
-        the segment where the plan passes MAX_PLAN_TICKS ticks, before any
-        tick is built."""
-        dt = self.config.dt_plan
-        durations = cols.durations
-        with np.errstate(over="ignore"):
-            ticks = np.maximum(1.0, np.ceil(durations / dt - 1e-9))
-            # np.cumsum adds in order, as the loop below does, so the times
-            # are the loop's up to the first segment too short to move them
-            times = np.concatenate(([0.0], np.cumsum(durations)))
-            still = (times[:-1] + durations == times[:-1]).any()
-        interior = ticks - 1.0
-        interior[0] += 1.0
-        if still:
-            t0, first = 0.0, 0
-            times, interior = [t0], []
-            for duration, n in zip(durations.tolist(), ticks.tolist()):
-                if t0 + duration == t0:
-                    t0 += dt
-                    n = first  # no interior ticks
-                else:
-                    t0 += duration
-                times.append(t0)
-                interior.append(n - first)
-                first = 1
-            times, interior = np.array(times), np.array(interior)
-        passed = np.cumsum(interior + 1) > MAX_PLAN_TICKS
-        if passed.any():
-            line = cols.lines[passed.argmax()].item()
-            raise PlanError(f"plan longer than {MAX_PLAN_TICKS} ticks of "
-                            f"{dt} s", line_no=line)
-        return times, interior.astype(np.int64)
-
-    def turns(self, cols: _Segments) -> np.ndarray:
-        """Whether each segment after the first turns by at least the
-        barrier angle from the one before, or changes kind."""
-        d = cols.ends - cols.starts
-        dx, dy, dz = d.T
-        norm = np.sqrt(dx * dx + dy * dy + dz * dz)
-        a, b = d[:-1], d[1:]
-        product = norm[:-1] * norm[1:]
-        cosang = np.divide(a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
-                           + a[:, 2] * b[:, 2], product,
-                           out=np.ones_like(product),
-                           where=(norm[:-1] != 0.0) & (norm[1:] != 0.0))
-        cosang = np.maximum(-1.0, np.minimum(1.0, cosang))
-        # math.acos: np.arccos may round differently; a segment of zero
-        # length turns by acos(1.0) == 0.0
-        angle = np.fromiter(map(math.acos, cosang.tolist()), float,
-                            len(cosang))
-        threshold = math.radians(self.config.barrier_angle_deg) - 1e-9
-        return (cols.kinds[1:] != cols.kinds[:-1]) | (angle >= threshold)
-
-    def plan(self, segments: Segments) -> Plan:
-        """Sample chained segments into ticks at the planning period, from
-        t = 0.0 and the first segment's start.
-
-        Rotation targets are relative to that start.  The segment pass
-        checks, solves and times every segment, and its columns give the
-        segments' end ticks, written BLOCK_TICKS at a time.  The tick pass
-        then interpolates, checks and solves the interior ticks, BLOCK_TICKS
-        at a time: tick i of a segment lies i * dt_plan of the way along
-        it, as a fraction of its duration, where the plan's first tick, at
-        its start, is tick 0 of the first segment, and the end tick of a
-        segment is tick 0 of the next.  The error raised is the one a
-        tick-by-tick planner meets first: it checks the first start, then
-        each segment's end and its interior ticks.  The plan's barriers are
-        the indices of the last tick of each segment whose next segment
-        turns by at least the barrier angle or changes kind, ascending
-        because every segment adds a tick.
-        """
-        cols, error = self.segments(segments)
-        zero = self.machine.zero(tuple(segments.starts[0].tolist()))
-        clock, interior = self.clock(cols)
-        # inner_ends[s] counts the interior ticks up to segment s's end;
-        # marks[s] is the tick segment s counts its ticks from, and
-        # marks[s + 1] its end tick
-        inner_ends = np.cumsum(interior)
-        marks = np.concatenate(([0], inner_ends + np.arange(len(interior))))
-        ends_at = marks[1:]
-        barriers = ends_at[:-1][self.turns(cols)].tolist()
-        n = ends_at[-1] + 1
-        times, points, totals = np.empty(n), np.empty((n, 3)), np.empty(n)
-        rows = np.empty((n, 3 * len(self.ids)))
-        # the extrusion total before each segment, and after the last
-        extrusion = np.cumsum(np.concatenate(([0.0], cols.extrusion)))
-        times[ends_at] = clock[1:]
-        points[ends_at] = cols.ends
-        totals[ends_at] = extrusion[1:]
-        for a in range(0, len(ends_at), BLOCK_TICKS):
-            s = slice(a, a + BLOCK_TICKS)
-            rows[ends_at[s]] = self.machine.setpoints(
-                cols.ends[s], cols.end_sols[s], zero)
-        # the plan's interior tick k, of segment s, is its tick k + s, after
-        # the end ticks of the segments before
-        for a in range(0, inner_ends[-1], BLOCK_TICKS):
-            k = np.arange(a, min(a + BLOCK_TICKS, inner_ends[-1]))
-            seg = np.searchsorted(inner_ends, k, "right")
-            at = k + seg
-            t = (at - marks[seg]) * self.config.dt_plan
-            frac = t / cols.durations[seg]
-            starts = cols.starts[seg]
-            inner = starts + (cols.ends[seg] - starts) * frac[:, None]
-            row, reason = kin.workspace_contains_rows(self.config, inner)
-            if reason:
-                raise _outside(tuple(inner[row].tolist()), reason, "setpoint",
-                               cols.lines[seg[row]].item())
-            times[at] = clock[seg] + t
-            points[at] = inner
-            totals[at] = extrusion[seg] + cols.extrusion[seg] * frac
-            rows[at] = self.machine.setpoints(
-                inner, self.machine.solve(inner), zero)
-        if error is not None:
+    Returns (segs, sols, durations, error): the Segments view of those
+    segments, the IK solutions of the first one's start and of each end
+    (one row more), their durations, and the OutOfWorkspace of the first
+    endpoint outside, or None; raises that error if no segment comes
+    before it, and PlanError at the first segment that does not start
+    where the one before ends (by value, or by bits for a nan).  IK is
+    solved only for the endpoints inside; a point inside the workspace is
+    inside the reach of its IK, so the IK raises nothing here.
+    """
+    starts, ends, lines = segs.starts, segs.ends, segs.line
+    a, b = starts[1:], ends[:-1]
+    broken = ((a != b) & (a.view(np.int64) != b.view(np.int64))).any(1)
+    if broken.any():
+        line = lines[1:][broken.argmax()].item()
+        raise PlanError(f"segments not chained at line {line}",
+                        line_no=line)
+    lengths = segs.lengths()
+    points = np.concatenate((starts[:1], ends))
+    row, reason = kin.workspace_contains_rows(config, points)
+    count = max(row - 1, 0)
+    error = None
+    if reason:
+        error = _outside(tuple(points[row].tolist()), reason,
+                         "segment endpoint", lines[count].item())
+        if not count:
             raise error
-        counts = interior + 1
-        return Plan(self.config.morphology, barriers, self.ids,
-                    self.machine.kinds, times, points,
-                    np.repeat(cols.kinds == "print", counts), totals,
-                    np.repeat(cols.lines, counts), rows)
+    machine = config.machine
+    points = points[:count + 1]
+    sols = machine.solve(points)
+    lengths, feeds = lengths[:count], segs.feed[:count]
+    # feed- and actuator-limited, and inf if too long for a float; what
+    # does not travel takes no time, even at a feed or speed limit of 0.0
+    with np.errstate(over="ignore", divide="ignore"):
+        durations = np.maximum(
+            np.divide(lengths, feeds, out=np.zeros_like(lengths),
+                      where=lengths != 0.0),
+            lengths / config.max_tool_speed)
+        for delta, limit in zip(
+                machine.deltas(starts[:count], points[1:], sols[:-1],
+                               sols[1:]),
+                machine.limits([e.params for e in config.roster])):
+            durations = np.maximum(durations, np.divide(
+                np.abs(delta), limit, out=np.zeros_like(durations),
+                where=delta != 0.0))
+    return segs[:count], sols, durations, error
+
+
+def _clock(durations: np.ndarray, lines: np.ndarray, dt_plan: float):
+    """The plan clock of segments of these durations and source lines:
+    when each segment starts, and the last one ends (N + 1), from 0.0, and
+    how many interior ticks each has, from tick 0 of the first segment and
+    tick 1 of the others.  A segment too short to move the clock dwells one
+    tick at its end; only a plan that holds one walks its segments in a
+    loop.  Raises PlanError at the segment where the plan passes
+    MAX_PLAN_TICKS ticks, before any tick is built."""
+    with np.errstate(over="ignore"):
+        ticks = np.maximum(1.0, np.ceil(durations / dt_plan - 1e-9))
+        # np.cumsum adds in order, as the loop below does, so the times
+        # are the loop's up to the first segment too short to move them
+        times = np.concatenate(([0.0], np.cumsum(durations)))
+        still = (times[:-1] + durations == times[:-1]).any()
+    interior = ticks - 1.0
+    interior[0] += 1.0
+    if still:
+        t0, first = 0.0, 0
+        times, interior = [t0], []
+        for duration, n in zip(durations.tolist(), ticks.tolist()):
+            if t0 + duration == t0:
+                t0 += dt_plan
+                n = first  # no interior ticks
+            else:
+                t0 += duration
+            times.append(t0)
+            interior.append(n - first)
+            first = 1
+        times, interior = np.array(times), np.array(interior)
+    passed = np.cumsum(interior + 1) > MAX_PLAN_TICKS
+    if passed.any():
+        line = lines[passed.argmax()].item()
+        raise PlanError(f"plan longer than {MAX_PLAN_TICKS} ticks of "
+                        f"{dt_plan} s", line_no=line)
+    return times, interior.astype(np.int64)
+
+
+def _turns(segs: Segments, barrier_angle_deg: float) -> np.ndarray:
+    """Whether each segment after the first turns by at least the barrier
+    angle from the one before, or changes kind."""
+    d = segs.ends - segs.starts
+    dx, dy, dz = d.T
+    norm = np.sqrt(dx * dx + dy * dy + dz * dz)
+    a, b = d[:-1], d[1:]
+    product = norm[:-1] * norm[1:]
+    cosang = np.divide(a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+                       + a[:, 2] * b[:, 2], product,
+                       out=np.ones_like(product),
+                       where=(norm[:-1] != 0.0) & (norm[1:] != 0.0))
+    cosang = np.maximum(-1.0, np.minimum(1.0, cosang))
+    # math.acos: np.arccos may round differently; a segment of zero length
+    # turns by acos(1.0) == 0.0
+    angle = np.fromiter(map(math.acos, cosang.tolist()), float, len(cosang))
+    threshold = math.radians(barrier_angle_deg) - 1e-9
+    return (segs.kind[1:] != segs.kind[:-1]) | (angle >= threshold)
 
 
 def plan_program(segments, config: MachineConfig) -> Plan:
     """Plan chained segments (a Segments, or MotionSegment records) into one
-    synchronized schedule."""
-    planner = _Planner(config)
+    synchronized schedule: sample them into ticks at the planning period,
+    from t = 0.0 and the first segment's start.
+
+    Rotation targets are relative to that start.  The segment pass checks,
+    solves and times every segment, and its columns give the segments' end
+    ticks, written BLOCK_TICKS at a time.  The tick pass then interpolates,
+    checks and solves the interior ticks, BLOCK_TICKS at a time: tick i of
+    a segment lies i * dt_plan of the way along it, as a fraction of its
+    duration, where the plan's first tick, at its start, is tick 0 of the
+    first segment, and the end tick of a segment is tick 0 of the next.
+    The error raised is the one a tick-by-tick planner meets first: it
+    checks the roster, then the first start, then each segment's end and
+    its interior ticks.  The plan's barriers are the indices of the last
+    tick of each segment whose next segment turns by at least the barrier
+    angle or changes kind, ascending because every segment adds a tick.
+    """
+    ids = tuple(active_robots(config))
     if not segments:
         return Plan(config.morphology)
-    return planner.plan(Segments.of(segments))
+    segs, sols, durations, error = _segment_pass(config,
+                                                 Segments.of(segments))
+    machine, dt = config.machine, config.dt_plan
+    zero = machine.zero(tuple(segs.starts[0].tolist()))
+    clock, interior = _clock(durations, segs.line, dt)
+    # inner_ends[s] counts the interior ticks up to segment s's end;
+    # marks[s] is the tick segment s counts its ticks from, and
+    # marks[s + 1] its end tick
+    inner_ends = np.cumsum(interior)
+    marks = np.concatenate(([0], inner_ends + np.arange(len(interior))))
+    ends_at = marks[1:]
+    barriers = ends_at[:-1][_turns(segs, config.barrier_angle_deg)].tolist()
+    n = ends_at[-1] + 1
+    times, points, totals = np.empty(n), np.empty((n, 3)), np.empty(n)
+    rows = np.empty((n, 3 * len(ids)))
+    # the extrusion total before each segment, and after the last
+    extrusion = np.cumsum(np.concatenate(([0.0], segs.extrusion)))
+    times[ends_at] = clock[1:]
+    points[ends_at] = segs.ends
+    totals[ends_at] = extrusion[1:]
+    for a in range(0, len(ends_at), BLOCK_TICKS):
+        s = slice(a, a + BLOCK_TICKS)
+        rows[ends_at[s]] = machine.setpoints(segs.ends[s], sols[1:][s], zero)
+    # the plan's interior tick k, of segment s, is its tick k + s, after
+    # the end ticks of the segments before
+    for a in range(0, inner_ends[-1], BLOCK_TICKS):
+        k = np.arange(a, min(a + BLOCK_TICKS, inner_ends[-1]))
+        seg = np.searchsorted(inner_ends, k, "right")
+        at = k + seg
+        t = (at - marks[seg]) * dt
+        frac = t / durations[seg]
+        starts = segs.starts[seg]
+        inner = starts + (segs.ends[seg] - starts) * frac[:, None]
+        row, reason = kin.workspace_contains_rows(config, inner)
+        if reason:
+            raise _outside(tuple(inner[row].tolist()), reason, "setpoint",
+                           segs.line[seg[row]].item())
+        times[at] = clock[seg] + t
+        points[at] = inner
+        totals[at] = extrusion[seg] + segs.extrusion[seg] * frac
+        rows[at] = machine.setpoints(inner, machine.solve(inner), zero)
+    if error is not None:
+        raise error
+    counts = interior + 1
+    return Plan(config.morphology, barriers, ids, machine.kinds, times,
+                points, np.repeat(segs.kind == "print", counts), totals,
+                np.repeat(segs.line, counts), rows)
 
 
 # --- reconfiguration ---

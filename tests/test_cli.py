@@ -43,6 +43,15 @@ class TestParse:
         code, _, err = run_cli(["parse", workdir / "nope.gcode"], capsys)
         assert code == 3
 
+    def test_metadata_on_stderr(self, workdir, capsys):
+        # an M code kept as metadata: one stderr line, with its parameters
+        # in source order
+        meta = workdir / "meta.gcode"
+        meta.write_text("G1 X1 F600\nM104 S200 P1\n")
+        code, out, err = run_cli(["parse", meta], capsys)
+        assert code == 0 and len(out.splitlines()) == 1
+        assert err == "meta M104 params={'S': 200.0, 'P': 1.0} line=2\n"
+
     def test_parse_error_cites_line(self, workdir, capsys):
         bad = workdir / "bad.gcode"
         bad.write_text("G28\nG1 X1\nG1 X1 X2\n")
@@ -132,6 +141,19 @@ class TestPlan:
                               workdir / "s.txt"], capsys)
         assert code == 4
 
+    def test_geometry_out_of_range_exit_4(self, workdir, capsys):
+        # a carriage travel that starts past its end: one error line that
+        # names the file and the geometry check
+        bad = workdir / "travel.json"
+        doc = config.default_config_doc("bridge_xy")
+        doc["geometry"]["carriage_min"] = 380
+        bad.write_text(json.dumps(doc))
+        code, out, err = run_cli(["plan", workdir / "square.gcode", bad,
+                                  workdir / "s.txt"], capsys)
+        assert code == 4 and out == ""
+        assert err == (f"error: config {bad}: geometry: carriage travel "
+                       f"must satisfy 0 <= min < max <= span\n")
+
 
 class TestPlanColumns:
     def test_commands_never_build_the_ticks_view(self, workdir, capsys,
@@ -195,6 +217,19 @@ class TestSimulate:
         for ext in ("svg", "csv", "txt"):
             assert ((workdir / f"a.{ext}").read_bytes()
                     == (workdir / f"b.{ext}").read_bytes())
+
+    def test_overlap_warnings(self, workdir, capsys):
+        # rail robot r1, 250 mm wide, overlaps the carriage r3 from t=0:
+        # warnings on stderr, and the run still succeeds
+        wide = _config_with(workdir, "wide.json", "bridge_xy",
+                            lambda doc: doc["roster"][0].update(
+                                body_radius=250))
+        code, _, err = run_cli(["simulate", workdir / "square.gcode", wide],
+                               capsys)
+        assert code == 0
+        lines = err.splitlines()
+        assert lines[0] == "warning: overlap t=0.000 r1/r3 d=200.000"
+        assert all(line.startswith("warning: overlap t=") for line in lines)
 
     def test_bridge_skew_cites_line(self, workdir, capsys):
         doc = config.default_config_doc("bridge_xy")

@@ -123,6 +123,28 @@ CONFIG_ERRORS = {
     "geometry_range": ("bridge_xy",
                        lambda doc: doc["geometry"].update(bridge_span=0),
                        "geometry: bridge_span must be positive"),
+    "carriage_travel": ("bridge_xy",
+                        lambda doc: doc["geometry"].update(carriage_min=380),
+                        "geometry: carriage travel must satisfy "
+                        "0 <= min < max <= span"),
+    "anchors_coincide": ("wire2d_wall",
+                         lambda doc: doc["geometry"].update(
+                             anchors=[[0.0, 0.0], [0.0, 0.0]]),
+                         "geometry: anchors must be distinct"),
+    "wire2d_spool_radius": ("wire2d_wall",
+                            lambda doc: doc["geometry"].update(
+                                spool_radius=0),
+                            "geometry: spool_radius must be positive"),
+    "wire3d_spool_radius": ("wire3d_printer",
+                            lambda doc: doc["geometry"].update(
+                                spool_radius=-1.0),
+                            "geometry: spool_radius must be positive"),
+    "screw_pitch": ("printer_bridge",
+                    lambda doc: doc["geometry"]["screw"].update(pitch=0),
+                    "geometry: pitch must be positive"),
+    "screw_travel": ("printer_bridge",
+                     lambda doc: doc["geometry"]["screw"].update(z_min=200),
+                     "geometry: z_min must be below z_max"),
     "parking_not_a_list": ("bridge_xy",
                            lambda doc: doc.update(parking={"x": 0}),
                            "parking must be a list of [x, y] points"),

@@ -511,14 +511,14 @@ def slow_roster_doc(morphology):
     return doc
 
 
-def clock_oracle(cols, dt):
+def clock_oracle(durations, dt):
     """The plan clock as a loop over segments: the start times from 0.0,
     and the interior ticks, of which a segment too short to move the clock
     has none; it dwells one tick at its end."""
-    ticks = np.maximum(1.0, np.ceil(cols.durations / dt - 1e-9))
+    ticks = np.maximum(1.0, np.ceil(durations / dt - 1e-9))
     t0, first = 0.0, 0
     times, interior = [t0], []
-    for duration, n in zip(cols.durations.tolist(), ticks.tolist()):
+    for duration, n in zip(durations.tolist(), ticks.tolist()):
         if t0 + duration == t0:
             t0 += dt
             n = first
@@ -536,17 +536,18 @@ class TestPlanClock:
     the clock sends it to the loop."""
 
     def same_clock(self, segments, cfg):
-        planner = coordinator._Planner(cfg)
-        cols, error = planner.segments(segments)
+        segs, _, durations, error = coordinator._segment_pass(
+            cfg, gcode.Segments.of(segments))
         assert error is None
-        times, interior = planner.clock(cols)
-        want_times, want_interior = clock_oracle(cols, cfg.dt_plan)
+        times, interior = coordinator._clock(durations, segs.line,
+                                             cfg.dt_plan)
+        want_times, want_interior = clock_oracle(durations, cfg.dt_plan)
         assert times.dtype == want_times.dtype
         assert times.tobytes() == want_times.tobytes()
         assert interior.tobytes() == want_interior.tobytes()
         same_outcome(coordinator.plan_program, plan_program_oracle, segments,
                      cfg)
-        return times, interior, cols.durations
+        return times, interior, durations
 
     @pytest.mark.parametrize("morphology", sorted(WALKS))
     def test_random_walk(self, morphology):
@@ -737,9 +738,10 @@ class TestBlockTicks:
         error = self.outcome(segments, cfg, monkeypatch, 10**9)
         assert (error[0] is OutOfWorkspace
                 and error[1].startswith("setpoint ") and error[2] == 7)
-        planner = coordinator._Planner(cfg)
-        cols, _ = planner.segments(gcode.Segments.of(segments[:2]))
-        interior = planner.clock(cols)[1].sum()
+        segs, _, durations, _ = coordinator._segment_pass(
+            cfg, gcode.Segments.of(segments[:2]))
+        interior = coordinator._clock(durations, segs.line,
+                                      cfg.dt_plan)[1].sum()
         for block_ticks in range(1, interior + 2):
             assert self.outcome(segments, cfg, monkeypatch,
                                 block_ticks) == error
@@ -782,6 +784,13 @@ class TestMachineConfig:
         with pytest.raises(ValueError, match=f"{morphology} config needs a "
                                              f"{missing}"):
             dataclasses.replace(cfg, **{missing: None})
+
+    def test_unknown_morphology_rejected(self):
+        # the config parser rejects it first; this checks a config built
+        # in code
+        cfg = config.default_config("bridge_xy")
+        with pytest.raises(ValueError, match="^unknown morphology 'bogus'$"):
+            dataclasses.replace(cfg, morphology="bogus")
 
     def test_duplicate_robot_ids_rejected(self):
         # a repeated id would take two roles in assign_roles and keep one

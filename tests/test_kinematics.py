@@ -613,6 +613,12 @@ def test_negative_workspace_margin_rejected(geom):
     assert dataclasses.replace(geom, workspace_margin=0.0).workspace_margin == 0
 
 
+def test_wire3d_needs_three_anchors():
+    # the config parser rejects another anchor count before it builds one
+    with pytest.raises(ValueError, match="^exactly three anchors required$"):
+        kin.WireGeometry3D(anchors=WIRE3D.anchors[:2], spool_radius=20.0)
+
+
 class TestDerivedGeometryConstants:
     def test_arrays_read_only(self):
         for arr in (WIRE3D.anchor_array, WIRE3D.down_normal):
@@ -715,6 +721,12 @@ class TestConversions:
         r = 7.5
         assert kin.spool_delta(2 * math.pi * r, r) == pytest.approx(2 * math.pi)
         assert kin.spool_delta(10.0, 5.0) == pytest.approx(2.0)
+
+    def test_spool_delta_rejects_a_radius_not_positive(self):
+        for radius in (0.0, -2.0):
+            with pytest.raises(ValueError, match="^spool_radius must be "
+                                                 "positive$"):
+                kin.spool_delta(1.0, radius)
 
     def test_leadscrew_rejects_boolean_direction(self):
         for direction in (True, False):

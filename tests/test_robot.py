@@ -19,6 +19,12 @@ def make_state(pose=(0.0, 0.0, 0.0), wheels=(0.0, 0.0), role="idle", **kw):
                       params=RobotParams(**kw))
 
 
+def test_wrap_angle_maps_minus_pi_to_pi():
+    # the range is (-pi, pi]: -pi itself is the same angle as pi
+    assert wrap_angle(-math.pi) == math.pi
+    assert wrap_angle(math.pi) == math.pi
+
+
 class TestStepDynamics:
     def test_straight_line(self):
         state = make_state(wheels=(50.0, 50.0))

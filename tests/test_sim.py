@@ -358,6 +358,21 @@ class TestRunOracle:
         again = sim.run(plan, cfg, seed=seed)
         assert_same_columns(again, result.samples)
 
+    def test_bearing_exactly_behind(self):
+        # the carriage, at heading 0.0, is sent 50 mm back along y = -0.0:
+        # its bearing atan2(-0.0, -50.0) is -pi, which the controller takes
+        # as pi, as wrap_angle does, so it turns left
+        cfg = config.default_config("bridge_xy")
+        first = {rid: dataclasses.replace(sp, y=0.0)
+                 for rid, sp in home_setpoints(cfg).items()}
+        second = dict(first, r3=Setpoint("move", 150.0, -0.0))
+        plan = Plan.from_ticks(
+            [PlanTick(0.0, first, (200.0, 0.0, 0.0), False, 0.0, 1),
+             PlanTick(1.0, second, (150.0, -0.0, 0.0), False, 0.0, 2)],
+            [], cfg.morphology)
+        result = same_run(plan, cfg)
+        assert len(result.samples) == 102
+
     def test_bridge_skew_fault(self):
         cfg = noisy_config("bridge_xy", 0.3)
         plan = plan_of(CORPUS[2][1], cfg)
