@@ -29,6 +29,12 @@ PROGRESS_EPS = 1e-6
 # (wire3d_printer) or ~450 (printer_bridge).  A slow feed or a small dt_sim
 # would otherwise ask for a run too long to hold.
 MAX_SAMPLES = 2_000_000
+# The most steps of plain plan ticks (neither barrier nor stepwise) that
+# _drive queues before it steps the robots through them in one run.  It
+# bounds the run's one noise draw, ~320 B a step with four robots while it
+# is turned into lists: ~330 KB however long the run.  A tick longer than
+# this is a run of its own.
+RUN_STEPS = 1024
 
 
 @dataclass(frozen=True)
@@ -194,19 +200,22 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
     """Step the robots through the plan's ticks, sampling after every step.
 
     `params` maps each of the plan's ids to its RobotParams; each robot
-    starts at the (x, y) of its first setpoint.  Each robot in id order
-    takes all of a tick's steps in one loop (walk), with the poses of
-    swarmfab.robot's controllers and dynamics bit for bit.  The robots
-    couple in three places, settled once the tick's robots have been
-    stepped.  The barrier: with noise off, a robot inside its tolerance
-    keeps its pose for the rest of the tick, so a barrier tick ends at the
-    later of its deadline and the last arrival.  The stall clock restarts
-    at every tick and cannot pass stall_timeout within `calm` steps; a
-    longer tick, a noisy barrier tick, and (from its first step again) a
-    barrier wait past `calm` go one step at a time, summing the arrival
-    errors in plan order after each.  The noise: each robot draws x, then
-    y, at every step, in id order, as one rng.normal of shape (steps,
-    robots, 2) does.
+    starts at the (x, y) of its first setpoint.  The plain ticks, neither a
+    barrier nor stepwise, are queued into a run of up to RUN_STEPS steps
+    (or one longer tick), and each robot in id order takes all of a run's
+    steps, tick after tick, in one loop (walk), with the poses of
+    swarmfab.robot's controllers and dynamics bit for bit.  A run ends
+    before a barrier or stepwise tick and at the end of the plan.  The
+    robots couple in three places, settled once a run's or a tick's robots
+    have been stepped.  The barrier: with noise off, a robot inside its
+    tolerance keeps its pose for the rest of the tick, so a barrier tick
+    ends at the later of its deadline and the last arrival.  The stall
+    clock restarts at every tick and cannot pass stall_timeout within
+    `calm` steps; a longer tick, a noisy barrier tick, and (from its first
+    step again) a barrier wait past `calm` go one step at a time, summing
+    the arrival errors in plan order after each.  The noise: each robot
+    draws x, then y, at every step, in id order, as one rng.normal of
+    shape (steps, robots, 2) does, one such draw for each run.
 
     Returns each robot's column (x, y, heading and accumulated rotation of
     every sample), each plan tick's number of samples, the barrier wait,
@@ -243,100 +252,109 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
     # calm - 1 steps, summed in order, stay within stall_timeout
     calm = stall_timeout / dt_sim * (1.0 - 1e-6) + 1.0
 
-    def walk(robot, row, least, most, draws):
-        """Step `robot` `least` times toward its setpoint in `row`, then on
-        until it arrives, `most` times in all; draws[i][k] is robot k's
-        (x, y) noise at step i.  Returns the steps taken, the arrival error
-        after them, and whether a step turned the robot toward its target.
-        A rotate robot's speed is +0.0, and a `spin` one skips the x and y
-        update; a move robot's rotation stays 0.0.  Inside its tolerance a
-        robot gets speed 0, whose +-0.0 keeps a coordinate unless it is
-        -0.0; with noise off, its pose then holds."""
+    def drawn(steps):
+        """Each robot's x and y noise at each of `steps` steps, from one
+        rng.normal of shape (steps, robots, 2); None with noise off."""
+        if noise is not None:
+            return noise(size=(steps, len(robots), 2)).transpose(
+                1, 2, 0).tolist()
+
+    def walk(robot, run, draws):
+        """Step `robot` through the ticks of `run`, each a (row, least,
+        most): `least` times toward its setpoint in `row`, then on until it
+        arrives, `most` times in all.  draws[k] is robot k's x noise and y
+        noise at each step of the run.  Returns the steps taken in the last
+        tick, the arrival error after them, and whether a step turned the
+        robot toward its target.  A rotate robot's speed is +0.0, and a
+        `spin` one skips the x and y update; a move robot's rotation stays
+        0.0.  Inside its tolerance a robot gets speed 0, whose +-0.0 keeps a
+        coordinate unless it is -0.0; with noise off, its pose then holds."""
         k, p, rotate, spin, tol, track, cap, k_heading, k_distance = robot
         col = cols[k]
-        append = col.append
         x, y, heading, rotation = col[-4:]
-        tx, ty, theta = row[3 * p:3 * p + 3]
-        aim, turning, taken = aims[k], False, most
+        aim, turning, end = aims[k], False, 0
         # a rotate robot's speed stays 0.0
         low, half, copies, v = -cap, 0.5 * track, draws is None, 0.0
-        for i in range(most):
-            if rotate:
-                remaining = theta - rotation
-                settled = -tol < remaining < tol
-            else:
-                dx, dy = tx - x, ty - y
-                distance = hypot(dx, dy)
-                settled = distance < tol
-            if settled:
-                if i >= least:
-                    taken = i
+        if not copies:
+            xs, ys = draws[k]
+        for row, least, most in run:
+            tx, ty, theta = row[3 * p:3 * p + 3]
+            # i counts the steps of the run
+            first = end
+            least, end = first + least, first + most
+            for i in range(first, end):
+                if rotate:
+                    remaining = theta - rotation
+                    settled = -tol < remaining < tol
+                else:
+                    dx, dy = tx - x, ty - y
+                    distance = hypot(dx, dy)
+                    settled = distance < tol
+                if settled:
+                    if i >= least:
+                        end = i
+                        break
+                    v = omega = 0.0
+                elif rotate:
+                    vr = k_heading * remaining * 0.5 * track
+                    if not vr < cap:
+                        vr = cap
+                    if not vr > low:
+                        vr = low
+                    omega = (vr + vr) / track
+                else:
+                    err = atan2(dy, dx) - heading
+                    err = atan2(sin(err), cos(err))
+                    if err == minus_pi:
+                        err = pi
+                    # a move robot turning toward its target makes progress
+                    turn = abs(err)
+                    if turn < aim - PROGRESS_EPS:
+                        turning = True
+                    aim = turn
+                    omega = k_heading * err
+                    v = k_distance * distance
+                    if cap < v:
+                        v = cap
+                    c = cos(err)
+                    v *= c if c > 0.0 else 0.0
+                    vl, vr = v - omega * half, v + omega * half
+                    peak = abs(vl)
+                    if abs(vr) > peak:
+                        peak = abs(vr)
+                    if peak > cap:
+                        scale = cap / peak
+                        vl *= scale
+                        vr *= scale
+                    v = 0.5 * (vl + vr)
+                    omega = (vr - vl) / track
+                if not -1e-9 < omega < 1e-9:
+                    turned = heading + omega * dt_sim
+                    sin_turned, cos_turned = sin(turned), cos(turned)
+                    if not spin:
+                        radius = v / omega
+                        x += radius * (sin_turned - sin(heading))
+                        y -= radius * (cos_turned - cos(heading))
+                    heading = atan2(sin_turned, cos_turned)
+                    if heading == minus_pi:
+                        heading = pi
+                elif not spin:
+                    x += v * cos(heading) * dt_sim
+                    y += v * sin(heading) * dt_sim
+                if not copies:
+                    x += xs[i]
+                    y += ys[i]
+                if rotate:
+                    rotation += omega * dt_sim
+                col += (x, y, heading, rotation)
+                if settled and copies:
+                    # the pose holds, and the robot has arrived
+                    col += (x, y, heading, rotation) * (least - i - 1)
+                    end = least
                     break
-                v = omega = 0.0
-            elif rotate:
-                vr = k_heading * remaining * 0.5 * track
-                if not vr < cap:
-                    vr = cap
-                if not vr > low:
-                    vr = low
-                omega = (vr + vr) / track
-            else:
-                err = atan2(dy, dx) - heading
-                err = atan2(sin(err), cos(err))
-                if err == minus_pi:
-                    err = pi
-                # a move robot turning toward its target makes progress
-                turn = abs(err)
-                if turn < aim - PROGRESS_EPS:
-                    turning = True
-                aim = turn
-                omega = k_heading * err
-                v = k_distance * distance
-                if cap < v:
-                    v = cap
-                c = cos(err)
-                v *= c if c > 0.0 else 0.0
-                vl, vr = v - omega * half, v + omega * half
-                peak = abs(vl)
-                if abs(vr) > peak:
-                    peak = abs(vr)
-                if peak > cap:
-                    scale = cap / peak
-                    vl *= scale
-                    vr *= scale
-                v = 0.5 * (vl + vr)
-                omega = (vr - vl) / track
-            if not -1e-9 < omega < 1e-9:
-                turned = heading + omega * dt_sim
-                sin_turned, cos_turned = sin(turned), cos(turned)
-                if not spin:
-                    radius = v / omega
-                    x += radius * (sin_turned - sin(heading))
-                    y -= radius * (cos_turned - cos(heading))
-                heading = atan2(sin_turned, cos_turned)
-                if heading == minus_pi:
-                    heading = pi
-            elif not spin:
-                x += v * cos(heading) * dt_sim
-                y += v * sin(heading) * dt_sim
-            if not copies:
-                nx, ny = draws[i][k]
-                x += nx
-                y += ny
-            if rotate:
-                rotation += omega * dt_sim
-            append(x)
-            append(y)
-            append(heading)
-            append(rotation)
-            if settled and copies:
-                # the pose holds, and the robot has arrived
-                col += (x, y, heading, rotation) * (least - i - 1)
-                taken = least
-                break
         aims[k] = aim
-        return taken, (abs(theta - rotation) if rotate
-                       else hypot(tx - x, ty - y)), turning
+        return end - first, (abs(theta - rotation) if rotate
+                             else hypot(tx - x, ty - y)), turning
 
     def capped(tick_idx, clock):
         """The SimError of a wait at `clock` that passes MAX_SAMPLES."""
@@ -351,6 +369,8 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
     counts = [1] + [0] * (len(times_of) - 1)
     done = 1  # the samples taken
     stop = None
+    run, queued = [], 0  # the plain ticks not yet stepped, and their steps
+    last_tick = len(times_of) - 1
     for tick_idx, row in enumerate(setpoints):
         need = max(times_of[tick_idx] - t_prev, 0.0) - 1e-12
         is_barrier = tick_idx in barriers
@@ -360,20 +380,27 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
             clock, steps = clock + dt_sim, steps + 1
         stepwise = steps > calm or is_barrier and noise is not None
         if not stepwise and not is_barrier:
-            draws = (noise(size=(steps, len(robots), 2)).tolist()
-                     if noise is not None else None)
+            run.append((row, steps, steps))
+            queued += steps
+        # a run ends before a barrier or stepwise tick, at RUN_STEPS steps
+        # and at the end of the plan
+        if run and (stepwise or is_barrier or queued >= RUN_STEPS
+                    or tick_idx == last_tick):
+            draws = drawn(queued)
             for robot in robots:
-                walk(robot, row, steps, steps, draws)
-        elif not stepwise:
+                walk(robot, run, draws)
+            run, queued = [], 0
+        if is_barrier and not stepwise:
             before = aims[:], wait
             most = int(min(calm, steps + MAX_SAMPLES))
-            walked = [walk(robot, row, steps, most, None) for robot in robots]
+            walked = [walk(robot, [(row, steps, most)], None)
+                      for robot in robots]
             last = max(n for n, _, _ in walked)
             arrived = all(error < robot[4]
                           for (_, error, _), robot in zip(walked, robots))
             for (n, _, _), robot in zip(walked, robots):
                 if n < last:
-                    walk(robot, row, last - n, last - n, None)
+                    walk(robot, [(row, last - n, last - n)], None)
             # the wait: each step from the deadline on before the last
             # robot arrives
             while steps < last or not arrived:
@@ -390,12 +417,12 @@ def _drive(plan: Plan, dt_sim: float, stall_timeout: float, params: dict,
                 clock, steps = clock + dt_sim, steps + 1
         if stepwise:
             clock, steps, last_best, stall_clock = t, 0, math.inf, 0.0
+            one = [(row, 1, 1)]
             while stop is None:
-                draws = (noise(size=(1, len(robots), 2)).tolist()
-                         if noise is not None else None)
+                draws = drawn(1)
                 turning, all_arrived = False, True
                 for robot in robots:
-                    _, error, turned = walk(robot, row, 1, 1, draws)
+                    _, error, turned = walk(robot, one, draws)
                     errors[robot[1]] = error
                     turning = turning or turned
                     all_arrived = all_arrived and error < robot[4]

@@ -218,18 +218,63 @@ class TestSimulate:
             assert ((workdir / f"a.{ext}").read_bytes()
                     == (workdir / f"b.{ext}").read_bytes())
 
-    def test_overlap_warnings(self, workdir, capsys):
-        # rail robot r1, 250 mm wide, overlaps the carriage r3 from t=0:
-        # warnings on stderr, and the run still succeeds
+    def overlap_warnings(self, workdir, capsys, radius):
+        # the simulate run succeeds, with its warnings on stderr
         wide = _config_with(workdir, "wide.json", "bridge_xy",
                             lambda doc: doc["roster"][0].update(
-                                body_radius=250))
+                                body_radius=radius))
         code, _, err = run_cli(["simulate", workdir / "square.gcode", wide],
                                capsys)
         assert code == 0
-        lines = err.splitlines()
-        assert lines[0] == "warning: overlap t=0.000 r1/r3 d=200.000"
-        assert all(line.startswith("warning: overlap t=") for line in lines)
+        return err.splitlines()
+
+    def test_overlap_warnings(self, workdir, capsys):
+        # rail robot r1, 250 mm wide, overlaps the carriage r3 at all of
+        # the run's 1,327 samples: one warning for the pair's one contact
+        assert self.overlap_warnings(workdir, capsys, 250) == [
+            "warning: overlap t=0.000..13.260 r1/r3 d_min=200.000"]
+
+    def test_overlap_warning_per_contact(self, workdir, capsys):
+        # 200 mm wide, r1 overlaps r3 until the carriage moves off toward
+        # x=230, and again once it is back: two contacts, each with its
+        # least distance
+        assert self.overlap_warnings(workdir, capsys, 200) == [
+            "warning: overlap t=0.000..3.010 r1/r3 d_min=200.000",
+            "warning: overlap t=10.020..13.260 r1/r3 d_min=209.424"]
+
+    def test_contacts_match_runs_of_samples(self):
+        # rails r1 and r2, 200 mm wide, touch at their 400 mm span on and
+        # off, while each overlaps the carriage: the contacts are each
+        # pair's runs of consecutive overlapping samples, in the order they
+        # begin, a run's pairs in sorted order
+        doc = config.default_config_doc("bridge_xy")
+        for entry in doc["roster"][:2]:
+            entry["body_radius"] = 200
+        cfg = config.parse_config(doc)
+        segments = gcode.interpret(gcode.parse_program(SQUARE),
+                                   home=cfg.home).segments
+        trace = sim.run(coordinator.plan_program(segments, cfg), cfg)
+        ids = trace.robot_ids
+        pairs = [f"{a}/{b}" for i, a in enumerate(ids) for b in ids[i + 1:]]
+        sample = {t: n for n, t in enumerate(trace.t.tolist())}
+        hits = {}
+        for event in sim.overlap_diagnostic(trace, cfg):
+            pair = f"{event.robot_a}/{event.robot_b}"
+            hits.setdefault(pair, {})[sample[event.t]] = event
+        runs = []
+        for pair, at in hits.items():
+            starts = [n for n in at if n - 1 not in at]
+            for n in starts:
+                run = [at[n]]
+                while n + 1 in at:
+                    n += 1
+                    run.append(at[n])
+                runs.append((sample[run[0].t], pairs.index(pair), pair, run))
+        expected = [[run[0].t, run[-1].t, pair,
+                     min(event.distance for event in run)]
+                    for _, _, pair, run in sorted(runs)]
+        assert len(expected) > 40 and len(hits) == 3
+        assert cli._contacts(trace, cfg) == expected
 
     def test_bridge_skew_cites_line(self, workdir, capsys):
         doc = config.default_config_doc("bridge_xy")

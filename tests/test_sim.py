@@ -330,6 +330,26 @@ def slow_table_config():
     return config.parse_config(doc)
 
 
+def after_a_run(plan, cfg, ticks=6, seconds=0.1):
+    """`plan` with `ticks` plain ticks of `seconds` each after its first
+    one, in which spool 1 winds out 0.01 rad further every tick: the
+    simulator steps them as one run before the plan's second tick.  A
+    last tick 0.1 s after the plan's holds its setpoints, so that the
+    tick after the run is not the last."""
+    first, *rest = plan.ticks
+    spool = coordinator.active_robots(cfg)[0]
+    wound = first.setpoints[spool]
+    runway = [dataclasses.replace(first, t=k * seconds, setpoints={
+        **first.setpoints,
+        spool: dataclasses.replace(wound, theta=wound.theta - 0.01 * k)})
+        for k in range(1, ticks + 1)]
+    later = [dataclasses.replace(tick, t=tick.t + ticks * seconds)
+             for tick in rest]
+    later.append(dataclasses.replace(later[-1], t=later[-1].t + 0.1))
+    return Plan.from_ticks([first, *runway, *later],
+                           [b + ticks for b in plan.barriers], cfg.morphology)
+
+
 class TestRunOracle:
     @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
     @pytest.mark.parametrize("name,program", [c[:2] for c in CORPUS],
@@ -584,6 +604,58 @@ class TestRunOracle:
         assert plan.barriers
         assert isinstance(same_run(plan, cfg), OracleRun)
 
+    # --- the edges of a run of plain ticks ---
+
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_one_step_ticks(self, morphology):
+        # dt_sim = dt_plan: every plain tick of a run is one step
+        cfg = config.default_config(morphology)
+        program = CORPUS[2][1] if morphology != "wire3d_printer" \
+            else three_layer_program()
+        plan = plan_of(program, cfg, CORPUS_SHIFT.get(morphology, (0, 0)))
+        result = same_run(plan, cfg, dt_sim=cfg.dt_plan)
+        assert isinstance(result, OracleRun)
+        assert len(result.samples) < 2 * len(plan.t)
+
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    @pytest.mark.parametrize("noise", [0.0, 0.1])
+    def test_run_cut_by_the_step_limit(self, morphology, noise,
+                                       monkeypatch):
+        # ticks of two steps, a run cut after every second tick: the noise
+        # of each run is a draw of its own
+        monkeypatch.setattr(sim, "RUN_STEPS", 3)
+        cfg = noisy_config(morphology, noise)
+        plan = plan_of(CORPUS[2][1], cfg, CORPUS_SHIFT.get(morphology, (0, 0)))
+        result = same_run(plan, cfg, dt_sim=0.05, seed=4)
+        assert isinstance(result, OracleRun)
+
+    def test_barrier_wait_step_by_step_after_a_run(self):
+        # the run ends at the barrier, whose wait outlasts the 0.5 s stall
+        # timeout while the table robot drives 50 mm: the barrier tick
+        # goes step by step, from its first step again
+        doc = config.default_config_doc("wire3d_printer")
+        doc["planning"] = {"stall_timeout": 0.5}
+        cfg = config.parse_config(doc)
+        result = same_run(after_a_run(stall_plan(cfg, 0.0), cfg), cfg)
+        assert isinstance(result, OracleRun)
+        assert result.barrier_wait_total > 2.0
+
+    def test_stall_in_a_stepwise_tick_after_a_run(self):
+        # plain ticks of three steps, under the 0.05 s stall timeout, then
+        # a 0.5 s tick that goes step by step: spool 1 settles and the
+        # table robot, at 1e-6 mm/s, stalls
+        doc = config.default_config_doc("wire3d_printer")
+        doc["roster"][3]["max_wheel_speed"] = 1e-6
+        doc["planning"] = {"stall_timeout": 0.05}
+        cfg = config.parse_config(doc)
+        ticks = after_a_run(stall_plan(cfg, 0.0), cfg, seconds=0.03).ticks
+        ticks[-2:] = [dataclasses.replace(tick, t=tick.t + 0.4)
+                      for tick in ticks[-2:]]
+        plan = Plan.from_ticks(ticks, [], cfg.morphology)
+        result = same_run(plan, cfg)
+        assert result == (StallTimeout, "no progress for 0.05 s at plan "
+                                         "tick 7 (t=0.59 s)", 2)
+
 
 class TestSampleTimes:
     # 5e-10 and 1.5e-9 put samples at t * 1e9 next to a half, where the
@@ -621,6 +693,20 @@ class TestNoise:
         large, _ = self.carriage_x_moves(0.05, 0.01, [5])
         assert small[0] != 0.0
         assert large[0] == pytest.approx(5.0 * small[0], rel=1e-9)
+
+    @pytest.mark.parametrize("robots", [1, 3, 4])
+    @pytest.mark.parametrize("a,b", [(1, 1), (1, 7), (9, 2), (100, 37),
+                                     (1024, 1)])
+    def test_one_draw_splits_into_draws_in_turn(self, robots, a, b):
+        # a run of plain ticks draws its noise at once, as the per-tick
+        # draws it replaces would have
+        sigma = 0.1 * math.sqrt(0.01)
+        whole = np.random.default_rng(7).normal(0.0, sigma,
+                                                size=(a + b, robots, 2))
+        rng = np.random.default_rng(7)
+        parts = np.concatenate([rng.normal(0.0, sigma, size=(a, robots, 2)),
+                                rng.normal(0.0, sigma, size=(b, robots, 2))])
+        assert whole.tobytes() == parts.tobytes()
 
     @pytest.mark.parametrize("dt", [0.01, 0.005])
     def test_spread_independent_of_step(self, dt):
@@ -750,6 +836,20 @@ class TestRun:
             sim.run(plan, wire3d_config)
         assert err.value.line_no == 2
 
+    def test_sample_cap_at_a_barrier_wait_after_a_run(self, wire3d_config,
+                                                      monkeypatch):
+        # the barrier of test_sample_cap_at_a_barrier_wait, after a run of
+        # six plain ticks
+        plan = after_a_run(stall_plan(wire3d_config, 0.0), wire3d_config)
+        expected = run_oracle(plan, wire3d_config)
+        steps = len(expected.samples) - 1
+        monkeypatch.setattr(sim, "MAX_SAMPLES", steps)
+        assert_same_columns(sim.run(plan, wire3d_config), expected.samples)
+        monkeypatch.setattr(sim, "MAX_SAMPLES", 100)
+        assert outcome(sim.run, plan, wire3d_config) == (
+            SimError, "barrier waits take the run past 100 samples of 0.01 s "
+                      "at plan tick 7 (t=0.90 s)", 2)
+
     def test_peak_memory_per_sample(self, wire3d_config):
         # a four-robot wire3d run peaks at ~428 B per sample (README), after
         # the robots' columns are freed; 10% above that fails
@@ -763,6 +863,27 @@ class TestRun:
             tracemalloc.stop()
         assert len(trace.t) > 20_000
         assert peak / len(trace.t) < 1.1 * 428
+
+    def test_peak_memory_per_sample_with_noise(self):
+        # 200 plain ticks of a noisy 20 s dwell, one run but for RUN_STEPS,
+        # peak at ~577 B per sample; 10% above that fails.  A run drawn
+        # whole, with no step limit, peaks at ~670 B.
+        cfg = noisy_config("wire3d_printer", 0.1)
+        tick = dwell_plan(cfg, 0.1).ticks[0]
+        plan = Plan.from_ticks(
+            [dataclasses.replace(tick, t=0.1 * k) for k in range(200)], [],
+            cfg.morphology)
+        # the first noisy run of a process imports numpy.random (~0.7 MB)
+        sim.run(dwell_plan(cfg, 0.1), cfg)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            trace = sim.run(plan, cfg, dt_sim=0.001)
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert len(trace.t) > 19_000
+        assert peak / len(trace.t) < 1.1 * 577
 
     def test_dt_sim_larger_than_plan_rejected(self, bridge_config):
         plan = coordinator.plan_program([], bridge_config)
