@@ -103,28 +103,6 @@ def cmd_plan(args) -> int:
                        machine)
 
 
-def _contacts(trace, machine) -> list[list]:
-    """The overlaps of sim.overlap_diagnostic as contact intervals: one
-    [first t, last t, "a/b", least distance] per robot pair and run of
-    consecutive samples in which the pair overlaps, in the order the runs
-    begin.  A sample is found by its time, which is distinct unless dt_sim
-    is below the 1e-9 s that times are rounded to."""
-    events = sim.overlap_diagnostic(trace, machine)
-    at = trace.t.searchsorted([event.t for event in events]).tolist()
-    contacts, latest = [], {}  # each pair's last sample and contact
-    for n, event in zip(at, events):
-        pair = f"{event.robot_a}/{event.robot_b}"
-        before, contact = latest.get(pair, (None, None))
-        if before == n - 1:
-            contact[1] = event.t
-            contact[3] = min(contact[3], event.distance)
-        else:
-            contact = [event.t, event.t, pair, event.distance]
-            contacts.append(contact)
-        latest[pair] = n, contact
-    return contacts
-
-
 def cmd_simulate(args) -> int:
     machine = cfgmod.load_config(args.config)
     if args.dt is not None and not 0 < args.dt <= machine.dt_plan:
@@ -135,7 +113,7 @@ def cmd_simulate(args) -> int:
     plan = coordinator.plan_program(segments, machine)
     trace = sim.run(plan, machine, dt_sim=args.dt, seed=args.seed)
 
-    for first, last, pair, least in _contacts(trace, machine):
+    for first, last, pair, least in sim.overlap_contacts(trace, machine):
         print(f"warning: overlap t={first:.3f}..{last:.3f} {pair} "
               f"d_min={least:.3f}", file=sys.stderr)
 

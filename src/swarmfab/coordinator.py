@@ -34,6 +34,10 @@ REQUIRED_ROBOTS = {m: len(seq) for m, seq in ROLE_SEQUENCE.items()}
 MAX_PLAN_TICKS = 1_000_000
 # ticks per block of the planner's tick pass: end ticks, then interior ones
 BLOCK_TICKS = 4096
+# how far from the cosine of the barrier angle a turn's cosine must be for
+# the comparison of the cosines to stand for that of the angles: far above
+# the rounding of math.cos and math.acos, about 1e-16
+_COS_MARGIN = 1e-12
 
 
 @dataclass(frozen=True)
@@ -311,11 +315,18 @@ def _turns(segs: Segments, barrier_angle_deg: float) -> np.ndarray:
                        out=np.ones_like(product),
                        where=(norm[:-1] != 0.0) & (norm[1:] != 0.0))
     cosang = np.maximum(-1.0, np.minimum(1.0, cosang))
-    # math.acos: np.arccos may round differently; a segment of zero length
-    # turns by acos(1.0) == 0.0
-    angle = np.fromiter(map(math.acos, cosang.tolist()), float, len(cosang))
+    # a turn is math.acos(cosang) >= threshold (np.arccos may round
+    # differently; a segment of zero length turns by acos(1.0) == 0.0).
+    # acos falls at least as fast as its argument grows, so a cosine more
+    # than _COS_MARGIN below or above the threshold's decides its row (a
+    # nan, above neither, turns by nan and does not turn), and math.acos
+    # the rows in between
     threshold = math.radians(barrier_angle_deg) - 1e-9
-    return (segs.kind[1:] != segs.kind[:-1]) | (angle >= threshold)
+    edge = math.cos(threshold)
+    turns = cosang < edge - _COS_MARGIN
+    rows = (~turns & (cosang <= edge + _COS_MARGIN)).nonzero()[0]
+    turns[rows] = [math.acos(c) >= threshold for c in cosang[rows].tolist()]
+    return (segs.kind[1:] != segs.kind[:-1]) | turns
 
 
 def plan_program(segments, config: MachineConfig) -> Plan:

@@ -18,7 +18,7 @@ import re
 from bisect import bisect_left
 from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, compress
 from typing import Callable, NamedTuple, Optional
 
 import numpy as np
@@ -41,28 +41,34 @@ SUPPORTED_G = frozenset({0, 1, 2, 3, 20, 21, 28, 90, 91, 92})
 DEFAULT_FEED_MM_S = 20.0
 INCH_TO_MM = 25.4
 
-# a comment: `;` to the end of the line, or `(` to the next `)`, or to the
-# end of the line if none follows
-_COMMENT_RE = re.compile(r";(.*)|\(([^)]*)\)?")
+# a comment, its one group its text: `;` to the end of the line, or `(` to
+# the next `)` or the line end; the second is the first for a text with no
+# "(", which it splits about three times faster
+_COMMENT_RE = re.compile(r"[;(]((?<=;).*|[^)\n]*)\)?")
+_SEMICOLON_RE = re.compile(r";(.*)")
 # one word: a letter (any non-space character; parse_line checks it) and
 # the number that follows it, if any
 _WORD_RE = re.compile(r"\s*(\S)([+-]?(?:\d+\.?\d*|\.\d+))?")
-# up to 64 plain lines, each ended by "\n": an upper-case G or M word, then
-# parameter words, each after one space, with ASCII numbers and no comment.
-# A number's digits split only one way, so a near miss fails in linear
-# time; the bound keeps the matcher's memory small (unbounded, it holds
-# ~60 bytes per character matched).
-_PLAIN_LINES_RE = re.compile(
-    r"(?:[GM]\d+(?: [XYZEFIJRSP][+-]?(?:\d+(?:\.\d*)?|\.\d+))*\n){0,64}",
-    re.ASCII)
+# parse_program's byte classes, of the bytes in turn (";" marks a comment
+# it has taken out; any other byte is _OTHER), the classes that may follow
+# each on a plain line, and whether class b may follow class a, at 16a + b
+_OTHER, _SPACE, _MARK, _SIGN, _DIGIT, _END, _PARAM, _DOT, _CODE = range(9)
+_CLASSES = bytes(map({c: k for k, chars in enumerate((
+    b" \t", b";", b"+-", b"0123456789", b"\n", b"XYZEFIJRSP", b".", b"GM"), 1)
+    for c in chars}.get, range(256), bytes(256)))
+_NEXT = {_SPACE: (_SPACE, _MARK, _END, _PARAM), _MARK: (_MARK, _END),
+         _SIGN: (_DOT, _DIGIT), _DOT: (_SPACE, _MARK, _DIGIT, _END, _PARAM),
+         _DIGIT: (_SPACE, _MARK, _DOT, _DIGIT, _END, _PARAM),
+         _END: (_MARK, _END, _CODE), _PARAM: (_SIGN, _DOT, _DIGIT),
+         _CODE: (_DIGIT,)}
+_PAIRS = bytes(p % 16 in _NEXT.get(p // 16, ()) for p in range(256))
 
 _PARAM_ORDER = "XYZEFIJRSP"
-# the parameters' columns in Commands, and over the ASCII of plain lines,
-# each word letter as its column (G and M after the parameters), and each
-# word letter as a space
+# the parameters' columns in Commands, and over plain lines each word
+# letter as its column (G and M last), and each letter and mark as a space
 _COLUMN_ORDER = "XYZFEIJRSP"
 _COLUMNS = bytes.maketrans(b"XYZFEIJRSPGM", bytes(range(12)))
-_SPACES = bytes.maketrans(b"XYZFEIJRSPGM", b" " * 12)
+_SPACES = bytes.maketrans(b"XYZFEIJRSPGM;", b" " * 13)
 # a segment's kind, by whether it extrudes
 _KINDS = np.array(["travel", "print"])
 # rows per block in Segments.lengths
@@ -163,13 +169,16 @@ class Commands(_Rows):
     `line` (int64), `m` (bool: an M word, else a G word), `code` (float64;
     nan for a code no G or M word has), and the parameters in XYZFEIJRSP
     column order, `values` (N x 10 float64, 0.0 where absent) and
-    `present` (N x 10 bool).  A row reads as its GcodeCommand, which
-    `record(i)` builds; a slice as a list of them."""
+    `present` (N x 10 bool), and `comments`, the first comment of each
+    line that has one, by line number, comment-only lines included.  A
+    row reads as its GcodeCommand, which `record(i)` builds; a slice as a
+    list of them."""
 
-    def __init__(self, line, m, code, values, present,
+    def __init__(self, line, m, code, values, present, comments,
                  record: Callable[[int], GcodeCommand]):
         self.line, self.m, self.code = line, m, code
-        self.values, self.present, self.record = values, present, record
+        self.values, self.present, self.comments = values, present, comments
+        self.record = record
 
     @classmethod
     def of(cls, commands) -> Commands:
@@ -186,6 +195,7 @@ class Commands(_Rows):
                              for p in params], float).reshape(-1, 10),
                    np.array([[k in p for k in _COLUMN_ORDER]
                              for p in params], bool).reshape(-1, 10),
+                   {c.line_no: c.comment for c in records if c.comment},
                    records.__getitem__)
 
     def __len__(self):
@@ -261,18 +271,9 @@ def _strip_comments(text: str) -> tuple[str, Optional[str]]:
     """Remove `;`-to-EOL and `( ... )` comments; return (code, first comment)."""
     if ";" not in text and "(" not in text:
         return text, None
-    bodies = (body.strip() for m in _COMMENT_RE.finditer(text)
-              for body in m.groups() if body is not None)
-    return _COMMENT_RE.sub("", text), next(filter(None, bodies), None)
-
-
-def _code(letter: str, number: str, line_no: int) -> int:
-    """The integer of a G/M word's number, which may be written as a float."""
-    value = float(number)
-    if value < 0 or not value.is_integer():
-        raise MalformedNumber(f"{letter} code must be a non-negative integer",
-                              line_no)
-    return int(value)
+    parts = _COMMENT_RE.split(text)
+    return "".join(parts[::2]), next(filter(None, map(str.strip, parts[1::2])),
+                                     None)
 
 
 def parse_line(text: str, line_no: int = 1) -> Optional[GcodeCommand]:
@@ -284,8 +285,7 @@ def parse_line(text: str, line_no: int = 1) -> Optional[GcodeCommand]:
     if not code_text:
         return None
 
-    letter = None
-    code = None
+    letter = code = None
     params: dict[str, float] = {}
     # code_text is stripped, so the words cover it end to end
     for word, number in _WORD_RE.findall(code_text):
@@ -295,7 +295,10 @@ def parse_line(text: str, line_no: int = 1) -> Optional[GcodeCommand]:
                 raise GcodeError("multiple G/M words on one line", line_no)
             if not number:
                 raise MalformedNumber(f"missing number after {word_letter}", line_no)
-            letter, code = word_letter, _code(word_letter, number, line_no)
+            letter, code = word_letter, float(number)  # "1.0" is code 1
+            if code < 0 or not code.is_integer():
+                raise MalformedNumber(
+                    f"{letter} code must be a non-negative integer", line_no)
         elif word_letter in PARAM_LETTERS:
             if not number:
                 raise MalformedNumber(f"missing number after {word_letter}", line_no)
@@ -307,38 +310,56 @@ def parse_line(text: str, line_no: int = 1) -> Optional[GcodeCommand]:
 
     if letter is None:
         raise UnknownWord("line has parameters but no G/M word", line_no)
-    return GcodeCommand(line_no, letter, code, params, comment)
+    return GcodeCommand(line_no, letter, int(code), params, comment)
 
 
 def parse_program(text: str) -> Commands:
     """Parse a whole program into Commands, skipping blank and comment
     lines; the first error in line order aborts it.  No record is built
-    per command.
+    per command (a row's record is parse_line of its line).
 
-    A regular expression finds the runs of plain lines, whose words are
-    then split in one pass: a word's letter gives its column, and float()
-    of its number its value.  Every other line goes through parse_line, in
-    line order, and so does a plain line with a duplicate word or a code
-    too large for a float, which it rejects."""
+    Comments go first, in one split of the whole text by parse_line's
+    rules: each leaves a ";" mark, and each line's first comment with text
+    goes into the `comments` column.  A byte-class test then finds the
+    plain lines: a G or M word at the line's start, then parameter words,
+    apart or not, then spaces, tabs or marks; a number has a digit and at
+    most one dot, a G or M number only digits.  float() of each of their
+    numbers is its value, in its letter's column.  Every other line that
+    is not blank goes through parse_line, in line order, and so does a
+    plain line with a duplicate word or a code too large for a float."""
     lines = text.splitlines()
-    joined = "\n".join([*lines, ""])  # each line ended by "\n"
-    plain = np.zeros(len(lines), bool)
-    runs, others, at, no = [], [], 0, 0  # `no` lines before `at`
-    while at < len(joined):
-        end = _PLAIN_LINES_RE.match(joined, at).end()
-        if end > at:
-            count = joined.count("\n", at, end)
-            runs.append(joined[at:end])
-            plain[no:no + count] = True
-            no, at = no + count, end
-        else:  # a line that is not plain: its number, from 1
-            no, at = no + 1, joined.index("\n", at) + 1
-            others.append(no)
-    data = "".join(runs).encode()
-    letters = np.frombuffer(data.translate(_COLUMNS, b" \n+-.0123456789"),
+    joined = "\n".join(["", *lines, ""])  # each line between two "\n"
+    parts = ((_COMMENT_RE if "(" in joined else _SEMICOLON_RE).split(joined)
+             if ";" in joined or "(" in joined else [joined])
+    data = ";".join(parts[::2]).encode(errors="replace")
+    kinds = np.frombuffer(data.translate(_CLASSES), np.uint8)
+    ends = (kinds == _END).nonzero()[0]  # line k, from 1, ends at ends[k]
+    comments = {}
+    if len(parts) > 1:
+        marks = ends.searchsorted((kinds == _MARK).nonzero()[0]).tolist()
+        for no, body in zip(marks, map(str.strip, parts[1::2])):
+            if body:
+                comments.setdefault(no, body)
+    # a line is plain if each byte may follow the one before, each dot has a
+    # digit beside it, and, digits taken out, no dot follows a dot, G or M
+    pairs = ((kinds[:-1] << 4) | kinds[1:]).tobytes().translate(_PAIRS)
+    plain = np.logical_and.reduceat(np.frombuffer(pairs, bool), ends[:-1])
+    dots = (kinds == _DOT).nonzero()[0]
+    bare = (kinds[dots - 1] != _DIGIT) & (kinds[dots + 1] != _DIGIT)
+    plain[ends.searchsorted(dots[bare]) - 1] = False
+    kept = np.frombuffer(data.translate(_CLASSES, b"0123456789"), np.uint8)
+    dots = (kept == _DOT).nonzero()[0]
+    late = dots[kept[dots - 1] >= _DOT]  # after a dot or a G or M
+    if len(late):
+        plain[(kept == _END).nonzero()[0].searchsorted(late) - 1] = False
+    others = ((~plain).nonzero()[0] + 1).tolist()
+    plain &= kinds[ends[:-1] + 1] == _CODE  # blank lines are not rows
+    if others:
+        data = b"\n".join(compress(data.split(b"\n")[1:-1], plain.tolist()))
+    letters = np.frombuffer(data.translate(_COLUMNS, b" \t\n;+-.0123456789"),
                             np.uint8)
-    numbers = np.fromiter(map(float, data.translate(_SPACES).decode().split()),
-                          float, len(letters))
+    numbers = np.fromiter(map(float, data.translate(_SPACES).split()), float,
+                          len(letters))
     # each word's row (a G or M word starts one) and column, G and M last
     row, line = (letters >= 10).cumsum() - 1, plain.nonzero()[0] + 1
     values, present = np.zeros((len(line), 12)), np.zeros((len(line), 12),
@@ -350,9 +371,8 @@ def parse_program(text: str) -> Commands:
     if np.count_nonzero(present) < len(row) or bad.any():
         bad |= present.sum(1) < np.bincount(row, minlength=len(line))
         stop = line[bad.argmax()].item()
-    others = [no for no in others if no < stop]
-    extra = list(filter(None, map(parse_line, [lines[no - 1] for no in others],
-                                  others)))
+    extra = list(filter(None, (parse_line(lines[no - 1], no)
+                               for no in others if no < stop)))
     if stop <= len(lines):
         parse_line(lines[stop - 1], stop)  # raises
     columns = (line, present[:, 11], code, values[:, :10], present[:, :10])
@@ -363,8 +383,8 @@ def parse_program(text: str) -> Commands:
                    in zip(columns, (more.line, more.m, more.code, more.values,
                                     more.present))]
     numbered = columns[0].tolist()
-    return Commands(*columns, lambda i: parse_line(lines[numbered[i] - 1],
-                                                   numbered[i]))
+    return Commands(*columns, comments,
+                    lambda i: parse_line(lines[numbered[i] - 1], numbered[i]))
 
 
 def _positional(value: float) -> str:
@@ -378,14 +398,10 @@ def _positional(value: float) -> str:
 
 
 def serialize_command(cmd: GcodeCommand) -> str:
-    parts = [f"{cmd.letter}{cmd.code}"]
-    for letter in _PARAM_ORDER:
-        if letter in cmd.params:
-            parts.append(f"{letter}{_positional(cmd.params[letter])}")
-    text = " ".join(parts)
-    if cmd.comment:
-        text += f" ; {cmd.comment}"
-    return text
+    words = [f"{cmd.letter}{cmd.code}"] + [
+        f"{k}{_positional(cmd.params[k])}" for k in _PARAM_ORDER
+        if k in cmd.params]
+    return " ".join(words) + (f" ; {cmd.comment}" if cmd.comment else "")
 
 
 def serialize_program(commands: list[GcodeCommand]) -> str:
@@ -399,16 +415,10 @@ def _scale(units: str) -> float:
 def _segment_count(theta: float, radius: float, chord_tol: float) -> int:
     """Chord count for an arc sweep; each chord must subtend < pi."""
     x = 1.0 - chord_tol / radius
-    if x >= 1.0:
-        step = 0.0
-    else:
-        step = math.acos(max(-1.0, x))
+    step = 0.0 if x >= 1.0 else math.acos(max(-1.0, x))
     n = 1 if step <= 0 else max(1, math.ceil(theta / step - 1e-12))
     k = theta / math.pi
-    if abs(k - round(k)) < 1e-9:
-        n_min = int(round(k)) + 1
-    else:
-        n_min = math.ceil(k)
+    n_min = int(round(k)) + 1 if abs(k - round(k)) < 1e-9 else math.ceil(k)
     return max(n, n_min, 1)
 
 
@@ -436,8 +446,7 @@ def _arc(clockwise: bool, ij, r, line_no: int, s: float, sx, sy, sz,
             raise DegenerateArc("arc radius is zero", line_no)
         if abs(r0 - r1) > 1e-6 * r0:
             raise InconsistentArc(
-                f"start/end radii differ: {r0:.9g} vs {r1:.9g}", line_no
-            )
+                f"start/end radii differ: {r0:.9g} vs {r1:.9g}", line_no)
         radius = 0.5 * (r0 + r1)
     elif r is not None:
         r_signed = r * s
@@ -452,17 +461,12 @@ def _arc(clockwise: bool, ij, r, line_no: int, s: float, sx, sy, sz,
         h = math.sqrt(max(0.0, radius * radius - (q / 2) ** 2))
         mx, my = (sx + ex) / 2, (sy + ey) / 2
         px, py = -(ey - sy) / q, (ex - sx) / q
-        best = None
-        for sign in (1.0, -1.0):
-            ccx, ccy = mx + sign * h * px, my + sign * h * py
-            sweep = _arc_sweep(sx, sy, ex, ey, ccx, ccy, clockwise)
-            minor = sweep <= math.pi + 1e-12
-            if (r_signed > 0) == minor:
-                best = (ccx, ccy)
-                break
-        if best is None:  # numerical tie: fall back to first candidate
-            best = (mx + h * px, my + h * py)
-        cx, cy = best
+        centres = [(mx + sign * h * px, my + sign * h * py)
+                   for sign in (1.0, -1.0)]
+        # R > 0: the minor sweep's centre, else the major's; on a tie the first
+        cx, cy = next((c for c in centres if (r_signed > 0) == (
+            _arc_sweep(sx, sy, ex, ey, *c, clockwise) <= math.pi + 1e-12)),
+            centres[0])
     else:
         raise GcodeError("arc needs I/J or R", line_no)
     if not all(map(math.isfinite, (cx, cy, radius, sx, sy, sz, ex, ey, ez))):
@@ -507,11 +511,7 @@ def _arc_sweep(sx, sy, ex, ey, cx, cy, clockwise: bool) -> float:
     """Swept angle from start to end in the commanded direction, in [0, 2pi)."""
     a0 = math.atan2(sy - cy, sx - cx)
     a1 = math.atan2(ey - cy, ex - cx)
-    if clockwise:
-        sweep = (a0 - a1) % (2 * math.pi)
-    else:
-        sweep = (a1 - a0) % (2 * math.pi)
-    return sweep
+    return (a0 - a1 if clockwise else a1 - a0) % (2 * math.pi)
 
 
 def _fill(array, at, a: int) -> None:

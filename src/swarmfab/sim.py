@@ -699,9 +699,25 @@ class OverlapEvent:
     distance: float
 
 
-# relative margin of the numpy pre-filter in overlap_diagnostic: squared
-# distances round differently than math.hypot, so candidates are rechecked
+# relative margin of the numpy pre-filter in overlap_diagnostic and
+# overlap_contacts: squared distances round differently than math.hypot, so
+# the samples within it of a contact distance are rechecked
 OVERLAP_PREFILTER_SLACK = 1e-9
+
+
+def _pair_offsets(trace: Trace, config: MachineConfig) -> tuple:
+    """A trace's robot pairs in sorted order, as the indices a and b of
+    their robots in trace.robot_ids; each pair's contact distance, the sum
+    of its body radii; and each pair's x and y offsets, a's position less
+    b's, at each sample (samples x pairs)."""
+    radii = {e.id: e.params.body_radius for e in config.roster}
+    ids = trace.robot_ids
+    pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
+    a, b = np.array(pairs, np.intp).reshape(-1, 2).T
+    contact = np.array([radii[ids[i]] + radii[ids[j]] for i, j in pairs],
+                       float)
+    xy = trace.poses[..., :2]
+    return a, b, contact, xy[:, a, 0] - xy[:, b, 0], xy[:, a, 1] - xy[:, b, 1]
 
 
 def overlap_diagnostic(trace: Trace, config: MachineConfig) -> list[OverlapEvent]:
@@ -709,22 +725,47 @@ def overlap_diagnostic(trace: Trace, config: MachineConfig) -> list[OverlapEvent
 
     Events come in sample order, then in sorted robot-pair order.
     """
-    radii = {e.id: e.params.body_radius for e in config.roster}
-    ids = trace.robot_ids
-    pairs = [(i, j) for i in range(len(ids)) for j in range(i + 1, len(ids))]
-    if not pairs or not len(trace.t):
-        return []
-    a, b = np.array(pairs).T
-    contact = np.array([radii[ids[i]] + radii[ids[j]] for i, j in pairs])
-    xy = trace.poses[..., :2]
-    dx = xy[:, a, 0] - xy[:, b, 0]
-    dy = xy[:, a, 1] - xy[:, b, 1]
+    a, b, contact, dx, dy = _pair_offsets(trace, config)
     near = dx * dx + dy * dy < (contact * (1.0 + OVERLAP_PREFILTER_SLACK)) ** 2
-    events = []
+    ids, events = trace.robot_ids, []
     for n, k in zip(*np.nonzero(near)):
-        (xa, ya), (xb, yb) = xy[n, a[k]].tolist(), xy[n, b[k]].tolist()
-        d = math.hypot(xa - xb, ya - yb)
+        d = math.hypot(dx[n, k], dy[n, k])
         if d < contact[k]:
             events.append(OverlapEvent(float(trace.t[n]), ids[a[k]],
                                        ids[b[k]], d))
     return events
+
+
+def overlap_contacts(trace: Trace, config: MachineConfig) -> list[list]:
+    """The overlaps of overlap_diagnostic as contacts: one [first t, last
+    t, "a/b", least distance] per robot pair and run of consecutive
+    samples in which the pair overlaps, in the order the runs begin, a
+    run's pairs in sorted order.
+
+    A squared distance decides its sample unless it lies within
+    OVERLAP_PREFILTER_SLACK of the contact distance, where math.hypot
+    does, as in overlap_diagnostic.  A run's least distance is the least
+    math.hypot of the samples whose squares are as close to the run's
+    least square, which rounding could have put first."""
+    a, b, contact, dx, dy = _pair_offsets(trace, config)
+    square = dx * dx + dy * dy
+    near = square < (contact * (1.0 + OVERLAP_PREFILTER_SLACK)) ** 2
+    if not near.any():
+        return []
+    hit = square < (contact * (1.0 - OVERLAP_PREFILTER_SLACK)) ** 2
+    n, k = (near & ~hit).nonzero()
+    hit[n, k] = [math.hypot(x, y) < c for x, y, c in zip(
+        dx[n, k].tolist(), dy[n, k].tolist(), contact[k].tolist())]
+    # each pair's runs, as the samples where they start and stop in turn
+    pair, at = np.diff(hit.T, prepend=False, append=False, axis=1).nonzero()
+    ids, contacts = trace.robot_ids, []
+    for first, k, stop in sorted(zip(at[0::2].tolist(), pair[0::2].tolist(),
+                                     at[1::2].tolist())):
+        run = square[first:stop, k]
+        ties = first + (run <= run.min() * (1.0 + OVERLAP_PREFILTER_SLACK) ** 2
+                        ).nonzero()[0]
+        contacts.append([trace.t[first].item(), trace.t[stop - 1].item(),
+                         f"{ids[a[k]]}/{ids[b[k]]}",
+                         min(map(math.hypot, dx[ties, k].tolist(),
+                                 dy[ties, k].tolist()))])
+    return contacts

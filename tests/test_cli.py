@@ -274,7 +274,7 @@ class TestSimulate:
                      min(event.distance for event in run)]
                     for _, _, pair, run in sorted(runs)]
         assert len(expected) > 40 and len(hits) == 3
-        assert cli._contacts(trace, cfg) == expected
+        assert sim.overlap_contacts(trace, cfg) == expected
 
     def test_bridge_skew_cites_line(self, workdir, capsys):
         doc = config.default_config_doc("bridge_xy")

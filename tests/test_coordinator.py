@@ -1028,6 +1028,90 @@ class TestPlanProgram:
         assert plan.ticks == [] and plan.barriers == []
 
 
+def turns_oracle(segs, barrier_angle_deg):
+    """_turns with math.acos of every row's cosine."""
+    d = segs.ends - segs.starts
+    norm = np.sqrt((d * d).sum(1))
+    a, b = d[:-1], d[1:]
+    product = norm[:-1] * norm[1:]
+    cosang = np.divide(a[:, 0] * b[:, 0] + a[:, 1] * b[:, 1]
+                       + a[:, 2] * b[:, 2], product,
+                       out=np.ones_like(product),
+                       where=(norm[:-1] != 0.0) & (norm[1:] != 0.0))
+    cosang = np.maximum(-1.0, np.minimum(1.0, cosang))
+    angle = np.array([math.acos(c) for c in cosang.tolist()])
+    threshold = math.radians(barrier_angle_deg) - 1e-9
+    return (segs.kind[1:] != segs.kind[:-1]) | (angle >= threshold)
+
+
+def polyline(directions, kinds=None):
+    """Chained segments along unit-free direction vectors from the origin."""
+    points = np.concatenate(([[0.0, 0.0, 0.0]],
+                             np.cumsum(np.array(directions, float), 0)))
+    kinds = kinds or ["travel"] * len(directions)
+    return gcode.Segments(points[:-1], points[1:],
+                          np.full(len(directions), 10.0),
+                          np.zeros(len(directions)), np.array(kinds),
+                          np.arange(1, len(directions) + 1))
+
+
+class TestTurns:
+    """_turns decides most rows by comparing cosines, and must give the
+    barriers math.acos of every row gives, bit for bit."""
+
+    SETTINGS = (0.0, 1e-7, 0.5, 30.0, 45.0, 90.0, 135.0, 179.9, 180.0)
+
+    def same(self, segs):
+        for setting in self.SETTINGS:
+            assert (coordinator._turns(segs, setting).tolist()
+                    == turns_oracle(segs, setting).tolist()), setting
+
+    def test_pinned_corners(self):
+        # right angles (exactly 90 degrees, cosine 0.0), a reversal, a
+        # straight run, a zero-length segment and a change of kind
+        directions = [(1, 0, 0), (0, 1, 0), (-1, 0, 0), (0, -1, 0),
+                      (0, 0, 1), (0, 0, -1), (0, 0, -1), (0, 0, 0),
+                      (1, 0, 0), (1, 1, 0), (1, 0, 0)]
+        segs = polyline(directions, ["travel"] * 10 + ["print"])
+        self.same(segs)
+        assert coordinator._turns(segs, 90.0).tolist() == [
+            True, True, True, True, True, False, False, False, False, True]
+        assert coordinator._turns(segs, 0.0).all()
+        assert coordinator._turns(segs, 180.0).tolist() == [
+            False, False, False, False, True, False, False, False, False,
+            True]
+
+    def test_turns_at_the_threshold(self):
+        # corners whose cosine lies within and beyond _COS_MARGIN of each
+        # setting's: the cosines next to it round to its angle
+        for setting in self.SETTINGS:
+            edge = math.cos(math.radians(setting) - 1e-9)
+            cosines = [edge] + [edge + k * 10.0 ** e for e in range(-18, -5)
+                                for k in (-3, -1, 1, 3)]
+            up = down = edge
+            for _ in range(8):  # and the cosines a few ulps away
+                up, down = math.nextafter(up, 2.0), math.nextafter(down, -2.0)
+                cosines += [up, down]
+            directions = [(1.0, 0.0, 0.0)]
+            for c in cosines:
+                c = min(max(c, -1.0), 1.0)
+                directions += [(c, math.sqrt(1.0 - c * c), 0.0),
+                               (1.0, 0.0, 0.0)]
+            self.same(polyline(directions))
+
+    def test_not_finite(self):
+        inf, nan = math.inf, math.nan
+        with np.errstate(invalid="ignore", over="ignore"):
+            self.same(polyline([(1, 0, 0), (inf, 1, 0), (1, 0, 0),
+                                (nan, 0, 0), (0, 1, 0), (1e300, 1e300, 0),
+                                (-1, 0, 0)]))
+
+    @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
+    def test_random_walk(self, morphology):
+        text = random_walk_program(morphology, 7, 600)
+        self.same(gcode.interpret(gcode.parse_program(text)).segments)
+
+
 class TestPlanColumns:
     @pytest.mark.parametrize("morphology", coordinator.MORPHOLOGIES)
     def test_from_ticks_round_trip(self, morphology):

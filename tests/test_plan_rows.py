@@ -212,6 +212,14 @@ def arcs_program(count: int, rng: random.Random) -> str:
     return "\n".join(lines) + "\n"
 
 
+def commented(text: str) -> str:
+    """A program with a slicer's comments: a comment after every line, and
+    a comment line before every 100th."""
+    return "".join(f";TYPE:WALL-OUTER\n{line} ; c{k}\n" if k % 100 == 0
+                   else f"{line} ; c\n"
+                   for k, line in enumerate(text.splitlines()))
+
+
 def plan_path(text, cfg):
     result = gcode.interpret(gcode.parse_program(text), home=cfg.home)
     plan = coordinator.plan_program(result.segments, cfg)
@@ -221,8 +229,9 @@ def plan_path(text, cfg):
 
 @pytest.mark.parametrize("program,segments", [
     (moves_program(3000, random.Random(1)), 3000),
+    (commented(moves_program(3000, random.Random(1))), 3000),
     (arcs_program(1500, random.Random(2)), 21635),
-], ids=["moves", "arcs"])
+], ids=["moves", "commented-moves", "arcs"])
 def test_plan_path_runs_no_collection(wire2d_config, program, segments):
     plan_path(program, wire2d_config)  # a first run fills the caches
     collections = []

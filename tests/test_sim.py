@@ -1175,6 +1175,26 @@ class TestOverlap:
             tool_tip=(0, 0, 0), tool_target=(0, 0, 0), extruding=False,
             extrusion_total=0.0)], cfg)
 
+    def test_contact_least_distance_is_math_hypots(self, bridge_config):
+        # two samples 200 ** 0.5 mm apart: the first has the lesser square,
+        # the second the lesser math.hypot; a third just inside the
+        # OVERLAP_PREFILTER_SLACK band of the 32 mm contact distance, and a
+        # fourth at it, which does not overlap
+        offsets = [(7.516117926868677, 11.979481262116623),
+                   (9.769209668166035, 10.225582744245497),
+                   (31.99999999, 0.0), (32.0, 0.0)]
+        trace = trace_of([sim.TraceSample(
+            t=0.5 * n, poses={"r1": (0.0, 0.0, 0.0), "r2": (x, y, 0.0)},
+            rotations={"r1": 0.0, "r2": 0.0}, tool_tip=(0, 0, 0),
+            tool_target=(0, 0, 0), extruding=False, extrusion_total=0.0)
+            for n, (x, y) in enumerate(offsets)], bridge_config)
+        events = sim.overlap_diagnostic(trace, bridge_config)
+        assert [e.t for e in events] == [0.0, 0.5, 1.0]
+        assert (events[0].distance > events[1].distance
+                == 14.14213562373095)
+        assert sim.overlap_contacts(trace, bridge_config) == [
+            [0.0, 1.0, "r1/r2", 14.14213562373095]]
+
     def test_far_apart_no_event(self, bridge_config):
         trace = self.make_trace(bridge_config,
                                 {"r1": (0.0, 0.0, 0.0), "r2": (100.0, 0.0, 0.0)})
