@@ -63,9 +63,10 @@ def _program(path: str, home=(0.0, 0.0, 0.0)) -> gcode.InterpretResult:
     return gcode.interpret(gcode.parse_program(text), home=home)
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(text)
+def _write(path: str, chunks) -> None:
+    """Write UTF-8 chunks (bytes-like) to the file at path, one by one."""
+    with open(path, "wb") as fh:
+        fh.writelines(chunks)
 
 
 def cmd_parse(args) -> int:
@@ -81,15 +82,15 @@ def cmd_parse(args) -> int:
     return EXIT_OK
 
 
-def _stream(plan, machine) -> str:
-    """A plan's command stream, the machine's robots in roster order."""
-    return coordinator.serialize_command_stream(
+def _stream(plan, machine):
+    """A plan's command stream chunks, robots in roster order."""
+    return coordinator.command_stream_chunks(
         plan, [e.id for e in machine.roster])
 
 
 def _write_plan(path, plan, machine) -> int:
     """Write a plan's command stream and its summary."""
-    _write_text(path, _stream(plan, machine))
+    _write(path, _stream(plan, machine))
     duration = plan.t[-1] if len(plan.t) else 0.0
     print(f"ticks={len(plan.t)} duration_s={duration:.6f} "
           f"barriers={len(plan.barriers)}")
@@ -118,11 +119,11 @@ def cmd_simulate(args) -> int:
               f"d_min={least:.3f}", file=sys.stderr)
 
     if args.svg:
-        _write_text(args.svg, sim.export_svg(trace))
+        _write(args.svg, [sim.export_svg(trace).encode()])
     if args.csv:
-        _write_text(args.csv, sim.export_csv(trace))
+        _write(args.csv, sim.csv_chunks(trace))
     if args.stream:
-        _write_text(args.stream, _stream(plan, machine))
+        _write(args.stream, _stream(plan, machine))
     if args.report:
         report = sim.measure_fidelity(trace, segments)
         print(f"max_deviation_mm={report.max_deviation:.6f}")

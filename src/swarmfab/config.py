@@ -139,6 +139,13 @@ def parse_config(doc: Any) -> MachineConfig:
         params = _numbers(entry, _NUMBERS["roster"], where, ("id",), {"id"})
         if not isinstance(entry["id"], str) or not entry["id"]:
             raise ConfigError(f"{where}.id must be a non-empty string")
+        # UTF-8 text (no lone surrogate) that is one CSV field and one
+        # stream token: no whitespace, control character, comma or '='
+        if any(c.isspace() or c in ",=" or c < " " or "\x7f" <= c < "\xa0"
+               or "\ud800" <= c <= "\udfff" for c in entry["id"]):
+            raise ConfigError(f"{where}.id {entry['id']!a} must be UTF-8 text "
+                              f"with no whitespace, control character, ',' "
+                              f"or '='")
         try:
             roster.append(RosterEntry(id=entry["id"],
                                       params=RobotParams(**params)))

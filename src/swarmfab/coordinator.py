@@ -229,8 +229,9 @@ def _segment_pass(config: MachineConfig, segs: Segments):
     """
     starts, ends, lines = segs.starts, segs.ends, segs.line
     a, b = starts[1:], ends[:-1]
-    broken = ((a != b) & (a.view(np.int64) != b.view(np.int64))).any(1)
-    if broken.any():
+    # the bits first: where they are equal, so are the values
+    differ = a.view(np.int64) != b.view(np.int64)
+    if differ.any() and (broken := (differ & (a != b)).any(1)).any():
         line = lines[1:][broken.argmax()].item()
         raise PlanError(f"segments not chained at line {line}",
                         line_no=line)
@@ -461,21 +462,28 @@ def reconfigure(from_config: MachineConfig, to_config: MachineConfig) -> Plan:
 
 def serialize_command_stream(plan: Plan,
                              roster_order: Optional[list[str]] = None) -> str:
+    """The text of `command_stream_chunks`, as one string."""
+    return text.decode(command_stream_chunks(plan, roster_order))
+
+
+def command_stream_chunks(plan: Plan,
+                          roster_order: Optional[list[str]] = None):
     """Byte-stable newline-delimited command records, one per robot per tick,
-    then a stop record per robot.  The robots go in roster order: each
-    robot of `roster_order` that the plan has, once, then the plan's other
-    robots (those a reconfiguration parks, say) in plan order.
+    then a stop record per robot, as UTF-8 chunks (see `text.chunks`).
+    The robots go in roster order: each robot of `roster_order` that the
+    plan has, once, then the plan's other robots (those a reconfiguration
+    parks, say) in plan order.
 
     Every tick's records come from one template, so the stream is the rows
-    of one array, written by `text.rows`, and the stop records that of its
-    last row: the ticks' t, the setpoint columns the records print, and the
-    source line.
+    of one array, written by `text.chunks`, and the stop records that of
+    its last row: the ticks' t, the setpoint columns the records print,
+    and the source line.
     """
     column = {rid: k for k, rid in enumerate(plan.ids)}
     order = list(dict.fromkeys([column[rid] for rid in roster_order or ()
                                 if rid in column] + list(column.values())))
     if not len(plan.t) or not order:
-        return ""
+        return ()
     # the printed setpoint columns, each once, after t; the line comes last
     printed: dict[int, int] = {}
     template = []
@@ -496,4 +504,5 @@ def serialize_command_stream(plan: Plan,
     # `printed` numbers its columns 1, 2, ... in the order it holds them
     values = np.column_stack((plan.t, plan.setpoints[:, list(printed)],
                               plan.source_line))
-    return text.rows(template, values, whole=(len(printed) + 1,), tail=stops)
+    return text.chunks(template, values, whole=(len(printed) + 1,),
+                       tail=stops)

@@ -27,7 +27,9 @@ PROGRESS_EPS = 1e-6
 # The most samples a run may take: 0.5 to 0.9 GB at the bytes per sample a
 # run holds at its peak, ~270 (wire2d_wall), ~385 (bridge_xy), ~428
 # (wire3d_printer) or ~450 (printer_bridge).  A slow feed or a small dt_sim
-# would otherwise ask for a run too long to hold.
+# would otherwise ask for a run too long to hold.  The CLI's CSV adds its
+# values array, 8 B a column (136 B a sample with four robots), and one
+# chunk of text.CHUNK_BYTES; the SVG, a string, adds ~150 B a sample.
 MAX_SAMPLES = 2_000_000
 # The most steps of plain plan ticks (neither barrier nor stepwise) that
 # _drive queues before it steps the robots through them in one run.  It
@@ -671,24 +673,30 @@ def export_svg(trace: Trace) -> str:
 
 
 def export_csv(trace: Trace) -> str:
-    """Flat per-robot per-sample table with fixed 6-decimal formatting,
-    written by one `text.rows` call over a row per sample."""
+    """The text of `csv_chunks`, as one string."""
+    return text.decode(csv_chunks(trace))
+
+
+def csv_chunks(trace: Trace):
+    """Flat per-robot per-sample table with fixed 6-decimal formatting, as
+    UTF-8 chunks written by one `text.chunks` call over a row per sample."""
     header = "t,robot_id,x,y,heading,tool_x,tool_y,tool_z,extruding\n"
     ids = trace.robot_ids
     if not ids:
-        return header
-    n = len(trace.t)
-    # a sample's t, each robot's pose, the tool tip and the extruding flag
-    values = np.concatenate((trace.t[:, None], trace.poses.reshape(n, -1),
-                             trace.tool_tip, trace.extruding[:, None]),
-                            axis=1)
-    tool = 1 + 3 * len(ids)
+        return (header.encode(),)
+    n, tool = len(trace.t), 1 + 3 * len(ids)
+    # a sample's t, each robot's pose, the tool tip and the extruding flag,
+    # copied in place: the poses are a view of wider rows
+    values = np.empty((n, tool + 4))
+    values[:, 0], values[:, -1] = trace.t, trace.extruding
+    values[:, 1:tool].reshape(n, len(ids), 3)[:] = trace.poses
+    values[:, tool:-1] = trace.tool_tip
     template = []
     for k, rid in enumerate(ids):
         template += (0, f",{rid},", 1 + 3 * k, ",", 2 + 3 * k, ",",
                      3 + 3 * k, ",", tool, ",", tool + 1, ",", tool + 2, ",",
                      tool + 3, "\n")
-    return text.rows(template, values, whole=(tool + 3,), head=header)
+    return text.chunks(template, values, whole=(tool + 3,), head=header)
 
 
 @dataclass(frozen=True)

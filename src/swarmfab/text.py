@@ -2,11 +2,13 @@
 
 `fixed` formats every value of a 2-D float array exactly as
 `'%.6f' % v` does, or as `'%.0f' % v` in the columns asked to print whole
-numbers, each as a right-aligned, left-padded field of characters; `rows`
-lays such values and literal strings side by side, row by row, and returns
-the text.  The command stream, the CSV and the SVG are written this way.
+numbers, each as a right-aligned, left-padded field of characters;
+`chunks` lays such values and literal strings side by side, row by row,
+and yields the UTF-8 text a chunk of rows at a time, with no buffer that
+grows to hold the whole text; `rows` joins the chunks into one string.
+The command stream, the CSV and the SVG are written this way.
 
-Layout.  `rows` works a chunk of rows at a time.  In a chunk, each value
+Layout.  `chunks` works a chunk of rows at a time.  In a chunk, each value
 of the template gets a field as wide as the longest text of its column in
 that chunk, followed by the literal that comes after it, with no padding
 after the literal.  The shorter texts of a column leave padding at the left
@@ -184,8 +186,19 @@ def fixed(values: np.ndarray, whole=()):
 
 
 def rows(template, values, whole=(), head: str = "", tail=()) -> str:
+    """The text of `chunks` with the same arguments, as one string."""
+    return decode(chunks(template, values, whole, head, tail))
+
+
+def decode(parts) -> str:
+    """The text of an iterable of UTF-8 chunks, such as `chunks` yields."""
+    return b"".join(parts).decode("utf-8", "surrogatepass")
+
+
+def chunks(template, values, whole=(), head: str = "", tail=()):
     """`head`, then every row of an n x k float array through one template,
-    then the last row through `tail`, as text.
+    then the last row through `tail`, as UTF-8 text, yielded a chunk at a
+    time as bytes or uint8 arrays.
 
     A template is a sequence of strings, copied as they are, and column
     indices of `values`, whose value is printed with six decimals, or as a
@@ -193,53 +206,33 @@ def rows(template, values, whole=(), head: str = "", tail=()) -> str:
     appear any number of times, and a template must name one.  The rows'
     texts follow each other with nothing between them.  The values are
     formatted and laid out a chunk of rows at a time (see the module
-    docstring), into one buffer of UTF-8 bytes, sized by the first chunk
-    and grown in place, that is decoded once.
+    docstring), and each chunk's text is yielded as it is made: no buffer
+    holds the whole text.
     """
     if not len(values):
-        return head
+        yield _encode(head)
+        return
     n, k = values.shape
     body = _Template(template, k)
     step = max(1, CHUNK_BYTES // (k * VALUE_BYTES + 3 * body.row_bytes))
-    start = np.frombuffer(_encode(head + body.first), dtype=np.uint8)
-    out = None
+    yield _encode(head + body.first)
     for lo in range(0, n, step):
         chars, lengths = fixed(values[lo:lo + step], whole)
         text = body.join(chars, lengths)
-        if out is None:
-            # room for rows as long as the first chunk's, and some more
-            out = np.empty(len(start) + len(text) * n // len(chars) * 9 // 8
-                           + 256, dtype=np.uint8)
-            out, at = _put(out, 0, start)
-        out, at = _put(out, at, text)
+        if lo + step < n:
+            yield text
+            del chars, lengths, text  # the caller has it: free ours first
     # the first literal after the last row, which no row follows
-    at -= len(_encode(body.first))
+    yield text[:len(text) - len(_encode(body.first))]
     # the tail, from the texts of the last row's values
     width = chars.shape[2]
-    end = b"".join(_encode(item) if isinstance(item, str) else
+    yield b"".join(_encode(item) if isinstance(item, str) else
                    chars[-1, item, width - lengths[-1, item]:].tobytes()
                    for item in tail)
-    out, at = _put(out, at, np.frombuffer(end, dtype=np.uint8))
-    # the chunks' buffers are gone, and no view of the text is left, so it
-    # shrinks in place before it is decoded
-    del body, chars, lengths, text
-    out.resize(at, refcheck=False)
-    return str(out, "utf-8", "surrogatepass")
 
 
 def _encode(text: str) -> bytes:
     return text.encode("utf-8", "surrogatepass")
-
-
-def _put(out: np.ndarray, at: int, data: np.ndarray):
-    """Write `data` into `out` from `at`, growing `out` in place if it is
-    too short (no view of it may be alive); returns the buffer and the end
-    of what was written."""
-    end = at + len(data)
-    if end > len(out):
-        out.resize(end + end // 4, refcheck=False)
-    out[at:end] = data
-    return out, end
 
 
 class _Template:

@@ -3,11 +3,13 @@ import os
 import subprocess
 import sys
 import time
+import tracemalloc
 
 import pytest
 
 import swarmfab
-from swarmfab import cli, config, coordinator, gcode, sim
+from swarmfab import cli, config, coordinator, gcode, sim, text
+from test_coordinator import random_walk_program, segments_of
 
 SQUARE = """G92 E0
 G1 X210 Y110 F1200
@@ -185,6 +187,118 @@ class TestPlanColumns:
             got = run_cli(argv + [workdir / f"{name}.txt"], capsys)
             assert got + ((workdir / f"{name}.txt").read_bytes(),) \
                 == expected[name]
+
+
+class TestChunkedOutputs:
+    """The CLI writes the command stream and the CSV a chunk at a time, in
+    binary; its files are what serialize_command_stream and export_csv
+    return, byte for byte, however small the chunks."""
+
+    IDS = ("ré", "机器人", "r3")  # non-ASCII literals
+
+    @pytest.fixture
+    def job(self, workdir, monkeypatch):
+        """A bridge job whose robot ids are not ASCII, and the plan and
+        the trace the CLI writes, each given a value only Python prints,
+        wider than a field, in a middle row."""
+        def rename(doc):
+            for entry, rid in zip(doc["roster"], self.IDS):
+                entry["id"] = rid
+
+        cfg = _config_with(workdir, "ids.json", "bridge_xy", rename)
+        made = {}
+        stream_chunks, run = coordinator.command_stream_chunks, sim.run
+
+        def widen(rows):
+            rows[len(rows) // 2, 0] = -1e20
+
+        def streamed(plan, roster_order):
+            made["plan"] = plan
+            widen(plan.setpoints)
+            return stream_chunks(plan, roster_order)
+
+        def simulated(*args, **kwargs):
+            made["trace"] = run(*args, **kwargs)
+            widen(made["trace"].tool_tip)
+            return made["trace"]
+
+        monkeypatch.setattr(coordinator, "command_stream_chunks", streamed)
+        monkeypatch.setattr(sim, "run", simulated)
+        return workdir, cfg, made
+
+    @pytest.mark.parametrize("chunk_bytes", [1, 3000, 30_000])
+    def test_files_are_the_library_strings(self, job, capsys, monkeypatch,
+                                           chunk_bytes):
+        workdir, cfg, made = job
+        monkeypatch.setattr(text, "CHUNK_BYTES", chunk_bytes)
+        calls = []
+        fixed = text.fixed
+        monkeypatch.setattr(text, "fixed", lambda *args: calls.append(
+            len(args[0])) or fixed(*args))
+        ids = list(self.IDS)
+        wide = "-100000000000000000000.000000"
+        code, _, err = run_cli(["simulate", workdir / "square.gcode", cfg,
+                                "--csv", workdir / "trace.csv", "--stream",
+                                workdir / "sim.txt"], capsys)
+        assert (code, err) == (0, "")
+        stream = coordinator.serialize_command_stream(made["plan"], ids)
+        csv = sim.export_csv(made["trace"])
+        assert (workdir / "sim.txt").read_bytes() == stream.encode()
+        assert (workdir / "trace.csv").read_bytes() == csv.encode()
+        assert wide in stream and wide in csv
+        assert "id=机器人 " in stream and ",机器人," in csv
+        # so the wide values are in middle chunks of each output
+        assert len(calls) > 6
+        code, out, _ = run_cli(["plan", workdir / "square.gcode", cfg,
+                                workdir / "plan.txt"], capsys)
+        stream = coordinator.serialize_command_stream(made["plan"], ids)
+        assert code == 0 and out.startswith("ticks=") and wide in stream
+        assert (workdir / "plan.txt").read_bytes() == stream.encode()
+
+    def test_stream_memory_bounded_by_chunk_bytes(self, tmp_path,
+                                                  monkeypatch):
+        # a drawing whose stream is 4.5 times CHUNK_BYTES: writing it peaks
+        # at its values array and 0.69 times CHUNK_BYTES (measured), not
+        # at the whole text; CHUNK_BYTES above the array fails
+        cfg = config.default_config("wire2d_wall")
+        plan = coordinator.plan_program(segments_of(
+            random_walk_program("wire2d_wall", 1, 16_000), cfg.home), cfg)
+        ids = [entry.id for entry in cfg.roster]
+        arrays = []
+        chunks = text.chunks
+        monkeypatch.setattr(text, "chunks", lambda template, values, *args,
+                            **kwargs: arrays.append(values.nbytes)
+                            or chunks(template, values, *args, **kwargs))
+        path = tmp_path / "stream.txt"
+        cli._write(path, coordinator.command_stream_chunks(plan, ids))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            cli._write(path, coordinator.command_stream_chunks(plan, ids))
+            peak = tracemalloc.get_traced_memory()[1] - before
+        finally:
+            tracemalloc.stop()
+        assert path.stat().st_size > 4 * text.CHUNK_BYTES
+        assert peak < arrays[-1] + text.CHUNK_BYTES
+
+
+@pytest.mark.parametrize("rid", ["\ud800x", "r,2", "r 1"],
+                         ids=["surrogate", "comma", "space"])
+def test_robot_id_the_outputs_cannot_hold_exit_4(workdir, capsys, rid):
+    # a robot id that is not UTF-8 text, or that would break a CSV row or
+    # a stream record: one error line at config load, and no output file
+    bad = _config_with(workdir, "ids.json", "bridge_xy",
+                       lambda doc: doc["roster"][1].update(id=rid))
+    for argv in (["plan", workdir / "square.gcode", bad, workdir / "s.txt"],
+                 ["simulate", workdir / "square.gcode", bad, "--csv",
+                  workdir / "t.csv"]):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (4, "")
+        assert err == (f"error: config {bad}: roster[1].id {rid!a} must be "
+                       f"UTF-8 text with no whitespace, control character, "
+                       f"',' or '='\n")
+    assert not (workdir / "s.txt").exists()
+    assert not (workdir / "t.csv").exists()
 
 
 class TestSimulate:

@@ -75,6 +75,29 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             config.parse_config(doc)
 
+    # ids a CSV field or a stream token cannot hold, or that are not UTF-8
+    # text: a lone surrogate (valid JSON), a comma, an equals sign,
+    # whitespace (ASCII and not) and control characters
+    BAD_IDS = ["\ud800x", "r\udc80", "r,2", "a=b", "r 1", "r\t", "\u2028",
+               "r\xa0", "\x00", "r\x1f", "r\x7f", "r\x85"]
+
+    @pytest.mark.parametrize("rid", BAD_IDS, ids=map(ascii, BAD_IDS))
+    def test_robot_id_rejected(self, rid):
+        doc = config.default_config_doc("wire2d_wall")
+        doc["roster"][1]["id"] = rid
+        with pytest.raises(ConfigError) as err:
+            config.parse_config(doc)
+        assert str(err.value) == (
+            f"roster[1].id {rid!a} must be UTF-8 text with no whitespace, "
+            f"control character, ',' or '='")
+
+    @pytest.mark.parametrize("rid", ["rébus", "机器人", "r%s", "{r}", "100%",
+                                     "r-1_b", "\U0001F916", "a;b:c"])
+    def test_robot_id_accepted(self, rid):
+        doc = config.default_config_doc("wire2d_wall")
+        doc["roster"][0]["id"] = rid
+        assert config.parse_config(doc).roster[0].id == rid
+
     def test_bad_anchor_count(self):
         doc = config.default_config_doc("wire2d_wall")
         doc["geometry"]["anchors"].append([1.0, 2.0])

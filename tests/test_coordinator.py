@@ -264,10 +264,15 @@ def serialize_command_stream_oracle(plan, roster_order=None):
 
 def four_robot_config(morphology, ids=("r1", "r2", "r3", "r4")):
     """The scaffold config of a morphology with a roster of `ids`: every
-    morphology can reconfigure into any other."""
+    morphology can reconfigure into any other.  The ids are set on the
+    parsed config, as a library caller may set them, so they may hold
+    characters a config file may not."""
     doc = config.default_config_doc(morphology)
-    doc["roster"] = [{"id": rid} for rid in ids]
-    return config.parse_config(doc)
+    doc["roster"] = [{"id": f"r{i}"} for i in range(len(ids))]
+    cfg = config.parse_config(doc)
+    return dataclasses.replace(cfg, roster=tuple(
+        dataclasses.replace(entry, id=rid)
+        for entry, rid in zip(cfg.roster, ids)))
 
 
 def plan_fields(plan):
@@ -969,6 +974,17 @@ class TestPlanProgram:
                 seg((200, 100, 0), (250, 100, 0), line=2),
                 seg((251, 100, 0), (300, 100, 0), line=3),
                 seg((301, 100, 0), (350, 100, 0), line=4)]
+        with pytest.raises(PlanError) as err:
+            coordinator.plan_program(segs, bridge_config)
+        assert (str(err.value), err.value.line_no) == (
+            "segments not chained at line 3", 3)
+
+    def test_not_chained_after_the_other_zero(self, bridge_config):
+        # line 2 starts at y -0.0 where line 1 ends at 0.0: the bits
+        # differ, the values do not, so the first break is line 3's
+        segs = [seg((100, 0.0, 0), (200, 0.0, 0), line=1),
+                seg((200, -0.0, 0), (250, 100, 0), line=2),
+                seg((251, 100, 0), (300, 100, 0), line=3)]
         with pytest.raises(PlanError) as err:
             coordinator.plan_program(segs, bridge_config)
         assert (str(err.value), err.value.line_no) == (

@@ -229,21 +229,21 @@ class TestRows:
                               for a, b in values.tolist()) + \
             f"|{values[-1, 1]:.6f}"
 
-    def test_wide_values_grow_the_buffer(self, monkeypatch):
-        # the buffer is sized by the first chunk, of short rows; the values
-        # of over 300 characters in the later chunks, which only Python
-        # prints, widen their fields past it
+    def test_wide_values_in_later_chunks(self, monkeypatch):
+        # the first chunk has short rows; the values of over 300 characters
+        # in the later chunks, which only Python prints, widen their rows
+        # past the first chunk's, chunk by chunk
         values = np.full((40, 2), -1e308)
         values[:10] = 0.5
         values[::3, 1] = 0.5
-        put, grown = text._put, []
-
-        def spied(out, at, data):
-            grown.append(at + len(data) > len(out))
-            return put(out, at, data)
-
-        monkeypatch.setattr(text, "_put", spied)
         monkeypatch.setattr(text, "CHUNK_BYTES", 3000)
+        parts = [bytes(part) for part in
+                 text.chunks(["", 0, "|", 1, "\n"], values, whole=(1,))]
         want = "".join(f"{a:.6f}|{b:.0f}\n" for a, b in values.tolist())
+        assert b"".join(parts).decode() == want
         assert text.rows(["", 0, "|", 1, "\n"], values, whole=(1,)) == want
-        assert any(grown) and len(grown) > 3
+        # the head, a chunk of short rows, later chunks of wide ones, and
+        # the empty tail
+        body = parts[1:-1]
+        assert len(body) > 3 and parts[0] == parts[-1] == b""
+        assert all(len(part) > 10 * len(body[0]) for part in body[1:])
